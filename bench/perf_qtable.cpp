@@ -11,9 +11,9 @@
 //      path (target ratio >= 1.5x on both);
 //   2. resident bytes/state: QTable::memory_bytes() vs the node-allocated
 //      baseline's (analytic) footprint;
-//   3. fleet upload wire bytes at the 64-device / 8-shard shape: the same
-//      train_fleet run with full uploads and with delta_uploads on, which
-//      must produce bit-identical global tables (hard gate) while the
+//   3. fleet upload wire bytes at the 64-device shape: two calm
+//      FleetServers, one with full uploads and one with delta_uploads on,
+//      which must produce bit-identical global tables (hard gate) while the
 //      steady-state (last-round) delta bytes come in >= 5x smaller than
 //      the full-table bytes (gated outside --smoke);
 //   4. quantized wire sizes of the final global table (f32 / f16 / q8)
@@ -33,12 +33,13 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "rl/qtable.hpp"
 #include "rl/qtable_delta.hpp"
-#include "sim/fleet.hpp"
+#include "sim/fleet_server.hpp"
 #include "workload/apps.hpp"
 
 namespace {
@@ -227,39 +228,40 @@ int main(int argc, char** argv) {
               flat_bytes_per_state, node_bytes_per_state);
 
   // --- 3. fleet upload wire bytes (64-device shape) ------------------------
+  // Two calm fleet servers, identical but for the wire strategy: with no
+  // churn every device uploads every round, so the last round's bytes are
+  // the steady state.
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  sim::FleetOptions fleet;
+  sim::FleetServerOptions fleet;
   fleet.devices = smoke ? 8 : 64;
-  fleet.shards = smoke ? 4 : 8;
-  fleet.rounds = smoke ? 2 : 4;
-  fleet.sync_spread = 1;  // every shard syncs every round: steady-state deltas
+  const std::size_t rounds = smoke ? 2 : 4;
   fleet.round_duration = SimTime::from_seconds(smoke ? 30.0 : 90.0);
   fleet.episode_length = SimTime::from_seconds(15.0);
   fleet.base_seed = 616;
   const sim::RunnerOptions runner{.workers = hw};
 
-  std::vector<sim::FleetRoundStats> full_rounds;
-  std::vector<sim::FleetRoundStats> delta_rounds;
-  const sim::FleetResult full_run = sim::train_fleet(
-      workload::AppId::kLineage, fleet, runner,
-      [&](const sim::FleetRoundStats& rs) { full_rounds.push_back(rs); });
-  sim::FleetOptions delta_fleet = fleet;
-  delta_fleet.delta_uploads = true;
-  const sim::FleetResult delta_run = sim::train_fleet(
-      workload::AppId::kLineage, delta_fleet, runner,
-      [&](const sim::FleetRoundStats& rs) { delta_rounds.push_back(rs); });
+  const auto run_fleet = [&](bool delta_uploads, std::vector<sim::FleetServerRoundStats>& log) {
+    sim::FleetServerOptions options = fleet;
+    options.delta_uploads = delta_uploads;
+    sim::FleetServer server{workload::AppId::kLineage, options, runner};
+    server.run_rounds(rounds, [&](const sim::FleetServerRoundStats& rs) { log.push_back(rs); });
+    return std::pair{*server.global(), server.stats()};
+  };
+  std::vector<sim::FleetServerRoundStats> full_rounds;
+  std::vector<sim::FleetServerRoundStats> delta_rounds;
+  const auto [full_global, full_stats] = run_fleet(false, full_rounds);
+  const auto [delta_global, delta_stats] = run_fleet(true, delta_rounds);
 
-  const bool fleet_identical =
-      canonical_bytes(full_run.global) == canonical_bytes(delta_run.global);
+  const bool fleet_identical = canonical_bytes(full_global) == canonical_bytes(delta_global);
   const std::uint64_t full_last = full_rounds.back().upload_bytes;
   const std::uint64_t delta_last = delta_rounds.back().upload_bytes;
   const double upload_ratio =
       delta_last > 0 ? static_cast<double>(full_last) / static_cast<double>(delta_last) : 0.0;
   const double upload_gate = 5.0;
   const bool upload_ok = fleet_identical && (smoke || upload_ratio >= upload_gate);
-  std::printf("  fleet (%zu devices / %zu shards, round %zu): full %llu B  delta %llu B "
+  std::printf("  fleet (%zu devices, round %zu): full %llu B  delta %llu B "
               "(%.1fx smaller)  tables %s\n",
-              fleet.devices, fleet.shards, full_rounds.back().round,
+              fleet.devices, full_rounds.back().round,
               static_cast<unsigned long long>(full_last),
               static_cast<unsigned long long>(delta_last), upload_ratio,
               fleet_identical ? "bit-identical" : "DIVERGED");
@@ -269,7 +271,7 @@ int main(int argc, char** argv) {
   }
 
   // --- 4. quantized wire sizes ---------------------------------------------
-  const rl::QTable& global = full_run.global;
+  const rl::QTable& global = full_global;
   const auto quant_bytes = [&](rl::WireQuant mode) {
     ByteWriter out;
     rl::serialize_quantized(global, mode, out);
@@ -329,15 +331,15 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"fleet_uploads\": {\n");
   std::fprintf(out, "    \"devices\": %zu,\n", fleet.devices);
-  std::fprintf(out, "    \"shards\": %zu,\n", fleet.shards);
-  std::fprintf(out, "    \"rounds\": %zu,\n", fleet.rounds);
+  std::fprintf(out, "    \"rounds\": %zu,\n", rounds);
   std::fprintf(out, "    \"full_total_bytes\": %llu,\n",
-               static_cast<unsigned long long>(full_run.upload_bytes_full));
+               static_cast<unsigned long long>(full_stats.upload_bytes_full));
   std::fprintf(out, "    \"delta_run_full_bytes\": %llu,\n",
-               static_cast<unsigned long long>(delta_run.upload_bytes_full));
+               static_cast<unsigned long long>(delta_stats.upload_bytes_full));
   std::fprintf(out, "    \"delta_run_delta_bytes\": %llu,\n",
-               static_cast<unsigned long long>(delta_run.upload_bytes_delta));
-  std::fprintf(out, "    \"delta_run_delta_uploads\": %zu,\n", delta_run.uploads_delta);
+               static_cast<unsigned long long>(delta_stats.upload_bytes_delta));
+  std::fprintf(out, "    \"delta_run_delta_uploads\": %llu,\n",
+               static_cast<unsigned long long>(delta_stats.uploads_delta));
   std::fprintf(out, "    \"last_round_full_bytes\": %llu,\n",
                static_cast<unsigned long long>(full_last));
   std::fprintf(out, "    \"last_round_delta_bytes\": %llu,\n",

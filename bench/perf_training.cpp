@@ -10,11 +10,9 @@
 //   2. the bit-identity flag: parallel training must reproduce the serial
 //      tables and statistics exactly (wall_seconds excepted, which
 //      measures host time by definition);
-//   3. a small sharded federated fleet round (sim/fleet.hpp) so fleet
-//      training cost is visible in the trajectory too;
-//   4. fleet snapshot persistence cost: ms per save and per load+verify,
-//      and bytes on disk, for a 64-device-shaped checkpoint - the overhead
-//      a real fleet pays for crash tolerance every snapshot_every rounds.
+//
+// Fleet training (round latency, ring-entry bytes, drain cost) is tracked
+// by perf_fleet_server.
 //
 // `--smoke` shrinks budgets so CI can run it on every PR. On single-core
 // hosts the speedup measurement is skipped (annotated in the JSON); the
@@ -28,7 +26,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "sim/fleet.hpp"
 #include "sim/runner.hpp"
 #include "workload/apps.hpp"
 
@@ -62,8 +59,8 @@ int main(int argc, char** argv) {
 
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
 
-  print_header("perf", smoke ? "TrainingPlan + fleet throughput (smoke mode)"
-                             : "TrainingPlan + fleet training throughput");
+  print_header("perf", smoke ? "TrainingPlan throughput (smoke mode)"
+                             : "TrainingPlan training throughput");
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const std::size_t cells = smoke ? 4 : std::max<std::size_t>(8, 2 * hw);
@@ -122,78 +119,6 @@ int main(int argc, char** argv) {
   const double best_parallel_s = curve.back().wall_s;
   const double speedup = can_measure_speedup ? serial_s / best_parallel_s : 0.0;
 
-  // --- sharded federated fleet round -------------------------------------
-  sim::FleetOptions fleet;
-  fleet.devices = smoke ? 4 : 8;
-  fleet.shards = 2;
-  fleet.rounds = 2;
-  fleet.round_duration = SimTime::from_seconds(smoke ? 60.0 : 180.0);
-  fleet.base_seed = 5150;
-  const sim::FleetResult fleet_result = sim::train_fleet(workload::AppId::kLineage, fleet);
-  const double fleet_sim_s =
-      static_cast<double>(fleet.devices) * fleet_result.device_sim_seconds;
-  std::printf("  fleet: %zu devices x %zu rounds -> %zu global states in %.2f s "
-              "(%.0f device-sim-s/wall-s)\n",
-              fleet.devices, fleet.rounds, fleet_result.global.state_count(),
-              fleet_result.wall_seconds, fleet_sim_s / fleet_result.wall_seconds);
-
-  // --- fleet snapshot save/load cost --------------------------------------
-  // Shapes a checkpoint like a 64-device / 8-shard fleet would carry (the
-  // snapshot stores per-shard aggregates + uploads, not per-device state,
-  // so shard count x table size is what sets the bytes) and measures the
-  // full persist + restore round trip through the CRC'd container.
-  const std::size_t snap_shards = 8;
-  sim::FleetOptions snap_opts = fleet;
-  snap_opts.devices = 64;
-  snap_opts.shards = snap_shards;
-  sim::FleetSnapshot snap;
-  snap.next_round = fleet.rounds;
-  snap.total_decisions = fleet_result.total_decisions;
-  snap.last_round_mean_reward = fleet_result.mean_final_reward;
-  for (std::size_t s = 0; s < snap_shards; ++s) {
-    snap.shard_tables.push_back(fleet_result.global);
-    snap.uploads.push_back(sim::FleetUpload{fleet_result.global, 1});
-    snap.shard_last_upload.push_back(1);
-  }
-  snap.last_aggregate = fleet_result.global;
-  const std::string snap_path = out_dir() + "/perf_training_snapshot.bin";
-  const int snap_iters = smoke ? 3 : 10;
-  const double save_s = wall_seconds([&] {
-    for (int i = 0; i < snap_iters; ++i) sim::save_fleet_snapshot(snap, snap_opts, snap_path);
-  });
-  const double load_s = wall_seconds([&] {
-    for (int i = 0; i < snap_iters; ++i) (void)sim::load_fleet_snapshot(snap_path, snap_opts);
-  });
-  std::size_t snap_bytes = 0;
-  if (std::FILE* f = std::fopen(snap_path.c_str(), "rb")) {
-    std::fseek(f, 0, SEEK_END);
-    snap_bytes = static_cast<std::size_t>(std::ftell(f));
-    std::fclose(f);
-  }
-  std::remove(snap_path.c_str());
-  const double save_ms = 1e3 * save_s / snap_iters;
-  const double load_ms = 1e3 * load_s / snap_iters;
-  // Resident footprint of the flat open-addressing tables this checkpoint
-  // carries (shard aggregates + uploads + last_aggregate), the number the
-  // "memory-bounded Q-tables" line in ROADMAP.md tracks.
-  std::size_t resident_bytes = snap.last_aggregate->memory_bytes();
-  for (const auto& t : snap.shard_tables) {
-    if (t.has_value()) resident_bytes += t->memory_bytes();
-  }
-  for (const auto& u : snap.uploads) {
-    if (u.has_value()) resident_bytes += u->table.memory_bytes();
-  }
-  const std::size_t states = fleet_result.global.state_count();
-  const double bytes_per_state =
-      states > 0 ? static_cast<double>(fleet_result.global.memory_bytes()) /
-                       static_cast<double>(states)
-                 : 0.0;
-  std::printf("  snapshot (64-device shape, %zu shards x %zu states): %zu bytes, "
-              "save %.2f ms, load+verify %.2f ms\n",
-              snap_shards, states, snap_bytes, save_ms, load_ms);
-  std::printf("  resident tables: %zu bytes total, %.1f bytes/state per table\n",
-              resident_bytes, bytes_per_state);
-
   // --- JSON trajectory file ----------------------------------------------
   const std::string path = out_dir() + "/BENCH_training.json";
   std::FILE* out = std::fopen(path.c_str(), "w");
@@ -227,28 +152,7 @@ int main(int argc, char** argv) {
                  i == 0 ? "" : ",", curve[i].workers, curve[i].wall_s,
                  serial_s / curve[i].wall_s);
   }
-  std::fprintf(out, "\n  ],\n");
-  std::fprintf(out, "  \"fleet\": {\n");
-  std::fprintf(out, "    \"devices\": %zu,\n", fleet.devices);
-  std::fprintf(out, "    \"shards\": %zu,\n", fleet.shards);
-  std::fprintf(out, "    \"rounds\": %zu,\n", fleet.rounds);
-  std::fprintf(out, "    \"round_duration_s\": %.1f,\n", fleet.round_duration.seconds());
-  std::fprintf(out, "    \"global_states\": %zu,\n", fleet_result.global.state_count());
-  std::fprintf(out, "    \"total_decisions\": %llu,\n",
-               static_cast<unsigned long long>(fleet_result.total_decisions));
-  std::fprintf(out, "    \"wall_s\": %.4f,\n", fleet_result.wall_seconds);
-  std::fprintf(out, "    \"device_sim_s_per_wall_s\": %.0f\n",
-               fleet_sim_s / fleet_result.wall_seconds);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"snapshot\": {\n");
-  std::fprintf(out, "    \"shape\": \"64 devices / %zu shards\",\n", snap_shards);
-  std::fprintf(out, "    \"states_per_shard\": %zu,\n", fleet_result.global.state_count());
-  std::fprintf(out, "    \"bytes_on_disk\": %zu,\n", snap_bytes);
-  std::fprintf(out, "    \"resident_table_bytes\": %zu,\n", resident_bytes);
-  std::fprintf(out, "    \"table_memory_bytes_per_state\": %.1f,\n", bytes_per_state);
-  std::fprintf(out, "    \"save_ms\": %.3f,\n", save_ms);
-  std::fprintf(out, "    \"load_verify_ms\": %.3f\n", load_ms);
-  std::fprintf(out, "  }\n");
+  std::fprintf(out, "\n  ]\n");
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("  -> %s\n\n", path.c_str());

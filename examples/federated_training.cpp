@@ -2,24 +2,24 @@
 // federated learning could be utilized to train the agent more effectively
 // by leveraging the computational power of the cloud."
 //
-// Simulates a sharded fleet with sim::train_fleet(): N devices (each with
-// its own user seed) train Next on the same app concurrently across the
-// runner's worker pool, grouped into shards behind edge aggregators. Every
-// merge round each shard FedAvg-merges its devices; shards phone home to
-// the global server at different cadences, so the server's aggregate is a
-// *staleness-weighted* merge of whatever uploads it has. A brand-new
-// device then deploys the global table without any local training.
+// Simulates a calm fleet with sim::FleetServer: N devices (each with its
+// own user seed) train Next on the same app concurrently across the
+// runner's worker pool, and every round the server FedAvg-merges their
+// uploads into the global table they all warm-start from next round - with
+// no churn configured this is plain synchronous federated averaging. A
+// brand-new device then deploys the global table without any local
+// training.
 //
-//   usage: example_federated_training [devices] [shards] [rounds] [processes]
+//   usage: example_federated_training [devices] [rounds] [processes]
 //                                     [--delta-uploads] [--out PATH]
 //
 // Defaults stay laptop-friendly (12 devices x 3 rounds x 150 s); the fleet
 // path itself scales to hundreds of devices, e.g.
-//   example_federated_training 200 8 3
+//   example_federated_training 200 3
 // and with [processes] > 1 each round's training fans out across forked
 // worker processes (sim/multiproc.hpp) with bit-identical results.
-// --delta-uploads switches shard phone-homes to the delta wire encoding
-// (only states touched since the last accepted sync travel) - a pure wire
+// --delta-uploads sends each device's upload as a delta against the round's
+// warm-start table (only the states it touched travel) - a pure wire
 // strategy, so the learned tables are byte-identical either way; --out
 // writes the final global table's canonical serialized bytes to PATH,
 // which is how CI cmp-checks that claim.
@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "common/parse.hpp"
-#include "sim/fleet.hpp"
+#include "sim/fleet_server.hpp"
 #include "workload/apps.hpp"
 
 namespace {
@@ -50,10 +50,9 @@ int main(int argc, char** argv) {
   using namespace nextgov;
 
   const auto app = workload::AppId::kLineage;
-  sim::FleetOptions fleet;
+  sim::FleetServerOptions fleet;
   fleet.devices = 12;
-  fleet.shards = 3;
-  fleet.rounds = 3;
+  std::size_t rounds = 3;
   std::string out_path;
   std::vector<const char*> positional;
   bool flags_ok = true;
@@ -73,14 +72,12 @@ int main(int argc, char** argv) {
   const std::size_t n_pos = positional.size();
   const bool args_ok = flags_ok &&
                        (n_pos < 1 || parse_positive(positional[0], fleet.devices)) &&
-                       (n_pos < 2 || parse_positive(positional[1], fleet.shards)) &&
-                       (n_pos < 3 || parse_positive(positional[2], fleet.rounds)) &&
-                       (n_pos < 4 || parse_positive(positional[3], fleet.processes));
-  if (!args_ok || n_pos > 4 || fleet.shards > fleet.devices) {
+                       (n_pos < 2 || parse_positive(positional[1], rounds)) &&
+                       (n_pos < 3 || parse_positive(positional[2], fleet.processes));
+  if (!args_ok || n_pos > 3) {
     std::fprintf(stderr,
-                 "usage: %s [devices] [shards] [rounds] [processes]"
-                 " [--delta-uploads] [--out PATH]\n"
-                 "       all positive integers, shards <= devices (default 12 3 3 1)\n",
+                 "usage: %s [devices] [rounds] [processes] [--delta-uploads] [--out PATH]\n"
+                 "       all positive integers (default 12 3 1)\n",
                  argv[0]);
     return 1;
   }
@@ -88,35 +85,35 @@ int main(int argc, char** argv) {
   // round: the point of federation is pooling short, cheap sessions.
   fleet.round_duration = SimTime::from_seconds(150.0);
   fleet.base_seed = 100;
-  fleet.sync_spread = 3;  // shard s syncs every 1 + (s % 3) rounds
 
-  std::printf("federating %zu devices in %zu shards, %zu merge rounds x %.0f s on '%s'\n\n",
-              fleet.devices, fleet.shards, fleet.rounds, fleet.round_duration.seconds(),
+  std::printf("federating %zu devices, %zu merge rounds x %.0f s on '%s'\n\n", fleet.devices,
+              rounds, fleet.round_duration.seconds(),
               std::string{workload::to_string(app)}.c_str());
 
-  const auto progress = [](const sim::FleetRoundStats& stats) {
-    std::printf("  round %zu: mean reward %.3f, %llu decisions, shard states [", stats.round,
-                stats.mean_reward, static_cast<unsigned long long>(stats.round_decisions));
-    for (std::size_t s = 0; s < stats.shard_states.size(); ++s) {
-      std::printf("%s%zu%s", s == 0 ? "" : " ", stats.shard_states[s],
-                  stats.shard_synced[s] ? "*" : "");
-    }
-    std::printf("]  (* = synced to global)\n");
-  };
-  const sim::FleetResult fleet_result = sim::train_fleet(app, fleet, {}, progress);
+  sim::FleetServer server{app, fleet};
+  double wall_seconds = 0.0;
+  server.run_rounds(rounds, [&](const sim::FleetServerRoundStats& stats) {
+    wall_seconds += stats.wall_seconds;
+    std::printf("  round %zu: mean reward %.3f, %zu/%zu uploads merged, %zu global states, "
+                "%llu upload bytes (%zu deltas)\n",
+                stats.round, stats.mean_reward, stats.quorum, stats.training_devices,
+                stats.global_states, static_cast<unsigned long long>(stats.upload_bytes),
+                stats.delta_uploads);
+  });
+  const rl::QTable& global = *server.global();
+  const sim::FleetServerStats& totals = server.stats();
 
   const rl::CloudTimingModel timing{};
-  std::printf("\nglobal aggregate: %zu states from %zu shard uploads, "
-              "%.1f s wall for %.0f device-sim-seconds (+%.0f s comm overhead)\n",
-              fleet_result.global.state_count(), fleet_result.shard_tables.size(),
-              fleet_result.wall_seconds,
-              static_cast<double>(fleet.devices) * fleet_result.device_sim_seconds,
+  std::printf("\nglobal aggregate: %zu states, %.1f s wall for %.0f device-sim-seconds "
+              "(+%.0f s comm overhead)\n",
+              global.state_count(), wall_seconds,
+              static_cast<double>(fleet.devices * rounds) * fleet.round_duration.seconds(),
               timing.comm_overhead_s);
-  std::printf("upload wire: %zu full (%llu B) + %zu delta (%llu B)%s\n",
-              fleet_result.uploads_full,
-              static_cast<unsigned long long>(fleet_result.upload_bytes_full),
-              fleet_result.uploads_delta,
-              static_cast<unsigned long long>(fleet_result.upload_bytes_delta),
+  std::printf("upload wire: %llu full (%llu B) + %llu delta (%llu B)%s\n",
+              static_cast<unsigned long long>(totals.uploads_full),
+              static_cast<unsigned long long>(totals.upload_bytes_full),
+              static_cast<unsigned long long>(totals.uploads_delta),
+              static_cast<unsigned long long>(totals.upload_bytes_delta),
               fleet.delta_uploads ? "  [--delta-uploads]" : "");
 
   if (!out_path.empty()) {
@@ -124,7 +121,7 @@ int main(int argc, char** argv) {
     // claim identical training (e.g. full vs delta uploads in CI) can be
     // compared with a plain `cmp` of these files.
     ByteWriter canonical;
-    fleet_result.global.serialize(canonical);
+    global.serialize(canonical);
     std::FILE* f = std::fopen(out_path.c_str(), "wb");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -137,20 +134,7 @@ int main(int argc, char** argv) {
   }
 
   // A fresh device receives the global table and runs with zero training;
-  // compare against stock and against the *stalest* shard's local
-  // aggregate on the same never-seen user session. (A shard that synced
-  // in the final round downloaded the server merge, i.e. its table IS the
-  // global table - only a stale shard shows what a device group misses
-  // between phone-homes. kNeverUploaded counts as maximally stale.)
-  std::size_t stalest = 0;
-  const auto upload_age = [&](std::size_t s) {
-    const std::size_t at = fleet_result.shard_last_upload[s];
-    return at == sim::kNeverUploaded ? std::size_t{0} : at + 1;  // 0 = never
-  };
-  for (std::size_t s = 1; s < fleet_result.shard_last_upload.size(); ++s) {
-    if (upload_age(s) < upload_age(stalest)) stalest = s;
-  }
-
+  // compare against stock on the same never-seen user session.
   sim::ExperimentConfig cfg;
   cfg.duration = workload::paper_session_length(app);
   cfg.seed = 999;  // a user none of the training devices saw
@@ -159,24 +143,18 @@ int main(int argc, char** argv) {
   cfg.governor = sim::GovernorKind::kSchedutil;
   plan.add(app, cfg);
   cfg.governor = sim::GovernorKind::kNext;
-  cfg.trained_table = &fleet_result.global;
-  plan.add(app, cfg);
-  cfg.trained_table = &fleet_result.shard_tables[stalest];
+  cfg.trained_table = &global;
   plan.add(app, cfg);
   const auto results = sim::run_plan(plan);
   const sim::SessionResult& stock = results[0];
   const sim::SessionResult& fed = results[1];
-  const sim::SessionResult& shard = results[2];
 
   std::printf("\n%-28s %12s %16s %10s %9s\n", "configuration", "avg_power_W",
               "peak_big_temp_C", "avg_FPS", "states");
   std::printf("%-28s %12.3f %16.1f %10.1f %9s\n", "schedutil (stock)", stock.avg_power_w,
               stock.peak_temp_big_c, stock.avg_fps, "-");
-  std::printf("%-28s %12.3f %16.1f %10.1f %9zu\n", "Next (stalest shard, local)",
-              shard.avg_power_w, shard.peak_temp_big_c, shard.avg_fps,
-              fleet_result.shard_tables[stalest].state_count());
   std::printf("%-28s %12.3f %16.1f %10.1f %9zu\n", "Next (global aggregate)", fed.avg_power_w,
-              fed.peak_temp_big_c, fed.avg_fps, fleet_result.global.state_count());
+              fed.peak_temp_big_c, fed.avg_fps, global.state_count());
   std::printf("\nfederated vs stock: %.1f%% power saved on a never-trained device.\n",
               100.0 * (1.0 - fed.avg_power_w / stock.avg_power_w));
   return 0;

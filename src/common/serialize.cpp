@@ -205,16 +205,26 @@ SnapshotReader::SnapshotReader(std::vector<std::uint8_t> bytes, std::string labe
   if (magic != kSnapshotMagic) in.fail("not a nextgov snapshot (bad magic)");
   version_ = in.u32();
   if (version_ > kSnapshotVersion) {
-    in.fail("snapshot format version " + std::to_string(version_) +
-            " is newer than this build supports (" + std::to_string(kSnapshotVersion) +
-            "); refusing to guess");
+    throw SerializeError(label_ + ": snapshot format version " + std::to_string(version_) +
+                             " is newer than this build supports (" +
+                             std::to_string(kSnapshotVersion) + "); refusing to guess",
+                         SerializeError::Kind::kVersionWindow);
   }
   if (version_ < kSnapshotVersionMin) {
-    in.fail("snapshot format version " + std::to_string(version_) +
-            " is older than the supported window [" + std::to_string(kSnapshotVersionMin) +
-            ", " + std::to_string(kSnapshotVersion) + "]");
+    throw SerializeError(label_ + ": snapshot format version " + std::to_string(version_) +
+                             " is older than the supported window [" +
+                             std::to_string(kSnapshotVersionMin) + ", " +
+                             std::to_string(kSnapshotVersion) + "]",
+                         SerializeError::Kind::kVersionWindow);
   }
+  // Every section header takes at least 16 bytes (name length, payload
+  // length, CRC), so a count the remaining bytes cannot hold is damage -
+  // and must be refused before it sizes an allocation.
   const std::uint32_t count = in.u32();
+  if (count > in.remaining() / 16) {
+    in.fail("section count " + std::to_string(count) + " exceeds what the remaining " +
+            std::to_string(in.remaining()) + " bytes can hold");
+  }
   sections_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     Section s;

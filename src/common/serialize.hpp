@@ -34,10 +34,23 @@ namespace nextgov {
 
 /// Corruption, truncation or version mismatch detected while decoding a
 /// snapshot. Derives from IoError so existing persistence call sites that
-/// handle IoError keep working.
+/// handle IoError keep working. kind() tells damaged bytes from a valid
+/// container this build will not read, so callers branch on it instead of
+/// on the message text.
 class SerializeError : public IoError {
  public:
-  using IoError::IoError;
+  enum class Kind {
+    kCorrupt,        ///< bad magic, truncation, CRC mismatch, implausible field
+    kVersionWindow,  ///< intact container outside [kSnapshotVersionMin, kSnapshotVersion]
+  };
+
+  explicit SerializeError(const std::string& what, Kind kind = Kind::kCorrupt)
+      : IoError{what}, kind_{kind} {}
+
+  [[nodiscard]] Kind kind() const noexcept { return kind_; }
+
+ private:
+  Kind kind_;
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant): crc32 of

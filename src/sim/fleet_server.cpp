@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <string_view>
 #include <tuple>
 #include <utility>
 
@@ -183,19 +182,8 @@ FleetSnapshot FleetServer::boundary_snapshot() const {
   snap.next_round = round_;
   snap.total_decisions = stats_.total_decisions;
   snap.last_round_mean_reward = last_round_mean_reward_;
-  snap.dropped_device_rounds = 0;
-  snap.rejected_uploads = 0;
-  // Device-indexed reuse of the fleet-state arrays (see FleetSnapshot docs):
-  // the server aggregates per device, so `uploads` holds each device's last
-  // accepted table and `shard_tables` stays empty per slot.
-  snap.shard_tables.assign(options_.devices, std::nullopt);
   snap.uploads = uploads_;
-  snap.shard_last_upload.assign(options_.devices, kNeverUploaded);
-  for (std::size_t d = 0; d < options_.devices; ++d) {
-    if (uploads_[d].has_value()) snap.shard_last_upload[d] = uploads_[d]->round;
-  }
   snap.last_aggregate = last_aggregate_;
-  snap.has_server_state = true;
   snap.leases = leases_;
   snap.pending_uploads = pending_;
   snap.server_clock_us = clock_us_;
@@ -205,9 +193,6 @@ FleetSnapshot FleetServer::boundary_snapshot() const {
   snap.server_counters.uploads_lost = stats_.uploads_lost;
   snap.server_counters.late_uploads_merged = stats_.late_uploads_merged;
   snap.server_counters.departures = stats_.departures;
-  // Only the wire counters go into the sync_state section: the server's
-  // delta base is the round's warm table, recomputed from last_aggregate on
-  // restore, so no bases need persisting (snap.sync.bases stays empty).
   snap.sync.upload_bytes_full = stats_.upload_bytes_full;
   snap.sync.upload_bytes_delta = stats_.upload_bytes_delta;
   snap.sync.uploads_full = stats_.uploads_full;
@@ -237,9 +222,7 @@ void FleetServer::restore_from_ring() {
       // Damaged entry: already renamed to <path>.corrupt and logged; fall
       // back to the next (older) ring entry. A version-window refusal is
       // not quarantined but equally unusable by this build - skip it too.
-      if (std::string_view{e.what()}.find("quarantined to") != std::string_view::npos) {
-        ++stats_.snapshots_quarantined;
-      }
+      if (e.kind() == SerializeError::Kind::kCorrupt) ++stats_.snapshots_quarantined;
       continue;
     } catch (const IoError&) {
       continue;  // slot never written (fresh ring or short run)
@@ -251,8 +234,8 @@ void FleetServer::restore_from_ring() {
     if (!reader->has(kServerOptionsSection)) {
       throw SerializeError(path +
                            ": not a fleet-server snapshot (missing the "
-                           "'fleet_server_options' section; train_fleet checkpoints are "
-                           "not interchangeable with the server ring)");
+                           "'fleet_server_options' section; checkpoints of the retired "
+                           "fixed-round trainer cannot seed the server ring)");
     }
     ByteReader stored = reader->section(kServerOptionsSection);
     ByteWriter current;
@@ -268,10 +251,6 @@ void FleetServer::restore_from_ring() {
                            "match to resume bit-identically); refusing to resume");
     }
     FleetSnapshot snap = read_fleet_state_sections(*reader);
-    if (!snap.has_server_state) {
-      throw SerializeError(path + ": fleet-server ring entry lacks the server_state "
-                                  "section (written by an incompatible tool?)");
-    }
     if (!best.has_value() || snap.next_round > best->next_round) best = std::move(snap);
   }
   if (!best.has_value()) return;  // cold start at round 0

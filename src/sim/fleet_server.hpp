@@ -1,17 +1,18 @@
-// fleet_server.hpp - the long-running federated fleet server.
+// fleet_server.hpp - the federated fleet server, the repo's one fleet
+// trainer.
 //
-// train_fleet() (sim/fleet.hpp) runs the paper's Section IV-C cloud
-// aggregation as a fixed number of lock-step rounds: every device trains,
-// every upload lands instantly, the loop ends. A manufacturer's real fleet
-// server has none of those luxuries - it runs indefinitely, devices come
-// and go mid-round, uploads arrive late, damaged or not at all, and the
-// process itself must survive being killed. FleetServer is that server,
-// still fully deterministic: it advances a *simulated* clock through an
-// event loop whose every stochastic element (departures, stragglers,
-// upload failures) draws from seeded per-(round, device, attempt) streams,
-// so two servers with the same options produce bit-identical Q-tables
-// regardless of worker count, host, or how often the process was restarted
-// in between.
+// The paper's Section IV-C has devices train locally while a cloud service
+// averages their Q-tables. A real fleet server runs indefinitely: devices
+// come and go mid-round, uploads arrive late, damaged or not at all, and
+// the process itself must survive being killed. FleetServer is that
+// server, still fully deterministic: it advances a *simulated* clock
+// through an event loop whose every stochastic element (departures,
+// stragglers, upload failures) draws from seeded per-(round, device,
+// attempt) streams, so two servers with the same options produce
+// bit-identical Q-tables regardless of worker count, host, or how often the
+// process was restarted in between. With no churn configured it is plain
+// synchronous FedAvg: every device trains every round and every upload
+// lands before the deadline.
 //
 // One round r occupies simulated time [r*round_deadline, (r+1)*round_deadline):
 //
@@ -21,17 +22,18 @@
 //     the round; its lease expires lease_timeout after the last heartbeat,
 //     the server discards the device's in-flight round (it never
 //     contributes a partial table) and drops any of its still-pending
-//     uploads. The device re-registers rejoin_after_rounds rounds later.
-//     Until then the staleness weighting simply ages its last accepted
-//     upload - the merge math already absorbs the gap;
+//     uploads. The device re-registers rejoin_after_rounds rounds later
+//     (1 = it simply misses the round, i.e. per-round dropout). Until then
+//     the staleness weighting simply ages its last accepted upload - the
+//     merge math already absorbs the gap;
 //   * training - every leased, non-departing device trains for
 //     round_duration of simulated device time (one batched plan through
 //     the SoA runner, warm-started from the current global aggregate with
 //     visit mass stripped - see strip_visit_mass);
 //   * uploads - each trained table travels as CRC-guarded snapshot bytes
-//     (the same serialize path train_fleet uses). A failed attempt (seeded
-//     draw; damage is a byte flip or truncation, always caught by the
-//     container's CRC/length checks) retries with bounded exponential
+//     (encode_upload / decode_upload in sim/fleet.hpp). A failed attempt
+//     (seeded draw; damage is a byte flip or truncation, always caught by
+//     the container's CRC/length checks) retries with bounded exponential
 //     backoff + deterministic jitter, up to max_upload_attempts before the
 //     table is lost. Stragglers (seeded draw) add a large delay before
 //     their first attempt;
@@ -43,20 +45,23 @@
 //     late, with their honest staleness), and never stalls the fleet on
 //     any one device;
 //   * snapshot ring - every round boundary persists the complete server
-//     state (global + per-device uploads + leases + pending uploads +
-//     clock + counters, container version 2) to
+//     state (FleetSnapshot: global + per-device uploads + leases + pending
+//     uploads + clock + counters) to
 //     `<snapshot_prefix>.<round mod snapshot_ring>`, keeping the last K
 //     boundaries. Startup scans the ring, quarantines entries that fail
 //     CRC (renamed to `<path>.corrupt` via read_snapshot_quarantining) and
 //     restores from the newest valid one, so a kill -9 at any point loses
 //     at most the round in progress - and replaying that round from the
-//     boundary is bit-identical to never having died. Pinned by
+//     boundary is bit-identical to never having died. Crash/resume is
+//     therefore nothing more than destroying the server and constructing
+//     it again on the same ring. Pinned by
 //     tests/sim/fleet_server_golden_test.cpp and the fleet_serverd CI
 //     crash-recovery smoke.
 //
 // examples/fleet_serverd.cpp wraps this in a daemon with SIGINT/SIGTERM
-// drain; bench/perf_fleet_server.cpp measures round latency and
-// degradation under churn (BENCH_fleet_server.json).
+// drain and examples/federated_training.cpp runs a calm fleet end to end;
+// bench/perf_fleet_server.cpp measures round latency and degradation under
+// churn (BENCH_fleet_server.json).
 #pragma once
 
 #include <cstdint>
@@ -65,7 +70,9 @@
 #include <string>
 #include <vector>
 
+#include "rl/federated.hpp"
 #include "sim/fleet.hpp"
+#include "sim/runner.hpp"
 
 namespace nextgov::sim {
 
@@ -116,8 +123,8 @@ struct FleetServerOptions {
   /// both terms saturated at kMaxUploadRetryDelay (see retry_delay_us).
   SimTime retry_backoff{SimTime::from_seconds(4.0)};
   std::uint32_t max_upload_attempts{4};
-  /// Device d trains round r with seed derive_seed(derive_seed(base_seed, d), r)
-  /// - the same scheme as train_fleet, so trajectories are comparable.
+  /// Device d trains round r with seed derive_seed(derive_seed(base_seed, d), r),
+  /// so episodes never replay across rounds.
   std::uint64_t base_seed{2020};
   core::NextConfig next_config{};
   Celsius ambient{Celsius{21.0}};
@@ -220,6 +227,8 @@ struct FleetServerStats {
   // --- per-process (not persisted) ---
   std::uint64_t rejoins{0};
   std::size_t snapshots_written{0};
+  /// Corrupt ring entries skipped at restore (renamed to `<path>.corrupt`
+  /// unless the rename itself failed, which is logged).
   std::size_t snapshots_quarantined{0};
 };
 

@@ -42,7 +42,7 @@ inline constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 
 /// Deterministic worker-failure injection for tests, the recovery smoke
 /// and the perf_multiproc recovery gate - the multi-process counterpart of
-/// FleetFaultPlan. Defaults inject nothing.
+/// the fleet server's FleetChurnPlan. Defaults inject nothing.
 struct MultiprocFaultPlan {
   /// This shard's worker SIGKILLs itself mid-stream (after
   /// `kill_after_frames` result frames, or just before its done frame for
@@ -69,7 +69,7 @@ struct MultiprocOptions {
   /// Route each shard through the batch-resident BatchRunner
   /// (run_plan_batched / run_training_plan_batched) instead of the
   /// per-session pool - bit-identical either way, so this only changes
-  /// throughput. train_fleet's `processes` knob sets it.
+  /// throughput. FleetServerOptions::processes sets it.
   bool batched{false};
   MultiprocFaultPlan faults{};
 };

@@ -226,23 +226,36 @@ TEST(SnapshotContainer, EveryTruncationIsDetected) {
 TEST(SnapshotContainer, EverySingleByteFlipIsDetected) {
   // CRC32 detects all single-byte payload corruptions; header/framing
   // damage trips the magic/version/length checks instead. Either way no
-  // flipped byte may yield a readable snapshot whose sections differ.
+  // flipped byte may yield a readable snapshot whose sections differ, and
+  // the only exception a damaged container may raise is SerializeError.
+  // The high-bit masks turn the section count into billions, which must be
+  // refused before it sizes an allocation.
   const std::vector<std::uint8_t> good = two_section_snapshot();
-  for (std::size_t i = 0; i < good.size(); ++i) {
-    std::vector<std::uint8_t> bad = good;
-    bad[i] ^= 0x01;
-    bool detected = false;
-    try {
-      const SnapshotReader snap{std::move(bad), "test"};
-      // A flip inside a section *name* can survive framing + CRC (the CRC
-      // covers the payload); the snapshot is then valid but must expose the
-      // altered name, not the original.
-      detected = !snap.has("alpha") || !snap.has("beta");
-    } catch (const SerializeError&) {
-      detected = true;
+  for (const std::uint8_t mask : {std::uint8_t{0x01}, std::uint8_t{0x80}, std::uint8_t{0xFF}}) {
+    for (std::size_t i = 0; i < good.size(); ++i) {
+      std::vector<std::uint8_t> bad = good;
+      bad[i] ^= mask;
+      bool detected = false;
+      try {
+        const SnapshotReader snap{std::move(bad), "test"};
+        // A flip inside a section *name* can survive framing + CRC (the CRC
+        // covers the payload); the snapshot is then valid but must expose
+        // the altered name, not the original.
+        detected = !snap.has("alpha") || !snap.has("beta");
+      } catch (const SerializeError&) {
+        detected = true;
+      }
+      EXPECT_TRUE(detected) << "flip 0x" << std::hex << int{mask} << " at byte " << std::dec
+                            << i << " went unnoticed";
     }
-    EXPECT_TRUE(detected) << "flip at byte " << i << " went unnoticed";
   }
+  // A bare 12-byte header claiming 0xFFFFFFFF sections: nothing follows to
+  // hold them, so it is damage, not an allocation request.
+  ByteWriter hostile;
+  hostile.u32(kSnapshotMagic);
+  hostile.u32(kSnapshotVersion);
+  hostile.u32(0xFFFFFFFFu);
+  EXPECT_THROW((void)SnapshotReader(hostile.data(), "hostile"), SerializeError);
 }
 
 TEST(SnapshotContainer, TrailingGarbageThrows) {

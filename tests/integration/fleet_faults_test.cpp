@@ -1,125 +1,19 @@
-// Integration tests for the fleet fault-injection harness: seeded dropout
-// and upload corruption are deterministic (worker-count independent),
-// degrade rounds gracefully instead of failing them, and compose with
-// crash/resume. The long-running FleetServer's churn machinery (mid-round
-// lease departures, late-upload carry-over) is held to the same bar at the
-// bottom of this file.
+// Integration tests for the fleet server's churn machinery (seeded
+// departures, stragglers and damaged uploads): it is deterministic
+// (worker-count independent), degrades rounds gracefully instead of failing
+// them, never absorbs a damaged or partial table, and reports every fault
+// it injected. Crash/resume under the same churn is pinned by the golden
+// tier (tests/sim/fleet_server_golden_test.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "sim/fleet.hpp"
 #include "sim/fleet_server.hpp"
 
 namespace nextgov::sim {
 namespace {
-
-FleetOptions faulty_fleet() {
-  FleetOptions options;
-  options.devices = 6;
-  options.shards = 2;
-  options.rounds = 3;
-  options.round_duration = SimTime::from_seconds(20.0);
-  options.episode_length = SimTime::from_seconds(10.0);
-  options.base_seed = 777;
-  options.sync_spread = 2;
-  options.faults.seed = 42;
-  options.faults.dropout_rate = 0.3;
-  options.faults.upload_corruption_rate = 0.5;
-  return options;
-}
-
-TEST(FleetFaults, FaultedRunIsDeterministicAcrossWorkerCounts) {
-  const FleetOptions options = faulty_fleet();
-  const FleetResult serial = train_fleet(workload::AppId::kFacebook, options, {.workers = 1});
-  const FleetResult pooled = train_fleet(workload::AppId::kFacebook, options, {.workers = 4});
-  EXPECT_TRUE(serial.global == pooled.global);
-  EXPECT_EQ(serial.total_decisions, pooled.total_decisions);
-  EXPECT_EQ(serial.dropped_device_rounds, pooled.dropped_device_rounds);
-  EXPECT_EQ(serial.rejected_uploads, pooled.rejected_uploads);
-}
-
-TEST(FleetFaults, DropoutActuallyDropsDevicesAndChangesTheRun) {
-  FleetOptions options = faulty_fleet();
-  options.faults.upload_corruption_rate = 0.0;
-  const FleetResult faulted = train_fleet(workload::AppId::kFacebook, options);
-  EXPECT_GT(faulted.dropped_device_rounds, 0u);
-  EXPECT_EQ(faulted.rejected_uploads, 0u);
-  options.faults.dropout_rate = 0.0;
-  const FleetResult clean = train_fleet(workload::AppId::kFacebook, options);
-  EXPECT_EQ(clean.dropped_device_rounds, 0u);
-  // Losing device-rounds must cost training data.
-  EXPECT_LT(faulted.total_decisions, clean.total_decisions);
-  EXPECT_FALSE(faulted.global == clean.global);
-}
-
-TEST(FleetFaults, CorruptedUploadsAreRejectedNotAbsorbed) {
-  FleetOptions options = faulty_fleet();
-  options.faults.dropout_rate = 0.0;
-  options.faults.upload_corruption_rate = 1.0;  // every upload arrives damaged
-  options.rounds = 2;
-  // Every upload is rejected, the server never hears from anyone, and the
-  // run ends with a descriptive error instead of a bogus aggregate.
-  try {
-    (void)train_fleet(workload::AppId::kFacebook, options);
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("no upload ever reached the server"),
-              std::string::npos)
-        << e.what();
-  }
-  // At a partial corruption rate the run completes, counts its rejections,
-  // and still produces a deployable aggregate from the surviving uploads.
-  options.faults.upload_corruption_rate = 0.5;
-  options.rounds = 4;
-  const FleetResult result = train_fleet(workload::AppId::kFacebook, options);
-  EXPECT_GT(result.rejected_uploads, 0u);
-  EXPECT_GT(result.global.state_count(), 0u);
-}
-
-TEST(FleetFaults, RoundStatsReportFaults) {
-  const FleetOptions options = faulty_fleet();
-  std::size_t dropped = 0;
-  std::size_t rejected = 0;
-  const FleetResult result =
-      train_fleet(workload::AppId::kFacebook, options, {},
-                  [&](const FleetRoundStats& stats) {
-                    dropped += stats.dropped_devices;
-                    rejected += stats.rejected_uploads;
-                  });
-  EXPECT_EQ(dropped, result.dropped_device_rounds);
-  EXPECT_EQ(rejected, result.rejected_uploads);
-}
-
-TEST(FleetFaults, CrashAndResumeComposeWithFaults) {
-  // A fleet with active dropout + corruption, killed at round 1 and resumed
-  // from its snapshot, must land on exactly the uninterrupted run's bytes -
-  // fault draws are (round, index)-keyed, so they replay identically.
-  const std::string path = ::testing::TempDir() + "/nextgov_faulty_fleet_snap.bin";
-  FleetOptions options = faulty_fleet();
-  options.faults.upload_corruption_rate = 0.3;
-  const FleetResult uninterrupted = train_fleet(workload::AppId::kFacebook, options);
-
-  FleetOptions crashing = options;
-  crashing.snapshot_every = 1;
-  crashing.snapshot_path = path;
-  crashing.faults.crash_at_round = 1;
-  EXPECT_THROW((void)train_fleet(workload::AppId::kFacebook, crashing), FleetCrash);
-
-  FleetOptions resumed = options;
-  resumed.resume_from = path;
-  const FleetResult result = train_fleet(workload::AppId::kFacebook, resumed);
-  EXPECT_EQ(result.start_round, 2u);
-  EXPECT_TRUE(result.global == uninterrupted.global);
-  EXPECT_EQ(result.total_decisions, uninterrupted.total_decisions);
-  EXPECT_EQ(result.dropped_device_rounds, uninterrupted.dropped_device_rounds);
-  EXPECT_EQ(result.rejected_uploads, uninterrupted.rejected_uploads);
-  std::remove(path.c_str());
-}
-
-// --- the long-running fleet server under churn -----------------------------
 
 FleetServerOptions churny_server() {
   FleetServerOptions options;
@@ -208,23 +102,126 @@ TEST(FleetServerFaults, DepartedDeviceNeverContributesAPartialTable) {
   ASSERT_GT(departures, 0u) << "retune churn seed: no device ever departed";
 
   // Cross-check through the persisted ledger: the final boundary snapshot
-  // records, per device, the last round whose table the server accepted.
-  // Replaying the round stats forward, a device's ledger entry may only be
-  // a round it was leased and training for.
-  const FleetSnapshot ledger = load_fleet_snapshot(prefix + ".0");
-  ASSERT_TRUE(ledger.has_server_state);
-  ASSERT_EQ(ledger.shard_last_upload.size(), 6u);
+  // records, per device, the last table the server accepted.
+  const FleetSnapshot ledger =
+      read_fleet_state_sections(SnapshotReader::from_file(prefix + ".0"));
+  ASSERT_EQ(ledger.uploads.size(), 6u);
   std::size_t devices_with_uploads = 0;
   for (std::size_t d = 0; d < 6; ++d) {
-    if (ledger.shard_last_upload[d] != kNeverUploaded) ++devices_with_uploads;
+    if (ledger.uploads[d].has_value()) ++devices_with_uploads;
   }
   // Everyone who trained at least once has a ledger entry; the sum of all
   // per-round trainees bounds the ledger (departed rounds contribute none).
   std::size_t total_trainee_rounds = 0;
   for (const auto& rs : rounds) total_trainee_rounds += rs.training_devices;
-  EXPECT_LE(devices_with_uploads, 6u);
+  EXPECT_GT(devices_with_uploads, 0u);
+  EXPECT_LE(devices_with_uploads, total_trainee_rounds);
   EXPECT_EQ(server.stats().uploads_accepted, total_trainee_rounds)
       << "an accepted table appeared that no completed training round produced";
+}
+
+TEST(FleetFaults, DropoutActuallyDropsDevicesAndChangesTheRun) {
+  // Per-round dropout is a departure that rejoins the next round: the
+  // dropped device trains nothing that round, which must cost training
+  // data and change the learned table relative to a calm fleet.
+  FleetServerOptions options = churny_server();
+  options.churn.straggle_rate = 0.0;
+  options.churn.upload_fail_rate = 0.0;
+  FleetServer dropping{workload::AppId::kFacebook, options, {.workers = 2}};
+  dropping.run_rounds(3);
+  options.churn.depart_rate = 0.0;
+  FleetServer calm{workload::AppId::kFacebook, options, {.workers = 2}};
+  calm.run_rounds(3);
+  ASSERT_NE(dropping.global(), nullptr);
+  ASSERT_NE(calm.global(), nullptr);
+  EXPECT_GT(dropping.stats().departures, 0u);
+  EXPECT_EQ(calm.stats().departures, 0u);
+  EXPECT_LT(dropping.stats().total_decisions, calm.stats().total_decisions);
+  EXPECT_NE(canonical_bytes(*dropping.global()), canonical_bytes(*calm.global()));
+}
+
+TEST(FleetFaults, CorruptedUploadsAreRejectedNotAbsorbed) {
+  // Every single-byte flip of a real upload blob, on the full and the delta
+  // path and with small, high-bit and all-bit masks, either decodes to the
+  // sender's exact table or throws SerializeError - never another table,
+  // never another exception type. The high-bit masks reach the top byte of
+  // the container's section count, which the server's damage draws can
+  // flip and which must be refused before it sizes an allocation.
+  // The tables are a device's cold round and its next round warm-started
+  // from the first - the shape of a real full and delta upload.
+  const auto train = [](const rl::QTable* warm) {
+    TrainingPlan plan;
+    TrainingOptions cell;
+    cell.max_duration = SimTime::from_seconds(5.0);
+    cell.seed = 4242;
+    cell.initial_table = warm;
+    plan.add(workload::AppId::kFacebook, core::NextConfig{}, cell);
+    return run_training_plan(plan).front().table;
+  };
+  const rl::QTable cold = train(nullptr);
+  const rl::QTable base = strip_visit_mass(cold);
+  const rl::QTable warm = train(&base);
+  for (const rl::QTable* delta_base : {static_cast<const rl::QTable*>(nullptr), &base}) {
+    const rl::QTable& table = delta_base == nullptr ? cold : warm;
+    bool went_delta = false;
+    const std::vector<std::uint8_t> blob = encode_upload(table, delta_base, &went_delta);
+    ASSERT_EQ(went_delta, delta_base != nullptr);
+    for (const std::uint8_t mask : {std::uint8_t{0x01}, std::uint8_t{0x80}, std::uint8_t{0xFF}}) {
+      std::size_t absorbed = 0;
+      for (std::size_t i = 0; i < blob.size(); ++i) {
+        std::vector<std::uint8_t> bad = blob;
+        bad[i] ^= mask;
+        try {
+          if (!(decode_upload(std::move(bad), delta_base, "flip") == table)) ++absorbed;
+        } catch (const SerializeError&) {
+        }
+      }
+      EXPECT_EQ(absorbed, 0u) << "mask " << int{mask} << (delta_base ? " delta" : " full");
+    }
+  }
+
+  // End to end: at a high per-attempt failure rate with a single attempt,
+  // damaged uploads are lost, the rest merge, and the server keeps serving.
+  FleetServerOptions options = churny_server();
+  options.churn = {};
+  options.churn.upload_fail_rate = 0.5;
+  options.max_upload_attempts = 1;
+  FleetServer lossy{workload::AppId::kFacebook, options, {.workers = 2}};
+  lossy.run_rounds(3);
+  EXPECT_GT(lossy.stats().uploads_lost, 0u);
+  EXPECT_EQ(lossy.stats().uploads_retried, 0u);
+  EXPECT_EQ(lossy.stats().uploads_accepted + lossy.stats().uploads_lost, 3 * options.devices);
+  ASSERT_NE(lossy.global(), nullptr);
+  EXPECT_GT(lossy.global()->state_count(), 0u);
+}
+
+TEST(FleetFaults, RoundStatsReportFaults) {
+  // The per-round stats account for every fault the cumulative counters
+  // saw: departures, retries, losses, and quorum plus late merges adding
+  // up to the accepted uploads.
+  FleetServer server{workload::AppId::kFacebook, churny_server(), {.workers = 2}};
+  std::vector<FleetServerRoundStats> rounds;
+  server.run_rounds(4, [&](const FleetServerRoundStats& rs) { rounds.push_back(rs); });
+  std::uint64_t departures = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t lost = 0;
+  std::uint64_t late = 0;
+  std::uint64_t accepted = 0;
+  for (const auto& rs : rounds) {
+    departures += rs.departures;
+    retries += rs.retries;
+    lost += rs.lost_uploads;
+    late += rs.late_merged;
+    accepted += rs.quorum + rs.late_merged;
+  }
+  const FleetServerStats& stats = server.stats();
+  EXPECT_EQ(departures, stats.departures);
+  EXPECT_EQ(retries, stats.uploads_retried);
+  EXPECT_EQ(lost, stats.uploads_lost);
+  EXPECT_EQ(late, stats.late_uploads_merged);
+  EXPECT_EQ(accepted, stats.uploads_accepted);
+  EXPECT_GT(departures, 0u);
+  EXPECT_GT(retries, 0u);
 }
 
 }  // namespace

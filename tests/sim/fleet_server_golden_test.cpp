@@ -5,10 +5,13 @@
 // run, so the recovery path is proven against the full churn machinery
 // (lease expiry, late carry-over, retry/backoff), not just a calm fleet.
 // The CI crash-recovery smoke (examples/fleet_serverd.cpp) exercises the
-// same contract end to end through real signals and the filesystem.
+// same contract end to end through real signals and the filesystem. A
+// second test pins the ring entries themselves as canonical bytes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -98,6 +101,28 @@ TEST(FleetServerGolden, KillNineAtEveryBoundaryResumesBitIdentically) {
     EXPECT_EQ(resumed.stats().uploads_accepted, reference.stats().uploads_accepted);
     EXPECT_EQ(resumed.stats().departures, reference.stats().departures);
     EXPECT_EQ(resumed.stats().total_decisions, reference.stats().total_decisions);
+  }
+}
+
+TEST(FleetResumeGolden, SnapshotFileBytesAreDeterministic) {
+  // The ring entries are themselves canonical: the same churning fleet
+  // trained with one worker and with four writes byte-identical files into
+  // every slot (no timestamps, no map-order or pool-order leakage), which is
+  // what lets a ring written by one host resume on another.
+  const auto read_all = [](const std::string& path) {
+    std::ifstream in{path, std::ios::binary};
+    EXPECT_TRUE(in.good()) << path;
+    return std::vector<char>{std::istreambuf_iterator<char>{in}, {}};
+  };
+  const FleetServerOptions one = golden_server(ring_prefix("bytes1"));
+  const FleetServerOptions four = golden_server(ring_prefix("bytes4"));
+  FleetServer{workload::AppId::kFacebook, one, {.workers = 1}}.run_rounds(kRounds);
+  FleetServer{workload::AppId::kFacebook, four, {.workers = 4}}.run_rounds(kRounds);
+  for (std::size_t slot = 0; slot < one.snapshot_ring; ++slot) {
+    SCOPED_TRACE("ring slot " + std::to_string(slot));
+    const std::vector<char> a = read_all(one.snapshot_prefix + "." + std::to_string(slot));
+    EXPECT_FALSE(a.empty());
+    EXPECT_EQ(a, read_all(four.snapshot_prefix + "." + std::to_string(slot)));
   }
 }
 

@@ -206,7 +206,9 @@ TEST(FleetServerRing, CorruptNewestEntryIsQuarantinedAndOlderOneRestores) {
   const std::vector<std::uint8_t> want = canonical_bytes(*reference.global());
 
   // Re-run three rounds on a clean ring, then damage the newest entry
-  // (round 3 -> slot 0) the way a torn disk would.
+  // (round 3 -> slot 0) the way a torn disk would, and replace the oldest
+  // (round 1 -> slot 1) with a hostile 12-byte header: magic "NXSS",
+  // version 3 and a section count of 0xFFFFFFFF.
   const std::string prefix2 = ring_prefix("quarantine2");
   FleetServerOptions crashed = options;
   crashed.snapshot_prefix = prefix2;
@@ -223,16 +225,30 @@ TEST(FleetServerRing, CorruptNewestEntryIsQuarantinedAndOlderOneRestores) {
     std::fwrite(&evil, 1, 1, f);
     std::fclose(f);
   }
+  const std::string hostile = prefix2 + ".1";
+  {
+    ByteWriter header;
+    header.u32(kSnapshotMagic);
+    header.u32(3);
+    header.u32(0xFFFFFFFFu);
+    std::FILE* f = std::fopen(hostile.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(header.data().data(), 1, header.size(), f);
+    std::fclose(f);
+  }
 
-  // Restore: slot 0 fails CRC -> quarantined to .corrupt; the round-2
-  // boundary in slot 2 is the newest valid entry, and replaying rounds 2-3
-  // from it must converge to the uninterrupted bytes.
+  // Restore: slot 0 fails CRC and slot 1 fails its framing -> both are
+  // quarantined to .corrupt, never thrown out of the constructor; the
+  // round-2 boundary in slot 2 is the newest valid entry, and replaying
+  // rounds 2-3 from it must converge to the uninterrupted bytes.
   FleetServer resumed{workload::AppId::kFacebook, crashed, {.workers = 2}};
   EXPECT_TRUE(resumed.restored());
   EXPECT_EQ(resumed.round(), 2u);
-  EXPECT_EQ(resumed.stats().snapshots_quarantined, 1u);
+  EXPECT_EQ(resumed.stats().snapshots_quarantined, 2u);
   EXPECT_FALSE(std::filesystem::exists(newest));
   EXPECT_TRUE(std::filesystem::exists(newest + ".corrupt"));
+  EXPECT_FALSE(std::filesystem::exists(hostile));
+  EXPECT_TRUE(std::filesystem::exists(hostile + ".corrupt"));
   resumed.run_rounds(2);
   ASSERT_NE(resumed.global(), nullptr);
   EXPECT_EQ(canonical_bytes(*resumed.global()), want);

@@ -1,170 +1,84 @@
-// Tests for sharded federated fleet training (sim/fleet.hpp): determinism
-// across worker counts, shard sync cadence/staleness bookkeeping, progress
-// reporting and deployability of the global aggregate.
+// Tests for the calm fleet (sim/fleet_server.hpp with no churn configured):
+// synchronous FedAvg over every device every round, deployability of the
+// global aggregate, the upload wire codec (sim/fleet.hpp) on both its paths,
+// and the delta-upload knob as a pure wire strategy - including across a
+// ring restore.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
-#include "common/error.hpp"
-#include "sim/fleet.hpp"
+#include "common/rng.hpp"
+#include "sim/fleet_server.hpp"
 
 namespace nextgov::sim {
 namespace {
 
-FleetOptions small_fleet() {
-  FleetOptions options;
+/// A calm four-device fleet whose rounds are fast enough for the unit tier.
+FleetServerOptions calm_fleet() {
+  FleetServerOptions options;
   options.devices = 4;
-  options.shards = 2;
-  options.rounds = 2;
   options.round_duration = SimTime::from_seconds(30.0);
+  options.round_deadline = SimTime::from_seconds(50.0);
   options.episode_length = SimTime::from_seconds(15.0);
   options.base_seed = 321;
-  options.sync_spread = 2;  // shard 0 syncs every round, shard 1 every 2nd
   return options;
 }
 
-void expect_tables_identical(const rl::QTable& a, const rl::QTable& b) {
-  ASSERT_EQ(a.state_count(), b.state_count());
-  EXPECT_EQ(a.total_visits(), b.total_visits());
-  a.for_each_entry([&](const rl::QTable::EntryView& ea) {
-    ASSERT_TRUE(b.contains(ea.key())) << "state " << ea.key() << " missing";
-    EXPECT_EQ(ea.visits(), b.visits(ea.key())) << "state " << ea.key();
-    EXPECT_EQ(ea.tried(), b.tried_mask(ea.key())) << "state " << ea.key();
-    for (std::size_t i = 0; i < a.action_count(); ++i) {
-      EXPECT_EQ(ea.q(i), b.q(ea.key(), i)) << "state " << ea.key() << " action " << i;
-    }
-  });
-  // Belt and braces: the exact-equality operator must agree.
-  EXPECT_TRUE(a == b);
+std::vector<std::uint8_t> canonical_bytes(const rl::QTable& table) {
+  ByteWriter out;
+  table.serialize(out);
+  return out.data();
 }
 
-TEST(Fleet, DeterministicAcrossWorkerCounts) {
-  const FleetOptions options = small_fleet();
-  const FleetResult serial = train_fleet(workload::AppId::kFacebook, options, {.workers = 1});
-  const FleetResult pooled = train_fleet(workload::AppId::kFacebook, options, {.workers = 4});
-  expect_tables_identical(serial.global, pooled.global);
-  EXPECT_EQ(serial.total_decisions, pooled.total_decisions);
-  EXPECT_EQ(serial.mean_final_reward, pooled.mean_final_reward);
-  ASSERT_EQ(serial.shard_tables.size(), pooled.shard_tables.size());
-  for (std::size_t s = 0; s < serial.shard_tables.size(); ++s) {
-    SCOPED_TRACE(s);
-    expect_tables_identical(serial.shard_tables[s], pooled.shard_tables[s]);
+std::string ring_prefix(const std::string& name) {
+  const std::string prefix = ::testing::TempDir() + "/nextgov_fleet_" + name;
+  for (std::size_t slot = 0; slot < 4; ++slot) {
+    std::remove((prefix + "." + std::to_string(slot)).c_str());
+    std::remove((prefix + "." + std::to_string(slot) + ".corrupt").c_str());
   }
+  return prefix;
 }
 
-TEST(Fleet, SyncCadenceDrivesStaleness) {
-  // sync_spread = 2: shard 0 uploads every round (last upload = final
-  // round), shard 1 every 2nd round (rounds are 0-based, upload after
-  // round r when (r+1) % 2 == 0 -> r = 1).
-  FleetOptions options = small_fleet();
-  options.rounds = 3;
-  const FleetResult result = train_fleet(workload::AppId::kFacebook, options);
-  ASSERT_EQ(result.shard_last_upload.size(), 2u);
-  EXPECT_EQ(result.shard_last_upload[0], 2u);
-  EXPECT_EQ(result.shard_last_upload[1], 1u);
-}
+TEST(Fleet, CalmServerIsSynchronousFedAvg) {
+  // With no churn, round 0's global table is exactly the FedAvg merge of
+  // every device's round-0 table: each device trains cold with seed
+  // derive_seed(derive_seed(base_seed, d), 0), every upload lands before
+  // the deadline with staleness 0, and a fresh merge is the plain one.
+  const FleetServerOptions options = calm_fleet();
+  FleetServer server{workload::AppId::kFacebook, options, {.workers = 2}};
+  server.run_round();
+  ASSERT_NE(server.global(), nullptr);
 
-TEST(Fleet, NeverSyncedShardIsMarkedAsSuch) {
-  // One round with sync_spread = 2: shard 1 (period 2) never comes due,
-  // so its last-upload slot must carry the explicit sentinel, and the
-  // global aggregate is built from shard 0's upload alone.
-  FleetOptions options = small_fleet();
-  options.rounds = 1;
-  const FleetResult result = train_fleet(workload::AppId::kFacebook, options);
-  EXPECT_EQ(result.shard_last_upload[0], 0u);
-  EXPECT_EQ(result.shard_last_upload[1], kNeverUploaded);
-  EXPECT_GT(result.global.state_count(), 0u);
-}
-
-TEST(Fleet, ProgressFiresOncePerRoundAndCoverageGrows) {
-  const FleetOptions options = small_fleet();
-  std::vector<FleetRoundStats> rounds;
-  const FleetResult result = train_fleet(
-      workload::AppId::kFacebook, options, {},
-      [&](const FleetRoundStats& stats) { rounds.push_back(stats); });
-  ASSERT_EQ(rounds.size(), options.rounds);
-  for (std::size_t r = 0; r < rounds.size(); ++r) {
-    EXPECT_EQ(rounds[r].round, r);
-    ASSERT_EQ(rounds[r].shard_states.size(), options.shards);
-    EXPECT_GT(rounds[r].round_decisions, 0u);
+  TrainingPlan plan;
+  for (std::size_t d = 0; d < options.devices; ++d) {
+    TrainingOptions cell;
+    cell.max_duration = options.round_duration;
+    cell.episode_length = options.episode_length;
+    cell.seed = derive_seed(derive_seed(options.base_seed, d), 0);
+    cell.ambient = options.ambient;
+    plan.add(workload::AppId::kFacebook, options.next_config, cell);
   }
-  // Shard 0 syncs every round, so its last-round aggregate fed the server.
-  EXPECT_TRUE(rounds.back().shard_synced[0]);
-  EXPECT_GT(result.global.state_count(), 0u);
-  EXPECT_GT(result.total_decisions, 0u);
-  // The global union cannot lose states round over round: the server
-  // always merges the latest uploads.
-  EXPECT_GE(result.global.state_count(), rounds.front().shard_states[0]);
+  const std::vector<TrainingResult> devices = run_training_plan(plan, {.workers = 2});
+  std::vector<const rl::QTable*> tables;
+  for (const TrainingResult& r : devices) tables.push_back(&r.table);
+  EXPECT_EQ(canonical_bytes(*server.global()), canonical_bytes(rl::merge_q_tables(tables)));
+  EXPECT_EQ(server.stats().uploads_accepted, options.devices);
 }
 
 TEST(Fleet, GlobalTableIsDeployable) {
-  const FleetResult result = train_fleet(workload::AppId::kFacebook, small_fleet());
+  FleetServer server{workload::AppId::kFacebook, calm_fleet(), {.workers = 2}};
+  server.run_rounds(2);
+  ASSERT_NE(server.global(), nullptr);
   ExperimentConfig cfg;
   cfg.governor = GovernorKind::kNext;
   cfg.duration = SimTime::from_seconds(20.0);
   cfg.seed = 999;
-  cfg.trained_table = &result.global;
+  cfg.trained_table = server.global();
   const SessionResult session = run_app_session(workload::AppId::kFacebook, cfg);
   EXPECT_GT(session.avg_power_w, 0.1);
   EXPECT_GT(session.avg_fps, 0.0);
-}
-
-TEST(Fleet, RejectsBadGeometry) {
-  FleetOptions options = small_fleet();
-  options.shards = 8;  // more shards than devices
-  EXPECT_THROW((void)train_fleet(workload::AppId::kFacebook, options), ConfigError);
-  options = small_fleet();
-  options.devices = 0;
-  EXPECT_THROW((void)train_fleet(workload::AppId::kFacebook, options), ConfigError);
-  options = small_fleet();
-  options.rounds = 0;
-  EXPECT_THROW((void)train_fleet(workload::AppId::kFacebook, options), ConfigError);
-}
-
-TEST(Fleet, ValidationPinsEveryDegenerateOption) {
-  // validate_fleet_options is train_fleet's up-front gate: each degenerate
-  // configuration must fail fast with ConfigError instead of producing a
-  // silent no-op or divide-by-zero run. One pin per field.
-  const auto expect_rejected = [](auto mutate, const char* label) {
-    FleetOptions options = small_fleet();
-    mutate(options);
-    EXPECT_THROW(validate_fleet_options(options), ConfigError) << label;
-  };
-  expect_rejected([](auto& o) { o.devices = 0; }, "devices == 0");
-  expect_rejected([](auto& o) { o.shards = 0; }, "shards == 0");
-  expect_rejected([](auto& o) { o.shards = o.devices + 1; }, "shards > devices");
-  expect_rejected([](auto& o) { o.rounds = 0; }, "rounds == 0");
-  expect_rejected([](auto& o) { o.round_duration = SimTime::zero(); }, "zero round");
-  expect_rejected([](auto& o) { o.episode_length = SimTime::zero(); }, "zero episode");
-  expect_rejected([](auto& o) { o.sync_spread = 0; }, "sync_spread == 0");
-  expect_rejected([](auto& o) { o.faults.dropout_rate = 1.0; }, "dropout_rate == 1");
-  expect_rejected([](auto& o) { o.faults.dropout_rate = -0.1; }, "negative dropout");
-  expect_rejected([](auto& o) { o.faults.upload_corruption_rate = 1.5; },
-                  "corruption_rate > 1");
-  expect_rejected([](auto& o) { o.snapshot_every = 2; },
-                  "snapshot_every without snapshot_path");
-  EXPECT_NO_THROW(validate_fleet_options(small_fleet()));
-}
-
-TEST(Fleet, DeterministicAcrossProcessCounts) {
-  // The multi-process rung of the same contract DeterministicAcrossWorkerCounts
-  // pins for threads: fanning each round's training across forked worker
-  // processes (sim/multiproc.hpp) must leave every table bit-identical.
-  FleetOptions options = small_fleet();
-  const FleetResult in_process =
-      train_fleet(workload::AppId::kFacebook, options, {.workers = 1});
-  options.processes = 2;
-  const FleetResult sharded =
-      train_fleet(workload::AppId::kFacebook, options, {.workers = 1});
-  expect_tables_identical(in_process.global, sharded.global);
-  EXPECT_EQ(in_process.total_decisions, sharded.total_decisions);
-  EXPECT_EQ(in_process.mean_final_reward, sharded.mean_final_reward);
-  ASSERT_EQ(in_process.shard_tables.size(), sharded.shard_tables.size());
-  for (std::size_t s = 0; s < in_process.shard_tables.size(); ++s) {
-    SCOPED_TRACE(s);
-    expect_tables_identical(in_process.shard_tables[s], sharded.shard_tables[s]);
-  }
 }
 
 TEST(Fleet, UploadWireCodecRoundTripsBothPaths) {
@@ -207,110 +121,71 @@ TEST(Fleet, UploadWireCodecRoundTripsBothPaths) {
 }
 
 TEST(Fleet, DeltaUploadsAreByteIdenticalToFull) {
-  // The delta-upload wire contract end to end: with faults active, a
-  // delta-encoded run must land on exactly the same tables as the
-  // full-upload run - across worker counts and process counts - because
-  // every decoded upload is bit-identical to the sender's table. Only the
-  // wire accounting may differ.
-  FleetOptions options = small_fleet();
-  options.rounds = 4;
-  options.faults.dropout_rate = 0.15;
-  options.faults.upload_corruption_rate = 0.3;
-  const FleetResult full = train_fleet(workload::AppId::kFacebook, options, {.workers = 1});
-  EXPECT_EQ(full.uploads_delta, 0u);  // flag off: everything travels full
-  EXPECT_GT(full.uploads_full, 0u);
-  EXPECT_GT(full.upload_bytes_full, 0u);
+  // The calm fleet's delta-upload contract end to end: with the flag on,
+  // the fleet lands on exactly the full-upload run's global table - across
+  // worker and process counts - because every decoded upload is
+  // bit-identical to the sender's table. Round 0 has no warm table, so its
+  // uploads go full; every later upload is a delta, and smaller.
+  FleetServerOptions options = calm_fleet();
+  FleetServer full{workload::AppId::kFacebook, options, {.workers = 1}};
+  std::vector<FleetServerRoundStats> full_rounds;
+  full.run_rounds(3, [&](const FleetServerRoundStats& rs) { full_rounds.push_back(rs); });
+  ASSERT_NE(full.global(), nullptr);
+  EXPECT_EQ(full.stats().uploads_delta, 0u);
+  EXPECT_EQ(full.stats().uploads_full, 3 * options.devices);
 
   options.delta_uploads = true;
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE(workers);
-    std::uint64_t stat_bytes = 0;
-    std::size_t stat_deltas = 0;
-    const FleetResult delta =
-        train_fleet(workload::AppId::kFacebook, options, {.workers = workers},
-                    [&](const FleetRoundStats& stats) {
-                      stat_bytes += stats.upload_bytes;
-                      stat_deltas += stats.delta_uploads;
-                    });
-    expect_tables_identical(full.global, delta.global);
-    ASSERT_EQ(full.shard_tables.size(), delta.shard_tables.size());
-    for (std::size_t s = 0; s < full.shard_tables.size(); ++s) {
-      SCOPED_TRACE(s);
-      expect_tables_identical(full.shard_tables[s], delta.shard_tables[s]);
-    }
-    EXPECT_EQ(full.total_decisions, delta.total_decisions);
-    EXPECT_EQ(full.rejected_uploads, delta.rejected_uploads);
-    EXPECT_EQ(full.dropped_device_rounds, delta.dropped_device_rounds);
-    // Shard 0 syncs every round: its first upload goes full, everything
-    // after deltas. Per-round stats must reconcile with the totals.
-    EXPECT_GT(delta.uploads_delta, 0u);
-    EXPECT_GT(delta.uploads_full, 0u);
-    EXPECT_EQ(delta.uploads_delta, stat_deltas);
-    EXPECT_EQ(delta.upload_bytes_full + delta.upload_bytes_delta, stat_bytes);
+    FleetServer delta{workload::AppId::kFacebook, options, {.workers = workers}};
+    std::vector<FleetServerRoundStats> rounds;
+    delta.run_rounds(3, [&](const FleetServerRoundStats& rs) { rounds.push_back(rs); });
+    ASSERT_NE(delta.global(), nullptr);
+    EXPECT_EQ(canonical_bytes(*full.global()), canonical_bytes(*delta.global()));
+    EXPECT_EQ(full.stats().total_decisions, delta.stats().total_decisions);
+    EXPECT_EQ(delta.stats().uploads_full, options.devices);
+    EXPECT_EQ(delta.stats().uploads_delta, 2 * options.devices);
+    ASSERT_EQ(rounds.size(), 3u);
+    EXPECT_EQ(rounds[0].delta_uploads, 0u);
+    EXPECT_EQ(rounds[2].delta_uploads, options.devices);
+    EXPECT_LT(rounds[2].upload_bytes, full_rounds[2].upload_bytes);
   }
 
   options.processes = 2;
-  const FleetResult sharded =
-      train_fleet(workload::AppId::kFacebook, options, {.workers = 1});
-  expect_tables_identical(full.global, sharded.global);
-  EXPECT_EQ(full.total_decisions, sharded.total_decisions);
+  FleetServer sharded{workload::AppId::kFacebook, options, {.workers = 1}};
+  sharded.run_rounds(3);
+  ASSERT_NE(sharded.global(), nullptr);
+  EXPECT_EQ(canonical_bytes(*full.global()), canonical_bytes(*sharded.global()));
+  EXPECT_EQ(full.stats().total_decisions, sharded.stats().total_decisions);
 }
 
 TEST(Fleet, DeltaFlagMayFlipAcrossResume) {
-  // The wire strategy is not part of the snapshot's options identity: a
-  // checkpoint written by a full-upload run resumes under delta_uploads
-  // (and lands on the uninterrupted run's exact bytes), because the delta
-  // bases persisted in the v3 sync_state section are maintained either way.
-  const std::string path = ::testing::TempDir() + "/nextgov_fleet_delta_resume.bin";
-  std::remove(path.c_str());
+  // The wire strategy is not part of the ring's options identity: a ring
+  // written by a full-upload server resumes under delta_uploads and lands
+  // on the uninterrupted run's exact bytes, since the delta base (the
+  // round's warm table) is recomputed from the restored global.
+  FleetServerOptions options = calm_fleet();
+  FleetServer straight{workload::AppId::kFacebook, options, {.workers = 2}};
+  straight.run_rounds(4);
+  ASSERT_NE(straight.global(), nullptr);
 
-  FleetOptions options = small_fleet();
-  options.rounds = 4;
-  options.faults.upload_corruption_rate = 0.25;
-  const FleetResult straight = train_fleet(workload::AppId::kFacebook, options);
-
-  FleetOptions crashing = options;
-  crashing.snapshot_every = 2;
-  crashing.snapshot_path = path;
-  crashing.faults.crash_at_round = 1;  // dies right after the checkpoint
-  EXPECT_THROW((void)train_fleet(workload::AppId::kFacebook, crashing), FleetCrash);
-
-  FleetOptions resumed = options;
-  resumed.resume_from = path;
-  resumed.delta_uploads = true;  // flipped relative to the crashed run
-  const FleetResult delta_resumed = train_fleet(workload::AppId::kFacebook, resumed);
-  expect_tables_identical(straight.global, delta_resumed.global);
-  EXPECT_EQ(delta_resumed.start_round, 2u);
-  // Rounds 2-3 sync against bases restored from the snapshot, so the
-  // resumed half actually exercises the delta path.
-  EXPECT_GT(delta_resumed.uploads_delta, 0u);
-  std::remove(path.c_str());
-}
-
-TEST(Fleet, DeltaUploadsKnobExcludedFromOptionsIdentity) {
-  // Like `processes`: pure wire strategy, so flipping it must not change
-  // the canonical options encoding a snapshot pins.
-  FleetOptions a = small_fleet();
-  FleetOptions b = a;
-  b.delta_uploads = true;
-  ByteWriter wa;
-  ByteWriter wb;
-  encode_fleet_options(a, wa);
-  encode_fleet_options(b, wb);
-  EXPECT_EQ(wa.data(), wb.data());
-}
-
-TEST(Fleet, ProcessesKnobExcludedFromOptionsIdentity) {
-  // A checkpoint written single-process must resume sharded (and vice
-  // versa): the knob is execution strategy, not trajectory.
-  FleetOptions a = small_fleet();
-  FleetOptions b = a;
-  b.processes = 8;
-  ByteWriter wa;
-  ByteWriter wb;
-  encode_fleet_options(a, wa);
-  encode_fleet_options(b, wb);
-  EXPECT_EQ(wa.data(), wb.data());
+  options.snapshot_ring = 2;
+  options.snapshot_prefix = ring_prefix("delta_resume");
+  {
+    FleetServer doomed{workload::AppId::kFacebook, options, {.workers = 2}};
+    doomed.run_rounds(2);
+  }  // destroyed without drain(): kill -9
+  options.delta_uploads = true;  // flipped relative to the killed server
+  FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 2}};
+  ASSERT_TRUE(resumed.restored());
+  EXPECT_EQ(resumed.round(), 2u);
+  EXPECT_EQ(resumed.stats().uploads_delta, 0u);
+  resumed.run_rounds(2);
+  ASSERT_NE(resumed.global(), nullptr);
+  EXPECT_EQ(canonical_bytes(*straight.global()), canonical_bytes(*resumed.global()));
+  // Rounds 2-3 delta against the restored global, so the resumed half
+  // actually exercises the delta path.
+  EXPECT_EQ(resumed.stats().uploads_delta, 2 * options.devices);
 }
 
 }  // namespace
