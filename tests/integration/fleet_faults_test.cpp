@@ -1,9 +1,10 @@
 // Integration tests for the fleet server's churn machinery (seeded
 // departures, stragglers and damaged uploads): it is deterministic
 // (worker-count independent), degrades rounds gracefully instead of failing
-// them, never absorbs a damaged or partial table, and reports every fault
-// it injected. Crash/resume under the same churn is pinned by the golden
-// tier (tests/sim/fleet_server_golden_test.cpp).
+// them, never absorbs a damaged or partial table, reports every fault it
+// injected, and resumes from its ring onto the same bytes with faults
+// active. The kill -9 sweep over every boundary under full churn is pinned
+// by the golden tier (tests/sim/fleet_server_golden_test.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -31,6 +32,20 @@ FleetServerOptions churny_server() {
   options.churn.straggle_rate = 0.3;
   options.churn.upload_fail_rate = 0.4;
   options.churn.rejoin_after_rounds = 1;
+  return options;
+}
+
+/// The classic federated fault plan on the server: per-round dropout is a
+/// departure that rejoins the next round, and a damaged upload is lost
+/// outright (one attempt, no retry). No stragglers, so every surviving
+/// upload lands in its own round.
+FleetServerOptions dropout_and_corruption() {
+  FleetServerOptions options = churny_server();
+  options.churn.depart_rate = 0.2;
+  options.churn.straggle_rate = 0.0;
+  options.churn.upload_fail_rate = 0.3;
+  options.churn.rejoin_after_rounds = 1;
+  options.max_upload_attempts = 1;
   return options;
 }
 
@@ -118,6 +133,69 @@ TEST(FleetServerFaults, DepartedDeviceNeverContributesAPartialTable) {
   EXPECT_LE(devices_with_uploads, total_trainee_rounds);
   EXPECT_EQ(server.stats().uploads_accepted, total_trainee_rounds)
       << "an accepted table appeared that no completed training round produced";
+}
+
+TEST(FleetFaults, FaultedRunIsDeterministicAcrossWorkerCounts) {
+  // Dropout and upload corruption draw from (round, device, attempt)-keyed
+  // streams, so which devices drop and which uploads are lost - and hence
+  // the global table - must not depend on the training pool size, on the
+  // full and on the delta wire alike.
+  FleetServerOptions options = dropout_and_corruption();
+  for (const bool delta : {false, true}) {
+    SCOPED_TRACE(delta ? "delta uploads" : "full uploads");
+    options.delta_uploads = delta;
+    FleetServer serial{workload::AppId::kFacebook, options, {.workers = 1}};
+    FleetServer pooled{workload::AppId::kFacebook, options, {.workers = 4}};
+    serial.run_rounds(3);
+    pooled.run_rounds(3);
+    ASSERT_NE(serial.global(), nullptr);
+    ASSERT_NE(pooled.global(), nullptr);
+    EXPECT_TRUE(*serial.global() == *pooled.global());
+    EXPECT_EQ(serial.stats().total_decisions, pooled.stats().total_decisions);
+    EXPECT_EQ(serial.stats().departures, pooled.stats().departures);
+    EXPECT_EQ(serial.stats().uploads_lost, pooled.stats().uploads_lost);
+    EXPECT_EQ(serial.stats().uploads_accepted, pooled.stats().uploads_accepted);
+    EXPECT_EQ(serial.stats().upload_bytes_full + serial.stats().upload_bytes_delta,
+              pooled.stats().upload_bytes_full + pooled.stats().upload_bytes_delta);
+    // Both faults must actually fire, or this test is vacuously green.
+    EXPECT_GT(serial.stats().departures, 0u);
+    EXPECT_GT(serial.stats().uploads_lost, 0u);
+    EXPECT_EQ(serial.stats().uploads_retried, 0u);
+  }
+}
+
+TEST(FleetFaults, CrashAndResumeComposeWithFaults) {
+  // A fleet with active dropout and corruption, killed after round 1 and
+  // restarted on its ring, must land on exactly the uninterrupted run's
+  // bytes and fault counts - the fault draws replay identically because
+  // they are keyed by (round, device, attempt), not by process history.
+  const std::string prefix = ::testing::TempDir() + "/nextgov_faulty_fleet_ring";
+  for (std::size_t slot = 0; slot < 2; ++slot) {
+    std::remove((prefix + "." + std::to_string(slot)).c_str());
+    std::remove((prefix + "." + std::to_string(slot) + ".corrupt").c_str());
+  }
+  FleetServerOptions options = dropout_and_corruption();
+  FleetServer uninterrupted{workload::AppId::kFacebook, options, {.workers = 2}};
+  uninterrupted.run_rounds(3);
+  ASSERT_NE(uninterrupted.global(), nullptr);
+
+  options.snapshot_ring = 2;
+  options.snapshot_prefix = prefix;
+  {
+    FleetServer doomed{workload::AppId::kFacebook, options, {.workers = 2}};
+    doomed.run_rounds(2);
+  }  // destroyed without drain(): kill -9
+  FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 2}};
+  ASSERT_TRUE(resumed.restored());
+  EXPECT_EQ(resumed.round(), 2u);
+  resumed.run_rounds(1);
+  ASSERT_NE(resumed.global(), nullptr);
+  EXPECT_TRUE(*resumed.global() == *uninterrupted.global());
+  EXPECT_EQ(resumed.stats().total_decisions, uninterrupted.stats().total_decisions);
+  EXPECT_EQ(resumed.stats().departures, uninterrupted.stats().departures);
+  EXPECT_EQ(resumed.stats().uploads_lost, uninterrupted.stats().uploads_lost);
+  EXPECT_EQ(resumed.stats().uploads_accepted, uninterrupted.stats().uploads_accepted);
+  EXPECT_GT(uninterrupted.stats().departures + uninterrupted.stats().uploads_lost, 0u);
 }
 
 TEST(FleetFaults, DropoutActuallyDropsDevicesAndChangesTheRun) {

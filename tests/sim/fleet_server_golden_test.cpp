@@ -5,8 +5,10 @@
 // run, so the recovery path is proven against the full churn machinery
 // (lease expiry, late carry-over, retry/backoff), not just a calm fleet.
 // The CI crash-recovery smoke (examples/fleet_serverd.cpp) exercises the
-// same contract end to end through real signals and the filesystem. A
-// second test pins the ring entries themselves as canonical bytes.
+// same contract end to end through real signals and the filesystem. The
+// FleetResumeGolden tests hold a calm fleet (synchronous FedAvg) to the
+// same bar - down to the bytes of every ring entry - and pin the ring
+// entries themselves as canonical bytes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -62,6 +64,20 @@ std::vector<std::uint8_t> canonical_bytes(const rl::QTable& table) {
   return out.data();
 }
 
+/// The calm fleet: no churn, every device uploads every round.
+FleetServerOptions calm_server(const std::string& prefix) {
+  FleetServerOptions options = golden_server(prefix);
+  options.churn = {};
+  options.snapshot_ring = 2;
+  return options;
+}
+
+std::vector<char> read_all(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  EXPECT_TRUE(in.good()) << path;
+  return std::vector<char>{std::istreambuf_iterator<char>{in}, {}};
+}
+
 TEST(FleetServerGolden, KillNineAtEveryBoundaryResumesBitIdentically) {
   // The uninterrupted reference.
   const FleetServerOptions reference_options = golden_server(ring_prefix("ref"));
@@ -104,16 +120,77 @@ TEST(FleetServerGolden, KillNineAtEveryBoundaryResumesBitIdentically) {
   }
 }
 
+TEST(FleetResumeGolden, KilledAtRoundKResumesBitIdentically) {
+  // A calm fleet killed after round 2 and restarted on its ring finishes on
+  // a global table equal to the uninterrupted run's by exact operator== and
+  // as canonical bytes, and leaves every ring entry byte-identical to the
+  // uninterrupted server's ring.
+  const FleetServerOptions reference_options = calm_server(ring_prefix("calm_ref"));
+  FleetServer reference{workload::AppId::kFacebook, reference_options, {.workers = 2}};
+  reference.run_rounds(kRounds);
+  ASSERT_NE(reference.global(), nullptr);
+
+  const FleetServerOptions options = calm_server(ring_prefix("calm_kill"));
+  {
+    FleetServer doomed{workload::AppId::kFacebook, options, {.workers = 2}};
+    doomed.run_rounds(2);
+  }  // destroyed without drain(): kill -9
+  FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 2}};
+  ASSERT_TRUE(resumed.restored());
+  ASSERT_EQ(resumed.round(), 2u);
+  resumed.run_rounds(kRounds - 2);
+  ASSERT_NE(resumed.global(), nullptr);
+  EXPECT_TRUE(*resumed.global() == *reference.global());
+  EXPECT_EQ(canonical_bytes(*resumed.global()), canonical_bytes(*reference.global()));
+  EXPECT_EQ(resumed.stats().total_decisions, reference.stats().total_decisions);
+  EXPECT_EQ(resumed.stats().uploads_accepted, reference.stats().uploads_accepted);
+  for (std::size_t slot = 0; slot < options.snapshot_ring; ++slot) {
+    SCOPED_TRACE("ring slot " + std::to_string(slot));
+    const std::vector<char> want =
+        read_all(reference_options.snapshot_prefix + "." + std::to_string(slot));
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(read_all(options.snapshot_prefix + "." + std::to_string(slot)), want);
+  }
+}
+
+TEST(FleetResumeGolden, EveryCrashPointConvergesOnTheSameBytes) {
+  // Whichever boundary a calm delta-upload fleet dies at, restarting lands
+  // on the same final bytes and the same wire counters: the round loop has
+  // no hidden cross-round state outside the ring, and the delta base is
+  // rebuilt from the restored global.
+  FleetServerOptions reference_options = calm_server(ring_prefix("sweep_ref"));
+  reference_options.delta_uploads = true;
+  FleetServer reference{workload::AppId::kFacebook, reference_options, {.workers = 2}};
+  reference.run_rounds(kRounds);
+  ASSERT_NE(reference.global(), nullptr);
+  const std::vector<std::uint8_t> golden = canonical_bytes(*reference.global());
+  ASSERT_GT(reference.stats().uploads_delta, 0u);
+
+  for (std::size_t k = 0; k <= kRounds; ++k) {
+    SCOPED_TRACE("killed after round " + std::to_string(k));
+    FleetServerOptions options = calm_server(ring_prefix("sweep" + std::to_string(k)));
+    options.delta_uploads = true;
+    {
+      FleetServer doomed{workload::AppId::kFacebook, options, {.workers = 2}};
+      doomed.run_rounds(k);
+    }
+    FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 2}};
+    EXPECT_EQ(resumed.restored(), k > 0);
+    ASSERT_EQ(resumed.round(), k);
+    resumed.run_rounds(kRounds - k);
+    ASSERT_NE(resumed.global(), nullptr);
+    EXPECT_EQ(canonical_bytes(*resumed.global()), golden);
+    EXPECT_EQ(resumed.stats().uploads_delta, reference.stats().uploads_delta);
+    EXPECT_EQ(resumed.stats().upload_bytes_delta, reference.stats().upload_bytes_delta);
+    EXPECT_EQ(resumed.stats().upload_bytes_full, reference.stats().upload_bytes_full);
+  }
+}
+
 TEST(FleetResumeGolden, SnapshotFileBytesAreDeterministic) {
   // The ring entries are themselves canonical: the same churning fleet
   // trained with one worker and with four writes byte-identical files into
   // every slot (no timestamps, no map-order or pool-order leakage), which is
   // what lets a ring written by one host resume on another.
-  const auto read_all = [](const std::string& path) {
-    std::ifstream in{path, std::ios::binary};
-    EXPECT_TRUE(in.good()) << path;
-    return std::vector<char>{std::istreambuf_iterator<char>{in}, {}};
-  };
   const FleetServerOptions one = golden_server(ring_prefix("bytes1"));
   const FleetServerOptions four = golden_server(ring_prefix("bytes4"));
   FleetServer{workload::AppId::kFacebook, one, {.workers = 1}}.run_rounds(kRounds);

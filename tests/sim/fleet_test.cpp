@@ -1,14 +1,18 @@
 // Tests for the calm fleet (sim/fleet_server.hpp with no churn configured):
-// synchronous FedAvg over every device every round, deployability of the
-// global aggregate, the upload wire codec (sim/fleet.hpp) on both its paths,
-// and the delta-upload knob as a pure wire strategy - including across a
-// ring restore.
+// synchronous FedAvg over every device every round, determinism across
+// worker and process counts, the per-round progress callback, up-front
+// option validation, deployability of the global aggregate, the upload wire
+// codec (sim/fleet.hpp) on both its paths, and the delta-upload and process
+// knobs as pure execution strategy - including across a ring restore.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sim/fleet_server.hpp"
 
@@ -65,6 +69,136 @@ TEST(Fleet, CalmServerIsSynchronousFedAvg) {
   for (const TrainingResult& r : devices) tables.push_back(&r.table);
   EXPECT_EQ(canonical_bytes(*server.global()), canonical_bytes(rl::merge_q_tables(tables)));
   EXPECT_EQ(server.stats().uploads_accepted, options.devices);
+}
+
+TEST(Fleet, DeterministicAcrossWorkerCounts) {
+  // Each round trains every device through the pooled batch runner; the
+  // global table and everything the progress callback reports (apart from
+  // wall time) must be independent of the pool size.
+  const FleetServerOptions options = calm_fleet();
+  const auto run = [&](std::size_t workers, std::vector<FleetServerRoundStats>& rounds) {
+    FleetServer server{workload::AppId::kFacebook, options, {.workers = workers}};
+    server.run_rounds(2, [&](const FleetServerRoundStats& rs) { rounds.push_back(rs); });
+    EXPECT_NE(server.global(), nullptr);
+    return std::make_pair(canonical_bytes(*server.global()), server.stats().total_decisions);
+  };
+  std::vector<FleetServerRoundStats> serial_rounds;
+  const auto serial = run(1, serial_rounds);
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(workers);
+    std::vector<FleetServerRoundStats> rounds;
+    const auto pooled = run(workers, rounds);
+    EXPECT_EQ(serial.first, pooled.first);
+    EXPECT_EQ(serial.second, pooled.second);
+    ASSERT_EQ(rounds.size(), serial_rounds.size());
+    for (std::size_t r = 0; r < rounds.size(); ++r) {
+      EXPECT_EQ(rounds[r].mean_reward, serial_rounds[r].mean_reward) << "round " << r;
+      EXPECT_EQ(rounds[r].global_states, serial_rounds[r].global_states) << "round " << r;
+      EXPECT_EQ(rounds[r].upload_bytes, serial_rounds[r].upload_bytes) << "round " << r;
+    }
+  }
+}
+
+TEST(Fleet, DeterministicAcrossProcessCounts) {
+  // The multi-process rung of the same contract: fanning each round's
+  // training across forked worker processes (sim/multiproc.hpp) must leave
+  // the global table bit-identical, including when the devices do not split
+  // evenly across the processes (4 devices over 3).
+  FleetServerOptions options = calm_fleet();
+  FleetServer in_process{workload::AppId::kFacebook, options, {.workers = 1}};
+  std::vector<double> rewards;
+  in_process.run_rounds(2, [&](const FleetServerRoundStats& rs) {
+    rewards.push_back(rs.mean_reward);
+  });
+  ASSERT_NE(in_process.global(), nullptr);
+  for (const std::size_t processes : {std::size_t{2}, std::size_t{3}}) {
+    SCOPED_TRACE(processes);
+    options.processes = processes;
+    FleetServer sharded{workload::AppId::kFacebook, options, {.workers = 1}};
+    std::vector<double> sharded_rewards;
+    sharded.run_rounds(2, [&](const FleetServerRoundStats& rs) {
+      sharded_rewards.push_back(rs.mean_reward);
+    });
+    ASSERT_NE(sharded.global(), nullptr);
+    EXPECT_EQ(canonical_bytes(*in_process.global()), canonical_bytes(*sharded.global()));
+    EXPECT_EQ(in_process.stats().total_decisions, sharded.stats().total_decisions);
+    EXPECT_EQ(rewards, sharded_rewards);
+  }
+}
+
+TEST(Fleet, ProgressFiresOncePerRoundAndCoverageGrows) {
+  // The callback fires exactly once per served round, in order, and a calm
+  // fleet's global coverage never shrinks: every device warm-starts from
+  // the global, so each merge holds at least the previous round's states.
+  FleetServer server{workload::AppId::kFacebook, calm_fleet(), {.workers = 2}};
+  std::vector<FleetServerRoundStats> rounds;
+  server.run_rounds(3, [&](const FleetServerRoundStats& rs) { rounds.push_back(rs); });
+  ASSERT_EQ(rounds.size(), 3u);
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    SCOPED_TRACE(r);
+    EXPECT_EQ(rounds[r].round, r);
+    EXPECT_EQ(rounds[r].training_devices, calm_fleet().devices);
+    EXPECT_GT(rounds[r].global_states, 0u);
+    if (r > 0) {
+      EXPECT_GE(rounds[r].global_states, rounds[r - 1].global_states);
+    }
+  }
+  ASSERT_NE(server.global(), nullptr);
+  EXPECT_EQ(rounds.back().global_states, server.global()->state_count());
+  // A single run_round() reports the next round and nothing else.
+  std::size_t calls = 0;
+  server.run_round([&](const FleetServerRoundStats& rs) {
+    ++calls;
+    EXPECT_EQ(rs.round, 3u);
+  });
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(server.stats().rounds_served, 4u);
+}
+
+TEST(Fleet, RejectsBadGeometry) {
+  // Constructing a server over a degenerate fleet fails fast, before any
+  // round (or ring restore) runs.
+  FleetServerOptions options = calm_fleet();
+  options.devices = 0;
+  EXPECT_THROW((FleetServer{workload::AppId::kFacebook, options}), ConfigError);
+  options = calm_fleet();
+  options.round_duration = SimTime::zero();
+  EXPECT_THROW((FleetServer{workload::AppId::kFacebook, options}), ConfigError);
+  options = calm_fleet();
+  options.round_deadline = options.round_duration;  // no time left to upload
+  EXPECT_THROW((FleetServer{workload::AppId::kFacebook, options}), ConfigError);
+  EXPECT_NO_THROW((FleetServer{workload::AppId::kFacebook, calm_fleet()}));
+}
+
+TEST(Fleet, ValidationPinsEveryDegenerateOption) {
+  // validate_fleet_server_options is the server's up-front gate. One pin per
+  // fleet geometry and fault-rate bound: each degenerate value must fail
+  // fast with ConfigError instead of producing a silent no-op or a
+  // divide-by-zero run. Rates outside [0, 1) - including NaN - are refused
+  // for departures (per-round dropout) and damaged uploads.
+  const auto expect_rejected = [](auto mutate, const char* label) {
+    FleetServerOptions options = calm_fleet();
+    mutate(options);
+    EXPECT_THROW(validate_fleet_server_options(options), ConfigError) << label;
+  };
+  expect_rejected([](auto& o) { o.devices = 0; }, "devices == 0");
+  expect_rejected([](auto& o) { o.round_duration = SimTime::zero(); }, "zero round");
+  expect_rejected([](auto& o) { o.episode_length = SimTime::zero(); }, "zero episode");
+  expect_rejected([](auto& o) { o.churn.depart_rate = 1.0; }, "depart_rate == 1");
+  expect_rejected([](auto& o) { o.churn.depart_rate = -0.1; }, "negative depart_rate");
+  expect_rejected([](auto& o) { o.churn.depart_rate = std::nan(""); }, "NaN depart_rate");
+  expect_rejected([](auto& o) { o.churn.upload_fail_rate = 1.5; }, "fail_rate > 1");
+  expect_rejected([](auto& o) { o.churn.upload_fail_rate = -0.5; }, "negative fail_rate");
+  expect_rejected([](auto& o) { o.churn.straggle_rate = 1.01; }, "straggle_rate > 1");
+  expect_rejected([](auto& o) { o.churn.straggle_rate = -0.01; }, "negative straggle_rate");
+  expect_rejected([](auto& o) { o.snapshot_ring = 2; }, "snapshot_ring without prefix");
+  EXPECT_NO_THROW(validate_fleet_server_options(calm_fleet()));
+  // The boundary values a fleet may legitimately use stay accepted.
+  FleetServerOptions edge = calm_fleet();
+  edge.churn.straggle_rate = 1.0;
+  edge.churn.depart_rate = 0.0;
+  edge.churn.upload_fail_rate = 0.0;
+  EXPECT_NO_THROW(validate_fleet_server_options(edge));
 }
 
 TEST(Fleet, GlobalTableIsDeployable) {
@@ -186,6 +320,57 @@ TEST(Fleet, DeltaFlagMayFlipAcrossResume) {
   // Rounds 2-3 delta against the restored global, so the resumed half
   // actually exercises the delta path.
   EXPECT_EQ(resumed.stats().uploads_delta, 2 * options.devices);
+}
+
+TEST(Fleet, DeltaUploadsKnobExcludedFromOptionsIdentity) {
+  // Pure wire strategy, so flipping it must not change the canonical
+  // options encoding a ring entry pins - while a trajectory input such as
+  // the base seed must.
+  const FleetServerOptions a = calm_fleet();
+  FleetServerOptions b = a;
+  b.delta_uploads = true;
+  ByteWriter wa;
+  ByteWriter wb;
+  encode_fleet_server_options(a, wa);
+  encode_fleet_server_options(b, wb);
+  EXPECT_EQ(wa.data(), wb.data());
+  b.base_seed += 1;
+  ByteWriter wc;
+  encode_fleet_server_options(b, wc);
+  EXPECT_NE(wa.data(), wc.data());
+}
+
+TEST(Fleet, ProcessesKnobExcludedFromOptionsIdentity) {
+  // A ring written single-process must resume sharded: the knob is
+  // execution strategy, not trajectory. Pinned on the encoding and end to
+  // end, by killing an in-process server and resuming it on two processes.
+  FleetServerOptions options = calm_fleet();
+  FleetServerOptions sharded_options = options;
+  sharded_options.processes = 2;
+  ByteWriter wa;
+  ByteWriter wb;
+  encode_fleet_server_options(options, wa);
+  encode_fleet_server_options(sharded_options, wb);
+  EXPECT_EQ(wa.data(), wb.data());
+
+  FleetServer straight{workload::AppId::kFacebook, options, {.workers = 1}};
+  straight.run_rounds(3);
+  ASSERT_NE(straight.global(), nullptr);
+
+  options.snapshot_ring = 2;
+  options.snapshot_prefix = ring_prefix("process_resume");
+  {
+    FleetServer doomed{workload::AppId::kFacebook, options, {.workers = 1}};
+    doomed.run_rounds(2);
+  }  // destroyed without drain(): kill -9
+  options.processes = 2;
+  FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 1}};
+  ASSERT_TRUE(resumed.restored());
+  EXPECT_EQ(resumed.round(), 2u);
+  resumed.run_rounds(1);
+  ASSERT_NE(resumed.global(), nullptr);
+  EXPECT_EQ(canonical_bytes(*straight.global()), canonical_bytes(*resumed.global()));
+  EXPECT_EQ(straight.stats().total_decisions, resumed.stats().total_decisions);
 }
 
 }  // namespace
