@@ -41,7 +41,7 @@ int main() {
     config.fps_levels = level;
     tplan.add(spec.app_factory(), spec.name, config, eval_training_options(31, 1200.0));
   }
-  const std::vector<sim::TrainingResult> trained = sim::run_training_plan(tplan);
+  const std::vector<sim::TrainingResult> trained = sim::execute(tplan);
 
   sim::RunPlan plan;
   for (std::size_t i = 0; i < std::size(levels); ++i) {
@@ -50,7 +50,7 @@ int main() {
     cfg.trained_table = &trained[i].table;
     plan.add(spec.app_factory(), spec.name, cfg);
   }
-  const auto results = sim::run_plan(plan);
+  const auto results = sim::execute(plan);
 
   for (std::size_t i = 0; i < std::size(levels); ++i) {
     const sim::TrainingResult& tr = trained[i];
@@ -89,7 +89,7 @@ int main() {
     cfg.trained_table = &table;
     qplan.add(spec.app_factory(), spec.name, cfg);
   }
-  const auto qresults = sim::run_plan(qplan);
+  const auto qresults = sim::execute(qplan);
 
   CsvWriter qcsv{out_dir() + "/abl_quantization_wire.csv",
                  {"wire_mode", "wire_bytes", "deployed_power_w", "deployed_fps"}};

@@ -35,7 +35,7 @@ int main() {
   sim::RunPlan sched_plan;
   sched_plan.add(spec.app_factory(), spec.name,
                  spec.experiment_config(sim::GovernorKind::kSchedutil, eval_seed));
-  const sim::SessionResult sched = std::move(sim::run_plan(sched_plan).front());
+  const sim::SessionResult sched = std::move(sim::execute(sched_plan).front());
 
   CsvWriter csv{out_dir() + "/abl_reward.csv",
                 {"reward", "avg_power_w", "peak_temp_big_c", "avg_fps"}};
@@ -53,7 +53,7 @@ int main() {
     config.reward_metric = variant.metric;
     tplan.add(workload::AppId::kLineage, config, eval_training_options(17));
   }
-  const std::vector<sim::TrainingResult> trained = sim::run_training_plan(tplan);
+  const std::vector<sim::TrainingResult> trained = sim::execute(tplan);
 
   sim::RunPlan plan;
   for (std::size_t i = 0; i < std::size(variants); ++i) {
@@ -62,7 +62,7 @@ int main() {
     cfg.trained_table = &trained[i].table;
     plan.add(spec.app_factory(), spec.name, cfg);
   }
-  const auto results = sim::run_plan(plan);
+  const auto results = sim::execute(plan);
 
   for (std::size_t i = 0; i < std::size(variants); ++i) {
     const auto& variant = variants[i];

@@ -70,15 +70,18 @@ inline PlanTiming time_run_plan(const sim::RunPlan& plan, unsigned hardware_thre
   t.can_measure_speedup = t.workers >= 2;
   t.contract_workers = std::max<std::size_t>(4, t.workers);
 
-  t.serial_s =
-      wall_seconds([&] { t.serial_results = sim::run_plan(plan, {.workers = 1}); });
+  // Both sides time the per-session path (max_batch = 1): this measures
+  // the pool, not lock-step batching.
+  t.serial_s = wall_seconds(
+      [&] { t.serial_results = sim::execute(plan, {.workers = 1, .max_batch = 1}); });
 
   std::vector<sim::SessionResult> parallel_results;
-  t.parallel_s = wall_seconds(
-      [&] { parallel_results = sim::run_plan(plan, {.workers = t.contract_workers}); });
+  t.parallel_s = wall_seconds([&] {
+    parallel_results = sim::execute(plan, {.workers = t.contract_workers, .max_batch = 1});
+  });
   if (t.can_measure_speedup && t.contract_workers != t.workers) {
-    t.parallel_s =
-        wall_seconds([&] { (void)sim::run_plan(plan, {.workers = t.workers}); });
+    t.parallel_s = wall_seconds(
+        [&] { (void)sim::execute(plan, {.workers = t.workers, .max_batch = 1}); });
   }
   if (t.can_measure_speedup && t.parallel_s > 0.0) t.speedup = t.serial_s / t.parallel_s;
 
@@ -131,7 +134,7 @@ inline sim::TrainingResult train_for_eval(sim::AppFactory factory, std::uint64_t
                                           core::NextConfig config = {}) {
   sim::TrainingPlan plan;
   plan.add(std::move(factory), "train_for_eval", config, eval_training_options(seed, budget_s));
-  return std::move(sim::run_training_plan(plan).front());
+  return std::move(sim::execute(plan).front());
 }
 
 /// Adds `seeds` sessions (base_seed, base_seed+1, ...) of `cfg` to `plan`.
@@ -212,7 +215,7 @@ inline AppGovernorMatrix run_app_governor_matrix(std::span<const workload::AppId
     tplan.add(app, core::NextConfig{},
               eval_training_options(train_seed_base + static_cast<std::uint64_t>(app)));
   }
-  m.trained = sim::run_training_plan(tplan);
+  m.trained = sim::execute(tplan);
 
   sim::RunPlan plan;
   for (std::size_t i = 0; i < apps.size(); ++i) {
@@ -221,7 +224,7 @@ inline AppGovernorMatrix run_app_governor_matrix(std::span<const workload::AppId
         add_governor_sweeps(plan, apps[i], sim::app_scenario(apps[i]).effective_duration(),
                             seeds, &m.trained[i].table));
   }
-  m.results = sim::run_plan(plan);
+  m.results = sim::execute(plan);
   return m;
 }
 

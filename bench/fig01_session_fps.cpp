@@ -25,7 +25,7 @@ int main() {
   sim::RunPlan plan;
   plan.add(spec.app_factory(), spec.name,
            spec.experiment_config(sim::GovernorKind::kSchedutil));
-  const sim::SessionResult r = std::move(sim::run_plan(plan).front());
+  const sim::SessionResult r = std::move(sim::execute(plan).front());
 
   std::printf("%8s %10s %8s %14s %14s\n", "time_s", "app", "fps", "f_big_MHz", "f_little_MHz");
   for (const auto& s : r.series) {

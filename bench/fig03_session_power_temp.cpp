@@ -33,7 +33,7 @@ int main() {
   sim::ExperimentConfig next_cfg = spec.experiment_config(sim::GovernorKind::kNext);
   next_cfg.trained_table = &trained.table;
   plan.add(factory, spec.name, next_cfg);
-  const auto results = sim::run_plan(plan);
+  const auto results = sim::execute(plan);
   const sim::SessionResult& sched = results[0];
   const sim::SessionResult& next = results[1];
 

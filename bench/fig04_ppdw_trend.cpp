@@ -65,7 +65,7 @@ int main() {
     tplan.add(factory_for(fps_caps[i]), "lineage_capped",
               core::NextConfig{}, eval_training_options(sim::derive_seed(40, i), 1000.0));
   }
-  const std::vector<sim::TrainingResult> trained = sim::run_training_plan(tplan);
+  const std::vector<sim::TrainingResult> trained = sim::execute(tplan);
 
   const double paper_worst[] = {0.0, 0.0039, 0.0395};
   const double worst_caps[] = {0.25, 1, 10};  // 0.25 FPS ~ "0" on the plot
@@ -86,7 +86,7 @@ int main() {
     cfg.seed = 7;
     plan.add(factory_for(worst_caps[i]), "lineage_worst", cfg);
   }
-  const auto results = sim::run_plan(plan);
+  const auto results = sim::execute(plan);
 
   for (std::size_t i = 0; i < 9; ++i) {
     const sim::SessionResult& r = results[i];

@@ -7,7 +7,7 @@
 //      and speedup per point;
 //   2. the bit-identity gate: every sharded sweep's merged results compared
 //      cell-by-cell (sim::bit_identical) against the in-process reference -
-//      the contract run_plan_sharded() promises. The bench exits nonzero
+//      the contract sim::execute() promises. The bench exits nonzero
 //      if any point diverges;
 //   3. per-shard overhead: result frames / payload bytes crossing the pipes
 //      (from ShardReport) and the fork+serialize overhead, measured as
@@ -16,6 +16,9 @@
 //   4. the recovery gates: a SIGKILLed worker and a frame-corrupting worker
 //      must each be detected, their shards re-run in the parent, and the
 //      merged results must STILL be bit-identical - degrade, never wedge.
+//
+// Every run below takes the per-session path (max_batch = 1) with one
+// worker thread per process, so the curve measures process sharding alone.
 //
 // `--smoke` shrinks the matrix so CI can run it on every PR.
 #include <cstdio>
@@ -65,8 +68,8 @@ int main(int argc, char** argv) {
 
   // --- in-process reference + scaling curve -------------------------------
   std::vector<sim::SessionResult> reference;
-  const double serial_s =
-      wall_seconds([&] { reference = sim::run_plan(plan, {.workers = 1}); });
+  const double serial_s = wall_seconds(
+      [&] { reference = sim::execute(plan, {.workers = 1, .max_batch = 1}); });
   std::printf("  P=1 (in-process): %.3f s\n", serial_s);
 
   struct Point {
@@ -84,8 +87,9 @@ int main(int argc, char** argv) {
     pt.processes = p;
     sim::ShardReport report;
     std::vector<sim::SessionResult> results;
-    pt.wall_s = wall_seconds(
-        [&] { results = sim::run_plan_sharded(plan, {.processes = p}, &report); });
+    pt.wall_s = wall_seconds([&] {
+      results = sim::execute(plan, {.workers = 1, .max_batch = 1, .processes = p}, &report);
+    });
     pt.speedup = pt.wall_s > 0.0 ? serial_s / pt.wall_s : 0.0;
     pt.bit_identical = all_bit_identical(reference, results) &&
                        report.recovered_shards() == 0;
@@ -101,7 +105,7 @@ int main(int argc, char** argv) {
 
   // --- per-shard overhead: sharded vs same-width threaded -----------------
   const double threaded2_s =
-      wall_seconds([&] { (void)sim::run_plan(plan, {.workers = 2}); });
+      wall_seconds([&] { (void)sim::execute(plan, {.workers = 2, .max_batch = 1}); });
   const double overhead_s = curve[0].wall_s - threaded2_s;
   std::printf("  overhead: P=2 sharded %.3f s vs 2-thread %.3f s -> %+.3f s "
               "(fork + wire codec)\n",
@@ -113,8 +117,9 @@ int main(int argc, char** argv) {
   sim::ShardReport kill_report;
   std::vector<sim::SessionResult> kill_results;
   const double kill_s = wall_seconds([&] {
-    kill_results = sim::run_plan_sharded(
-        plan, {.processes = 2, .faults = {.kill_shard = 0}}, &kill_report);
+    kill_results = sim::execute(
+        plan, {.workers = 1, .max_batch = 1, .processes = 2, .faults = {.kill_shard = 0}},
+        &kill_report);
   });
   const bool kill_recovered = kill_report.recovered_shards() == 1 &&
                               all_bit_identical(reference, kill_results);
@@ -126,8 +131,9 @@ int main(int argc, char** argv) {
   // must reject the stream and the shard must be re-run.
   sim::ShardReport corrupt_report;
   std::vector<sim::SessionResult> corrupt_results;
-  corrupt_results = sim::run_plan_sharded(
-      plan, {.processes = 2, .faults = {.corrupt_shard = 1}}, &corrupt_report);
+  corrupt_results = sim::execute(
+      plan, {.workers = 1, .max_batch = 1, .processes = 2, .faults = {.corrupt_shard = 1}},
+      &corrupt_report);
   const bool corrupt_recovered = corrupt_report.recovered_shards() == 1 &&
                                  all_bit_identical(reference, corrupt_results);
   std::printf("  corrupt-frame: %zu shard recovered, %s\n",

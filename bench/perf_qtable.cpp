@@ -238,12 +238,12 @@ int main(int argc, char** argv) {
   fleet.round_duration = SimTime::from_seconds(smoke ? 30.0 : 90.0);
   fleet.episode_length = SimTime::from_seconds(15.0);
   fleet.base_seed = 616;
-  const sim::RunnerOptions runner{.workers = hw};
+  const sim::ExecOptions exec{.workers = hw};
 
   const auto run_fleet = [&](bool delta_uploads, std::vector<sim::FleetServerRoundStats>& log) {
     sim::FleetServerOptions options = fleet;
     options.delta_uploads = delta_uploads;
-    sim::FleetServer server{workload::AppId::kLineage, options, runner};
+    sim::FleetServer server{workload::AppId::kLineage, options, exec};
     server.run_rounds(rounds, [&](const sim::FleetServerRoundStats& rs) { log.push_back(rs); });
     return std::pair{*server.global(), server.stats()};
   };

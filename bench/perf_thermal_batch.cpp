@@ -5,7 +5,8 @@
 // stepper (thermal/rc_batch.hpp) gains over stepping each session's
 // RcNetwork individually, and gates the whole measurement on the batch's
 // bit-identity contract (exact equality of every node temperature of every
-// session, plus engine-level run_plan_batched vs run_plan bit-identity).
+// session, plus engine-level lock-step vs per-session sim::execute()
+// bit-identity).
 // Results land in bench_out/BENCH_thermal_batch.json.
 //
 // `--smoke` shrinks the measurement so CI can run it on every PR; the
@@ -182,11 +183,11 @@ int main(int argc, char** argv) {
   // carry per-tick clock reads whose overhead differs between the two
   // paths, so they must not feed the gated number).
   std::vector<sim::SessionResult> serial_results;
-  const double plan_serial_s =
-      wall_seconds([&] { serial_results = sim::run_plan(plan, {.workers = 1}); });
+  const double plan_serial_s = wall_seconds(
+      [&] { serial_results = sim::execute(plan, {.workers = 1, .max_batch = 1}); });
   std::vector<sim::SessionResult> batched_results;
   const double plan_batched_s = wall_seconds([&] {
-    batched_results = sim::run_plan_batched(plan, {.workers = 1, .max_batch = engine_sessions});
+    batched_results = sim::execute(plan, {.workers = 1, .max_batch = engine_sessions});
   });
   bool engine_identical = serial_results.size() == batched_results.size();
   for (std::size_t i = 0; engine_identical && i < serial_results.size(); ++i) {
@@ -242,7 +243,7 @@ int main(int argc, char** argv) {
     }
   }
   sim::BatchPhaseTimings batch_phases;
-  (void)sim::run_plan_batched(
+  (void)sim::execute(
       plan, {.workers = 1, .max_batch = engine_sessions, .phase_timings = &batch_phases});
 
   struct PhaseRow {

@@ -69,8 +69,10 @@ int main(int argc, char** argv) {
 
   // --- serial baseline ---------------------------------------------------
   std::vector<sim::TrainingResult> serial_results;
-  const double serial_s =
-      wall_seconds([&] { serial_results = sim::run_training_plan(plan, {.workers = 1}); });
+  // Every timing below runs the per-cell path (max_batch = 1): this bench
+  // measures the pool, not lock-step batching.
+  const double serial_s = wall_seconds(
+      [&] { serial_results = sim::execute(plan, {.workers = 1, .max_batch = 1}); });
   const double device_sim_s = static_cast<double>(cells) * budget_s;
   std::printf("  serial: %zu cells x %.0f sim-s in %.2f s (%.0f sim-s/wall-s)\n", cells,
               budget_s, serial_s, device_sim_s / serial_s);
@@ -80,8 +82,9 @@ int main(int argc, char** argv) {
   // contract is about scheduling independence, which preemption exercises.
   const std::size_t contract_workers = std::max<std::size_t>(4, std::min<std::size_t>(cells, hw));
   std::vector<sim::TrainingResult> parallel_results;
-  double parallel_s = wall_seconds(
-      [&] { parallel_results = sim::run_training_plan(plan, {.workers = contract_workers}); });
+  double parallel_s = wall_seconds([&] {
+    parallel_results = sim::execute(plan, {.workers = contract_workers, .max_batch = 1});
+  });
   bool bit_identical = serial_results.size() == parallel_results.size();
   for (std::size_t i = 0; bit_identical && i < serial_results.size(); ++i) {
     bit_identical = training_results_identical(serial_results[i], parallel_results[i]);
@@ -99,14 +102,15 @@ int main(int argc, char** argv) {
   std::vector<ScalePoint> curve{{1, serial_s}};
   if (can_measure_speedup) {
     for (std::size_t w = 2; w < max_workers; w *= 2) {
-      const double s = wall_seconds([&] { (void)sim::run_training_plan(plan, {.workers = w}); });
+      const double s =
+          wall_seconds([&] { (void)sim::execute(plan, {.workers = w, .max_batch = 1}); });
       curve.push_back({w, s});
     }
     if (contract_workers == max_workers) {
       curve.push_back({max_workers, parallel_s});
     } else {
       const double s = wall_seconds(
-          [&] { (void)sim::run_training_plan(plan, {.workers = max_workers}); });
+          [&] { (void)sim::execute(plan, {.workers = max_workers, .max_batch = 1}); });
       curve.push_back({max_workers, s});
     }
     for (const auto& p : curve) {

@@ -83,7 +83,7 @@ int main() {
   cfg.governor = sim::GovernorKind::kNext;
   cfg.trained_table = &trained.table;
   plan.add(app, cfg);
-  const auto results = sim::run_plan(plan);
+  const auto results = sim::execute(plan);
   const sim::SessionResult& stock = results[0];
   const sim::SessionResult& next = results[1];
 

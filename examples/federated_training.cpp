@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
 
   const auto app = workload::AppId::kLineage;
   sim::FleetServerOptions fleet;
+  sim::ExecOptions exec;
   fleet.devices = 12;
   std::size_t rounds = 3;
   std::string out_path;
@@ -73,7 +74,7 @@ int main(int argc, char** argv) {
   const bool args_ok = flags_ok &&
                        (n_pos < 1 || parse_positive(positional[0], fleet.devices)) &&
                        (n_pos < 2 || parse_positive(positional[1], rounds)) &&
-                       (n_pos < 3 || parse_positive(positional[2], fleet.processes));
+                       (n_pos < 3 || parse_positive(positional[2], exec.processes));
   if (!args_ok || n_pos > 3) {
     std::fprintf(stderr,
                  "usage: %s [devices] [rounds] [processes] [--delta-uploads] [--out PATH]\n"
@@ -90,7 +91,7 @@ int main(int argc, char** argv) {
               rounds, fleet.round_duration.seconds(),
               std::string{workload::to_string(app)}.c_str());
 
-  sim::FleetServer server{app, fleet};
+  sim::FleetServer server{app, fleet, exec};
   double wall_seconds = 0.0;
   server.run_rounds(rounds, [&](const sim::FleetServerRoundStats& stats) {
     wall_seconds += stats.wall_seconds;
@@ -145,7 +146,7 @@ int main(int argc, char** argv) {
   cfg.governor = sim::GovernorKind::kNext;
   cfg.trained_table = &global;
   plan.add(app, cfg);
-  const auto results = sim::run_plan(plan);
+  const auto results = sim::execute(plan);
   const sim::SessionResult& stock = results[0];
   const sim::SessionResult& fed = results[1];
 

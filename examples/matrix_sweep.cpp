@@ -6,8 +6,8 @@
 //
 // The matrix is fixed (4 library scenarios x 3 seeds = 12 cells) so two
 // invocations differing only in --processes produce byte-for-byte identical
-// --out files - that is the bit-identity contract of run_plan_sharded(),
-// and the CI sharded-sweep smoke asserts it with a plain `cmp`:
+// --out files - that is the bit-identity contract of sim::execute(), and
+// the CI sharded-sweep smoke asserts it with a plain `cmp`:
 //
 //   example_matrix_sweep --processes 1 --out a.bin
 //   example_matrix_sweep --processes 2 --out b.bin
@@ -46,17 +46,19 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  sim::MultiprocOptions mp;
-  mp.processes = 1;
+  // One worker thread per process unless --workers says otherwise: with
+  // one process per core, per-process thread pools would only
+  // oversubscribe.
+  sim::ExecOptions exec{.workers = 1};
   std::string out_path;
   std::string governor_name = "schedutil";
   for (int i = 1; i < argc; ++i) {
     const auto flag = [&](const char* name) {
       return std::strcmp(argv[i], name) == 0 && i + 1 < argc;
     };
-    if (flag("--processes") && parse_count(argv[++i], mp.processes)) continue;
-    if (flag("--workers") && parse_count(argv[++i], mp.workers)) continue;
-    if (flag("--kill-shard") && parse_count(argv[++i], mp.faults.kill_shard)) continue;
+    if (flag("--processes") && parse_count(argv[++i], exec.processes)) continue;
+    if (flag("--workers") && parse_count(argv[++i], exec.workers)) continue;
+    if (flag("--kill-shard") && parse_count(argv[++i], exec.faults.kill_shard)) continue;
     if (flag("--governor")) {
       governor_name = argv[++i];
       continue;
@@ -87,13 +89,14 @@ int main(int argc, char** argv) {
       .seeds(3);
 
   std::printf("sweeping %zu cells under %s, processes=%zu workers=%zu%s\n",
-              matrix.size(), governor_name.c_str(), mp.processes, mp.workers,
-              mp.faults.kill_shard == sim::kNoShard
+              matrix.size(), governor_name.c_str(), exec.processes, exec.workers,
+              exec.faults.kill_shard == sim::kNoShard
                   ? ""
                   : " (injecting a worker kill)");
 
   sim::ShardReport report;
-  const std::vector<sim::SessionResult> results = matrix.run(governor, mp, &report);
+  const std::vector<sim::SessionResult> results =
+      sim::execute(matrix.to_run_plan(governor), exec, &report);
 
   std::printf("%-36s %11s %10s %8s\n", "cell", "avg_power_W", "peak_T_C", "avg_FPS");
   for (const auto& r : results) {

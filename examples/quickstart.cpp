@@ -28,7 +28,7 @@ int main() {
   sim::ExperimentConfig config = spec.experiment_config(sim::GovernorKind::kSchedutil, 42);
   sim::RunPlan baseline_plan;
   baseline_plan.add(spec.app_factory(), spec.name, config);
-  const sim::SessionResult stock = std::move(sim::run_plan(baseline_plan).front());
+  const sim::SessionResult stock = std::move(sim::execute(baseline_plan).front());
   std::printf("[schedutil] avg power %.2f W | peak big temp %.1f C | avg FPS %.1f\n",
               stock.avg_power_w, stock.peak_temp_big_c, stock.avg_fps);
 
@@ -49,7 +49,7 @@ int main() {
   config.trained_table = &trained.table;
   sim::RunPlan deploy_plan;
   deploy_plan.add(spec.app_factory(), spec.name, config);
-  const sim::SessionResult next = std::move(sim::run_plan(deploy_plan).front());
+  const sim::SessionResult next = std::move(sim::execute(deploy_plan).front());
   std::printf("\n[Next]      avg power %.2f W | peak big temp %.1f C | avg FPS %.1f\n",
               next.avg_power_w, next.peak_temp_big_c, next.avg_fps);
 

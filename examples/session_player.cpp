@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
 
   sim::RunPlan plan;
   plan.add(spec.app_factory(), spec.name, config);
-  const sim::SessionResult r = std::move(sim::run_plan(plan).front());
+  const sim::SessionResult r = std::move(sim::execute(plan).front());
 
   std::printf("workload=%s governor=%s duration=%.0fs seed=%llu ambient=%.0fC refresh=%.0fHz\n",
               r.app.c_str(), r.governor.c_str(), r.duration_s,

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   cfg.trained_table = nullptr;
   cfg.next_mode = core::AgentMode::kDeployed;
   plan.add(app, cfg);
-  const auto results = sim::run_plan(plan);
+  const auto results = sim::execute(plan);
   const sim::SessionResult& stock = results[0];
   const sim::SessionResult& warm = results[1];
   const sim::SessionResult& cold = results[2];

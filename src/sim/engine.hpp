@@ -85,8 +85,8 @@ class Engine {
   /// Batched stepping entry points. step() is exactly
   ///   step_pre_thermal(); thermal().step(config().step); step_post_thermal();
   /// and each of those composes from the finer phases below, so external
-  /// drivers (sim::BatchRunner) can interleave N engines per phase while
-  /// staying bit-identical to per-engine step():
+  /// drivers (sim::execute()'s lock-step path) can interleave N engines per
+  /// phase while staying bit-identical to per-engine step():
   ///   step_pre_thermal()  = step_pre_power(); apply_power_model();
   ///   step_post_thermal() = step_post_observe(); step_post_meta();
   ///                         step_post_finish();

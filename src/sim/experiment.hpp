@@ -136,9 +136,9 @@ struct TrainingResult {
                                            const TrainingOptions& options);
 
 // --- plumbing shared between train_next_on() and the batched trainer -------
-// (sim::BatchRunner advances many homogeneous training cells lock-step; it
-// must follow *exactly* the control flow of train_next_on, so the pieces
-// live here instead of being re-implemented.)
+// (sim::execute()'s lock-step path advances many homogeneous training cells
+// together; it must follow *exactly* the control flow of train_next_on, so
+// the pieces live here instead of being re-implemented.)
 
 /// Cadence at which training re-checks convergence; also the lock-step
 /// chunk granularity of the batched trainer.

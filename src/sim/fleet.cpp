@@ -240,6 +240,18 @@ FleetSnapshot read_fleet_state_sections(const SnapshotReader& snapshot) {
   return out;
 }
 
+bool quarantine_snapshot(const std::string& path, const std::string& reason) {
+  const std::string quarantined = path + ".corrupt";
+  if (std::rename(path.c_str(), quarantined.c_str()) == 0) {
+    NEXTGOV_LOG(kWarn) << "quarantined corrupt snapshot '" << path << "' -> '" << quarantined
+                       << "': " << reason;
+    return true;
+  }
+  NEXTGOV_LOG(kWarn) << "corrupt snapshot '" << path
+                     << "' could not be quarantined (rename failed): " << reason;
+  return false;
+}
+
 SnapshotReader read_snapshot_quarantining(const std::string& path) {
   try {
     return SnapshotReader::from_file(path);
@@ -247,14 +259,9 @@ SnapshotReader read_snapshot_quarantining(const std::string& path) {
     // A version-window refusal is a *valid* file written by a different
     // release: leave it in place so a matching build can still restore it.
     if (e.kind() == SerializeError::Kind::kVersionWindow) throw;
-    const std::string quarantined = path + ".corrupt";
-    if (std::rename(path.c_str(), quarantined.c_str()) == 0) {
-      NEXTGOV_LOG(kWarn) << "quarantined corrupt snapshot '" << path << "' -> '"
-                         << quarantined << "': " << e.what();
-      throw SerializeError(std::string{e.what()} + " (quarantined to " + quarantined + ")");
+    if (quarantine_snapshot(path, e.what())) {
+      throw SerializeError(std::string{e.what()} + " (quarantined to " + path + ".corrupt)");
     }
-    NEXTGOV_LOG(kWarn) << "corrupt snapshot '" << path
-                       << "' could not be quarantined (rename failed): " << e.what();
     throw;
   }
 }

@@ -117,12 +117,18 @@ void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapsh
 
 /// Reads and fully validates the snapshot container at `path`. On a
 /// corruption failure (SerializeError::Kind::kCorrupt: bad magic,
-/// truncation, CRC mismatch) the damaged file is renamed to
-/// `<path>.corrupt`, the rename is logged via common/log, and the error is
-/// rethrown naming the quarantine location. Version-window refusals
-/// (Kind::kVersionWindow) do NOT quarantine: the file is valid, just
-/// written by a different release.
+/// truncation, CRC mismatch) the damaged file goes through
+/// quarantine_snapshot() and the error is rethrown naming the quarantine
+/// location. Version-window refusals (Kind::kVersionWindow) do NOT
+/// quarantine: the file is valid, just written by a different release.
 [[nodiscard]] SnapshotReader read_snapshot_quarantining(const std::string& path);
+
+/// Renames the damaged snapshot at `path` to `<path>.corrupt` and logs why
+/// (`reason`), so a restart never re-reads the same damage. Returns false
+/// (also logged) when the rename itself fails. FleetServer sends here too
+/// a ring entry whose container passes its CRCs but whose state it cannot
+/// resume.
+bool quarantine_snapshot(const std::string& path, const std::string& reason);
 
 /// Copy of `table` carrying its action values and tried masks but no visit
 /// mass. Warm-starting devices from this keeps historical visit mass

@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
-#include "sim/multiproc.hpp"
 
 namespace nextgov::sim {
 
@@ -75,6 +74,36 @@ struct Event {
 bool later(const Event& a, const Event& b) {
   return std::tie(a.t_us, a.kind, a.device, a.trained_round, a.attempt) >
          std::tie(b.t_us, b.kind, b.device, b.trained_round, b.attempt);
+}
+
+// --- ring restore ----------------------------------------------------------
+
+/// Throws SerializeError unless `snap` is a state a server of `devices`
+/// devices can resume: one lease and one upload slot per device, every
+/// pending upload addressed to a real device, and no table from a round
+/// the boundary has not reached (its staleness would wrap around).
+void check_resumable(const FleetSnapshot& snap, std::size_t devices) {
+  const auto fail = [](const std::string& why) {
+    throw SerializeError("fleet snapshot does not fit the server: " + why);
+  };
+  if (snap.leases.size() != devices || snap.uploads.size() != devices) {
+    fail(std::to_string(snap.leases.size()) + " leases / " +
+         std::to_string(snap.uploads.size()) + " upload slots for " +
+         std::to_string(devices) + " devices");
+  }
+  for (const auto& upload : snap.uploads) {
+    if (upload.has_value() && upload->round >= snap.next_round) {
+      fail("an upload from round " + std::to_string(upload->round) + " at boundary " +
+           std::to_string(snap.next_round));
+    }
+  }
+  for (const PendingUpload& p : snap.pending_uploads) {
+    if (p.device >= devices) fail("a pending upload for device " + std::to_string(p.device));
+    if (p.trained_round >= snap.next_round) {
+      fail("a pending upload from round " + std::to_string(p.trained_round) + " at boundary " +
+           std::to_string(snap.next_round));
+    }
+  }
 }
 
 }  // namespace
@@ -157,10 +186,10 @@ void encode_fleet_server_options(const FleetServerOptions& o, ByteWriter& out) {
 }
 
 FleetServer::FleetServer(AppFactory app_factory, const FleetServerOptions& options,
-                         const RunnerOptions& runner)
+                         const ExecOptions& exec)
     : app_factory_{std::move(app_factory)},
       options_{options},
-      runner_{runner},
+      exec_{exec},
       leases_(options.devices),
       uploads_(options.devices) {
   require(static_cast<bool>(app_factory_), "FleetServer needs an app factory");
@@ -169,9 +198,9 @@ FleetServer::FleetServer(AppFactory app_factory, const FleetServerOptions& optio
 }
 
 FleetServer::FleetServer(workload::AppId app, const FleetServerOptions& options,
-                         const RunnerOptions& runner)
+                         const ExecOptions& exec)
     : FleetServer([app](std::uint64_t seed) { return workload::make_app(app, seed); },
-                  options, runner) {}
+                  options, exec) {}
 
 std::string FleetServer::ring_path(std::size_t slot) const {
   return options_.snapshot_prefix + "." + std::to_string(slot);
@@ -250,12 +279,21 @@ void FleetServer::restore_from_ring() {
                            "options (devices/timing/seeds/NextConfig/churn must all "
                            "match to resume bit-identically); refusing to resume");
     }
-    FleetSnapshot snap = read_fleet_state_sections(*reader);
-    if (!best.has_value() || snap.next_round > best->next_round) best = std::move(snap);
+    std::optional<FleetSnapshot> snap;
+    try {
+      snap = read_fleet_state_sections(*reader);
+      check_resumable(*snap, options_.devices);
+    } catch (const SerializeError& e) {
+      // The container passed its CRCs but its state does not decode, or
+      // does not fit this server: as unusable as a CRC failure, and
+      // quarantined the same way.
+      (void)quarantine_snapshot(path, e.what());
+      ++stats_.snapshots_quarantined;
+      continue;
+    }
+    if (!best.has_value() || snap->next_round > best->next_round) best = std::move(snap);
   }
   if (!best.has_value()) return;  // cold start at round 0
-  NEXTGOV_ASSERT(best->leases.size() == options_.devices);
-  NEXTGOV_ASSERT(best->uploads.size() == options_.devices);
   round_ = best->next_round;
   clock_us_ = best->server_clock_us;
   leases_ = std::move(best->leases);
@@ -340,10 +378,9 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   rs.training_devices = trainees.size();
 
   // 3. Train every leased, non-departing device for round_duration of
-  //    simulated time - one homogeneous batched plan across the shared
-  //    worker pool, warm-started from the global aggregate (visit mass
-  //    stripped so historical experience is counted once, via the
-  //    aggregate, not once per device).
+  //    simulated time - one homogeneous plan through execute(), warm-started
+  //    from the global aggregate (visit mass stripped so historical
+  //    experience is counted once, via the aggregate, not once per device).
   std::optional<rl::QTable> warm;
   if (last_aggregate_.has_value()) warm = strip_visit_mass(*last_aggregate_);
   TrainingPlan plan;
@@ -356,16 +393,10 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
     cell.initial_table = warm.has_value() ? &*warm : nullptr;
     plan.add(app_factory_, "device_" + std::to_string(d), options_.next_config, cell);
   }
-  // With processes > 1 the plan fans out across forked worker processes
-  // (sim/multiproc.hpp) - merged bit-identically, so snapshots and goldens
+  // exec_ may fan the plan out across threads, lock-step batches or forked
+  // worker processes - bit-identical either way, so snapshots and goldens
   // are oblivious to the choice.
-  const std::vector<TrainingResult> results =
-      plan.empty() ? std::vector<TrainingResult>{}
-      : options_.processes > 1
-          ? run_training_plan_sharded(plan, {.processes = options_.processes,
-                                             .workers = runner_.workers,
-                                             .batched = true})
-          : run_training_plan_batched(plan, {.workers = runner_.workers});
+  const std::vector<TrainingResult> results = execute(plan, exec_);
   double reward_sum = 0.0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     reward_sum += results[i].final_mean_reward;

@@ -27,9 +27,9 @@
 //     the staleness weighting simply ages its last accepted upload - the
 //     merge math already absorbs the gap;
 //   * training - every leased, non-departing device trains for
-//     round_duration of simulated device time (one batched plan through
-//     the SoA runner, warm-started from the current global aggregate with
-//     visit mass stripped - see strip_visit_mass);
+//     round_duration of simulated device time (one plan through execute(),
+//     warm-started from the current global aggregate with visit mass
+//     stripped - see strip_visit_mass);
 //   * uploads - each trained table travels as CRC-guarded snapshot bytes
 //     (encode_upload / decode_upload in sim/fleet.hpp). A failed attempt
 //     (seeded draw; damage is a byte flip or truncation, always caught by
@@ -49,8 +49,9 @@
 //     uploads + clock + counters) to
 //     `<snapshot_prefix>.<round mod snapshot_ring>`, keeping the last K
 //     boundaries. Startup scans the ring, quarantines entries that fail
-//     CRC (renamed to `<path>.corrupt` via read_snapshot_quarantining) and
-//     restores from the newest valid one, so a kill -9 at any point loses
+//     CRC or do not decode into a state this server can resume (renamed
+//     to `<path>.corrupt` via quarantine_snapshot) and restores from the
+//     newest valid one, so a kill -9 at any point loses
 //     at most the round in progress - and replaying that round from the
 //     boundary is bit-identical to never having died. Crash/resume is
 //     therefore nothing more than destroying the server and constructing
@@ -134,13 +135,6 @@ struct FleetServerOptions {
   /// `<snapshot_prefix>.<round mod K>`. 0 = no persistence.
   std::size_t snapshot_ring{0};
   std::string snapshot_prefix{};
-  /// Worker *processes* each round's training fans out across (via
-  /// sim/multiproc.hpp; <= 1 = in-process). Pure execution strategy - the
-  /// round's merged tables are bit-identical either way (pinned by
-  /// tests/sim/fleet_server_test.cpp), so this is deliberately excluded
-  /// from encode_fleet_server_options: a snapshot written single-process
-  /// resumes sharded and vice versa.
-  std::size_t processes{1};
   /// Upload wire strategy: when true, a device uploading the round it just
   /// trained encodes a QTableDelta against the round's warm-start table
   /// (strip_visit_mass of the global aggregate - the base the server still
@@ -149,7 +143,7 @@ struct FleetServerOptions {
   /// they arrive). The decoded table is bit-identical to the sender's on
   /// either path, so the trajectory and every golden are unchanged - only
   /// the byte counters differ. Pure wire strategy, deliberately excluded
-  /// from encode_fleet_server_options like `processes`.
+  /// from encode_fleet_server_options.
   bool delta_uploads{false};
 };
 
@@ -240,10 +234,16 @@ struct FleetServerStats {
 /// resumes from the last ring boundary bit-identically.
 class FleetServer {
  public:
+  /// `exec` is how each round's training plan runs (threads, batch width,
+  /// worker processes). Pure execution strategy - the round's merged
+  /// tables are bit-identical under any value (pinned by
+  /// tests/sim/fleet_server_test.cpp), so it is not part of the options
+  /// identity a ring entry pins: a ring written in-process resumes sharded
+  /// and vice versa.
   FleetServer(AppFactory app_factory, const FleetServerOptions& options,
-              const RunnerOptions& runner = {});
+              const ExecOptions& exec = {});
   FleetServer(workload::AppId app, const FleetServerOptions& options,
-              const RunnerOptions& runner = {});
+              const ExecOptions& exec = {});
 
   /// Executes one full round (train, event loop to the deadline, merge,
   /// ring snapshot) and advances the simulated clock to the next boundary.
@@ -275,7 +275,7 @@ class FleetServer {
 
   AppFactory app_factory_;
   FleetServerOptions options_;
-  RunnerOptions runner_;
+  ExecOptions exec_;
 
   std::size_t round_{0};
   std::int64_t clock_us_{0};

@@ -228,22 +228,10 @@ template <typename Result>
 std::vector<Result> run_sharded(
     std::size_t n, const std::function<std::vector<Result>(std::size_t, std::size_t)>& run_range,
     void (*encode)(const Result&, ByteWriter&), Result (*decode)(ByteReader&),
-    const MultiprocOptions& options, ShardReport* report) {
+    const ExecOptions& options, ShardReport* report) {
   if (report != nullptr) *report = ShardReport{};
-  if (n == 0) return {};
-
   const std::size_t processes = resolve_workers(options.processes, n);
-  if (processes <= 1) {
-    // In-process path: no forks, no pipes - the gate every sharded run is
-    // compared against.
-    std::vector<Result> results = run_range(0, n);
-    if (report != nullptr) {
-      report->processes = 0;
-      report->shards.push_back(ShardOutcome{0, 0, n, false, {}});
-    }
-    return results;
-  }
-
+  NEXTGOV_ASSERT(processes > 1);  // execute() runs everything else in-process
   const std::vector<Shard> shards = make_shards(n, processes);
 
   // Fork every worker up front; they all run concurrently while the parent
@@ -310,7 +298,7 @@ std::vector<Result> run_sharded(
     }
     // --- parent -----------------------------------------------------------
     ::close(fds[1]);  // the worker's death must read as EOF
-    workers[s] = Worker{pid, fds[0]};
+    workers[s] = Worker{pid, fds[0], {}};
   }
 
   // Merge in shard (= plan) order, re-running any shard whose stream or
@@ -422,12 +410,18 @@ std::vector<Result> run_sharded(
   return results;
 }
 
+/// The in-process options every shard runs under: the caller's threads
+/// and batch width, no further forking.
+ExecOptions shard_options(const ExecOptions& options) {
+  return {.workers = options.workers, .max_batch = options.max_batch};
+}
+
 }  // namespace
 
-// --- public entry points ---------------------------------------------------
+namespace detail {
 
-std::vector<SessionResult> run_plan_sharded(const RunPlan& plan, const MultiprocOptions& options,
-                                            ShardReport* report) {
+std::vector<SessionResult> execute_sharded(const RunPlan& plan, const ExecOptions& options,
+                                           ShardReport* report) {
   const auto run_range = [&plan, &options](std::size_t first,
                                            std::size_t count) -> std::vector<SessionResult> {
     RunPlan slice;
@@ -435,16 +429,14 @@ std::vector<SessionResult> run_plan_sharded(const RunPlan& plan, const Multiproc
       const SessionSpec& spec = plan.sessions()[i];
       slice.add(spec.app_factory, spec.name, spec.config);
     }
-    return options.batched ? run_plan_batched(slice, {.workers = options.workers})
-                           : run_plan(slice, {.workers = options.workers});
+    return execute(slice, shard_options(options));
   };
   return run_sharded<SessionResult>(plan.size(), run_range, serialize_session_result,
                                     deserialize_session_result, options, report);
 }
 
-std::vector<TrainingResult> run_training_plan_sharded(const TrainingPlan& plan,
-                                                      const MultiprocOptions& options,
-                                                      ShardReport* report) {
+std::vector<TrainingResult> execute_sharded(const TrainingPlan& plan, const ExecOptions& options,
+                                            ShardReport* report) {
   const auto run_range = [&plan, &options](std::size_t first,
                                            std::size_t count) -> std::vector<TrainingResult> {
     TrainingPlan slice;
@@ -452,11 +444,11 @@ std::vector<TrainingResult> run_training_plan_sharded(const TrainingPlan& plan,
       const TrainingSpec& spec = plan.cells()[i];
       slice.add(spec.app_factory, spec.name, spec.config, spec.options);
     }
-    return options.batched ? run_training_plan_batched(slice, {.workers = options.workers})
-                           : run_training_plan(slice, {.workers = options.workers});
+    return execute(slice, shard_options(options));
   };
   return run_sharded<TrainingResult>(plan.size(), run_range, serialize_training_result,
                                      deserialize_training_result, options, report);
 }
 
+}  // namespace detail
 }  // namespace nextgov::sim

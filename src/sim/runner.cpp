@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "core/next_agent.hpp"
+#include "sim/multiproc.hpp"
 #include "soc/power_batch.hpp"
 #include "thermal/rc_batch.hpp"
 
@@ -33,7 +34,7 @@ void run_indexed_tasks(std::size_t n, std::size_t workers,
   require(static_cast<bool>(task), "run_indexed_tasks needs a task");
 
   std::vector<std::exception_ptr> errors(n);
-  const auto execute = [&](std::size_t i) {
+  const auto run_one = [&](std::size_t i) {
     try {
       task(i);
     } catch (...) {
@@ -42,7 +43,7 @@ void run_indexed_tasks(std::size_t n, std::size_t workers,
   };
 
   if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) execute(i);
+    for (std::size_t i = 0; i < n; ++i) run_one(i);
   } else {
     std::atomic<std::size_t> next{0};
     std::vector<std::thread> pool;
@@ -51,7 +52,7 @@ void run_indexed_tasks(std::size_t n, std::size_t workers,
       pool.emplace_back([&] {
         for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
              i = next.fetch_add(1, std::memory_order_relaxed)) {
-          execute(i);
+          run_one(i);
         }
       });
     }
@@ -72,7 +73,7 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) noexcept {
   return z ^ (z >> 31);
 }
 
-// --- evaluation sweeps -----------------------------------------------------
+// --- plans -----------------------------------------------------------------
 
 void RunPlan::add(workload::AppId app, const ExperimentConfig& config) {
   add([app](std::uint64_t seed) { return workload::make_app(app, seed); },
@@ -99,18 +100,6 @@ void RunPlan::add_grid(std::span<const workload::AppId> apps,
   }
 }
 
-std::vector<SessionResult> run_plan(const RunPlan& plan, const RunnerOptions& options) {
-  std::vector<SessionResult> results(plan.size());
-  run_indexed_tasks(plan.size(), resolve_workers(options.workers, plan.size()),
-                    [&](std::size_t i) {
-                      const SessionSpec& spec = plan.sessions()[i];
-                      results[i] = run_session(spec.app_factory, spec.name, spec.config);
-                    });
-  return results;
-}
-
-// --- training sweeps -------------------------------------------------------
-
 void TrainingPlan::add(workload::AppId app, const core::NextConfig& config,
                        const TrainingOptions& options) {
   add([app](std::uint64_t seed) { return workload::make_app(app, seed); },
@@ -133,23 +122,7 @@ void TrainingPlan::add_seed_sweep(workload::AppId app, const core::NextConfig& c
   }
 }
 
-std::vector<TrainingResult> run_training_plan(const TrainingPlan& plan,
-                                              const RunnerOptions& options) {
-  // TrainingResult carries a QTable (no default state), so cells land in
-  // optional slots and are moved out once the pool has drained.
-  std::vector<std::optional<TrainingResult>> slots(plan.size());
-  run_indexed_tasks(plan.size(), resolve_workers(options.workers, plan.size()),
-                    [&](std::size_t i) {
-                      const TrainingSpec& cell = plan.cells()[i];
-                      slots[i] = train_next_on(cell.app_factory, cell.config, cell.options);
-                    });
-  std::vector<TrainingResult> results;
-  results.reserve(plan.size());
-  for (auto& slot : slots) results.push_back(std::move(*slot));
-  return results;
-}
-
-// --- batched (structure-of-arrays) lock-step execution ---------------------
+// --- execution ---------------------------------------------------------------
 
 namespace {
 
@@ -178,8 +151,8 @@ std::vector<std::vector<std::size_t>> make_batches(
   for (const auto& group : groups) {
     std::size_t size;
     if (max_batch > 0) {
-      // Explicit width: honored as given (BatchOptions doc), independent
-      // of the worker count.
+      // Explicit width: honored as given (ExecOptions doc), independent
+      // of the worker count; 1 is the per-session reference path.
       size = std::min(max_batch, group.size());
     } else {
       const std::size_t share = (group.size() + workers - 1) / workers;
@@ -421,16 +394,16 @@ void run_training_batch(const TrainingPlan& plan, const std::vector<std::size_t>
                         std::vector<std::optional<TrainingResult>>& slots,
                         BatchPhaseTimings* timings) {
   const std::size_t n = indices.size();
-  if (n < 2) {
-    // Singleton batches (early-stopping cells, degenerate shares) go
-    // straight to the per-cell path - no point building an engine here
-    // only to rebuild it inside train_next_on.
+  const auto per_cell = [&] {
     for (const std::size_t idx : indices) {
       const TrainingSpec& cell = plan.cells()[idx];
       slots[idx] = train_next_on(cell.app_factory, cell.config, cell.options);
     }
-    return;
-  }
+  };
+  // Singleton batches (max_batch = 1, early-stopping cells, degenerate
+  // shares) go straight to the per-cell path - no point building an engine
+  // here only to rebuild it inside train_next_on.
+  if (n < 2) return per_cell();
   const auto wall_start = std::chrono::steady_clock::now();
   std::vector<std::unique_ptr<Engine>> engines;
   std::vector<core::NextAgent*> agents(n);
@@ -442,15 +415,9 @@ void run_training_batch(const TrainingPlan& plan, const std::vector<std::size_t>
     NEXTGOV_ASSERT(agents[i] != nullptr);
   }
   auto resident = make_resident(engines);
-  if (resident == nullptr) {
-    // Ground-truth homogeneity failed (an engine with a foreign topology,
-    // step or SoC): rare, and the per-cell path is the correct fallback.
-    for (const std::size_t idx : indices) {
-      const TrainingSpec& cell = plan.cells()[idx];
-      slots[idx] = train_next_on(cell.app_factory, cell.config, cell.options);
-    }
-    return;
-  }
+  // Ground-truth homogeneity failed (an engine with a foreign topology,
+  // step or SoC): rare, and the per-cell path is the correct fallback.
+  if (resident == nullptr) return per_cell();
   BatchPhaseTimings local;
 
   const TrainingOptions& options = plan.cells()[indices.front()].options;
@@ -484,7 +451,7 @@ void run_training_batch(const TrainingPlan& plan, const std::vector<std::size_t>
 
   // The batch's wall time covers all n interleaved cells; attribute an
   // even share to each so per-cell wall_seconds stays comparable to
-  // run_training_plan's per-cell measurement (consumers sum or rate it).
+  // the per-cell path's measurement (consumers sum or rate it).
   const double wall_per_cell =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count() /
       static_cast<double>(n);
@@ -512,57 +479,74 @@ std::vector<std::vector<std::size_t>> group_indices(std::size_t n, const KeyFn& 
   return groups;
 }
 
+/// Validates `options` and returns true when the plan forks (the caller
+/// hands it to detail::execute_sharded); otherwise fills `report` with the
+/// accounting of an in-process run: one shard, nothing forked.
+bool forks(const ExecOptions& options, std::size_t cells, ShardReport* report) {
+  require(options.phase_timings == nullptr || options.processes == 1,
+          "ExecOptions: phase_timings requires processes = 1 (a forked worker cannot write "
+          "the parent's sink)");
+  if (resolve_workers(options.processes, cells) > 1) return true;
+  if (report != nullptr) {
+    *report = ShardReport{};
+    if (cells > 0) report->shards.push_back(ShardOutcome{0, 0, cells, false, {}});
+  }
+  return false;
+}
+
+/// The in-process body both plan kinds share: group the cells by `key_of`
+/// (lock-step compatibility), split the groups into batches and run each
+/// batch through `run_batch` on the pool.
+template <typename Key, typename KeyFn, typename BatchFn>
+void run_batches(std::size_t cells, const ExecOptions& options, const KeyFn& key_of,
+                 const BatchFn& run_batch) {
+  const auto batches = make_batches(group_indices<Key>(cells, key_of),
+                                    resolve_workers(options.workers, cells), options.max_batch);
+  run_indexed_tasks(batches.size(), resolve_workers(options.workers, batches.size()),
+                    [&](std::size_t b) { run_batch(batches[b]); });
+}
+
 }  // namespace
 
-std::vector<SessionResult> BatchRunner::run(const RunPlan& plan) const {
+std::vector<SessionResult> execute(const RunPlan& plan, const ExecOptions& options,
+                                   ShardReport* report) {
+  if (forks(options, plan.size(), report)) return detail::execute_sharded(plan, options, report);
   std::vector<SessionResult> results(plan.size());
-  if (plan.empty()) return results;
-
   // Lock-step needs every session of a batch to run the same tick count.
-  const auto groups = group_indices<std::int64_t>(
-      plan.size(), [&](std::size_t i) { return plan.sessions()[i].config.duration.us(); });
-  const std::size_t workers = resolve_workers(options_.workers, plan.size());
-  const auto batches = make_batches(groups, workers, options_.max_batch);
-  run_indexed_tasks(
-      batches.size(), resolve_workers(options_.workers, batches.size()),
-      [&](std::size_t b) { run_session_batch(plan, batches[b], results, options_.phase_timings); });
+  run_batches<std::int64_t>(
+      plan.size(), options,
+      [&](std::size_t i) { return plan.sessions()[i].config.duration.us(); },
+      [&](const std::vector<std::size_t>& batch) {
+        run_session_batch(plan, batch, results, options.phase_timings);
+      });
   return results;
 }
 
-std::vector<TrainingResult> BatchRunner::run(const TrainingPlan& plan) const {
+std::vector<TrainingResult> execute(const TrainingPlan& plan, const ExecOptions& options,
+                                    ShardReport* report) {
+  if (forks(options, plan.size(), report)) return detail::execute_sharded(plan, options, report);
+  // TrainingResult carries a QTable (no default state), so cells land in
+  // optional slots and are moved out once the pool has drained.
   std::vector<std::optional<TrainingResult>> slots(plan.size());
-  if (!plan.empty()) {
-    // Early-stopping cells have data-dependent control flow, so they can't
-    // share a lock-step clock; a negative key gives each its own singleton
-    // group (distinct keys), which run_training_batch routes to the
-    // per-cell path.
-    std::int64_t next_singleton = -1;
-    const auto groups = group_indices<std::pair<std::int64_t, std::int64_t>>(
-        plan.size(), [&](std::size_t i) {
-          const TrainingOptions& o = plan.cells()[i].options;
-          if (o.stop_at_convergence) return std::pair{std::int64_t{-1}, next_singleton--};
-          return std::pair{o.max_duration.us(), o.episode_length.us()};
-        });
-    const std::size_t workers = resolve_workers(options_.workers, plan.size());
-    const auto batches = make_batches(groups, workers, options_.max_batch);
-    run_indexed_tasks(batches.size(), resolve_workers(options_.workers, batches.size()),
-                      [&](std::size_t b) {
-                        run_training_batch(plan, batches[b], slots, options_.phase_timings);
-                      });
-  }
+  // Early-stopping cells have data-dependent control flow, so they can't
+  // share a lock-step clock; a negative key gives each its own singleton
+  // group (distinct keys), which run_training_batch routes to the per-cell
+  // path.
+  std::int64_t next_singleton = -1;
+  run_batches<std::pair<std::int64_t, std::int64_t>>(
+      plan.size(), options,
+      [&](std::size_t i) {
+        const TrainingOptions& o = plan.cells()[i].options;
+        if (o.stop_at_convergence) return std::pair{std::int64_t{-1}, next_singleton--};
+        return std::pair{o.max_duration.us(), o.episode_length.us()};
+      },
+      [&](const std::vector<std::size_t>& batch) {
+        run_training_batch(plan, batch, slots, options.phase_timings);
+      });
   std::vector<TrainingResult> results;
   results.reserve(plan.size());
   for (auto& slot : slots) results.push_back(std::move(*slot));
   return results;
-}
-
-std::vector<SessionResult> run_plan_batched(const RunPlan& plan, const BatchOptions& options) {
-  return BatchRunner{options}.run(plan);
-}
-
-std::vector<TrainingResult> run_training_plan_batched(const TrainingPlan& plan,
-                                                      const BatchOptions& options) {
-  return BatchRunner{options}.run(plan);
 }
 
 }  // namespace nextgov::sim

@@ -402,21 +402,6 @@ std::size_t ScenarioMatrix::append_to(TrainingPlan& plan, const core::NextConfig
   return append_cells(plan, expand(), config, base);
 }
 
-std::vector<SessionResult> ScenarioMatrix::run(GovernorKind governor,
-                                               const MultiprocOptions& options,
-                                               ShardReport* report) const {
-  return run_plan_sharded(to_run_plan(governor), options, report);
-}
-
-std::vector<TrainingResult> ScenarioMatrix::train(const core::NextConfig& config,
-                                                  const TrainingOptions& base,
-                                                  const MultiprocOptions& options,
-                                                  ShardReport* report) const {
-  TrainingPlan plan;
-  append_to(plan, config, base);
-  return run_training_plan_sharded(plan, options, report);
-}
-
 std::size_t append_cells(RunPlan& plan, std::span<const ScenarioCell> cells,
                          GovernorKind governor) {
   for (const auto& cell : cells) {

@@ -11,8 +11,9 @@
 //
 // ScenarioMatrix cross-products scenarios with ambient / refresh / seed
 // axes and expands directly into the existing RunPlan / TrainingPlan, so a
-// whole matrix sweeps across the runner's worker pool bit-identically to
-// serial execution (each cell is a pure function of its resolved spec).
+// whole matrix runs through execute(matrix.to_run_plan(governor), ...)
+// bit-identically to serial execution (each cell is a pure function of its
+// resolved spec).
 //
 // A curated library of named scenarios (scenario_names() / scenario())
 // is the single source of truth for every bench and test session setup;
@@ -25,7 +26,6 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/multiproc.hpp"
 #include "sim/runner.hpp"
 #include "workload/background.hpp"
 #include "workload/session.hpp"
@@ -162,21 +162,6 @@ class ScenarioMatrix {
   /// substituted. Returns the number of cells appended.
   std::size_t append_to(TrainingPlan& plan, const core::NextConfig& config,
                         const TrainingOptions& base) const;
-
-  /// Runs the whole matrix under `governor`, optionally sharded across
-  /// worker processes (sim/multiproc.hpp) - results land in cell order,
-  /// bit-identical to to_run_plan() + run_plan() whatever `options` says.
-  /// `report` (optional) receives the shard bookkeeping.
-  [[nodiscard]] std::vector<SessionResult> run(GovernorKind governor,
-                                               const MultiprocOptions& options = {},
-                                               ShardReport* report = nullptr) const;
-
-  /// Training counterpart: one trained cell per expanded cell, sharded the
-  /// same way.
-  [[nodiscard]] std::vector<TrainingResult> train(const core::NextConfig& config,
-                                                  const TrainingOptions& base,
-                                                  const MultiprocOptions& options = {},
-                                                  ShardReport* report = nullptr) const;
 
  private:
   std::vector<ScenarioSpec> scenarios_;

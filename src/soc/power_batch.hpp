@@ -2,9 +2,9 @@
 // same-SoC sessions.
 //
 // The engine evaluates the power model for three clusters every 1 ms step,
-// and a batch-resident group (sim::BatchRunner) advances N sessions through
-// that step lock-step. Per session the OPP-dependent parts are already
-// dense per-OPP coefficient tables (Cluster::dyn_power_table /
+// and a batch-resident group (sim::execute()'s lock-step path) advances N
+// sessions through that step lock-step. Per session the OPP-dependent parts
+// are already dense per-OPP coefficient tables (Cluster::dyn_power_table /
 // leak_power_table), so the whole group's power evaluation is one
 // [cluster][session] table sweep - the SysScale shape: a multi-domain
 // power model as a dense table walk. PowerBatch holds the group's inputs

@@ -34,7 +34,8 @@ struct ClusterLoad {
 /// Cluster's current-OPP coefficients) and the batched path
 /// (PowerBatch::evaluate's [cluster][session] sweep) inline this exact
 /// function, so the two can never drift in floating-point shape - the
-/// engine-level bit-identity contract of sim::BatchRunner rests on it.
+/// engine-level bit-identity contract of sim::execute()'s lock-step path
+/// rests on it.
 [[nodiscard]] inline double cluster_power_from_coeffs(double dyn_coeff_w, double leak_coeff_w,
                                                       double leak_temp_beta, double busy_avg,
                                                       double temp_c) noexcept {

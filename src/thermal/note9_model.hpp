@@ -13,8 +13,8 @@
 // is built exactly once per process: note9_topology() returns the shared
 // ref-counted RcTopology and every engine's RcNetwork is a per-session
 // state view over it. That shared pointer is also the homogeneity key the
-// batched stepping path (thermal/rc_batch.hpp, sim::BatchRunner) groups
-// sessions by.
+// batched stepping path (thermal/rc_batch.hpp, sim::execute()'s lock-step
+// path) groups sessions by.
 #pragma once
 
 #include <memory>

@@ -234,7 +234,7 @@ TEST(FleetFaults, CorruptedUploadsAreRejectedNotAbsorbed) {
     cell.seed = 4242;
     cell.initial_table = warm;
     plan.add(workload::AppId::kFacebook, core::NextConfig{}, cell);
-    return run_training_plan(plan).front().table;
+    return execute(plan).front().table;
   };
   const rl::QTable cold = train(nullptr);
   const rl::QTable base = strip_visit_mass(cold);

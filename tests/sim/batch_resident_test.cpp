@@ -1,5 +1,5 @@
 // Tests for the batch-resident stepping pipeline: bit-identity of
-// run_plan_batched() against per-session execution across the whole
+// execute()'s lock-step path against per-session execution across the whole
 // scenario library and mixed-governor groups, the padded-lane contract
 // (unused SoA tail lanes never go NaN/Inf or perturb live sessions), and
 // the Engine phase-split equivalence the pipeline is built on.
@@ -52,13 +52,12 @@ TEST(BatchResident, AllLibraryScenariosBitIdenticalToSerial) {
   }
   ASSERT_GE(plan.size(), 12u);
 
-  const auto serial = run_plan(plan, {.workers = 1});
-  const auto batched =
-      run_plan_batched(plan, {.workers = 1, .max_batch = plan.size()});
+  const auto serial = execute(plan, {.workers = 1, .max_batch = 1});
+  const auto batched = execute(plan, {.workers = 1, .max_batch = plan.size()});
   expect_all_bit_identical(serial, batched);
 
   // Worker count must not matter either (scheduling invariance).
-  const auto batched_mt = run_plan_batched(plan, {.workers = 3, .max_batch = 4});
+  const auto batched_mt = execute(plan, {.workers = 3, .max_batch = 4});
   expect_all_bit_identical(serial, batched_mt);
 }
 
@@ -83,9 +82,8 @@ TEST(BatchResident, MixedAgentModesShareOneGroup) {
            spec.experiment_config(GovernorKind::kPerformance));
   plan.add(spec.app_factory(), "intqos", spec.experiment_config(GovernorKind::kIntQos));
 
-  const auto serial = run_plan(plan, {.workers = 1});
-  const auto batched =
-      run_plan_batched(plan, {.workers = 1, .max_batch = plan.size()});
+  const auto serial = execute(plan, {.workers = 1, .max_batch = 1});
+  const auto batched = execute(plan, {.workers = 1, .max_batch = plan.size()});
   expect_all_bit_identical(serial, batched);
 }
 

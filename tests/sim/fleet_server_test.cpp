@@ -254,6 +254,91 @@ TEST(FleetServerRing, CorruptNewestEntryIsQuarantinedAndOlderOneRestores) {
   EXPECT_EQ(canonical_bytes(*resumed.global()), want);
 }
 
+/// Writes `snap` as a ring entry of a server under `options`: a valid
+/// container (SnapshotWriter computes every section CRC), whatever state
+/// it holds.
+void write_ring_entry(const std::string& path, const FleetServerOptions& options,
+                      const FleetSnapshot& snap) {
+  SnapshotWriter out;
+  encode_fleet_server_options(options, out.section("fleet_server_options"));
+  write_fleet_state_sections(out, snap);
+  out.write_file(path);
+}
+
+TEST(FleetServerRing, UndecodableSlotIsQuarantinedAndOlderOneRestores) {
+  // Ring entries whose CRCs all pass but whose state cannot be resumed -
+  // sections that do not decode, a lease/upload count that is not the
+  // server's device count, a pending upload addressed past the last
+  // device, an upload from a round the boundary has not reached - are as
+  // unusable as CRC damage: quarantined to .corrupt, never thrown out of,
+  // aborting or corrupting the constructor. Each claims a newer boundary
+  // than the one valid entry, which must still restore.
+  const std::string prefix = ring_prefix("undecodable");
+  FleetServerOptions options = small_server();
+  options.snapshot_ring = 5;
+  options.snapshot_prefix = prefix;
+
+  FleetServerOptions straight_options = options;
+  straight_options.snapshot_prefix = ring_prefix("undecodable_ref");
+  FleetServer straight{workload::AppId::kFacebook, straight_options, {.workers = 2}};
+  straight.run_rounds(3);
+  ASSERT_NE(straight.global(), nullptr);
+
+  {
+    FleetServer server{workload::AppId::kFacebook, options, {.workers = 2}};
+    server.run_rounds(1);
+  }  // destroyed without drain(): the round-1 boundary sits in slot 1
+  const FleetSnapshot good =
+      read_fleet_state_sections(SnapshotReader::from_file(prefix + ".1"));
+  ASSERT_EQ(good.next_round, 1u);
+  ASSERT_TRUE(good.uploads[0].has_value());
+
+  const std::string undecodable = prefix + ".2";
+  {
+    SnapshotWriter out;
+    encode_fleet_server_options(options, out.section("fleet_server_options"));
+    out.section("fleet_state").u64(4);  // a round cursor, then nothing
+    out.section("server_state").u32(0xFFFFFFFFu);
+    out.write_file(undecodable);
+  }
+  const std::string extra_lease = prefix + ".3";
+  {
+    FleetSnapshot snap = good;
+    snap.next_round = 3;
+    snap.leases.push_back(DeviceLease{});
+    write_ring_entry(extra_lease, options, snap);
+  }
+  const std::string stray_pending = prefix + ".4";
+  {
+    FleetSnapshot snap = good;
+    snap.next_round = 2;
+    snap.pending_uploads.push_back(
+        PendingUpload{options.devices + 5, 0, 0, 0, good.uploads[0]->table});
+    write_ring_entry(stray_pending, options, snap);
+  }
+  const std::string future_upload = prefix + ".0";
+  {
+    FleetSnapshot snap = good;
+    snap.next_round = 2;
+    snap.uploads[1]->round = 7;
+    write_ring_entry(future_upload, options, snap);
+  }
+
+  FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 2}};
+  EXPECT_TRUE(resumed.restored());
+  EXPECT_EQ(resumed.round(), 1u);
+  EXPECT_EQ(resumed.stats().snapshots_quarantined, 4u);
+  for (const std::string& bad : {undecodable, extra_lease, stray_pending, future_upload}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(std::filesystem::exists(bad));
+    EXPECT_TRUE(std::filesystem::exists(bad + ".corrupt"));
+  }
+  EXPECT_TRUE(std::filesystem::exists(prefix + ".1"));
+  resumed.run_rounds(2);
+  ASSERT_NE(resumed.global(), nullptr);
+  EXPECT_EQ(canonical_bytes(*resumed.global()), canonical_bytes(*straight.global()));
+}
+
 TEST(FleetServerRing, DifferentOptionsRefuseToResume) {
   const std::string prefix = ring_prefix("mismatch");
   FleetServerOptions options = small_server();
@@ -372,9 +457,7 @@ TEST(FleetServer, ShardedTrainingBitIdentical) {
   FleetServer in_process{workload::AppId::kFacebook, options, {.workers = 2}};
   in_process.run_rounds(2);
 
-  FleetServerOptions sharded_options = options;
-  sharded_options.processes = 2;
-  FleetServer sharded{workload::AppId::kFacebook, sharded_options, {.workers = 1}};
+  FleetServer sharded{workload::AppId::kFacebook, options, {.workers = 1, .processes = 2}};
   sharded.run_rounds(2);
 
   ASSERT_NE(in_process.global(), nullptr);
@@ -456,8 +539,8 @@ TEST(FleetServerRing, WireCountersSurviveRestore) {
 }
 
 TEST(FleetServer, DeltaUploadsKnobExcludedFromOptionsIdentity) {
-  // Same contract as `processes`: wire encoding is execution strategy, so
-  // a snapshot written with full uploads must resume with deltas enabled.
+  // Wire encoding is execution strategy, so a snapshot written with full
+  // uploads must resume with deltas enabled.
   FleetServerOptions a = small_server();
   FleetServerOptions b = a;
   b.delta_uploads = true;
@@ -469,16 +552,28 @@ TEST(FleetServer, DeltaUploadsKnobExcludedFromOptionsIdentity) {
 }
 
 TEST(FleetServer, ProcessesKnobExcludedFromOptionsIdentity) {
-  // A snapshot written single-process must resume sharded: the knob is
-  // execution strategy, not trajectory.
-  FleetServerOptions a = small_server();
-  FleetServerOptions b = a;
-  b.processes = 4;
-  ByteWriter wa;
-  ByteWriter wb;
-  encode_fleet_server_options(a, wa);
-  encode_fleet_server_options(b, wb);
-  EXPECT_EQ(wa.data(), wb.data());
+  // Execution strategy lives in the constructor's ExecOptions, outside the
+  // FleetServerOptions a ring entry pins: a ring written by a sharded
+  // server restores under an in-process one and the other way round, and
+  // both land on the same bytes.
+  FleetServerOptions options = small_server();
+  options.snapshot_ring = 2;
+  options.snapshot_prefix = ring_prefix("exec_identity");
+  {
+    FleetServer sharded{workload::AppId::kFacebook, options, {.workers = 1, .processes = 2}};
+    sharded.run_rounds(1);
+  }  // destroyed without drain(): kill -9
+  FleetServer in_process{workload::AppId::kFacebook, options, {.workers = 2, .max_batch = 1}};
+  ASSERT_TRUE(in_process.restored());
+  EXPECT_EQ(in_process.round(), 1u);
+  in_process.run_rounds(1);
+  FleetServer sharded_again{workload::AppId::kFacebook, options,
+                            {.workers = 1, .processes = 3}};
+  ASSERT_TRUE(sharded_again.restored());
+  EXPECT_EQ(sharded_again.round(), 2u);
+  ASSERT_NE(in_process.global(), nullptr);
+  ASSERT_NE(sharded_again.global(), nullptr);
+  EXPECT_EQ(canonical_bytes(*sharded_again.global()), canonical_bytes(*in_process.global()));
 }
 
 }  // namespace

@@ -64,7 +64,7 @@ TEST(Fleet, CalmServerIsSynchronousFedAvg) {
     cell.ambient = options.ambient;
     plan.add(workload::AppId::kFacebook, options.next_config, cell);
   }
-  const std::vector<TrainingResult> devices = run_training_plan(plan, {.workers = 2});
+  const std::vector<TrainingResult> devices = execute(plan, {.workers = 2, .max_batch = 1});
   std::vector<const rl::QTable*> tables;
   for (const TrainingResult& r : devices) tables.push_back(&r.table);
   EXPECT_EQ(canonical_bytes(*server.global()), canonical_bytes(rl::merge_q_tables(tables)));
@@ -113,8 +113,8 @@ TEST(Fleet, DeterministicAcrossProcessCounts) {
   ASSERT_NE(in_process.global(), nullptr);
   for (const std::size_t processes : {std::size_t{2}, std::size_t{3}}) {
     SCOPED_TRACE(processes);
-    options.processes = processes;
-    FleetServer sharded{workload::AppId::kFacebook, options, {.workers = 1}};
+    FleetServer sharded{workload::AppId::kFacebook, options,
+                        {.workers = 1, .processes = processes}};
     std::vector<double> sharded_rewards;
     sharded.run_rounds(2, [&](const FleetServerRoundStats& rs) {
       sharded_rewards.push_back(rs.mean_reward);
@@ -285,8 +285,7 @@ TEST(Fleet, DeltaUploadsAreByteIdenticalToFull) {
     EXPECT_LT(rounds[2].upload_bytes, full_rounds[2].upload_bytes);
   }
 
-  options.processes = 2;
-  FleetServer sharded{workload::AppId::kFacebook, options, {.workers = 1}};
+  FleetServer sharded{workload::AppId::kFacebook, options, {.workers = 1, .processes = 2}};
   sharded.run_rounds(3);
   ASSERT_NE(sharded.global(), nullptr);
   EXPECT_EQ(canonical_bytes(*full.global()), canonical_bytes(*sharded.global()));
@@ -341,18 +340,12 @@ TEST(Fleet, DeltaUploadsKnobExcludedFromOptionsIdentity) {
 }
 
 TEST(Fleet, ProcessesKnobExcludedFromOptionsIdentity) {
-  // A ring written single-process must resume sharded: the knob is
-  // execution strategy, not trajectory. Pinned on the encoding and end to
-  // end, by killing an in-process server and resuming it on two processes.
+  // A ring written single-process must resume sharded: the process count
+  // is execution strategy, not trajectory, so it lives in the
+  // constructor's ExecOptions rather than in the FleetServerOptions a ring
+  // entry pins. Pinned end to end by killing an in-process server and
+  // resuming it on two processes.
   FleetServerOptions options = calm_fleet();
-  FleetServerOptions sharded_options = options;
-  sharded_options.processes = 2;
-  ByteWriter wa;
-  ByteWriter wb;
-  encode_fleet_server_options(options, wa);
-  encode_fleet_server_options(sharded_options, wb);
-  EXPECT_EQ(wa.data(), wb.data());
-
   FleetServer straight{workload::AppId::kFacebook, options, {.workers = 1}};
   straight.run_rounds(3);
   ASSERT_NE(straight.global(), nullptr);
@@ -363,8 +356,7 @@ TEST(Fleet, ProcessesKnobExcludedFromOptionsIdentity) {
     FleetServer doomed{workload::AppId::kFacebook, options, {.workers = 1}};
     doomed.run_rounds(2);
   }  // destroyed without drain(): kill -9
-  options.processes = 2;
-  FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 1}};
+  FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 1, .processes = 2}};
   ASSERT_TRUE(resumed.restored());
   EXPECT_EQ(resumed.round(), 2u);
   resumed.run_rounds(1);

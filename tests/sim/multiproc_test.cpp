@@ -1,7 +1,9 @@
-// Tests for multi-process sharded sweeps (sim/multiproc.hpp): the
+// Tests for execute()'s multi-process path (sim/multiproc.hpp): the
 // bit-identity contract across process counts, the degrade-never-wedge
 // recovery path (killed and frame-corrupting workers), the in-process
-// passthrough, and the wire codec's bit-exact round trip.
+// passthrough, and the wire codec's bit-exact round trip. Unless a test
+// says otherwise, shards run the per-session path (max_batch = 1) on one
+// thread each, and the reference is serial per-session execution.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -26,6 +28,14 @@ ScenarioMatrix short_matrix() {
   }
   matrix.seeds(3);
   return matrix;
+}
+
+/// The serial per-session reference path.
+constexpr ExecOptions kSerial{.workers = 1, .max_batch = 1};
+
+/// Per-session shards, one thread each, across `processes` workers.
+ExecOptions in_processes(std::size_t processes, MultiprocFaultPlan faults = {}) {
+  return {.workers = 1, .max_batch = 1, .processes = processes, .faults = faults};
 }
 
 void expect_all_bit_identical(const std::vector<SessionResult>& expected,
@@ -58,13 +68,12 @@ void expect_training_identical(const TrainingResult& a, const TrainingResult& b)
 TEST(Multiproc, MatrixBitIdenticalAcrossProcessCounts) {
   const RunPlan plan = short_matrix().to_run_plan(GovernorKind::kSchedutil);
   ASSERT_GE(plan.size(), 12u);
-  const std::vector<SessionResult> reference = run_plan(plan, {.workers = 1});
+  const std::vector<SessionResult> reference = execute(plan, kSerial);
 
   for (const std::size_t processes : {std::size_t{2}, std::size_t{4}}) {
     SCOPED_TRACE(processes);
     ShardReport report;
-    const std::vector<SessionResult> sharded =
-        run_plan_sharded(plan, {.processes = processes}, &report);
+    const std::vector<SessionResult> sharded = execute(plan, in_processes(processes), &report);
     expect_all_bit_identical(reference, sharded);
     EXPECT_EQ(report.processes, processes);
     EXPECT_EQ(report.shards.size(), processes);
@@ -85,20 +94,20 @@ TEST(Multiproc, MatrixBitIdenticalAcrossProcessCounts) {
 TEST(Multiproc, ScenarioMatrixRunConvenience) {
   const ScenarioMatrix matrix = short_matrix();
   const std::vector<SessionResult> direct =
-      run_plan(matrix.to_run_plan(GovernorKind::kSchedutil), {.workers = 1});
+      execute(matrix.to_run_plan(GovernorKind::kSchedutil), kSerial);
   ShardReport report;
   const std::vector<SessionResult> swept =
-      matrix.run(GovernorKind::kSchedutil, {.processes = 2}, &report);
+      execute(matrix.to_run_plan(GovernorKind::kSchedutil), in_processes(2), &report);
   expect_all_bit_identical(direct, swept);
   EXPECT_EQ(report.processes, 2u);
 }
 
 TEST(Multiproc, SingleProcessPassthroughForksNothing) {
   const RunPlan plan = short_matrix().to_run_plan(GovernorKind::kSchedutil);
-  const std::vector<SessionResult> reference = run_plan(plan, {.workers = 1});
+  const std::vector<SessionResult> reference = execute(plan, kSerial);
   ShardReport report;
   const std::vector<SessionResult> results =
-      run_plan_sharded(plan, {.processes = 1}, &report);
+      execute(plan, in_processes(1), &report);
   expect_all_bit_identical(reference, results);
   EXPECT_EQ(report.processes, 0u);  // nothing forked
   EXPECT_EQ(report.frames, 0u);     // nothing crossed a pipe
@@ -106,9 +115,9 @@ TEST(Multiproc, SingleProcessPassthroughForksNothing) {
 
 TEST(Multiproc, EmptyPlanYieldsEmptyResults) {
   ShardReport report;
-  EXPECT_TRUE(run_plan_sharded(RunPlan{}, {.processes = 4}, &report).empty());
+  EXPECT_TRUE(execute(RunPlan{}, in_processes(4), &report).empty());
   EXPECT_EQ(report.processes, 0u);
-  EXPECT_TRUE(run_training_plan_sharded(TrainingPlan{}, {.processes = 4}).empty());
+  EXPECT_TRUE(execute(TrainingPlan{}, in_processes(4)).empty());
 }
 
 TEST(Multiproc, MoreProcessesThanCellsClampsToCells) {
@@ -117,10 +126,10 @@ TEST(Multiproc, MoreProcessesThanCellsClampsToCells) {
   ScenarioMatrix matrix;
   matrix.add(std::move(spec)).seeds(2);  // 2 cells
   const RunPlan plan = matrix.to_run_plan(GovernorKind::kSchedutil);
-  const std::vector<SessionResult> reference = run_plan(plan, {.workers = 1});
+  const std::vector<SessionResult> reference = execute(plan, kSerial);
   ShardReport report;
   const std::vector<SessionResult> results =
-      run_plan_sharded(plan, {.processes = 8}, &report);
+      execute(plan, in_processes(8), &report);
   expect_all_bit_identical(reference, results);
   EXPECT_LE(report.processes, plan.size());
   EXPECT_GE(report.processes, 2u);
@@ -128,10 +137,10 @@ TEST(Multiproc, MoreProcessesThanCellsClampsToCells) {
 
 TEST(Multiproc, KilledWorkerShardIsRerunBitIdentically) {
   const RunPlan plan = short_matrix().to_run_plan(GovernorKind::kSchedutil);
-  const std::vector<SessionResult> reference = run_plan(plan, {.workers = 1});
+  const std::vector<SessionResult> reference = execute(plan, kSerial);
   ShardReport report;
-  const std::vector<SessionResult> results = run_plan_sharded(
-      plan, {.processes = 2, .faults = {.kill_shard = 0}}, &report);
+  const std::vector<SessionResult> results =
+      execute(plan, in_processes(2, {.kill_shard = 0}), &report);
   expect_all_bit_identical(reference, results);
   ASSERT_EQ(report.shards.size(), 2u);
   EXPECT_EQ(report.recovered_shards(), 1u);
@@ -144,11 +153,10 @@ TEST(Multiproc, KilledWorkerBeforeDoneFrameIsDetected) {
   // The kill lands after every result frame but before the done frame - a
   // clean-looking stream that is nonetheless incomplete must be rejected.
   const RunPlan plan = short_matrix().to_run_plan(GovernorKind::kSchedutil);
-  const std::vector<SessionResult> reference = run_plan(plan, {.workers = 1});
+  const std::vector<SessionResult> reference = execute(plan, kSerial);
   ShardReport report;
-  const std::vector<SessionResult> results = run_plan_sharded(
-      plan, {.processes = 2, .faults = {.kill_shard = 1, .kill_after_frames = 1000}},
-      &report);
+  const std::vector<SessionResult> results =
+      execute(plan, in_processes(2, {.kill_shard = 1, .kill_after_frames = 1000}), &report);
   expect_all_bit_identical(reference, results);
   EXPECT_EQ(report.recovered_shards(), 1u);
   EXPECT_TRUE(report.shards[1].recovered);
@@ -156,10 +164,10 @@ TEST(Multiproc, KilledWorkerBeforeDoneFrameIsDetected) {
 
 TEST(Multiproc, CorruptFrameShardIsRerunBitIdentically) {
   const RunPlan plan = short_matrix().to_run_plan(GovernorKind::kSchedutil);
-  const std::vector<SessionResult> reference = run_plan(plan, {.workers = 1});
+  const std::vector<SessionResult> reference = execute(plan, kSerial);
   ShardReport report;
-  const std::vector<SessionResult> results = run_plan_sharded(
-      plan, {.processes = 2, .faults = {.corrupt_shard = 1}}, &report);
+  const std::vector<SessionResult> results =
+      execute(plan, in_processes(2, {.corrupt_shard = 1}), &report);
   expect_all_bit_identical(reference, results);
   ASSERT_EQ(report.shards.size(), 2u);
   EXPECT_EQ(report.recovered_shards(), 1u);
@@ -169,11 +177,13 @@ TEST(Multiproc, CorruptFrameShardIsRerunBitIdentically) {
 }
 
 TEST(Multiproc, BatchedShardsBitIdentical) {
+  // Shards on execute()'s default (auto-sized lock-step) path and with an
+  // explicit batch width.
   const RunPlan plan = short_matrix().to_run_plan(GovernorKind::kSchedutil);
-  const std::vector<SessionResult> reference = run_plan(plan, {.workers = 1});
-  const std::vector<SessionResult> results =
-      run_plan_sharded(plan, {.processes = 2, .batched = true});
-  expect_all_bit_identical(reference, results);
+  const std::vector<SessionResult> reference = execute(plan, kSerial);
+  expect_all_bit_identical(reference, execute(plan, {.workers = 1, .processes = 2}));
+  expect_all_bit_identical(reference,
+                           execute(plan, {.workers = 1, .max_batch = 6, .processes = 2}));
 }
 
 TEST(Multiproc, TrainingPlanShardedBitIdentical) {
@@ -185,10 +195,9 @@ TEST(Multiproc, TrainingPlanShardedBitIdentical) {
     opts.seed = 100 + s;
     plan.add(workload::AppId::kFacebook, core::NextConfig{}, opts);
   }
-  const std::vector<TrainingResult> reference = run_training_plan(plan, {.workers = 1});
+  const std::vector<TrainingResult> reference = execute(plan, kSerial);
   ShardReport report;
-  const std::vector<TrainingResult> sharded =
-      run_training_plan_sharded(plan, {.processes = 2}, &report);
+  const std::vector<TrainingResult> sharded = execute(plan, in_processes(2), &report);
   ASSERT_EQ(reference.size(), sharded.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     SCOPED_TRACE(i);
@@ -207,10 +216,10 @@ TEST(Multiproc, TrainingShardRecoversFromKilledWorker) {
     opts.seed = 100 + s;
     plan.add(workload::AppId::kFacebook, core::NextConfig{}, opts);
   }
-  const std::vector<TrainingResult> reference = run_training_plan(plan, {.workers = 1});
+  const std::vector<TrainingResult> reference = execute(plan, kSerial);
   ShardReport report;
-  const std::vector<TrainingResult> sharded = run_training_plan_sharded(
-      plan, {.processes = 2, .faults = {.kill_shard = 0}}, &report);
+  const std::vector<TrainingResult> sharded =
+      execute(plan, in_processes(2, {.kill_shard = 0}), &report);
   ASSERT_EQ(reference.size(), sharded.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     SCOPED_TRACE(i);
@@ -263,7 +272,7 @@ TEST(Multiproc, TrainingResultCodecRoundTripsBitExactly) {
   opts.max_duration = SimTime::from_seconds(20.0);
   opts.seed = 7;
   plan.add(workload::AppId::kFacebook, core::NextConfig{}, opts);
-  const TrainingResult r = std::move(run_training_plan(plan, {.workers = 1}).front());
+  const TrainingResult r = std::move(execute(plan, kSerial).front());
 
   ByteWriter out;
   serialize_training_result(r, out);

@@ -1,6 +1,6 @@
 // Property tests for the scenario subsystem (sim/scenario.hpp): matrix
 // expansion is deterministic and seed-stable, matrix execution through
-// run_plan() is bit-identical across worker counts, and the library obeys
+// execute() is bit-identical across worker counts, and the library obeys
 // the physical invariants the paper's operating envelope implies - higher
 // ambient never lowers peak temperature, and FPS never exceeds the panel's
 // refresh rate.
@@ -124,15 +124,15 @@ TEST(ScenarioMatrixTest, ExpansionIsDeterministicAndSeedStable) {
 }
 
 TEST(ScenarioMatrixTest, RunPlanBitIdenticalAcrossWorkerCounts) {
-  // The acceptance property: a >= 12-cell matrix through run_plan() is
+  // The acceptance property: a >= 12-cell matrix through execute() is
   // bit-identical between serial execution and the worker pool (and
   // between different pool sizes).
   const ScenarioMatrix matrix = small_matrix();
   const RunPlan plan = matrix.to_run_plan(GovernorKind::kSchedutil);
   ASSERT_GE(plan.size(), 12u);
-  const auto serial = run_plan(plan, {.workers = 1});
-  const auto pooled4 = run_plan(plan, {.workers = 4});
-  const auto pooled3 = run_plan(plan, {.workers = 3});
+  const auto serial = execute(plan, {.workers = 1, .max_batch = 1});
+  const auto pooled4 = execute(plan, {.workers = 4, .max_batch = 1});
+  const auto pooled3 = execute(plan, {.workers = 3, .max_batch = 1});
   ASSERT_EQ(serial.size(), pooled4.size());
   ASSERT_EQ(serial.size(), pooled3.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -171,7 +171,7 @@ TEST(ScenarioPropertyTest, HigherAmbientNeverLowersPeakTemperature) {
   spec.duration = SimTime::from_seconds(60.0);
   ScenarioMatrix matrix;
   matrix.add(std::move(spec)).ambients({15.0, 21.0, 25.0, 30.0, 35.0});
-  const auto results = run_plan(matrix.to_run_plan(GovernorKind::kSchedutil));
+  const auto results = execute(matrix.to_run_plan(GovernorKind::kSchedutil));
   ASSERT_EQ(results.size(), 5u);
   for (std::size_t i = 1; i < results.size(); ++i) {
     EXPECT_GE(results[i].peak_temp_big_c, results[i - 1].peak_temp_big_c)
@@ -196,7 +196,7 @@ TEST(ScenarioPropertyTest, FpsNeverExceedsRefreshAcrossLibrary) {
   const auto cells = matrix.expand();
   RunPlan plan;
   append_cells(plan, cells, GovernorKind::kSchedutil);
-  const auto results = run_plan(plan);
+  const auto results = execute(plan);
   ASSERT_EQ(results.size(), cells.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     const double refresh = cells[i].spec.refresh_hz;

@@ -1,4 +1,4 @@
-// Tests for the parallel training runner: plan construction, the
+// Tests for training plans through sim::execute(): plan construction, the
 // determinism contract (N-worker training is bit-identical to serial in
 // plan order, wall_seconds excepted), warm starts and failure propagation.
 #include <gtest/gtest.h>
@@ -78,8 +78,8 @@ TEST(TrainingRunner, ParallelIsBitIdenticalToSerial) {
   plan.add(workload::AppId::kFacebook, core::NextConfig{}, short_training(6));
   plan.add(workload::AppId::kLineage, core::NextConfig{}, short_training(7));
   plan.add(workload::AppId::kLineage, core::NextConfig{}, short_training(8));
-  const auto serial = run_training_plan(plan, {.workers = 1});
-  const auto parallel = run_training_plan(plan, {.workers = 4});
+  const auto serial = execute(plan, {.workers = 1, .max_batch = 1});
+  const auto parallel = execute(plan, {.workers = 4, .max_batch = 1});
   ASSERT_EQ(serial.size(), plan.size());
   ASSERT_EQ(parallel.size(), plan.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -91,14 +91,14 @@ TEST(TrainingRunner, ParallelIsBitIdenticalToSerial) {
 TEST(TrainingRunner, WarmStartResumesFromTable) {
   TrainingPlan cold_plan;
   cold_plan.add(workload::AppId::kFacebook, core::NextConfig{}, short_training(11, 60.0));
-  const TrainingResult cold = std::move(run_training_plan(cold_plan).front());
+  const TrainingResult cold = std::move(execute(cold_plan).front());
   ASSERT_GT(cold.table.state_count(), 0u);
 
   TrainingOptions warm_opts = short_training(12, 30.0);
   warm_opts.initial_table = &cold.table;
   TrainingPlan warm_plan;
   warm_plan.add(workload::AppId::kFacebook, core::NextConfig{}, warm_opts);
-  const TrainingResult warm = std::move(run_training_plan(warm_plan).front());
+  const TrainingResult warm = std::move(execute(warm_plan).front());
 
   // The warm-started agent keeps the cold run's coverage (and adds to it).
   EXPECT_GE(warm.table.state_count(), cold.table.state_count());
@@ -106,7 +106,7 @@ TEST(TrainingRunner, WarmStartResumesFromTable) {
 }
 
 TEST(TrainingRunner, EmptyPlanReturnsEmpty) {
-  EXPECT_TRUE(run_training_plan(TrainingPlan{}).empty());
+  EXPECT_TRUE(execute(TrainingPlan{}, {.max_batch = 1}).empty());
 }
 
 TEST(TrainingRunner, PropagatesTrainingFailure) {
@@ -115,7 +115,7 @@ TEST(TrainingRunner, PropagatesTrainingFailure) {
   plan.add([](std::uint64_t) -> std::unique_ptr<workload::App> {
     throw ConfigError("boom");
   }, "broken", core::NextConfig{}, short_training(2, 5.0));
-  EXPECT_THROW((void)run_training_plan(plan, {.workers = 2}), ConfigError);
+  EXPECT_THROW((void)execute(plan, {.workers = 2, .max_batch = 1}), ConfigError);
 }
 
 }  // namespace
