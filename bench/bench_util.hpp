@@ -20,7 +20,7 @@
 
 namespace nextgov::bench {
 
-/// Wall time of one call, for the perf benches' speedup measurements.
+/// Wall time of one call, for scenario_matrix's speedup measurement.
 inline double wall_seconds(const std::function<void()>& fn) {
   const auto t0 = std::chrono::steady_clock::now();
   fn();
@@ -28,25 +28,8 @@ inline double wall_seconds(const std::function<void()>& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/// Bit-identity over everything the training determinism contract covers:
-/// the learned table (entries, visit counts, tried masks) and every
-/// derived field except wall_seconds (host time by definition). Kept next
-/// to the SessionResult comparator use sites so the perf benches and any
-/// future bench check the *same* contract.
-inline bool training_results_identical(const sim::TrainingResult& a,
-                                       const sim::TrainingResult& b) {
-  if (a.converged != b.converged || a.sim_seconds != b.sim_seconds ||
-      a.decisions != b.decisions || a.final_mean_reward != b.final_mean_reward ||
-      a.states_visited != b.states_visited) {
-    return false;
-  }
-  // QTable::operator== is exact (IEEE bit patterns, visit counts, tried
-  // masks), which is precisely the contract this helper existed to check.
-  return a.table == b.table;
-}
-
-/// Serial-vs-pool measurement of one RunPlan, shared by the perf benches:
-/// workers clamped to min(plan size, hardware threads) for timing, the
+/// Serial-vs-pool measurement of one RunPlan (scenario_matrix): workers
+/// clamped to min(plan size, hardware threads) for timing, the
 /// single-core "skipped" annotation, and the bit-identity gate always
 /// exercised under real concurrency (>= 4 threads) even on one-core hosts
 /// because the determinism contract is about scheduling, not cores.

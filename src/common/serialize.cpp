@@ -108,6 +108,15 @@ void ByteReader::skip(std::size_t n) {
   pos_ += n;
 }
 
+std::size_t ByteReader::bounded_count(std::uint64_t count, std::size_t item_bytes,
+                                      std::string_view what) const {
+  if (count > remaining() / item_bytes) {
+    fail(std::string(what) + " " + std::to_string(count) + " exceeds what the remaining " +
+         std::to_string(remaining()) + " bytes can hold");
+  }
+  return static_cast<std::size_t>(count);
+}
+
 std::uint8_t ByteReader::u8() {
   need(1);
   return data_[pos_++];
@@ -218,15 +227,10 @@ SnapshotReader::SnapshotReader(std::vector<std::uint8_t> bytes, std::string labe
                          SerializeError::Kind::kVersionWindow);
   }
   // Every section header takes at least 16 bytes (name length, payload
-  // length, CRC), so a count the remaining bytes cannot hold is damage -
-  // and must be refused before it sizes an allocation.
-  const std::uint32_t count = in.u32();
-  if (count > in.remaining() / 16) {
-    in.fail("section count " + std::to_string(count) + " exceeds what the remaining " +
-            std::to_string(in.remaining()) + " bytes can hold");
-  }
+  // length, CRC).
+  const std::size_t count = in.bounded_count(in.u32(), 16, "section count");
   sections_.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     Section s;
     s.name = in.str();
     const std::uint64_t size = in.u64();

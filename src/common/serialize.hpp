@@ -101,6 +101,15 @@ class ByteReader {
   /// Skips `n` payload bytes (bounds-checked like every read).
   void skip(std::size_t n);
 
+  /// Checks a count read from the payload against the bytes left: each of
+  /// its items takes at least `item_bytes`, so a count the remaining bytes
+  /// cannot hold is damage. Throws SerializeError("<context>: <what> <count>
+  /// exceeds what the remaining <n> bytes can hold"), otherwise returns the
+  /// count. Every count that sizes an allocation goes through here first,
+  /// which keeps a decoder's allocations O(input) whatever its header says.
+  [[nodiscard]] std::size_t bounded_count(std::uint64_t count, std::size_t item_bytes,
+                                          std::string_view what) const;
+
   [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
   [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }

@@ -182,12 +182,6 @@ void QTable::install_entry(StateKey s, std::uint64_t visits, std::uint32_t tried
   for (std::size_t a = 0; a < actions_; ++a) q_[slot * actions_ + a] = q[a];
 }
 
-std::size_t QTable::memory_bytes() const noexcept {
-  return sizeof(QTable) +
-         capacity_ * (sizeof(StateKey) + sizeof(std::uint8_t) + sizeof(std::uint64_t) +
-                      sizeof(std::uint32_t) + actions_ * sizeof(float));
-}
-
 void QTable::clear() {
   std::fill(used_.begin(), used_.end(), std::uint8_t{0});
   std::fill(visits_.begin(), visits_.end(), std::uint64_t{0});
@@ -251,16 +245,13 @@ QTable QTable::deserialize(ByteReader& in) {
   }
   const double default_q = in.f64();
   const std::uint64_t total_visits = in.u64();
-  const std::uint64_t states = in.u64();
+  // A state is its key, visit count, tried mask and one f32 per action.
+  const std::size_t states =
+      in.bounded_count(in.u64(), 20 + 4 * actions, "corrupt Q-table header: state count");
   QTable t{static_cast<std::size_t>(actions), default_q};
   t.total_visits_ = total_visits;
-  // Cap the pre-size: `states` is untrusted header data, and a corrupt
-  // count must surface as a truncation SerializeError below, not as a
-  // giant allocation here.
-  if (states > 0) {
-    t.reserve_states(static_cast<std::size_t>(std::min<std::uint64_t>(states, 1u << 20)));
-  }
-  for (std::uint64_t i = 0; i < states; ++i) {
+  if (states > 0) t.reserve_states(states);
+  for (std::size_t i = 0; i < states; ++i) {
     const StateKey key = in.u64();
     if (t.contains(key)) in.fail("corrupt Q-table payload: duplicate state key");
     const std::size_t slot = t.insert_slot(key);

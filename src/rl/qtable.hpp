@@ -101,12 +101,6 @@ class QTable {
   void install_entry(StateKey s, std::uint64_t visits, std::uint32_t tried,
                      std::span<const float> q);
 
-  /// Resident footprint of the table in bytes (object header + all slot
-  /// arrays, occupied or not). This is the number the fleet memory budget
-  /// tracks per device; serialized snapshots are sparser (occupied states
-  /// only, see serialize()).
-  [[nodiscard]] std::size_t memory_bytes() const noexcept;
-
   void clear();
 
   /// Exact-state equality: action count, default_q, every entry's visit
@@ -198,7 +192,8 @@ class QTable {
   /// scans (max_q/best_action), the learning update, merge, serialize -
   /// reads one state's whole action row, so keeping the row contiguous
   /// makes each of those a single cache line instead of `actions_` strided
-  /// misses (measured in bench/perf_qtable.cpp).
+  /// misses (perfbench times these reads end to end: lookups in
+  /// phone_deploy, updates in train_eval_sweep).
   std::vector<float> q_;
   std::vector<std::uint64_t> visits_;
   std::vector<std::uint32_t> tried_;

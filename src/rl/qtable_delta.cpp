@@ -44,12 +44,12 @@ QTableDelta QTableDelta::deserialize(ByteReader& in) {
   d.default_q = in.f64();
   d.base_states = in.u64();
   d.base_total_visits = in.u64();
-  const std::uint64_t count = in.u64();
-  // Changes are a subset of the sender's states; cap the pre-size like
-  // QTable::deserialize so a corrupt count surfaces as truncation below.
-  d.changes.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(count, 1u << 20)));
+  // A change is its key, visit delta, tried mask and one f32 per action.
+  const std::size_t count = in.bounded_count(in.u64(), 20 + 4 * d.action_count,
+                                             "corrupt Q-table delta header: change count");
+  d.changes.reserve(count);
   StateKey prev = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     Change c;
     c.key = in.u64();
     if (i > 0 && c.key <= prev) {
@@ -251,15 +251,19 @@ QTable deserialize_quantized(ByteReader& in) {
   }
   const double default_q = in.f64();
   const std::uint64_t total_visits = in.u64();
-  const std::uint64_t states = in.u64();
+  // A state is its key, visit count and tried mask (20 bytes) plus its
+  // row: 4 bytes per action in f32, 2 in f16, and in q8 the lo/hi pair
+  // (8 bytes) and 1 byte per action.
+  const std::size_t row_bytes = quant == WireQuant::kF32   ? 4 * actions
+                                : quant == WireQuant::kF16 ? 2 * actions
+                                                           : 8 + actions;
+  const std::size_t states = in.bounded_count(in.u64(), 20 + row_bytes,
+                                              "corrupt quantized Q-table header: state count");
   QTable t{static_cast<std::size_t>(actions), default_q};
-  // Pre-size like QTable::deserialize (same untrusted-header cap) so the
-  // fill never rehashes mid-stream.
-  if (states > 0) {
-    t.reserve_states(static_cast<std::size_t>(std::min<std::uint64_t>(states, 1u << 20)));
-  }
+  // Pre-size so the fill never rehashes mid-stream.
+  if (states > 0) t.reserve_states(states);
   std::vector<float> row(static_cast<std::size_t>(actions));
-  for (std::uint64_t i = 0; i < states; ++i) {
+  for (std::size_t i = 0; i < states; ++i) {
     const StateKey key = in.u64();
     if (t.contains(key)) in.fail("corrupt quantized Q-table payload: duplicate state key");
     const std::uint64_t visits = in.u64();

@@ -89,8 +89,8 @@ using AppFactory = std::function<std::unique_ptr<workload::App>(std::uint64_t se
 /// True when two results are bit-identical in every summary field and the
 /// whole recorded series (Sample is all-double, so memcmp equality is
 /// exactly bitwise equality per sample). This is the comparator behind the
-/// runner's determinism contract; perf_throughput, scenario_matrix and the
-/// scenario property tests all check the *same* predicate.
+/// runner's determinism contract; the Execute/Runner tests, scenario_matrix
+/// and the scenario property tests all check the *same* predicate.
 [[nodiscard]] bool bit_identical(const SessionResult& a, const SessionResult& b) noexcept;
 
 // --- training (Section IV-B/C) -------------------------------------------

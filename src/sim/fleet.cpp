@@ -173,14 +173,12 @@ FleetSnapshot read_fleet_state_sections(const SnapshotReader& snapshot) {
   out.total_decisions = in.u64();
   out.last_round_mean_reward = in.f64();
   in.skip(16);  // retired shard-tier counters
-  // Every slot takes at least 10 bytes (two flags and a round), so the
-  // count is bounded by the payload before anything is allocated for it.
-  const std::uint32_t slots = in.u32();
-  if (slots == 0 || slots > in.remaining() / 10) {
-    in.fail("corrupt fleet snapshot: implausible device count " + std::to_string(slots));
-  }
+  // Every slot takes at least 10 bytes (two flags and a round).
+  const std::size_t slots =
+      in.bounded_count(in.u32(), 10, "corrupt fleet snapshot: device count");
+  if (slots == 0) in.fail("corrupt fleet snapshot: no devices");
   out.uploads.reserve(slots);
-  for (std::uint32_t d = 0; d < slots; ++d) {
+  for (std::size_t d = 0; d < slots; ++d) {
     if (in.boolean()) in.fail("holds a shard table; shard-tier checkpoints are not supported");
     if (in.boolean()) {
       const std::size_t upload_round = static_cast<std::size_t>(in.u64());
@@ -195,24 +193,21 @@ FleetSnapshot read_fleet_state_sections(const SnapshotReader& snapshot) {
 
   ByteReader server = snapshot.section(kServerSection);
   out.server_clock_us = server.i64();
-  const std::uint32_t leases = server.u32();
-  if (leases > server.remaining() / 9) {
-    server.fail("corrupt fleet snapshot: implausible lease count " + std::to_string(leases));
-  }
+  // A lease is an active flag and a rejoin round (9 bytes).
+  const std::size_t leases =
+      server.bounded_count(server.u32(), 9, "corrupt fleet snapshot: lease count");
   out.leases.reserve(leases);
-  for (std::uint32_t d = 0; d < leases; ++d) {
+  for (std::size_t d = 0; d < leases; ++d) {
     DeviceLease lease;
     lease.active = server.boolean();
     lease.rejoin_round = static_cast<std::size_t>(server.u64());
     out.leases.push_back(lease);
   }
-  const std::uint32_t pending = server.u32();
-  if (pending > server.remaining() / 28) {
-    server.fail("corrupt fleet snapshot: implausible pending-upload count " +
-                std::to_string(pending));
-  }
+  // A pending upload holds at least its 28-byte header.
+  const std::size_t pending =
+      server.bounded_count(server.u32(), 28, "corrupt fleet snapshot: pending-upload count");
   out.pending_uploads.reserve(pending);
-  for (std::uint32_t i = 0; i < pending; ++i) {
+  for (std::size_t i = 0; i < pending; ++i) {
     const std::size_t device = static_cast<std::size_t>(server.u64());
     const std::size_t trained_round = static_cast<std::size_t>(server.u64());
     const std::int64_t arrival_us = server.i64();

@@ -61,8 +61,8 @@
 //
 // examples/fleet_serverd.cpp wraps this in a daemon with SIGINT/SIGTERM
 // drain and examples/federated_training.cpp runs a calm fleet end to end;
-// bench/perf_fleet_server.cpp measures round latency and degradation under
-// churn (BENCH_fleet_server.json).
+// perfbench's fleet_churn workload measures round latency, ring-entry cost
+// and upload losses under churn.
 #pragma once
 
 #include <cstdint>

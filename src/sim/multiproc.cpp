@@ -72,10 +72,10 @@ SessionResult deserialize_session_result(ByteReader& in) {
   r.frames_presented = in.i64();
   r.frames_dropped = in.i64();
   r.avg_ppdw = in.f64();
-  const std::uint64_t samples = in.u64();
-  if (samples > in.remaining() / 8) in.fail("sample count exceeds the payload");
-  r.series.reserve(static_cast<std::size_t>(samples));
-  for (std::uint64_t i = 0; i < samples; ++i) {
+  // A sample is 16 f64 (128 bytes).
+  const std::size_t samples = in.bounded_count(in.u64(), 128, "sample count");
+  r.series.reserve(samples);
+  for (std::size_t i = 0; i < samples; ++i) {
     Sample s;
     s.time_s = in.f64();
     s.fps = in.f64();

@@ -10,7 +10,7 @@
 // common/serialize's ByteWriter. The parent merges frames into plan order,
 // so the merged vector is *bit-identical* to the in-process path - the
 // runner's determinism contract, asserted by tests/sim/multiproc_test.cpp
-// and the perf_multiproc bench gate.
+// and the example_matrix_sweep cmp smokes.
 //
 // Failure model: degrade, never wedge. A worker that dies (EOF before its
 // done frame, SIGKILL mid-stream), corrupts a frame (CRC mismatch, framing

@@ -131,9 +131,9 @@ namespace {
 /// would trade the SoA win for memory pressure.
 constexpr std::size_t kDefaultMaxBatch = 32;
 
-/// Below this SoA width lock-step batching is pointless: perf_thermal_batch
-/// measures parity (within noise) at 4 sessions and real gains from ~8-16
-/// up, so auto-sizing keeps shares of >= 4 (wash or better, and wider on
+/// Below this SoA width lock-step batching is pointless: the batched engine
+/// step measured parity (within noise) at 4 sessions and real gains from
+/// ~8-16 up, so auto-sizing keeps shares of >= 4 (wash or better, and wider on
 /// bigger plans) and degenerates narrower shares to singleton batches -
 /// the per-session path, with the plan still fanned across the pool. An
 /// explicit max_batch is a request for lock-step batching and is honored

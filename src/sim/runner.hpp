@@ -124,9 +124,9 @@ class TrainingPlan {
 
 /// Wall-clock accumulated per phase of the batch-resident lock-step loop,
 /// in seconds, summed over all lock-step batches of a run (batches that
-/// fall back to per-session stepping contribute nothing). The
-/// perf_thermal_batch bench compares these against the same phases timed
-/// around serial stepping to attribute the batch-vs-serial ratio.
+/// fall back to per-session stepping contribute nothing). perfbench's
+/// traced train_eval_sweep and fleet_churn runs report them as per-layer
+/// shares of the batched engine step.
 struct BatchPhaseTimings {
   double pre_s{0.0};      ///< app/render/load pre-phases
   double power_s{0.0};    ///< PowerBatch input push + [cluster][session] sweep
@@ -140,9 +140,9 @@ struct BatchPhaseTimings {
 /// MultiprocFaultPlan shard index meaning "no shard".
 inline constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 
-/// Deterministic worker-failure injection for processes > 1 (tests, the
-/// recovery smoke and the perf_multiproc recovery gate). Defaults inject
-/// nothing.
+/// Deterministic worker-failure injection for processes > 1 (the Multiproc
+/// tests and the example_matrix_sweep --kill-shard recovery smoke).
+/// Defaults inject nothing.
 struct MultiprocFaultPlan {
   /// This shard's worker SIGKILLs itself mid-stream (after
   /// `kill_after_frames` result frames, or just before its done frame for

@@ -16,8 +16,8 @@
 // RcNetwork::step() would apply (same flux expression, same CSR neighbor
 // order, same sub-step count and sub-step size, same update order), so
 // batch stepping is bit-identical to per-session stepping - not merely
-// close. tests/thermal/rc_batch_test.cpp and the perf_thermal_batch bench
-// both gate on exact equality.
+// close. tests/thermal/rc_batch_test.cpp and
+// tests/sim/batch_resident_test.cpp both gate on exact equality.
 #pragma once
 
 #include <cstddef>

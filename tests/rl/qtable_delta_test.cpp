@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <random>
+#include <string>
 
 #include "common/serialize.hpp"
 #include "rl/qtable_delta.hpp"
@@ -140,8 +141,8 @@ TEST(QTableDelta, SerializeRoundTripsAndIsCanonical) {
   decoded.serialize(w2);
   EXPECT_EQ(w.data(), w2.data());
   // Steady-state savings: the delta wire is much smaller than the full
-  // table (only 45 of the >60 states changed, and the exact figure is
-  // pinned by the perf_qtable bench, not here).
+  // table (only 45 of the >60 states changed; perfbench's fleet_churn
+  // reports the steady-state figure as sim.upload_bytes_per_round).
   ByteWriter full;
   next.serialize(full);
   EXPECT_LT(w.size(), full.size());
@@ -171,6 +172,23 @@ TEST(QTableDelta, DeserializeRejectsCorruptStreams) {
   std::vector<std::uint8_t> cut{w3.data().begin(), w3.data().end() - 5};
   ByteReader in3{cut, "delta"};
   EXPECT_THROW((void)QTableDelta::deserialize(in3), SerializeError);
+  // A 40-byte header claiming 2^20 changes of 27 actions is refused from
+  // the count alone, before anything is allocated for those changes.
+  ByteWriter w4;
+  w4.u64(27);        // actions
+  w4.f64(0.0);       // default_q
+  w4.u64(0);         // base states
+  w4.u64(0);         // base total visits
+  w4.u64(1u << 20);  // changes
+  ByteReader in4{w4.data(), "delta"};
+  try {
+    (void)QTableDelta::deserialize(in4);
+    ADD_FAILURE() << "hostile change count accepted";
+  } catch (const SerializeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("change count 1048576"), std::string::npos) << what;
+    EXPECT_EQ(what.find("truncated"), std::string::npos) << what;
+  }
 }
 
 // --- f16 ---------------------------------------------------------------------
@@ -280,6 +298,26 @@ TEST(WireQuant, RejectsUnknownTagAndDuplicateKeys) {
   }
   ByteReader in2{dup.data(), "wire"};
   EXPECT_THROW((void)deserialize_quantized(in2), SerializeError);
+
+  // Headers claiming 2^20 states of 27 actions are refused from the count
+  // alone in every mode, before anything is allocated for those states.
+  for (const WireQuant quant : {WireQuant::kF32, WireQuant::kF16, WireQuant::kQ8}) {
+    ByteWriter hostile;
+    hostile.u8(static_cast<std::uint8_t>(quant));
+    hostile.u64(27);        // actions
+    hostile.f64(0.0);       // default_q
+    hostile.u64(0);         // total visits
+    hostile.u64(1u << 20);  // states
+    ByteReader in3{hostile.data(), "wire"};
+    try {
+      (void)deserialize_quantized(in3);
+      ADD_FAILURE() << "hostile state count accepted";
+    } catch (const SerializeError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("state count 1048576"), std::string::npos) << what;
+      EXPECT_EQ(what.find("truncated"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(WireQuant, F32ModeStaysExactPastTableGrowth) {

@@ -168,6 +168,23 @@ TEST(QTable, DeserializeRejectsImplausibleHeaders) {
   w.u64(0);  // zero actions
   ByteReader r{w.data(), "test"};
   EXPECT_THROW((void)QTable::deserialize(r), SerializeError);
+
+  // A 32-byte header claiming 2^20 states of 27 actions is refused from the
+  // count alone, before anything is allocated for those states.
+  ByteWriter hostile;
+  hostile.u64(27);        // actions
+  hostile.f64(0.0);       // default_q
+  hostile.u64(0);         // total visits
+  hostile.u64(1u << 20);  // states
+  ByteReader r2{hostile.data(), "test"};
+  try {
+    (void)QTable::deserialize(r2);
+    ADD_FAILURE() << "hostile state count accepted";
+  } catch (const SerializeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("state count 1048576"), std::string::npos) << what;
+    EXPECT_EQ(what.find("truncated"), std::string::npos) << what;
+  }
 }
 
 class QTablePersistence : public ::testing::Test {

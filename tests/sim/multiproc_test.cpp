@@ -6,11 +6,11 @@
 // thread each, and the reference is serial per-session execution.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "sim/multiproc.hpp"
 #include "sim/scenario.hpp"
+#include "training_compare.hpp"
 
 namespace nextgov::sim {
 namespace {
@@ -44,25 +44,6 @@ void expect_all_bit_identical(const std::vector<SessionResult>& expected,
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_TRUE(bit_identical(expected[i], actual[i])) << "cell " << i << " diverged";
   }
-}
-
-void expect_training_identical(const TrainingResult& a, const TrainingResult& b) {
-  EXPECT_EQ(a.converged, b.converged);
-  EXPECT_EQ(a.sim_seconds, b.sim_seconds);
-  EXPECT_EQ(a.decisions, b.decisions);
-  EXPECT_EQ(a.final_mean_reward, b.final_mean_reward);
-  EXPECT_EQ(a.states_visited, b.states_visited);
-  ASSERT_EQ(a.table.state_count(), b.table.state_count());
-  EXPECT_EQ(a.table.total_visits(), b.table.total_visits());
-  a.table.for_each_entry([&](const rl::QTable::EntryView& ea) {
-    ASSERT_TRUE(b.table.contains(ea.key())) << "state " << ea.key() << " missing";
-    EXPECT_EQ(ea.visits(), b.table.visits(ea.key()));
-    EXPECT_EQ(ea.tried(), b.table.tried_mask(ea.key()));
-    for (std::size_t i = 0; i < a.table.action_count(); ++i) {
-      EXPECT_EQ(ea.q(i), b.table.q(ea.key(), i)) << "state " << ea.key() << " action " << i;
-    }
-  });
-  EXPECT_TRUE(a.table == b.table);
 }
 
 TEST(Multiproc, MatrixBitIdenticalAcrossProcessCounts) {

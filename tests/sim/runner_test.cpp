@@ -12,6 +12,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sim/runner.hpp"
+#include "training_compare.hpp"
 
 namespace nextgov::sim {
 namespace {
@@ -51,27 +52,6 @@ void expect_bit_identical(const SessionResult& a, const SessionResult& b) {
     // equality across every recorded field.
     EXPECT_EQ(std::memcmp(&a.series[i], &b.series[i], sizeof(Sample)), 0) << "sample " << i;
   }
-}
-
-/// The training determinism comparator: every field the contract covers
-/// (wall_seconds is host time by definition) and the learned table down
-/// to each Q-value's bits.
-void expect_training_identical(const TrainingResult& a, const TrainingResult& b) {
-  EXPECT_EQ(a.converged, b.converged);
-  EXPECT_EQ(a.sim_seconds, b.sim_seconds);
-  EXPECT_EQ(a.decisions, b.decisions);
-  EXPECT_EQ(a.final_mean_reward, b.final_mean_reward);
-  EXPECT_EQ(a.states_visited, b.states_visited);
-  ASSERT_EQ(a.table.state_count(), b.table.state_count());
-  EXPECT_EQ(a.table.total_visits(), b.table.total_visits());
-  a.table.for_each_entry([&](const rl::QTable::EntryView& ea) {
-    ASSERT_TRUE(b.table.contains(ea.key())) << "state " << ea.key();
-    EXPECT_EQ(ea.visits(), b.table.visits(ea.key()));
-    EXPECT_EQ(ea.tried(), b.table.tried_mask(ea.key()));
-    for (std::size_t q = 0; q < a.table.action_count(); ++q) {
-      EXPECT_EQ(ea.q(q), b.table.q(ea.key(), q)) << "state " << ea.key() << " action " << q;
-    }
-  });
 }
 
 TEST(RunPlan, GridBuildsCrossProductInOrder) {

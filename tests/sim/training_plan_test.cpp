@@ -3,10 +3,9 @@
 // plan order, wall_seconds excepted), warm starts and failure propagation.
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "common/error.hpp"
 #include "sim/runner.hpp"
+#include "training_compare.hpp"
 
 namespace nextgov::sim {
 namespace {
@@ -17,29 +16,6 @@ TrainingOptions short_training(std::uint64_t seed, double budget_s = 40.0) {
   opts.episode_length = SimTime::from_seconds(20.0);
   opts.seed = seed;
   return opts;
-}
-
-/// Bit-identity over everything the determinism contract covers: the
-/// learned table (entries, visit counts, tried masks) and every derived
-/// field except wall_seconds (host time by definition).
-void expect_bit_identical(const TrainingResult& a, const TrainingResult& b) {
-  EXPECT_EQ(a.converged, b.converged);
-  EXPECT_EQ(a.sim_seconds, b.sim_seconds);
-  EXPECT_EQ(a.decisions, b.decisions);
-  EXPECT_EQ(a.final_mean_reward, b.final_mean_reward);
-  EXPECT_EQ(a.states_visited, b.states_visited);
-  ASSERT_EQ(a.table.action_count(), b.table.action_count());
-  ASSERT_EQ(a.table.state_count(), b.table.state_count());
-  EXPECT_EQ(a.table.total_visits(), b.table.total_visits());
-  a.table.for_each_entry([&](const rl::QTable::EntryView& ea) {
-    ASSERT_TRUE(b.table.contains(ea.key())) << "state " << ea.key() << " missing";
-    EXPECT_EQ(ea.visits(), b.table.visits(ea.key())) << "state " << ea.key();
-    EXPECT_EQ(ea.tried(), b.table.tried_mask(ea.key())) << "state " << ea.key();
-    for (std::size_t i = 0; i < a.table.action_count(); ++i) {
-      EXPECT_EQ(ea.q(i), b.table.q(ea.key(), i)) << "state " << ea.key() << " action " << i;
-    }
-  });
-  EXPECT_TRUE(a.table == b.table);
 }
 
 TEST(TrainingPlan, BuildsCellsInOrder) {
@@ -84,7 +60,7 @@ TEST(TrainingRunner, ParallelIsBitIdenticalToSerial) {
   ASSERT_EQ(parallel.size(), plan.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE(i);
-    expect_bit_identical(serial[i], parallel[i]);
+    expect_training_identical(serial[i], parallel[i]);
   }
 }
 
