@@ -10,19 +10,17 @@
 // brand-new device then deploys the global table without any local
 // training.
 //
-//   usage: example_federated_training [devices] [rounds] [processes]
+//   usage: example_federated_training [devices] [rounds]
 //                                     [--delta-uploads] [--out PATH]
 //
 // Defaults stay laptop-friendly (12 devices x 3 rounds x 150 s); the fleet
 // path itself scales to hundreds of devices, e.g.
 //   example_federated_training 200 3
-// and with [processes] > 1 each round's training fans out across forked
-// worker processes (sim/multiproc.hpp) with bit-identical results.
 // --delta-uploads sends each device's upload as a delta against the round's
 // warm-start table (only the states it touched travel) - a pure wire
 // strategy, so the learned tables are byte-identical either way; --out
 // writes the final global table's canonical serialized bytes to PATH,
-// which is how CI cmp-checks that claim.
+// which is how CI cmp-checks that claim (a failed or short write exits 1).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,7 +49,6 @@ int main(int argc, char** argv) {
 
   const auto app = workload::AppId::kLineage;
   sim::FleetServerOptions fleet;
-  sim::ExecOptions exec;
   fleet.devices = 12;
   std::size_t rounds = 3;
   std::string out_path;
@@ -73,12 +70,11 @@ int main(int argc, char** argv) {
   const std::size_t n_pos = positional.size();
   const bool args_ok = flags_ok &&
                        (n_pos < 1 || parse_positive(positional[0], fleet.devices)) &&
-                       (n_pos < 2 || parse_positive(positional[1], rounds)) &&
-                       (n_pos < 3 || parse_positive(positional[2], exec.processes));
-  if (!args_ok || n_pos > 3) {
+                       (n_pos < 2 || parse_positive(positional[1], rounds));
+  if (!args_ok || n_pos > 2) {
     std::fprintf(stderr,
-                 "usage: %s [devices] [rounds] [processes] [--delta-uploads] [--out PATH]\n"
-                 "       all positive integers (default 12 3 1)\n",
+                 "usage: %s [devices] [rounds] [--delta-uploads] [--out PATH]\n"
+                 "       both positive integers (default 12 3)\n",
                  argv[0]);
     return 1;
   }
@@ -91,7 +87,7 @@ int main(int argc, char** argv) {
               rounds, fleet.round_duration.seconds(),
               std::string{workload::to_string(app)}.c_str());
 
-  sim::FleetServer server{app, fleet, exec};
+  sim::FleetServer server{app, fleet};
   double wall_seconds = 0.0;
   server.run_rounds(rounds, [&](const sim::FleetServerRoundStats& stats) {
     wall_seconds += stats.wall_seconds;
@@ -128,8 +124,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
       return 1;
     }
-    std::fwrite(canonical.data().data(), 1, canonical.data().size(), f);
-    std::fclose(f);
+    const bool ok = std::fwrite(canonical.data().data(), 1, canonical.size(), f) ==
+                    canonical.size();
+    if (std::fclose(f) != 0 || !ok) {
+      std::fprintf(stderr, "short write to %s\n", out_path.c_str());
+      return 1;
+    }
     std::printf("canonical global table -> %s (%zu bytes)\n", out_path.c_str(),
                 canonical.data().size());
   }

@@ -19,7 +19,7 @@
 //   loop in host time so an external kill can land mid-run (the simulated
 //   clock is unaffected). --out writes the final global Q-table's canonical
 //   bytes, the file the smoke step compares across interrupted and
-//   uninterrupted runs.
+//   uninterrupted runs; a failed or short write exits 1.
 //
 // Churn is on by default (departures + stragglers + upload failures in the
 // same run), so every recovery exercised here crosses the full lease /
@@ -157,8 +157,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "fleet_serverd: cannot write %s\n", out_path.c_str());
       return 1;
     }
-    std::fwrite(bytes.data().data(), 1, bytes.size(), f);
-    std::fclose(f);
+    const bool ok = std::fwrite(bytes.data().data(), 1, bytes.size(), f) == bytes.size();
+    if (std::fclose(f) != 0 || !ok) {
+      std::fprintf(stderr, "fleet_serverd: short write to %s\n", out_path.c_str());
+      return 1;
+    }
     std::printf("fleet_serverd: wrote %zu canonical table bytes to %s\n", bytes.size(),
                 out_path.c_str());
   }

@@ -234,12 +234,12 @@ struct FleetServerStats {
 /// resumes from the last ring boundary bit-identically.
 class FleetServer {
  public:
-  /// `exec` is how each round's training plan runs (threads, batch width,
-  /// worker processes). Pure execution strategy - the round's merged
-  /// tables are bit-identical under any value (pinned by
+  /// `exec` is how each round's training plan runs (worker threads, batch
+  /// width). Pure execution strategy - the round's merged tables are
+  /// bit-identical under any value (pinned by
   /// tests/sim/fleet_server_test.cpp), so it is not part of the options
-  /// identity a ring entry pins: a ring written in-process resumes sharded
-  /// and vice versa.
+  /// identity a ring entry pins: a ring written under one ExecOptions
+  /// resumes under any other.
   FleetServer(AppFactory app_factory, const FleetServerOptions& options,
               const ExecOptions& exec = {});
   FleetServer(workload::AppId app, const FleetServerOptions& options,

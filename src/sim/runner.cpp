@@ -11,7 +11,6 @@
 
 #include "common/error.hpp"
 #include "core/next_agent.hpp"
-#include "sim/multiproc.hpp"
 #include "soc/power_batch.hpp"
 #include "thermal/rc_batch.hpp"
 
@@ -479,22 +478,7 @@ std::vector<std::vector<std::size_t>> group_indices(std::size_t n, const KeyFn& 
   return groups;
 }
 
-/// Validates `options` and returns true when the plan forks (the caller
-/// hands it to detail::execute_sharded); otherwise fills `report` with the
-/// accounting of an in-process run: one shard, nothing forked.
-bool forks(const ExecOptions& options, std::size_t cells, ShardReport* report) {
-  require(options.phase_timings == nullptr || options.processes == 1,
-          "ExecOptions: phase_timings requires processes = 1 (a forked worker cannot write "
-          "the parent's sink)");
-  if (resolve_workers(options.processes, cells) > 1) return true;
-  if (report != nullptr) {
-    *report = ShardReport{};
-    if (cells > 0) report->shards.push_back(ShardOutcome{0, 0, cells, false, {}});
-  }
-  return false;
-}
-
-/// The in-process body both plan kinds share: group the cells by `key_of`
+/// The body both plan kinds share: group the cells by `key_of`
 /// (lock-step compatibility), split the groups into batches and run each
 /// batch through `run_batch` on the pool.
 template <typename Key, typename KeyFn, typename BatchFn>
@@ -508,9 +492,7 @@ void run_batches(std::size_t cells, const ExecOptions& options, const KeyFn& key
 
 }  // namespace
 
-std::vector<SessionResult> execute(const RunPlan& plan, const ExecOptions& options,
-                                   ShardReport* report) {
-  if (forks(options, plan.size(), report)) return detail::execute_sharded(plan, options, report);
+std::vector<SessionResult> execute(const RunPlan& plan, const ExecOptions& options) {
   std::vector<SessionResult> results(plan.size());
   // Lock-step needs every session of a batch to run the same tick count.
   run_batches<std::int64_t>(
@@ -522,9 +504,7 @@ std::vector<SessionResult> execute(const RunPlan& plan, const ExecOptions& optio
   return results;
 }
 
-std::vector<TrainingResult> execute(const TrainingPlan& plan, const ExecOptions& options,
-                                    ShardReport* report) {
-  if (forks(options, plan.size(), report)) return detail::execute_sharded(plan, options, report);
+std::vector<TrainingResult> execute(const TrainingPlan& plan, const ExecOptions& options) {
   // TrainingResult carries a QTable (no default state), so cells land in
   // optional slots and are moved out once the pool has drained.
   std::vector<std::optional<TrainingResult>> slots(plan.size());

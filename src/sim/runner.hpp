@@ -5,8 +5,8 @@
 // cells: evaluation sweeps are (app x governor x seed x config) sessions
 // through the 1 ms engine loop, training sweeps are (app x NextConfig x
 // seed x budget) online-learning runs. Callers describe a RunPlan or a
-// TrainingPlan and hand it to execute(); ExecOptions picks threads, batch
-// width and worker processes.
+// TrainingPlan and hand it to execute(); ExecOptions picks worker threads
+// and batch width.
 //
 // Determinism contract: a cell's entire trajectory is a function of its
 // spec (the engine holds no global state, and every stochastic element
@@ -35,8 +35,8 @@ namespace nextgov::sim {
 
 // --- the shared worker pool ------------------------------------------------
 
-/// Resolves a worker (or process) request against a task count: 0 = one
-/// per hardware thread, and never more than tasks.
+/// Resolves a worker-thread request against a task count: 0 = one per
+/// hardware thread, and never more than tasks.
 [[nodiscard]] std::size_t resolve_workers(std::size_t requested, std::size_t tasks) noexcept;
 
 /// Executes task(0) .. task(n-1) across `workers` threads with dynamic
@@ -120,7 +120,7 @@ class TrainingPlan {
   std::vector<TrainingSpec> cells_;
 };
 
-// --- execution options and accounting --------------------------------------
+// --- execution options -----------------------------------------------------
 
 /// Wall-clock accumulated per phase of the batch-resident lock-step loop,
 /// in seconds, summed over all lock-step batches of a run (batches that
@@ -137,31 +137,12 @@ struct BatchPhaseTimings {
   std::int64_t ticks{0};  ///< engine-ticks x sessions advanced lock-step
 };
 
-/// MultiprocFaultPlan shard index meaning "no shard".
-inline constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
-
-/// Deterministic worker-failure injection for processes > 1 (the Multiproc
-/// tests and the example_matrix_sweep --kill-shard recovery smoke).
-/// Defaults inject nothing.
-struct MultiprocFaultPlan {
-  /// This shard's worker SIGKILLs itself mid-stream (after
-  /// `kill_after_frames` result frames, or just before its done frame for
-  /// smaller shards), so the parent sees a truncated stream + a signaled
-  /// child - exactly what a real crash looks like.
-  std::size_t kill_shard{kNoShard};
-  std::size_t kill_after_frames{1};
-  /// This shard's worker flips one byte of its first frame's payload after
-  /// the CRC was computed, modelling in-flight corruption; the parent must
-  /// reject the stream on the CRC check.
-  std::size_t corrupt_shard{kNoShard};
-};
-
 /// How execute() runs a plan. Every value yields the same results (see the
-/// determinism contract above); the fields only trade throughput, memory
-/// and isolation.
+/// determinism contract above); the fields only trade throughput and
+/// memory.
 struct ExecOptions {
-  /// Worker threads per process; 0 = one per hardware thread, 1 = serial in
-  /// the calling thread (no pool).
+  /// Worker threads; 0 = one per hardware thread, 1 = serial in the calling
+  /// thread (no pool).
   std::size_t workers{0};
   /// Max cells one worker advances lock-step (see execute()). 1 = the
   /// per-session reference path: whole sessions / training cells one at a
@@ -172,53 +153,14 @@ struct ExecOptions {
   std::size_t max_batch{0};
   /// When set, every lock-step batch accumulates per-phase wall time here
   /// (merged under a lock once per batch, so the hot loop pays only the
-  /// clock reads). Leave null outside measurement runs. Requires
-  /// processes = 1: a forked worker cannot write the parent's sink.
+  /// clock reads). Leave null outside measurement runs.
   BatchPhaseTimings* phase_timings{nullptr};
-  /// Worker processes the plan is sharded across (sim/multiproc.hpp;
-  /// resolve_workers semantics). 1 runs in-process with no forks.
-  std::size_t processes{1};
-  /// Worker-failure injection for processes > 1.
-  MultiprocFaultPlan faults{};
-};
-
-/// What happened to one shard of a sharded run.
-struct ShardOutcome {
-  std::size_t shard{0};
-  std::size_t first_cell{0};  ///< plan index of the shard's first cell
-  std::size_t cell_count{0};
-  /// True when the worker's stream was rejected and the shard was re-run
-  /// in the parent process (results still land, bit-identically).
-  bool recovered{false};
-  /// Why the worker's stream was rejected ("" for a healthy worker):
-  /// truncated stream, CRC mismatch, framing violation, nonzero exit,
-  /// death by signal, or a fork failure.
-  std::string failure;
-};
-
-/// Merge-side accounting of one execute() call, for tests, the bench and
-/// callers that want to surface degraded-but-complete sweeps. An
-/// in-process run reports zero processes and one shard covering the plan.
-struct ShardReport {
-  std::size_t processes{0};  ///< worker processes actually forked
-  std::vector<ShardOutcome> shards;
-  std::uint64_t frames{0};  ///< result frames accepted off the pipes
-  std::uint64_t bytes{0};   ///< frame payload bytes accepted
-
-  [[nodiscard]] std::size_t recovered_shards() const noexcept {
-    std::size_t n = 0;
-    for (const auto& s : shards) {
-      if (s.recovered) ++n;
-    }
-    return n;
-  }
 };
 
 // --- the entry point -------------------------------------------------------
 
-/// Executes every session of `plan` and returns results in plan order;
-/// `report`, when non-null, receives the shard accounting. A ScenarioMatrix
-/// runs as execute(matrix.to_run_plan(governor)).
+/// Executes every session of `plan` and returns results in plan order. A
+/// ScenarioMatrix runs as execute(matrix.to_run_plan(governor)).
 ///
 /// The lock-step path (max_batch != 1) gives every worker a *group* of
 /// homogeneous sessions that stays *batch-resident* between ticks: each
@@ -234,18 +176,14 @@ struct ShardReport {
 /// (early stopping is data-dependent control flow); cells that fit no
 /// group, or whose engines turn out to use a different topology or step,
 /// fall back to the per-session path.
-///
-/// Throws ConfigError when phase_timings is set with processes != 1.
 [[nodiscard]] std::vector<SessionResult> execute(const RunPlan& plan,
-                                                 const ExecOptions& options = {},
-                                                 ShardReport* report = nullptr);
+                                                 const ExecOptions& options = {});
 
 /// Training counterpart: TrainingResults in plan order, bit-identical to
 /// serial per-cell training (wall_seconds excepted; a lock-step batch
 /// attributes an even share of its wall time to each of its cells).
 [[nodiscard]] std::vector<TrainingResult> execute(const TrainingPlan& plan,
-                                                  const ExecOptions& options = {},
-                                                  ShardReport* report = nullptr);
+                                                  const ExecOptions& options = {});
 
 /// Stateless SplitMix64-style seed derivation for grid sweeps: gives every
 /// (base, index) pair an independent, reproducible stream. Used by

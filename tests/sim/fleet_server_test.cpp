@@ -448,23 +448,28 @@ TEST(FleetServerBackoff, HugeBackoffServerRoundSurvives) {
   EXPECT_EQ(server.stats().rounds_served, 2u);
 }
 
-// --- multi-process sharded training ---------------------------------------
+// --- pooled training under churn --------------------------------------------
+// The "Sharded"/"Processes" names predate the thread-only pool (rounds once
+// also trained across forked worker processes); they are kept so test
+// history stays traceable.
 
 TEST(FleetServer, ShardedTrainingBitIdentical) {
+  // A churning round trained serially per device and pooled in one
+  // lock-step batch lands on the same bytes and the same accounting.
   FleetServerOptions options = small_server();
   options.churn.straggle_rate = 0.3;
   options.churn.upload_fail_rate = 0.2;
-  FleetServer in_process{workload::AppId::kFacebook, options, {.workers = 2}};
-  in_process.run_rounds(2);
+  FleetServer serial{workload::AppId::kFacebook, options, {.workers = 1, .max_batch = 1}};
+  serial.run_rounds(2);
 
-  FleetServer sharded{workload::AppId::kFacebook, options, {.workers = 1, .processes = 2}};
-  sharded.run_rounds(2);
+  FleetServer pooled{workload::AppId::kFacebook, options, {.workers = 2, .max_batch = 3}};
+  pooled.run_rounds(2);
 
-  ASSERT_NE(in_process.global(), nullptr);
-  ASSERT_NE(sharded.global(), nullptr);
-  EXPECT_EQ(canonical_bytes(*in_process.global()), canonical_bytes(*sharded.global()));
-  EXPECT_EQ(in_process.stats().total_decisions, sharded.stats().total_decisions);
-  EXPECT_EQ(in_process.stats().uploads_accepted, sharded.stats().uploads_accepted);
+  ASSERT_NE(serial.global(), nullptr);
+  ASSERT_NE(pooled.global(), nullptr);
+  EXPECT_EQ(canonical_bytes(*serial.global()), canonical_bytes(*pooled.global()));
+  EXPECT_EQ(serial.stats().total_decisions, pooled.stats().total_decisions);
+  EXPECT_EQ(serial.stats().uploads_accepted, pooled.stats().uploads_accepted);
 }
 
 TEST(FleetServer, DeltaUploadsMatchFullRunsUnderChurn) {
@@ -553,27 +558,26 @@ TEST(FleetServer, DeltaUploadsKnobExcludedFromOptionsIdentity) {
 
 TEST(FleetServer, ProcessesKnobExcludedFromOptionsIdentity) {
   // Execution strategy lives in the constructor's ExecOptions, outside the
-  // FleetServerOptions a ring entry pins: a ring written by a sharded
-  // server restores under an in-process one and the other way round, and
-  // both land on the same bytes.
+  // FleetServerOptions a ring entry pins: a ring written under one
+  // ExecOptions restores under another and the other way round, and both
+  // land on the same bytes.
   FleetServerOptions options = small_server();
   options.snapshot_ring = 2;
   options.snapshot_prefix = ring_prefix("exec_identity");
   {
-    FleetServer sharded{workload::AppId::kFacebook, options, {.workers = 1, .processes = 2}};
-    sharded.run_rounds(1);
+    FleetServer batched{workload::AppId::kFacebook, options, {.workers = 1, .max_batch = 3}};
+    batched.run_rounds(1);
   }  // destroyed without drain(): kill -9
-  FleetServer in_process{workload::AppId::kFacebook, options, {.workers = 2, .max_batch = 1}};
-  ASSERT_TRUE(in_process.restored());
-  EXPECT_EQ(in_process.round(), 1u);
-  in_process.run_rounds(1);
-  FleetServer sharded_again{workload::AppId::kFacebook, options,
-                            {.workers = 1, .processes = 3}};
-  ASSERT_TRUE(sharded_again.restored());
-  EXPECT_EQ(sharded_again.round(), 2u);
-  ASSERT_NE(in_process.global(), nullptr);
-  ASSERT_NE(sharded_again.global(), nullptr);
-  EXPECT_EQ(canonical_bytes(*sharded_again.global()), canonical_bytes(*in_process.global()));
+  FleetServer per_session{workload::AppId::kFacebook, options, {.workers = 2, .max_batch = 1}};
+  ASSERT_TRUE(per_session.restored());
+  EXPECT_EQ(per_session.round(), 1u);
+  per_session.run_rounds(1);
+  FleetServer batched_again{workload::AppId::kFacebook, options, {.workers = 3}};
+  ASSERT_TRUE(batched_again.restored());
+  EXPECT_EQ(batched_again.round(), 2u);
+  ASSERT_NE(per_session.global(), nullptr);
+  ASSERT_NE(batched_again.global(), nullptr);
+  EXPECT_EQ(canonical_bytes(*batched_again.global()), canonical_bytes(*per_session.global()));
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // Tests for the calm fleet (sim/fleet_server.hpp with no churn configured):
 // synchronous FedAvg over every device every round, determinism across
-// worker and process counts, the per-round progress callback, up-front
-// option validation, deployability of the global aggregate, the upload wire
-// codec (sim/fleet.hpp) on both its paths, and the delta-upload and process
-// knobs as pure execution strategy - including across a ring restore.
+// worker counts, the per-round progress callback, up-front option
+// validation, deployability of the global aggregate, the upload wire codec
+// (sim/fleet.hpp) on both its paths, and the delta-upload knob and the
+// ExecOptions as pure execution strategy - including across a ring
+// restore. The "Process" test names predate the thread-only pool (rounds
+// once also trained across forked worker processes); they are kept so test
+// history stays traceable.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -100,29 +103,29 @@ TEST(Fleet, DeterministicAcrossWorkerCounts) {
 }
 
 TEST(Fleet, DeterministicAcrossProcessCounts) {
-  // The multi-process rung of the same contract: fanning each round's
-  // training across forked worker processes (sim/multiproc.hpp) must leave
-  // the global table bit-identical, including when the devices do not split
-  // evenly across the processes (4 devices over 3).
+  // The uneven rung of the same contract: the devices do not split evenly
+  // across the workers (4 devices over 3), on the per-session path and in
+  // uneven lock-step batches (one of 3 devices, one of 1), and the global
+  // table must still come out bit-identical.
   FleetServerOptions options = calm_fleet();
-  FleetServer in_process{workload::AppId::kFacebook, options, {.workers = 1}};
+  FleetServer serial{workload::AppId::kFacebook, options, {.workers = 1}};
   std::vector<double> rewards;
-  in_process.run_rounds(2, [&](const FleetServerRoundStats& rs) {
+  serial.run_rounds(2, [&](const FleetServerRoundStats& rs) {
     rewards.push_back(rs.mean_reward);
   });
-  ASSERT_NE(in_process.global(), nullptr);
-  for (const std::size_t processes : {std::size_t{2}, std::size_t{3}}) {
-    SCOPED_TRACE(processes);
-    FleetServer sharded{workload::AppId::kFacebook, options,
-                        {.workers = 1, .processes = processes}};
-    std::vector<double> sharded_rewards;
-    sharded.run_rounds(2, [&](const FleetServerRoundStats& rs) {
-      sharded_rewards.push_back(rs.mean_reward);
+  ASSERT_NE(serial.global(), nullptr);
+  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(max_batch);
+    FleetServer pooled{workload::AppId::kFacebook, options,
+                       {.workers = 3, .max_batch = max_batch}};
+    std::vector<double> pooled_rewards;
+    pooled.run_rounds(2, [&](const FleetServerRoundStats& rs) {
+      pooled_rewards.push_back(rs.mean_reward);
     });
-    ASSERT_NE(sharded.global(), nullptr);
-    EXPECT_EQ(canonical_bytes(*in_process.global()), canonical_bytes(*sharded.global()));
-    EXPECT_EQ(in_process.stats().total_decisions, sharded.stats().total_decisions);
-    EXPECT_EQ(rewards, sharded_rewards);
+    ASSERT_NE(pooled.global(), nullptr);
+    EXPECT_EQ(canonical_bytes(*serial.global()), canonical_bytes(*pooled.global()));
+    EXPECT_EQ(serial.stats().total_decisions, pooled.stats().total_decisions);
+    EXPECT_EQ(rewards, pooled_rewards);
   }
 }
 
@@ -257,7 +260,7 @@ TEST(Fleet, UploadWireCodecRoundTripsBothPaths) {
 TEST(Fleet, DeltaUploadsAreByteIdenticalToFull) {
   // The calm fleet's delta-upload contract end to end: with the flag on,
   // the fleet lands on exactly the full-upload run's global table - across
-  // worker and process counts - because every decoded upload is
+  // worker counts - because every decoded upload is
   // bit-identical to the sender's table. Round 0 has no warm table, so its
   // uploads go full; every later upload is a delta, and smaller.
   FleetServerOptions options = calm_fleet();
@@ -284,12 +287,6 @@ TEST(Fleet, DeltaUploadsAreByteIdenticalToFull) {
     EXPECT_EQ(rounds[2].delta_uploads, options.devices);
     EXPECT_LT(rounds[2].upload_bytes, full_rounds[2].upload_bytes);
   }
-
-  FleetServer sharded{workload::AppId::kFacebook, options, {.workers = 1, .processes = 2}};
-  sharded.run_rounds(3);
-  ASSERT_NE(sharded.global(), nullptr);
-  EXPECT_EQ(canonical_bytes(*full.global()), canonical_bytes(*sharded.global()));
-  EXPECT_EQ(full.stats().total_decisions, sharded.stats().total_decisions);
 }
 
 TEST(Fleet, DeltaFlagMayFlipAcrossResume) {
@@ -340,11 +337,11 @@ TEST(Fleet, DeltaUploadsKnobExcludedFromOptionsIdentity) {
 }
 
 TEST(Fleet, ProcessesKnobExcludedFromOptionsIdentity) {
-  // A ring written single-process must resume sharded: the process count
-  // is execution strategy, not trajectory, so it lives in the
+  // A ring written serially must resume pooled: the worker count and batch
+  // width are execution strategy, not trajectory, so they live in the
   // constructor's ExecOptions rather than in the FleetServerOptions a ring
-  // entry pins. Pinned end to end by killing an in-process server and
-  // resuming it on two processes.
+  // entry pins. Pinned end to end by killing a serial server and resuming
+  // it on two workers in lock-step batches.
   FleetServerOptions options = calm_fleet();
   FleetServer straight{workload::AppId::kFacebook, options, {.workers = 1}};
   straight.run_rounds(3);
@@ -356,7 +353,7 @@ TEST(Fleet, ProcessesKnobExcludedFromOptionsIdentity) {
     FleetServer doomed{workload::AppId::kFacebook, options, {.workers = 1}};
     doomed.run_rounds(2);
   }  // destroyed without drain(): kill -9
-  FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 1, .processes = 2}};
+  FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 2, .max_batch = 2}};
   ASSERT_TRUE(resumed.restored());
   EXPECT_EQ(resumed.round(), 2u);
   resumed.run_rounds(1);

@@ -1,8 +1,11 @@
 // Tests for the one execution entry point, sim::execute(): plan
 // construction, seed derivation, and the core determinism contract - every
-// ExecOptions value (worker count, batch width, process count) yields
-// results bit-identical to serial per-session execution in plan order,
-// checked on hand-picked plans and on seeded random ones.
+// ExecOptions value (worker count, batch width) yields results
+// bit-identical to serial per-session execution in plan order, checked on
+// hand-picked plans and on seeded random ones (catalog apps and random
+// scenarios). "PhaseTimingsRequireOneProcess" predates the thread-only
+// pool (plans once also ran across forked worker processes); the name is
+// kept so test history stays traceable.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +15,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sim/runner.hpp"
+#include "sim/scenario.hpp"
 #include "training_compare.hpp"
 
 namespace nextgov::sim {
@@ -172,17 +176,13 @@ TEST(BatchRunner, EmptyPlansReturnEmpty) {
 }
 
 TEST(Execute, PhaseTimingsRequireOneProcess) {
-  // A forked worker cannot write the parent's phase sink, so asking for
-  // both is a configuration error rather than silently empty timings.
+  // A lock-step batch run with a phase sink accumulates its ticks there.
   RunPlan plan;
   ExperimentConfig config;
   config.duration = SimTime::from_seconds(1.0);
   plan.add(workload::AppId::kHome, config);
   plan.add(workload::AppId::kHome, config);
   BatchPhaseTimings timings;
-  EXPECT_THROW((void)execute(plan, {.phase_timings = &timings, .processes = 2}), ConfigError);
-  EXPECT_THROW((void)execute(TrainingPlan{}, {.phase_timings = &timings, .processes = 0}),
-               ConfigError);
   EXPECT_EQ(execute(plan, {.workers = 1, .max_batch = 2, .phase_timings = &timings}).size(),
             2u);
   EXPECT_GT(timings.ticks, 0);
@@ -200,27 +200,81 @@ const T& pick(Rng& rng, const T (&options)[N]) {
   return options[static_cast<std::size_t>(rng.uniform_int(0, N - 1))];
 }
 
-/// Seeded random evaluation plan: catalog apps under all six governors,
-/// whole-second 2-5 s sessions (so equal durations form lock-step groups
-/// next to singletons), ambients in [15, 35) C and 60/90/120 Hz panels;
-/// Next cells either deploy untrained or learn online.
+workload::AppId random_app(Rng& rng) {
+  const auto apps = workload::all_apps();
+  return apps[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(apps.size()) - 1))];
+}
+
+/// Seeded random scenario: 1-3 segments of 1-2 s catalog apps (so a
+/// 2-5 s session crosses app switches), and with even odds each a periodic
+/// background burst and a user-model override.
+ScenarioSpec random_scenario(Rng& rng) {
+  ScenarioSpec spec;
+  spec.name = "random_scenario";
+  const std::int64_t segments = rng.uniform_int(1, 3);
+  for (std::int64_t i = 0; i < segments; ++i) {
+    spec.segments.push_back(
+        {random_app(rng), SimTime::from_seconds(static_cast<double>(rng.uniform_int(1, 2)))});
+  }
+  if (rng.bernoulli(0.5)) {
+    spec.burst.enabled = true;
+    spec.burst.period = SimTime::from_ms(rng.uniform_int(500, 2000));
+    spec.burst.burst_length = SimTime::from_ms(rng.uniform_int(100, 500));
+    spec.burst.boost = {.big_avg = rng.uniform(0.0, 0.6), .big_hot = rng.uniform(0.0, 1.0),
+                        .little_avg = rng.uniform(0.0, 0.6),
+                        .little_hot = rng.uniform(0.0, 1.0), .gpu_avg = rng.uniform(0.0, 0.3)};
+  }
+  if (rng.bernoulli(0.5)) {
+    workload::UserModelParams user;
+    user.engaged_mean_s = rng.uniform(0.5, 8.0);
+    user.engaged_sigma = rng.uniform(0.2, 1.0);
+    user.passive_mean_s = rng.uniform(0.5, 30.0);
+    user.passive_sigma = rng.uniform(0.2, 1.0);
+    user.start_engaged = rng.bernoulli(0.5);
+    spec.user_override = user;
+  }
+  return spec;
+}
+
+/// Seeded random evaluation plan under all six governors: whole-second
+/// 2-5 s sessions (so equal durations form lock-step groups next to
+/// singletons), ambients in [15, 35) C and 60/90/120 Hz panels; Next cells
+/// either deploy untrained or learn online. About half the sessions run a
+/// catalog app, the rest a random scenario (random_scenario()) added
+/// through its app_factory() and experiment_config().
 RunPlan random_run_plan(std::uint64_t seed) {
   Rng rng{seed};
-  const auto apps = workload::all_apps();
   RunPlan plan;
   const std::int64_t sessions = rng.uniform_int(6, 10);
   for (std::int64_t i = 0; i < sessions; ++i) {
-    ExperimentConfig config;
-    config.governor = pick(rng, kEveryGovernor);
-    config.duration = SimTime::from_seconds(static_cast<double>(rng.uniform_int(2, 5)));
-    config.seed = rng.next_u64();
-    config.ambient = Celsius{rng.uniform(15.0, 35.0)};
-    config.refresh_hz = pick(rng, kRefreshRates);
-    config.next_config.ppdw_bounds.fps_max = config.refresh_hz;
-    if (rng.bernoulli(0.5)) config.next_mode = core::AgentMode::kTraining;
-    plan.add(apps[static_cast<std::size_t>(
-                 rng.uniform_int(0, static_cast<std::int64_t>(apps.size()) - 1))],
-             config);
+    const GovernorKind governor = pick(rng, kEveryGovernor);
+    const SimTime duration = SimTime::from_seconds(static_cast<double>(rng.uniform_int(2, 5)));
+    const std::uint64_t session_seed = rng.next_u64();
+    const Celsius ambient{rng.uniform(15.0, 35.0)};
+    const double refresh_hz = pick(rng, kRefreshRates);
+    const bool training = rng.bernoulli(0.5);
+    const auto with_mode = [&](ExperimentConfig config) {
+      if (training) config.next_mode = core::AgentMode::kTraining;
+      return config;
+    };
+    if (rng.bernoulli(0.5)) {
+      ExperimentConfig config;
+      config.governor = governor;
+      config.duration = duration;
+      config.seed = session_seed;
+      config.ambient = ambient;
+      config.refresh_hz = refresh_hz;
+      config.next_config.ppdw_bounds.fps_max = refresh_hz;
+      plan.add(random_app(rng), with_mode(config));
+    } else {
+      ScenarioSpec spec = random_scenario(rng);
+      spec.duration = duration;
+      spec.ambient = ambient;
+      spec.refresh_hz = refresh_hz;
+      plan.add(spec.app_factory(), spec.name,
+               with_mode(spec.experiment_config(governor, session_seed)));
+    }
   }
   return plan;
 }
@@ -230,7 +284,6 @@ RunPlan random_run_plan(std::uint64_t seed) {
 /// panels, and roughly one early-stopping cell in four.
 TrainingPlan random_training_plan(std::uint64_t seed) {
   Rng rng{seed};
-  const auto apps = workload::all_apps();
   constexpr double kBudgets[] = {6.0, 10.0};
   constexpr double kEpisodes[] = {3.0, 5.0};
   TrainingPlan plan;
@@ -245,22 +298,18 @@ TrainingPlan random_training_plan(std::uint64_t seed) {
     options.stop_at_convergence = rng.bernoulli(0.25);
     core::NextConfig config;
     config.ppdw_bounds.fps_max = options.refresh_hz;
-    plan.add(apps[static_cast<std::size_t>(
-                 rng.uniform_int(0, static_cast<std::int64_t>(apps.size()) - 1))],
-             config, options);
+    plan.add(random_app(rng), config, options);
   }
   return plan;
 }
 
-/// Every (workers, max_batch, processes) point of the differential grid;
-/// {1, 1, 1} - serial, per-session, in-process - is the reference.
+/// Every (workers, max_batch) point of the differential grid; {1, 1} -
+/// serial, per-session - is the reference.
 std::vector<ExecOptions> every_path() {
   std::vector<ExecOptions> paths;
   for (const std::size_t workers : {1, 3}) {
     for (const std::size_t max_batch : {0, 1, 4}) {
-      for (const std::size_t processes : {1, 2}) {
-        paths.push_back({.workers = workers, .max_batch = max_batch, .processes = processes});
-      }
+      paths.push_back({.workers = workers, .max_batch = max_batch});
     }
   }
   return paths;
@@ -286,6 +335,8 @@ void expect_well_formed(const SessionResult& r, double refresh_hz) {
 
 TEST(Execute, RandomPlansAgreeAcrossEveryPath) {
   const std::vector<ExecOptions> paths = every_path();
+  std::size_t catalog_sessions = 0;
+  std::size_t scenario_sessions = 0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     SCOPED_TRACE(seed);
     const RunPlan plan = random_run_plan(derive_seed(0xE8EC, seed));
@@ -293,10 +344,15 @@ TEST(Execute, RandomPlansAgreeAcrossEveryPath) {
     ASSERT_EQ(reference.size(), plan.size());
     for (std::size_t i = 0; i < plan.size(); ++i) {
       expect_well_formed(reference[i], plan.sessions()[i].config.refresh_hz);
+      if (plan.sessions()[i].name == "random_scenario") {
+        ++scenario_sessions;
+      } else {
+        ++catalog_sessions;
+      }
     }
     for (const ExecOptions& path : paths) {
       SCOPED_TRACE(testing::Message() << "workers " << path.workers << " max_batch "
-                                      << path.max_batch << " processes " << path.processes);
+                                      << path.max_batch);
       const auto results = execute(plan, path);
       ASSERT_EQ(results.size(), reference.size());
       for (std::size_t i = 0; i < reference.size(); ++i) {
@@ -304,6 +360,9 @@ TEST(Execute, RandomPlansAgreeAcrossEveryPath) {
       }
     }
   }
+  // The seeds draw both kinds of session, so both reach every path.
+  EXPECT_GT(catalog_sessions, 0u);
+  EXPECT_GT(scenario_sessions, 0u);
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     SCOPED_TRACE(seed);
     const TrainingPlan plan = random_training_plan(derive_seed(0x7EA1, seed));
@@ -311,7 +370,7 @@ TEST(Execute, RandomPlansAgreeAcrossEveryPath) {
     ASSERT_EQ(reference.size(), plan.size());
     for (const ExecOptions& path : paths) {
       SCOPED_TRACE(testing::Message() << "workers " << path.workers << " max_batch "
-                                      << path.max_batch << " processes " << path.processes);
+                                      << path.max_batch);
       const auto results = execute(plan, path);
       ASSERT_EQ(results.size(), reference.size());
       for (std::size_t i = 0; i < reference.size(); ++i) {

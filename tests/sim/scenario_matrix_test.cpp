@@ -2,11 +2,14 @@
 // expansion is deterministic and seed-stable, matrix execution through
 // execute() is bit-identical across worker counts, and the library obeys
 // the physical invariants the paper's operating envelope implies - higher
-// ambient never lowers peak temperature, and FPS never exceeds the panel's
-// refresh rate.
+// ambient never lowers peak temperature, FPS never exceeds the panel's
+// refresh rate, and a longer session never uses less energy.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "sim/scenario.hpp"
@@ -241,6 +244,38 @@ TEST(ScenarioPropertyTest, BackgroundBurstRaisesLoadOnlyDuringBursts) {
     EXPECT_LE(b.little_hot, 1.0);
   }
   EXPECT_GT(max_excess, 0.1);  // the bursts actually bite
+}
+
+TEST(ScenarioPropertyTest, EnergyNeverDecreasesWithDuration) {
+  // A session's trajectory is a function of its scenario and seed alone,
+  // so a longer session replays a shorter one and then keeps drawing power:
+  // for a fixed scenario and seed, energy is monotone in duration. Checked
+  // for a stock governor, a meta-governor and Next learning online.
+  constexpr double kDurations[] = {2.0, 5.0, 11.0, 23.0};
+  constexpr GovernorKind kGovernors[] = {GovernorKind::kSchedutil, GovernorKind::kIntQos,
+                                         GovernorKind::kNext};
+  std::vector<std::string> labels;
+  RunPlan plan;
+  for (const char* name : {"social_gaming", "binge_watch", "spotify_bursty", "pubg_hot35"}) {
+    ScenarioSpec spec = scenario(name);
+    for (const GovernorKind governor : kGovernors) {
+      for (const double seconds : kDurations) {
+        spec.duration = SimTime::from_seconds(seconds);
+        ExperimentConfig config = spec.experiment_config(governor);
+        config.next_mode = core::AgentMode::kTraining;  // ignored by the stock governors
+        plan.add(spec.app_factory(), spec.name, config);
+        labels.push_back(spec.name + "/" + std::string{to_string(governor)});
+      }
+    }
+  }
+  const auto results = execute(plan);
+  ASSERT_EQ(results.size(), plan.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_GT(results[i].energy_j, 0.0) << labels[i];
+    if (i % std::size(kDurations) == 0) continue;  // shortest session of its series
+    EXPECT_GE(results[i].energy_j, results[i - 1].energy_j)
+        << labels[i] << " at " << results[i].duration_s << " s";
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // training_compare.hpp - the training determinism comparator shared by the
-// execution-path tests (runner, training plan, multiproc).
+// execution-path tests (runner, training plan, scenario matrix).
 #pragma once
 
 #include <gtest/gtest.h>
