@@ -5,12 +5,12 @@
 // too-coarse bins alias distinct QoS demands (lower converged reward /
 // higher deployed power), finer bins only add states and training time.
 //
-// A second axis covers *value* quantization with the shipping wire codec
-// (rl/qtable_delta.hpp serialize_quantized, the same one fleet uploads
-// use - deliberately not a bench-local rounding, so the ablation and the
-// production path cannot drift): the paper-choice table is round-tripped
-// through f32/f16/q8 and redeployed, showing what the narrower wire
-// formats cost in policy quality against what they save in bytes.
+// A second axis covers *value* quantization with the library's wire codec
+// (rl/qtable_delta.hpp serialize_quantized - deliberately not a bench-local
+// rounding): the paper-choice table is round-tripped through f32/f16/q8
+// and redeployed, showing what the narrower wire formats would cost in
+// policy quality against what they save in bytes. Fleet uploads travel
+// as full f32 tables (QTable::serialize) or QTableDelta today.
 #include <cstdio>
 
 #include "bench_util.hpp"

@@ -9,6 +9,7 @@
 // records per-cell PPDW / power / peak temperature plus the matrix wall
 // time serially and across the worker pool, with the runner's bit-identity
 // contract checked over the whole matrix (nonzero exit when it breaks).
+// A failed or short write of the JSON exits 1 too.
 //
 // `--smoke` shortens every scenario to 30 s so CI can run the full matrix
 // on every PR; smoke numbers are CI-health signals, not trajectory points.
@@ -110,7 +111,13 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "  ]\n");
   std::fprintf(out, "}\n");
-  std::fclose(out);
+  // The stream's error flag is sticky, so one check covers every fprintf;
+  // fclose reports what the final flush could not write.
+  const bool written = std::ferror(out) == 0;
+  if (std::fclose(out) != 0 || !written) {
+    std::fprintf(stderr, "short write to %s\n", path.c_str());
+    return 1;
+  }
   std::printf("  -> %s\n\n", path.c_str());
   return timing.bit_identical ? 0 : 1;
 }

@@ -30,15 +30,6 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
-/// Complete generator state, exposed so checkpoints can persist a stream
-/// mid-sequence and resume it bit-identically (the Box-Muller spare is part
-/// of the state: dropping it would shift every subsequent normal draw).
-struct RngState {
-  std::array<std::uint64_t, 4> s{};
-  double spare_normal{0.0};
-  bool has_spare{false};
-};
-
 /// xoshiro256++ with distribution helpers. Passes BigCrush; more than enough
 /// for workload/exploration randomness while being fully portable.
 class Rng {
@@ -69,16 +60,6 @@ class Rng {
   /// Derives an independent child stream (seed mixed with `salt`), letting
   /// each subsystem own a stream without cross-coupling consumption order.
   [[nodiscard]] Rng fork(std::uint64_t salt) noexcept;
-
-  /// Snapshot / restore of the full stream state (see RngState).
-  [[nodiscard]] RngState state() const noexcept {
-    return RngState{s_, spare_normal_, has_spare_};
-  }
-  void restore(const RngState& state) noexcept {
-    s_ = state.s;
-    spare_normal_ = state.spare_normal;
-    has_spare_ = state.has_spare;
-  }
 
  private:
   std::array<std::uint64_t, 4> s_{};

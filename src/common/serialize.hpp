@@ -128,9 +128,9 @@ class ByteReader {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x4e585353;  // "NXSS"
 /// Version 3 (delta-upload era): fleet snapshots may carry an additional
-/// `sync_state` section (per-shard sync cursors + the sync-base tables that
-/// delta-encoded uploads diff against, plus cumulative wire-byte counters -
-/// see sim/fleet.hpp). Version 2 (fleet-server era) added the optional
+/// `sync_state` section: four cumulative upload-wire counters (full/delta
+/// upload counts and bytes) behind an always-empty placeholder list left by
+/// the retired shard tier - see sim/fleet.hpp. Version 2 (fleet-server era) added the optional
 /// `server_state` section (device leases, deadline clock, pending late
 /// uploads). The container framing itself is unchanged across all three
 /// versions: older files simply lack the newer sections and decode through

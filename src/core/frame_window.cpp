@@ -59,11 +59,6 @@ int FrameWindow::target_fps() const {
   return mode_;
 }
 
-void FrameWindow::restore_samples(std::span<const int> samples) {
-  clear();
-  for (const int v : samples) add_sample(Fps{static_cast<double>(v)});
-}
-
 void FrameWindow::clear() noexcept {
   samples_.clear();
   std::fill(counts_.begin(), counts_.end(), 0);

@@ -12,7 +12,6 @@
 // sweeps 1/2/4/8 s windows); defaults match the paper.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "common/ring_buffer.hpp"
@@ -45,13 +44,6 @@ class FrameWindow {
   [[nodiscard]] SimTime sample_period() const noexcept { return sample_period_; }
 
   void clear() noexcept;
-
-  /// Buffered samples oldest-first (for checkpointing).
-  [[nodiscard]] std::vector<int> samples() const { return samples_.to_vector(); }
-  /// Replaces the window contents by replaying `samples` oldest-first
-  /// through add_sample(), which rebuilds the histogram and mode cache; a
-  /// restored window is behaviorally identical to the one snapshotted.
-  void restore_samples(std::span<const int> samples);
 
  private:
   SimTime sample_period_;

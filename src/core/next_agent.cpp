@@ -39,87 +39,6 @@ void NextAgent::set_q_table(rl::QTable table) {
 
 void NextAgent::load_q_table(const std::string& path) { set_q_table(rl::QTable::load(path)); }
 
-void NextAgent::save_state(ByteWriter& out) const {
-  table_.serialize(out);
-  const RngState rng = rng_.state();
-  for (const std::uint64_t word : rng.s) out.u64(word);
-  out.f64(rng.spare_normal);
-  out.boolean(rng.has_spare);
-  out.u64(policy_.steps_taken());
-  const rl::ConvergenceDetector::State conv = convergence_.state();
-  out.f64(conv.ema);
-  out.u64(conv.updates);
-  out.u64(conv.below_count);
-  out.boolean(conv.converged);
-  const std::vector<int> window = window_.samples();
-  out.u32(static_cast<std::uint32_t>(window.size()));
-  for (const int v : window) out.u32(static_cast<std::uint32_t>(v));
-  out.u8(mode_ == AgentMode::kTraining ? 0 : 1);
-  out.boolean(prev_state_.has_value());
-  out.u64(prev_state_.value_or(0));
-  out.u64(static_cast<std::uint64_t>(prev_action_));
-  out.u64(decisions_);
-  out.f64(reward_sum_);
-  out.f64(last_reward_);
-}
-
-void NextAgent::restore_state(ByteReader& in) {
-  rl::QTable table = rl::QTable::deserialize(in);
-  if (table.action_count() != encoder_.action_count()) {
-    in.fail("agent state holds a Q-table for " + std::to_string(table.action_count()) +
-            " actions but this agent has " + std::to_string(encoder_.action_count()));
-  }
-  RngState rng;
-  for (std::uint64_t& word : rng.s) word = in.u64();
-  rng.spare_normal = in.f64();
-  rng.has_spare = in.boolean();
-  const std::uint64_t policy_steps = in.u64();
-  rl::ConvergenceDetector::State conv;
-  conv.ema = in.f64();
-  conv.updates = in.u64();
-  conv.below_count = in.u64();
-  conv.converged = in.boolean();
-  const std::uint32_t window_size = in.u32();
-  if (window_size > window_.capacity()) {
-    in.fail("agent state holds " + std::to_string(window_size) +
-            " frame-window samples but this agent's window caps at " +
-            std::to_string(window_.capacity()));
-  }
-  std::vector<int> window(window_size);
-  for (int& v : window) {
-    const std::uint32_t raw = in.u32();
-    if (raw > static_cast<std::uint32_t>(FrameWindow::kMaxFps)) {
-      in.fail("corrupt frame-window sample " + std::to_string(raw));
-    }
-    v = static_cast<int>(raw);
-  }
-  const std::uint8_t mode = in.u8();
-  if (mode > 1) in.fail("corrupt agent mode " + std::to_string(mode));
-  const bool has_prev = in.boolean();
-  const rl::StateKey prev_state = in.u64();
-  const std::uint64_t prev_action = in.u64();
-  if (prev_action >= encoder_.action_count()) {
-    in.fail("corrupt previous action index " + std::to_string(prev_action));
-  }
-  const std::uint64_t decisions = in.u64();
-  const double reward_sum = in.f64();
-  const double last_reward = in.f64();
-
-  // All fields decoded and validated - only now mutate the agent, so a
-  // corrupt payload can never leave it half-restored.
-  table_ = std::move(table);
-  rng_.restore(rng);
-  policy_.restore_steps(policy_steps);
-  convergence_.restore(conv);
-  window_.restore_samples(window);
-  mode_ = mode == 0 ? AgentMode::kTraining : AgentMode::kDeployed;
-  prev_state_ = has_prev ? std::optional<rl::StateKey>{prev_state} : std::nullopt;
-  prev_action_ = static_cast<std::size_t>(prev_action);
-  decisions_ = decisions;
-  reward_sum_ = reward_sum;
-  last_reward_ = last_reward;
-}
-
 void NextAgent::on_sample(const governors::Observation& obs) { window_.add_sample(obs.fps); }
 
 double NextAgent::reward(const governors::Observation& obs, int target_fps) const noexcept {

@@ -70,20 +70,6 @@ class NextAgent final : public governors::MetaGovernor {
   void save_q_table(const std::string& path) const { table_.save(path); }
   void load_q_table(const std::string& path);
 
-  /// Serializes the complete training state - Q-table, exploration RNG
-  /// stream, epsilon-decay position, convergence detector, frame window
-  /// contents, pending transition and reward statistics - so training can
-  /// stop, persist, and later resume bit-identically to never having
-  /// stopped. Engine-side state (thermal, app) is snapshotted separately
-  /// at episode/round boundaries; the agent's own state is everything that
-  /// survives across those boundaries.
-  void save_state(ByteWriter& out) const;
-  /// Restores what save_state() wrote. The agent must be constructed with
-  /// the same config/cluster layout; a mismatched action count is rejected
-  /// with a descriptive SerializeError, as is any truncation or corruption
-  /// (via the common/serialize bounds checks).
-  void restore_state(ByteReader& in);
-
   // --- introspection / evaluation hooks ---
   [[nodiscard]] int current_target_fps() const { return window_.target_fps(); }
   [[nodiscard]] const NextConfig& config() const noexcept { return config_; }

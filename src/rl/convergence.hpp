@@ -32,25 +32,6 @@ class ConvergenceDetector {
 
   void reset() noexcept;
 
-  /// Full detector state for checkpoint/restore: a resumed training run
-  /// must keep the EMA and confirmation-window position or it would
-  /// re-detect convergence at a different time than the uninterrupted run.
-  struct State {
-    double ema{1.0};
-    std::uint64_t updates{0};
-    std::uint64_t below_count{0};
-    bool converged{false};
-  };
-  [[nodiscard]] State state() const noexcept {
-    return State{ema_, updates_, below_count_, converged_};
-  }
-  void restore(const State& state) noexcept {
-    ema_ = state.ema;
-    updates_ = state.updates;
-    below_count_ = state.below_count;
-    converged_ = state.converged;
-  }
-
  private:
   ConvergenceParams params_;
   double ema_{1.0};

@@ -14,9 +14,9 @@
 //                     perceives (compute + the paper's measured ~4 s
 //                     round-trip communication overhead).
 //
-// The fleet-scale trainer that drives these at scale (shards of simulated
-// devices training concurrently with periodic merge rounds) lives one
-// layer up in sim/fleet.hpp.
+// The fleet server that drives these at scale (simulated devices training
+// concurrently, merged once per round) lives one layer up in
+// sim/fleet_server.hpp.
 #pragma once
 
 #include <cmath>

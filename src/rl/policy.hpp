@@ -36,9 +36,6 @@ class EpsilonGreedyPolicy {
   [[nodiscard]] double current_epsilon() const noexcept { return schedule_.at(step_); }
   [[nodiscard]] std::uint64_t steps_taken() const noexcept { return step_; }
   void reset() noexcept { step_ = 0; }
-  /// Restores the decay position (checkpoint/restore): a resumed agent
-  /// continues the schedule where it left off instead of re-exploring.
-  void restore_steps(std::uint64_t steps) noexcept { step_ = steps; }
 
  private:
   EpsilonSchedule schedule_;

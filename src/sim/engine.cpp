@@ -198,11 +198,6 @@ void Engine::apply_power_model() {
   net.set_power(thermal_.nodes.soc_board, device.rest_of_device);
 }
 
-void Engine::step_pre_thermal() {
-  step_pre_power();
-  apply_power_model();
-}
-
 void Engine::step_post_observe() {
   now_ += config_.step;
 
@@ -243,12 +238,6 @@ void Engine::step_post_finish() {
   record_if_due();
 }
 
-void Engine::step_post_thermal() {
-  step_post_observe();
-  step_post_meta();
-  step_post_finish();
-}
-
 void Engine::attach_thermal_batch(thermal::RcBatch& batch, std::size_t lane) {
   require(batch_ == nullptr, "engine is already attached to a thermal batch");
   batch.load_state(lane, thermal_.network);  // validates the shared topology
@@ -274,10 +263,13 @@ void Engine::push_power_inputs(soc::PowerBatch& batch, std::size_t lane) const {
 }
 
 void Engine::step() {
-  step_pre_thermal();
+  step_pre_power();
+  apply_power_model();
   // 4. heat flows.
   thermal_.network.step(config_.step);
-  step_post_thermal();
+  step_post_observe();
+  step_post_meta();
+  step_post_finish();
 }
 
 void Engine::run(SimTime duration) {

@@ -82,16 +82,11 @@ class Engine {
   /// Executes exactly one engine step.
   void step();
 
-  /// Batched stepping entry points. step() is exactly
-  ///   step_pre_thermal(); thermal().step(config().step); step_post_thermal();
-  /// and each of those composes from the finer phases below, so external
-  /// drivers (sim::execute()'s lock-step path) can interleave N engines per
-  /// phase while staying bit-identical to per-engine step():
-  ///   step_pre_thermal()  = step_pre_power(); apply_power_model();
-  ///   step_post_thermal() = step_post_observe(); step_post_meta();
-  ///                         step_post_finish();
-  void step_pre_thermal();
-  void step_post_thermal();
+  // The phases step() is made of, in order, so external drivers
+  // (sim::execute()'s lock-step path) can interleave N engines per phase
+  // while staying bit-identical to per-engine step():
+  //   step_pre_power(); apply_power_model(); thermal().step(config().step);
+  //   step_post_observe(); step_post_meta(); step_post_finish();
 
   /// Advances the app/render/load substrates one tick (no thermal or power
   /// reads - safe whether or not the session is batch-resident).
@@ -153,8 +148,8 @@ class Engine {
   [[nodiscard]] workload::App& app() noexcept { return *app_; }
   [[nodiscard]] governors::MetaGovernor* meta() noexcept { return meta_gov_.get(); }
   [[nodiscard]] const thermal::RcNetwork& thermal() const noexcept { return thermal_.network; }
-  /// Mutable network access for the batched stepping path (temperature
-  /// scatter after a shared RcBatch step).
+  /// Mutable network access for drivers that run the thermal phase
+  /// themselves.
   [[nodiscard]] thermal::RcNetwork& thermal() noexcept { return thermal_.network; }
   [[nodiscard]] const render::RenderPipeline& pipeline() const noexcept { return pipeline_; }
   [[nodiscard]] const Recorder& recorder() const noexcept { return recorder_; }

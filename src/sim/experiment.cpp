@@ -1,12 +1,12 @@
 #include "sim/experiment.hpp"
 
-#include <chrono>
 #include <cstring>
 
 #include "common/error.hpp"
 #include "governors/intqos.hpp"
 #include "governors/schedutil.hpp"
 #include "governors/simple_governors.hpp"
+#include "sim/runner.hpp"
 
 namespace nextgov::sim {
 
@@ -122,85 +122,12 @@ SessionResult run_app_session(workload::AppId app, const ExperimentConfig& confi
       std::string{workload::to_string(app)}, config);
 }
 
-std::unique_ptr<Engine> make_training_engine(const AppFactory& app_factory,
-                                             const core::NextConfig& config,
-                                             const TrainingOptions& options) {
-  ExperimentConfig exp;
-  exp.governor = GovernorKind::kNext;
-  exp.seed = options.seed;
-  exp.ambient = options.ambient;
-  exp.refresh_hz = options.refresh_hz;
-  exp.next_config = config;
-  exp.next_mode = core::AgentMode::kTraining;
-
-  auto engine = make_engine(app_factory, exp);
-  if (options.initial_table != nullptr) {
-    // Warm start (federated merge rounds): resume learning from the given
-    // aggregate instead of a cold table. Mode stays kTraining.
-    auto* agent = dynamic_cast<core::NextAgent*>(engine->meta());
-    NEXTGOV_ASSERT(agent != nullptr);
-    agent->set_q_table(*options.initial_table);
-  }
-  return engine;
-}
-
-void TrainingConvergence::on_chunk(std::size_t states_now, std::uint64_t decisions,
-                                   double trained_s) noexcept {
-  settled_chunks = (states_now - prev_states <= 1) ? settled_chunks + 1 : 0;
-  prev_states = states_now;
-  // The TD-EMA detector alone is dominated by reward noise and the
-  // epsilon schedule; coverage settling is what actually scales with
-  // the discretization (Fig. 6). Require both a minimum learning
-  // volume and a sustained stop in state discovery.
-  if (!converged && decisions > 2000 && settled_chunks >= kCoverageSettleChunks) {
-    converged = true;
-    sim_seconds_at_convergence = trained_s;
-  }
-}
-
-TrainingResult make_training_result(const core::NextAgent& agent,
-                                    const TrainingConvergence& convergence,
-                                    SimTime trained, double wall_seconds) {
-  return TrainingResult{agent.q_table(), convergence.converged,
-                        convergence.converged ? convergence.sim_seconds_at_convergence
-                                              : trained.seconds(),
-                        wall_seconds, agent.decisions(), agent.mean_reward(),
-                        agent.q_table().state_count()};
-}
-
 TrainingResult train_next_on(AppFactory app_factory, const core::NextConfig& config,
                              const TrainingOptions& options) {
   require(static_cast<bool>(app_factory), "train_next_on needs an app factory");
-  auto engine = make_training_engine(app_factory, config, options);
-  auto* agent = dynamic_cast<core::NextAgent*>(engine->meta());
-  NEXTGOV_ASSERT(agent != nullptr);
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  SimTime trained = SimTime::zero();
-  std::uint64_t episode = 0;
-  TrainingConvergence convergence;
-
-  while (trained < options.max_duration) {
-    SimTime episode_left = options.episode_length;
-    while (episode_left.us() > 0 && trained < options.max_duration) {
-      const SimTime chunk = std::min(kTrainingCheckChunk, episode_left);
-      engine->run(chunk);
-      trained += chunk;
-      episode_left = episode_left - chunk;
-      convergence.on_chunk(agent->q_table().state_count(), agent->decisions(),
-                           trained.seconds());
-      if (convergence.converged && options.stop_at_convergence) break;
-    }
-    if (convergence.converged && options.stop_at_convergence) break;
-    ++episode;
-    // User re-opens the app: fresh app instance + cold thermal state, but
-    // the learned Q-table persists (Section IV-B).
-    engine->reset_session(app_factory(options.seed + episode + 1));
-  }
-  const auto wall_end = std::chrono::steady_clock::now();
-
-  return make_training_result(*agent, convergence, trained,
-                              std::chrono::duration<double>(wall_end - wall_start).count());
+  TrainingPlan plan;
+  plan.add(std::move(app_factory), "", config, options);
+  return std::move(execute(plan, {.workers = 1, .max_batch = 1}).front());
 }
 
 TrainingResult train_next(workload::AppId app, const core::NextConfig& config,

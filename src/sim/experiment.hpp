@@ -126,7 +126,9 @@ struct TrainingResult {
 };
 
 /// Trains Next online on one app until convergence (or max_duration),
-/// restarting the app every episode like a user re-opening it.
+/// restarting the app every episode like a user re-opening it. A one-cell
+/// training plan through sim::execute() (sim/runner.hpp), which holds the
+/// training loop.
 [[nodiscard]] TrainingResult train_next(workload::AppId app, const core::NextConfig& config,
                                         const TrainingOptions& options);
 
@@ -134,42 +136,5 @@ struct TrainingResult {
 [[nodiscard]] TrainingResult train_next_on(AppFactory app_factory,
                                            const core::NextConfig& config,
                                            const TrainingOptions& options);
-
-// --- plumbing shared between train_next_on() and the batched trainer -------
-// (sim::execute()'s lock-step path advances many homogeneous training cells
-// together; it must follow *exactly* the control flow of train_next_on, so
-// the pieces live here instead of being re-implemented.)
-
-/// Cadence at which training re-checks convergence; also the lock-step
-/// chunk granularity of the batched trainer.
-inline constexpr SimTime kTrainingCheckChunk = SimTime::from_seconds(1.0);
-
-/// Engine wired for one online-training cell: the Next stack in training
-/// mode, warm-started from options.initial_table when set.
-[[nodiscard]] std::unique_ptr<Engine> make_training_engine(const AppFactory& app_factory,
-                                                           const core::NextConfig& config,
-                                                           const TrainingOptions& options);
-
-/// The convergence detector applied after every trained chunk. Convergence
-/// = TD errors settled (enough decisions) AND the quantized state space
-/// stopped growing: the agent keeps discovering new states for as long as
-/// the discretization is finer, which is exactly what makes finer FPS
-/// quantization train longer (the paper's Fig. 6).
-struct TrainingConvergence {
-  static constexpr int kCoverageSettleChunks = 45;  // 45 s without real discovery
-  std::size_t prev_states{0};
-  int settled_chunks{0};
-  bool converged{false};
-  double sim_seconds_at_convergence{0.0};
-
-  /// Feed the agent's state after one more kTrainingCheckChunk of training.
-  void on_chunk(std::size_t states_now, std::uint64_t decisions, double trained_s) noexcept;
-};
-
-/// Assembles the TrainingResult train_next_on() returns (also used by the
-/// batched trainer so the summary fields can never drift).
-[[nodiscard]] TrainingResult make_training_result(const core::NextAgent& agent,
-                                                  const TrainingConvergence& convergence,
-                                                  SimTime trained, double wall_seconds);
 
 }  // namespace nextgov::sim

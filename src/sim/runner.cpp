@@ -384,51 +384,102 @@ void run_session_batch(const RunPlan& plan, const std::vector<std::size_t>& indi
   }
 }
 
-/// One training batch: the exact train_next_on() control flow (chunked
-/// episodes, convergence bookkeeping, episode resets) applied to a group
-/// of cells lock-step. Grouping guarantees identical (max_duration,
-/// episode_length) and stop_at_convergence unset, so every cell hits the
-/// same chunk and reset boundaries.
+/// Cadence at which training re-checks convergence; also the lock-step
+/// chunk granularity of a training batch.
+constexpr SimTime kTrainingCheckChunk = SimTime::from_seconds(1.0);
+
+/// Engine wired for one online-training cell: the Next stack in training
+/// mode, warm-started from options.initial_table when set.
+std::unique_ptr<Engine> make_training_engine(const TrainingSpec& cell) {
+  ExperimentConfig exp;
+  exp.governor = GovernorKind::kNext;
+  exp.seed = cell.options.seed;
+  exp.ambient = cell.options.ambient;
+  exp.refresh_hz = cell.options.refresh_hz;
+  exp.next_config = cell.config;
+  exp.next_mode = core::AgentMode::kTraining;
+
+  auto engine = make_engine(cell.app_factory, exp);
+  if (cell.options.initial_table != nullptr) {
+    // Warm start (federated merge rounds): resume learning from the given
+    // aggregate instead of a cold table. Mode stays kTraining.
+    NEXTGOV_ASSERT(engine->next_agent() != nullptr);
+    engine->next_agent()->set_q_table(*cell.options.initial_table);
+  }
+  return engine;
+}
+
+/// The convergence detector applied after every trained chunk. Convergence
+/// = TD errors settled (enough decisions) AND the quantized state space
+/// stopped growing: the agent keeps discovering new states for as long as
+/// the discretization is finer, which is exactly what makes finer FPS
+/// quantization train longer (the paper's Fig. 6).
+struct TrainingConvergence {
+  static constexpr int kCoverageSettleChunks = 45;  // 45 s without real discovery
+  std::size_t prev_states{0};
+  int settled_chunks{0};
+  bool converged{false};
+  double sim_seconds_at_convergence{0.0};
+
+  /// Feed the agent's state after one more kTrainingCheckChunk of training.
+  void on_chunk(std::size_t states_now, std::uint64_t decisions, double trained_s) noexcept {
+    settled_chunks = (states_now - prev_states <= 1) ? settled_chunks + 1 : 0;
+    prev_states = states_now;
+    // The TD-EMA detector alone is dominated by reward noise and the
+    // epsilon schedule; coverage settling is what actually scales with
+    // the discretization (Fig. 6). Require both a minimum learning
+    // volume and a sustained stop in state discovery.
+    if (!converged && decisions > 2000 && settled_chunks >= kCoverageSettleChunks) {
+      converged = true;
+      sim_seconds_at_convergence = trained_s;
+    }
+  }
+};
+
+/// One training batch - the repo's one training loop (Section IV-B): each
+/// cell trains online in chunks of kTrainingCheckChunk, episodes end with
+/// the user re-opening the app, and convergence is checked after every
+/// chunk. Grouping guarantees identical (max_duration, episode_length) and
+/// gives every stop_at_convergence cell a batch of its own, so all cells of
+/// a batch share one clock. A batch of two or more homogeneous engines runs
+/// batch-resident (advance_resident); a single cell, or a group
+/// make_resident() rejects, advances each engine with Engine::run - the
+/// per-session reference, bit-identical either way.
 void run_training_batch(const TrainingPlan& plan, const std::vector<std::size_t>& indices,
                         std::vector<std::optional<TrainingResult>>& slots,
                         BatchPhaseTimings* timings) {
   const std::size_t n = indices.size();
-  const auto per_cell = [&] {
-    for (const std::size_t idx : indices) {
-      const TrainingSpec& cell = plan.cells()[idx];
-      slots[idx] = train_next_on(cell.app_factory, cell.config, cell.options);
-    }
-  };
-  // Singleton batches (max_batch = 1, early-stopping cells, degenerate
-  // shares) go straight to the per-cell path - no point building an engine
-  // here only to rebuild it inside train_next_on.
-  if (n < 2) return per_cell();
-  const auto wall_start = std::chrono::steady_clock::now();
   std::vector<std::unique_ptr<Engine>> engines;
   std::vector<core::NextAgent*> agents(n);
   engines.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const TrainingSpec& cell = plan.cells()[indices[i]];
-    engines.push_back(make_training_engine(cell.app_factory, cell.config, cell.options));
-    agents[i] = dynamic_cast<core::NextAgent*>(engines[i]->meta());
+    engines.push_back(make_training_engine(plan.cells()[indices[i]]));
+    agents[i] = engines[i]->next_agent();
     NEXTGOV_ASSERT(agents[i] != nullptr);
   }
+  const auto wall_start = std::chrono::steady_clock::now();
   auto resident = make_resident(engines);
-  // Ground-truth homogeneity failed (an engine with a foreign topology,
-  // step or SoC): rare, and the per-cell path is the correct fallback.
-  if (resident == nullptr) return per_cell();
   BatchPhaseTimings local;
+  const auto advance = [&](SimTime chunk) {
+    if (resident != nullptr) {
+      advance_resident(engines, *resident, chunk, timings != nullptr ? &local : nullptr);
+    } else {
+      for (auto& e : engines) e->run(chunk);
+    }
+  };
 
   const TrainingOptions& options = plan.cells()[indices.front()].options;
+  NEXTGOV_ASSERT(n == 1 || !options.stop_at_convergence);
   SimTime trained = SimTime::zero();
   std::uint64_t episode = 0;
   std::vector<TrainingConvergence> convergence(n);
+  const auto stopped = [&] { return options.stop_at_convergence && convergence[0].converged; };
 
   while (trained < options.max_duration) {
     SimTime episode_left = options.episode_length;
-    while (episode_left.us() > 0 && trained < options.max_duration) {
+    while (episode_left.us() > 0 && trained < options.max_duration && !stopped()) {
       const SimTime chunk = std::min(kTrainingCheckChunk, episode_left);
-      advance_resident(engines, *resident, chunk, timings != nullptr ? &local : nullptr);
+      advance(chunk);
       trained += chunk;
       episode_left = episode_left - chunk;
       for (std::size_t i = 0; i < n; ++i) {
@@ -436,10 +487,11 @@ void run_training_batch(const TrainingPlan& plan, const std::vector<std::size_t>
                                 trained.seconds());
       }
     }
+    if (stopped()) break;
     ++episode;
-    // User re-opens the app (train_next_on semantics): fresh app + cold
-    // thermal state per cell, learned Q-tables persist. reset_session is
-    // lane-aware, so the attached batch resets along with the engine.
+    // User re-opens the app: fresh app + cold thermal state per cell, the
+    // learned Q-tables persist. reset_session is lane-aware, so an
+    // attached batch resets along with the engine.
     for (std::size_t i = 0; i < n; ++i) {
       const TrainingSpec& cell = plan.cells()[indices[i]];
       engines[i]->reset_session(cell.app_factory(cell.options.seed + episode + 1));
@@ -449,13 +501,17 @@ void run_training_batch(const TrainingPlan& plan, const std::vector<std::size_t>
   merge_phase_timings(timings, local);
 
   // The batch's wall time covers all n interleaved cells; attribute an
-  // even share to each so per-cell wall_seconds stays comparable to
-  // the per-cell path's measurement (consumers sum or rate it).
+  // even share to each so per-cell wall_seconds stays comparable across
+  // batch widths (consumers sum or rate it).
   const double wall_per_cell =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count() /
       static_cast<double>(n);
   for (std::size_t i = 0; i < n; ++i) {
-    slots[indices[i]] = make_training_result(*agents[i], convergence[i], trained, wall_per_cell);
+    const TrainingConvergence& c = convergence[i];
+    slots[indices[i]] = TrainingResult{
+        agents[i]->q_table(), c.converged,
+        c.converged ? c.sim_seconds_at_convergence : trained.seconds(), wall_per_cell,
+        agents[i]->decisions(), agents[i]->mean_reward(), agents[i]->q_table().state_count()};
   }
 }
 
@@ -510,8 +566,7 @@ std::vector<TrainingResult> execute(const TrainingPlan& plan, const ExecOptions&
   std::vector<std::optional<TrainingResult>> slots(plan.size());
   // Early-stopping cells have data-dependent control flow, so they can't
   // share a lock-step clock; a negative key gives each its own singleton
-  // group (distinct keys), which run_training_batch routes to the per-cell
-  // path.
+  // group (distinct keys).
   std::int64_t next_singleton = -1;
   run_batches<std::pair<std::int64_t, std::int64_t>>(
       plan.size(), options,

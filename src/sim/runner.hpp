@@ -181,7 +181,10 @@ struct ExecOptions {
 
 /// Training counterpart: TrainingResults in plan order, bit-identical to
 /// serial per-cell training (wall_seconds excepted; a lock-step batch
-/// attributes an even share of its wall time to each of its cells).
+/// attributes an even share of its wall time to each of its cells). This
+/// holds the repo's one training loop - chunked episodes, app re-opens and
+/// convergence checks - for batches of 1..N cells; train_next() and
+/// train_next_on() run one-cell plans through it.
 [[nodiscard]] std::vector<TrainingResult> execute(const TrainingPlan& plan,
                                                   const ExecOptions& options = {});
 

@@ -10,8 +10,7 @@
 // power model as a dense table walk. PowerBatch holds the group's inputs
 // (current OPP index + mean utilization per cluster per session) in SoA
 // lanes and writes the resulting powers straight into the thermal batch's
-// power lanes, eliminating the per-session set_power -> gather_powers
-// round-trip the first batched pipeline paid every tick.
+// power lanes, so no per-session power state sits between the two kernels.
 //
 // Bit-identity contract: per session the evaluation inlines exactly
 // soc::cluster_power_from_coeffs - the same expression the scalar

@@ -54,59 +54,20 @@ void RcBatch::load_state(std::size_t session, const RcNetwork& net) {
   require(session < sessions_, "unknown batch session");
   require(net.topology().get() == topo_.get(),
           "RcBatch::load_state: network does not share the batch topology");
-  const std::span<const double> temps = net.temperatures_raw();
-  const std::span<const double> powers = net.powers_raw();
   const std::size_t n = node_count();
   for (std::size_t i = 0; i < n; ++i) {
-    temp_[i * sessions_ + session] = temps[i];
-    power_[i * sessions_ + session] = powers[i];
+    temp_[i * sessions_ + session] = net.temp_[i];
+    power_[i * sessions_ + session] = net.power_[i];
   }
   ambient_[session] = net.ambient().value();
 }
 
 void RcBatch::store_temperatures(std::size_t session, RcNetwork& net) const {
   NEXTGOV_ASSERT(session < sessions_);
-  NEXTGOV_ASSERT(net.temperatures_raw().size() == node_count());
+  NEXTGOV_ASSERT(net.temp_.size() == node_count());
   // Strided gather out of the SoA block into the network's node order.
   const std::size_t n = node_count();
-  // set_temperatures_raw wants a contiguous span; write through a small
-  // stack-friendly scratch only when n is large enough to matter - node
-  // counts are tiny (6 for the Note 9), so a fixed local buffer suffices.
-  double scratch[32];
-  if (n <= 32) {
-    for (std::size_t i = 0; i < n; ++i) scratch[i] = temp_[i * sessions_ + session];
-    net.set_temperatures_raw(std::span<const double>{scratch, n});
-  } else {
-    std::vector<double> big(n);
-    for (std::size_t i = 0; i < n; ++i) big[i] = temp_[i * sessions_ + session];
-    net.set_temperatures_raw(big);
-  }
-}
-
-void RcBatch::gather_powers(std::span<const RcNetwork* const> nets) {
-  NEXTGOV_ASSERT(nets.size() == sessions_);
-  const std::size_t n = node_count();
-  const std::size_t S = sessions_;
-  double* const power = power_.data();
-  for (std::size_t s = 0; s < S; ++s) {
-    const double* const src = nets[s]->powers_raw().data();
-    for (std::size_t i = 0; i < n; ++i) power[i * S + s] = src[i];
-  }
-}
-
-void RcBatch::scatter_temperatures(std::span<RcNetwork* const> nets) const {
-  NEXTGOV_ASSERT(nets.size() == sessions_);
-  const std::size_t n = node_count();
-  const std::size_t S = sessions_;
-  const double* const temp = temp_.data();
-  for (std::size_t s = 0; s < S; ++s) {
-    // Direct write into the network's state (friend access): the strided
-    // read out of the SoA block is the unavoidable part; everything else
-    // is a plain contiguous store.
-    double* const dst = nets[s]->temp_.data();
-    NEXTGOV_ASSERT(nets[s]->temp_.size() == n);
-    for (std::size_t i = 0; i < n; ++i) dst[i] = temp[i * S + s];
-  }
+  for (std::size_t i = 0; i < n; ++i) net.temp_[i] = temp_[i * sessions_ + session];
 }
 
 void RcBatch::euler_substep(double dt_s) noexcept {

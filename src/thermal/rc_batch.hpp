@@ -22,7 +22,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -61,29 +60,21 @@ class RcBatch {
   [[nodiscard]] Celsius temperature(std::size_t session, NodeId node) const;
   void set_all_temperatures(std::size_t session, Celsius t);
 
-  // Gather/scatter against a per-session RcNetwork view (same topology
-  // pointer required: sharing is what makes the sessions homogeneous).
+  // Batch entry and exit against a per-session RcNetwork view (same
+  // topology pointer required: sharing is what makes the sessions
+  // homogeneous).
   /// Adopts `net`'s full state: temperatures, powers and ambient.
   void load_state(std::size_t session, const RcNetwork& net);
   /// Writes the session's temperatures back into `net` (so engine-side
   /// consumers keep reading their own network).
   void store_temperatures(std::size_t session, RcNetwork& net) const;
 
-  /// Bulk per-tick gather/scatter: one call for all sessions (nets in
-  /// session order, one entry per session, each sharing the batch
-  /// topology - establish that once via load_state). Since the
-  /// batch-resident pipeline these are boundary operations (batch entry,
-  /// session exit), not per-tick ones: between ticks the state stays in the
-  /// lanes and producers/consumers address them directly.
-  void gather_powers(std::span<const RcNetwork* const> nets);
-  void scatter_temperatures(std::span<RcNetwork* const> nets) const;
-
   /// Raw SoA lanes: `session_count()` contiguous doubles per node, one
   /// value per session in session order. The batch-resident pipeline works
   /// in these directly - soc::PowerBatch writes cluster powers into
   /// power_lane(junction node) and the engine's observation refresh reads
-  /// temperature_lane(node)[session] - so no per-tick gather/scatter
-  /// round-trip remains. Pointers stay valid for the batch's lifetime.
+  /// temperature_lane(node)[session]. Pointers stay valid for the batch's
+  /// lifetime.
   [[nodiscard]] const double* temperature_lane(NodeId node) const noexcept {
     NEXTGOV_ASSERT(node < node_count());
     return temp_.data() + node * sessions_;

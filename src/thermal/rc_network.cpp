@@ -18,8 +18,8 @@ RcTopology::RcTopology(std::vector<RcNodeSpec> nodes, std::vector<RcEdgeSpec> ed
     require(nd.g_ambient >= 0.0, "ambient conductance must be non-negative");
   }
   for (const auto& e : edges_) {
-    require(e.a < n && e.b < n, "connect: unknown node id");
-    require(e.a != e.b, "connect: cannot connect a node to itself");
+    require(e.a < n && e.b < n, "thermal edge: unknown node id");
+    require(e.a != e.b, "thermal edge: endpoints must differ");
     require(e.g > 0.0, "thermal conductance must be positive");
   }
 
@@ -94,44 +94,17 @@ std::size_t RcTopology::substeps_for(double total_s) const noexcept {
 
 // --- RcNetwork -------------------------------------------------------------
 
-RcNetwork::RcNetwork(Celsius ambient) : ambient_{ambient} {}
-
 RcNetwork::RcNetwork(std::shared_ptr<const RcTopology> topology, Celsius ambient)
-    : ambient_{ambient}, topo_{std::move(topology)} {
+    : topo_{std::move(topology)}, ambient_{ambient} {
   require(topo_ != nullptr, "RcNetwork needs a topology");
   temp_.assign(topo_->node_count(), ambient_.value());
   power_.assign(topo_->node_count(), 0.0);
-}
-
-void RcNetwork::begin_mutation() {
-  if (topo_ == nullptr) return;  // already in pending mode
-  pending_nodes_ = topo_->nodes();
-  pending_edges_ = topo_->edges();
-  topo_.reset();
-}
-
-NodeId RcNetwork::add_node(std::string name, double capacity_j_per_k,
-                           double g_ambient_w_per_k) {
-  require(capacity_j_per_k > 0.0, "thermal capacity must be positive");
-  require(g_ambient_w_per_k >= 0.0, "ambient conductance must be non-negative");
-  begin_mutation();
-  pending_nodes_.push_back(RcNodeSpec{std::move(name), capacity_j_per_k, g_ambient_w_per_k});
-  temp_.push_back(ambient_.value());
-  power_.push_back(0.0);
-  return temp_.size() - 1;
-}
-
-void RcNetwork::connect(NodeId a, NodeId b, double g_w_per_k) {
-  require(a < node_count() && b < node_count(), "connect: unknown node id");
-  require(a != b, "connect: cannot connect a node to itself");
-  require(g_w_per_k > 0.0, "thermal conductance must be positive");
-  begin_mutation();
-  pending_edges_.push_back(RcEdgeSpec{a, b, g_w_per_k});
+  flux_.assign(topo_->node_count(), 0.0);
 }
 
 const std::string& RcNetwork::node_name(NodeId id) const {
   require(id < node_count(), "unknown node id");
-  return topo_ != nullptr ? topo_->node(id).name : pending_nodes_[id].name;
+  return topo_->node(id).name;
 }
 
 Celsius RcNetwork::temperature(NodeId id) const {
@@ -147,25 +120,6 @@ void RcNetwork::set_power(NodeId id, Watts p) {
 Watts RcNetwork::power(NodeId id) const {
   require(id < node_count(), "unknown node id");
   return Watts{power_[id]};
-}
-
-void RcNetwork::ensure_topology() const {
-  if (topo_ != nullptr) return;
-  topo_ = RcTopology::make(std::move(pending_nodes_), std::move(pending_edges_));
-  pending_nodes_.clear();
-  pending_edges_.clear();
-  flux_.assign(topo_->node_count(), 0.0);
-  cached_dt_us_ = -1;  // sub-step count depends on the stability bound
-}
-
-const std::shared_ptr<const RcTopology>& RcNetwork::topology() const {
-  ensure_topology();
-  return topo_;
-}
-
-double RcNetwork::max_stable_dt_seconds() const noexcept {
-  ensure_topology();
-  return topo_->max_stable_dt_seconds();
 }
 
 void RcNetwork::euler_substep(double dt_s) noexcept {
@@ -196,14 +150,12 @@ void RcNetwork::euler_substep(double dt_s) noexcept {
 void RcNetwork::step(SimTime dt) {
   NEXTGOV_ASSERT(dt.us() >= 0);
   if (temp_.empty() || dt.us() == 0) return;
-  ensure_topology();
   if (dt.us() != cached_dt_us_) {
     const double total_s = dt.seconds();
     cached_substeps_ = topo_->substeps_for(total_s);
     cached_dt_sub_s_ = total_s / static_cast<double>(cached_substeps_);
     cached_dt_us_ = dt.us();
   }
-  if (flux_.size() != temp_.size()) flux_.assign(temp_.size(), 0.0);
   for (std::size_t k = 0; k < cached_substeps_; ++k) euler_substep(cached_dt_sub_s_);
 }
 
@@ -211,17 +163,11 @@ void RcNetwork::set_all_temperatures(Celsius t) noexcept {
   std::fill(temp_.begin(), temp_.end(), t.value());
 }
 
-void RcNetwork::set_temperatures_raw(std::span<const double> temps) {
-  require(temps.size() == temp_.size(), "set_temperatures_raw: size mismatch");
-  std::copy(temps.begin(), temps.end(), temp_.begin());
-}
-
 std::vector<Celsius> RcNetwork::steady_state() const {
   // Solve A * T = b where A is the cached pristine system and
   // b = P + G_amb * T_amb.
   const std::size_t n = node_count();
   require(n > 0, "steady_state of empty network");
-  ensure_topology();
   require(topo_->total_g_ambient() > 0.0,
           "network has no path to ambient; no steady state exists");
 

@@ -19,10 +19,7 @@
 //     the same device, so fleet-scale sweeps build the CSR exactly once.
 //   * RcNetwork is a thin per-session state view over a topology: node
 //     temperatures, injected powers, the ambient boundary and the cached
-//     sub-step count for the engine's fixed step. Networks built
-//     incrementally (add_node/connect) own a private topology that is
-//     (re)built lazily; mutating a network that shares its topology copies
-//     the structure first, so sharing never changes another session.
+//     sub-step count for the engine's fixed step.
 //   * rc_batch.hpp steps many same-topology sessions in one
 //     structure-of-arrays sweep, bit-identical to per-session step().
 //
@@ -59,10 +56,9 @@ struct RcEdgeSpec {
 };
 
 /// The immutable, shareable solver structure: node/edge specs plus every
-/// precomputed view the steppers need. Build once (directly or via
-/// RcNetwork's incremental add_node/connect), share across sessions with
-/// std::shared_ptr<const RcTopology>; per-session state lives in RcNetwork
-/// (or, batched, in RcBatch).
+/// precomputed view the steppers need. Build once (RcTopology::make), share
+/// across sessions with std::shared_ptr<const RcTopology>; per-session
+/// state lives in RcNetwork (or, batched, in RcBatch).
 class RcTopology {
  public:
   /// Validates and precomputes; throws ConfigError on invalid parameters
@@ -110,27 +106,12 @@ class RcTopology {
   std::vector<double> dense_a_;
 };
 
-/// Per-session RC network state over a (possibly shared) RcTopology. Build
-/// once (add_node/connect or the shared-topology constructor), then step().
+/// Per-session RC network state over a shared RcTopology.
 class RcNetwork {
  public:
-  /// Empty network for incremental construction (add_node/connect); the
-  /// private topology is built lazily on first use.
-  explicit RcNetwork(Celsius ambient);
-
-  /// State view over a shared topology, all nodes at `ambient`. The usual
-  /// way fleet-scale sweeps create sessions: one topology, N states.
+  /// State view over `topology`, all nodes at `ambient`. Fleet-scale sweeps
+  /// create sessions this way: one topology, N states.
   RcNetwork(std::shared_ptr<const RcTopology> topology, Celsius ambient);
-
-  /// Adds a node with heat capacity `capacity_j_per_k`, conductance
-  /// `g_ambient_w_per_k` to ambient (0 for internal nodes), initialized at
-  /// the ambient temperature. Returns its id. Copies a shared topology
-  /// before extending it (other sessions are never affected).
-  NodeId add_node(std::string name, double capacity_j_per_k, double g_ambient_w_per_k = 0.0);
-
-  /// Connects two nodes with conductance `g_w_per_k` (> 0). Copy-on-write
-  /// like add_node().
-  void connect(NodeId a, NodeId b, double g_w_per_k);
 
   [[nodiscard]] std::size_t node_count() const noexcept { return temp_.size(); }
   [[nodiscard]] const std::string& node_name(NodeId id) const;
@@ -153,48 +134,38 @@ class RcNetwork {
   /// network has no path to ambient (no equilibrium exists).
   [[nodiscard]] std::vector<Celsius> steady_state() const;
 
-  /// Largest stable explicit-Euler step for the current topology [s].
-  [[nodiscard]] double max_stable_dt_seconds() const noexcept;
+  /// Largest stable explicit-Euler step for the topology [s].
+  [[nodiscard]] double max_stable_dt_seconds() const noexcept {
+    return topo_->max_stable_dt_seconds();
+  }
 
-  /// The (lazily built) topology this session's state lives on. Two
-  /// networks batch-step together iff their topology pointers are equal.
-  [[nodiscard]] const std::shared_ptr<const RcTopology>& topology() const;
+  /// The topology this session's state lives on. Two networks batch-step
+  /// together iff their topology pointers are equal.
+  [[nodiscard]] const std::shared_ptr<const RcTopology>& topology() const noexcept {
+    return topo_;
+  }
 
-  /// The batch stepper's bulk scatter writes temperatures directly.
+  /// Node temperatures in node order (the engine's observation reads).
+  [[nodiscard]] std::span<const double> temperatures_raw() const noexcept { return temp_; }
+
+  /// The batch stepper loads and stores state directly.
   friend class RcBatch;
 
-  // Raw state views for the batch stepper's gather/scatter (node order).
-  [[nodiscard]] std::span<const double> temperatures_raw() const noexcept { return temp_; }
-  [[nodiscard]] std::span<const double> powers_raw() const noexcept { return power_; }
-  /// Overwrites every node temperature (batch scatter; size must match).
-  void set_temperatures_raw(std::span<const double> temps);
-
  private:
-  /// (Re)builds the private topology after incremental mutation. Const
-  /// because read-only queries (max_stable_dt_seconds, steady_state) also
-  /// need a current view.
-  void ensure_topology() const;
-  /// Copies a built topology's specs into the pending buffers so
-  /// add_node/connect can extend without touching other sessions.
-  void begin_mutation();
   void euler_substep(double dt_s) noexcept;
 
+  std::shared_ptr<const RcTopology> topo_;
   Celsius ambient_;
   std::vector<double> temp_;   // per node, degrees C
   std::vector<double> power_;  // per node, injected heat W
 
-  // Null while pending_* hold un-built structural mutations.
-  mutable std::shared_ptr<const RcTopology> topo_;
-  mutable std::vector<RcNodeSpec> pending_nodes_;
-  mutable std::vector<RcEdgeSpec> pending_edges_;
-
   // Sub-step count for the last-seen step size (one engine runs a fixed dt,
   // so this caches the ceil/divide of the stability analysis).
-  mutable std::int64_t cached_dt_us_{-1};
-  mutable std::size_t cached_substeps_{1};
-  mutable double cached_dt_sub_s_{0.0};
+  std::int64_t cached_dt_us_{-1};
+  std::size_t cached_substeps_{1};
+  double cached_dt_sub_s_{0.0};
 
-  mutable std::vector<double> flux_;  // scratch: net heat into each node [W]
+  std::vector<double> flux_;  // scratch: net heat into each node [W]
   // Scratch for steady_state() so repeated solves don't allocate.
   mutable std::vector<double> ss_a_;
   mutable std::vector<double> ss_b_;

@@ -175,79 +175,5 @@ TEST(NextAgent, ResetKeepsLearnedTable) {
   EXPECT_EQ(agent->current_target_fps(), 0);  // window cleared
 }
 
-TEST(NextAgent, SaveRestoreStateResumesTrainingBitIdentically) {
-  // The checkpoint contract: an agent restored mid-training must produce
-  // exactly the trajectory the original would have - table, exploration
-  // draws, window mode, pending transition and reward stats all included.
-  soc::Soc soc_a = soc::make_exynos9810();
-  auto a = make_next_agent(soc_a, NextConfig{}, 77);
-  for (int i = 0; i < 150; ++i) {
-    auto obs = obs_for(soc_a, 28.0 + (i % 5), 2.5, 50.0, 32.0);
-    a->on_sample(obs);
-    if (i % 4 == 0) a->control(obs, soc_a);
-  }
-  ByteWriter out;
-  a->save_state(out);
-
-  soc::Soc soc_b = soc::make_exynos9810();
-  auto b = make_next_agent(soc_b, NextConfig{}, 1);  // different seed on purpose
-  ByteReader in{out.data(), "test"};
-  b->restore_state(in);
-  EXPECT_TRUE(in.done());
-  EXPECT_TRUE(b->q_table() == a->q_table());
-  EXPECT_EQ(b->decisions(), a->decisions());
-  EXPECT_EQ(b->last_reward(), a->last_reward());
-  EXPECT_EQ(b->current_target_fps(), a->current_target_fps());
-  // Mirror the SoC actuation state too, then run both forward: every
-  // decision (including epsilon-greedy draws) must match.
-  for (std::size_t c = 0; c < soc_a.cluster_count(); ++c) {
-    soc_b.cluster(c).set_max_cap_index(soc_a.cluster(c).max_cap_index());
-    soc_b.cluster(c).set_freq_index(soc_a.cluster(c).freq_index());
-  }
-  for (int i = 0; i < 200; ++i) {
-    auto obs_a = obs_for(soc_a, 27.0 + (i % 7), 2.8, 52.0, 33.0);
-    auto obs_b = obs_for(soc_b, 27.0 + (i % 7), 2.8, 52.0, 33.0);
-    a->on_sample(obs_a);
-    b->on_sample(obs_b);
-    if (i % 4 == 0) {
-      a->control(obs_a, soc_a);
-      b->control(obs_b, soc_b);
-      for (std::size_t c = 0; c < soc_a.cluster_count(); ++c) {
-        ASSERT_EQ(soc_a.cluster(c).max_cap_index(), soc_b.cluster(c).max_cap_index())
-            << "decision diverged at step " << i;
-      }
-      ASSERT_EQ(a->last_reward(), b->last_reward()) << "reward diverged at step " << i;
-    }
-  }
-  EXPECT_TRUE(a->q_table() == b->q_table());
-  EXPECT_EQ(a->decisions(), b->decisions());
-}
-
-TEST(NextAgent, RestoreStateRejectsMismatchedActionCountAndCorruption) {
-  const soc::Soc soc = soc::make_exynos9810();
-  auto agent = make_next_agent(soc, NextConfig{}, 3);
-  ByteWriter out;
-  agent->save_state(out);
-  // Truncated payload -> descriptive SerializeError, agent untouched.
-  {
-    auto victim = make_next_agent(soc, NextConfig{}, 4);
-    std::vector<std::uint8_t> cut{out.data().begin(),
-                                  out.data().begin() + static_cast<std::ptrdiff_t>(16)};
-    ByteReader in{cut, "test"};
-    EXPECT_THROW(victim->restore_state(in), SerializeError);
-  }
-  // A state whose Q-table was sized for a different action count must be
-  // rejected up front (the exynos9810 agent has 9 actions).
-  {
-    rl::QTable alien{4};
-    alien.set_q(1, 0, 0.5);
-    ByteWriter alien_out;
-    alien.serialize(alien_out);
-    auto victim = make_next_agent(soc, NextConfig{}, 6);
-    ByteReader in{alien_out.data(), "test"};
-    EXPECT_THROW(victim->restore_state(in), SerializeError);
-  }
-}
-
 }  // namespace
 }  // namespace nextgov::core

@@ -1,7 +1,7 @@
 // Tests for the SoA thermal batch stepper (thermal/rc_batch.hpp) and the
 // RcTopology structure/state split: batch stepping must be *bit-identical*
-// to per-session RcNetwork stepping, and topology sharing must never leak
-// state between sessions or change solver results.
+// to per-session RcNetwork stepping, and sessions sharing one topology must
+// never leak state into each other.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -113,8 +113,7 @@ TEST(RcBatch, PerSessionAmbientFeedsTheSolve) {
 TEST(RcBatch, RejectsForeignTopologyAndBadIds) {
   const auto& topo = note9_topology();
   RcBatch batch{topo, 1};
-  RcNetwork foreign{Celsius{21.0}};
-  foreign.add_node("lone", 1.0, 0.5);
+  const RcNetwork foreign{RcTopology::make({{"lone", 1.0, 0.5}}, {}), Celsius{21.0}};
   EXPECT_THROW(batch.load_state(0, foreign), ConfigError);
   EXPECT_THROW(batch.set_power(1, 0, Watts{1.0}), ConfigError);
   EXPECT_THROW(batch.set_power(0, 99, Watts{1.0}), ConfigError);
@@ -122,74 +121,7 @@ TEST(RcBatch, RejectsForeignTopologyAndBadIds) {
   EXPECT_THROW((RcBatch{topo, 0}), ConfigError);
 }
 
-// --- RcTopology sharing regression -----------------------------------------
-
-/// A shared-topology state view must step bit-for-bit like an
-/// independently built network with the same structure (the
-/// rc_network_regression_test guarantee carries over to sharing).
-TEST(RcTopologySharing, SharedViewMatchesIncrementallyBuiltNetworkBitwise) {
-  RcNetwork built{Celsius{21.0}};
-  const NodeId big = built.add_node("big", 1.0);
-  const NodeId little = built.add_node("little", 0.8);
-  const NodeId gpu = built.add_node("gpu", 1.4);
-  const NodeId board = built.add_node("soc_board", 14.0);
-  const NodeId battery = built.add_node("battery", 60.0, 0.12);
-  const NodeId skin = built.add_node("skin", 90.0, 0.42);
-  built.connect(big, board, 0.11);
-  built.connect(little, board, 0.30);
-  built.connect(gpu, board, 0.14);
-  built.connect(board, skin, 0.22);
-  built.connect(board, battery, 0.20);
-  built.connect(battery, skin, 0.35);
-
-  RcNetwork shared{note9_topology(), Celsius{21.0}};
-  ASSERT_EQ(shared.node_count(), built.node_count());
-
-  const SimTime dt = SimTime::from_ms(1);
-  for (std::int64_t t = 0; t < 20000; ++t) {
-    for (std::size_t i = 0; i < built.node_count(); ++i) {
-      const Watts p{schedule_power(0, i, t)};
-      built.set_power(i, p);
-      shared.set_power(i, p);
-    }
-    built.step(dt);
-    shared.step(dt);
-  }
-  for (std::size_t i = 0; i < built.node_count(); ++i) {
-    EXPECT_EQ(shared.temperature(i).value(), built.temperature(i).value()) << "node " << i;
-  }
-  const auto ss_built = built.steady_state();
-  const auto ss_shared = shared.steady_state();
-  for (std::size_t i = 0; i < built.node_count(); ++i) {
-    EXPECT_EQ(ss_shared[i].value(), ss_built[i].value()) << "node " << i;
-  }
-}
-
-TEST(RcTopologySharing, MutationCopiesOnWriteWithoutAffectingOtherSessions) {
-  const auto& topo = note9_topology();
-  RcNetwork a{topo, Celsius{21.0}};
-  RcNetwork b{topo, Celsius{21.0}};
-  ASSERT_EQ(a.topology().get(), b.topology().get());
-
-  // Extending `a` detaches it onto a private topology; `b` (and the shared
-  // process-wide structure) keep stepping unchanged.
-  const NodeId extra = a.add_node("case_fan", 5.0, 1.0);
-  a.connect(extra, 5, 0.4);
-  EXPECT_NE(a.topology().get(), topo.get());
-  EXPECT_EQ(b.topology().get(), topo.get());
-  EXPECT_EQ(topo->node_count(), 6u);
-  EXPECT_EQ(a.node_count(), 7u);
-  EXPECT_EQ(a.node_name(extra), "case_fan");
-
-  a.set_power(0, Watts{2.0});
-  b.set_power(0, Watts{2.0});
-  a.step(SimTime::from_seconds(30.0));
-  b.step(SimTime::from_seconds(30.0));
-  // The extra cooling path must make `a` run cooler than the stock `b` -
-  // i.e. the mutation is really live on `a` and really absent on `b`.
-  EXPECT_LT(a.temperature(5).value(), b.temperature(5).value());
-  EXPECT_GT(b.temperature(0).value(), 21.0);
-}
+// --- RcTopology ------------------------------------------------------------
 
 TEST(RcTopologySharing, TopologyValidatesSpecs) {
   EXPECT_THROW((RcTopology{{{"bad", 0.0, 0.0}}, {}}), ConfigError);

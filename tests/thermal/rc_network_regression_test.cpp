@@ -85,13 +85,13 @@ TEST(RcNetworkRegression, Note9ShapedTopologyMatchesReferenceEulerWithin1e9) {
   // ambient legs) with the same time-varying power schedule at the engine's
   // 1 ms step for 60 simulated seconds, comparing every node every second.
   ReferenceRcNetwork ref{21.0};
-  RcNetwork opt{Celsius{21.0}};
-  const NodeId big = opt.add_node("big", 2.5);
-  const NodeId little = opt.add_node("little", 2.0);
-  const NodeId gpu = opt.add_node("gpu", 2.2);
-  const NodeId board = opt.add_node("board", 45.0);
-  const NodeId battery = opt.add_node("battery", 180.0, 0.35);
-  const NodeId skin = opt.add_node("skin", 60.0, 1.1);
+  const NodeId big = 0;
+  const NodeId little = 1;
+  const NodeId gpu = 2;
+  const NodeId board = 3;
+  const NodeId battery = 4;
+  const NodeId skin = 5;
+  std::vector<RcEdgeSpec> edges;
   const std::size_t rbig = ref.add_node(2.5);
   const std::size_t rlittle = ref.add_node(2.0);
   const std::size_t rgpu = ref.add_node(2.2);
@@ -99,7 +99,7 @@ TEST(RcNetworkRegression, Note9ShapedTopologyMatchesReferenceEulerWithin1e9) {
   const std::size_t rbattery = ref.add_node(180.0, 0.35);
   const std::size_t rskin = ref.add_node(60.0, 1.1);
   const auto link = [&](NodeId a, NodeId b, std::size_t ra, std::size_t rb, double g) {
-    opt.connect(a, b, g);
+    edges.push_back(RcEdgeSpec{a, b, g});
     ref.connect(ra, rb, g);
   };
   link(big, board, rbig, rboard, 1.8);
@@ -108,6 +108,14 @@ TEST(RcNetworkRegression, Note9ShapedTopologyMatchesReferenceEulerWithin1e9) {
   link(board, battery, rboard, rbattery, 0.9);
   link(board, skin, rboard, rskin, 1.4);
   link(battery, skin, rbattery, rskin, 0.7);
+  RcNetwork opt{RcTopology::make({{"big", 2.5, 0.0},
+                                  {"little", 2.0, 0.0},
+                                  {"gpu", 2.2, 0.0},
+                                  {"board", 45.0, 0.0},
+                                  {"battery", 180.0, 0.35},
+                                  {"skin", 60.0, 1.1}},
+                                 std::move(edges)),
+                Celsius{21.0}};
 
   const SimTime dt = SimTime::from_ms(1);
   for (int step = 0; step < 60000; ++step) {
@@ -135,16 +143,20 @@ TEST(RcNetworkRegression, Note9ShapedTopologyMatchesReferenceEulerWithin1e9) {
 }
 
 TEST(RcNetworkRegression, SteadyStateMatchesTransientAfterTopologyMutation) {
-  // steady_state() must see topology added after previous solves (the
-  // precomputed dense system is invalidated by add_node/connect).
-  RcNetwork net{Celsius{21.0}};
-  const NodeId a = net.add_node("a", 1.0, 0.5);
-  net.set_power(a, Watts{1.0});
-  const auto ss1 = net.steady_state();
+  // Each topology precomputes its own dense steady-state system: a topology
+  // grown from another one's specs must solve to the grown equilibrium,
+  // not to the one its source network already solved.
+  const NodeId a = 0;
+  const NodeId b = 1;
+  RcNetwork small{RcTopology::make({{"a", 1.0, 0.5}}, {}), Celsius{21.0}};
+  small.set_power(a, Watts{1.0});
+  const auto ss1 = small.steady_state();
   EXPECT_NEAR(ss1[a].value(), 21.0 + 2.0, 1e-9);
 
-  const NodeId b = net.add_node("b", 2.0, 0.5);
-  net.connect(a, b, 1.0);
+  std::vector<RcNodeSpec> nodes = small.topology()->nodes();
+  nodes.push_back(RcNodeSpec{"b", 2.0, 0.5});
+  RcNetwork net{RcTopology::make(std::move(nodes), {{a, b, 1.0}}), Celsius{21.0}};
+  net.set_power(a, Watts{1.0});
   const auto ss2 = net.steady_state();
   // New equilibrium: solve the 2x2 system by hand.
   //   a: 1 + 0.5*(21-Ta) + 1*(Tb-Ta) = 0 ; b: 0.5*(21-Tb) + 1*(Ta-Tb) = 0
@@ -158,8 +170,8 @@ TEST(RcNetworkRegression, CachedSubstepCountAdaptsToStepSize) {
   // Alternating step sizes must not reuse a stale sub-step count: a fast
   // node (tau = 5 ms) stepped at 1 ms then 10 s then 1 ms again stays
   // stable and lands on the analytic equilibrium.
-  RcNetwork net{Celsius{21.0}};
-  const NodeId n = net.add_node("fast", 0.01, 2.0);
+  RcNetwork net{RcTopology::make({{"fast", 0.01, 2.0}}, {}), Celsius{21.0}};
+  const NodeId n = 0;
   net.set_power(n, Watts{1.0});
   for (int i = 0; i < 100; ++i) net.step(SimTime::from_ms(1));
   net.step(SimTime::from_seconds(10.0));

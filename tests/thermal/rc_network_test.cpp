@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "thermal/rc_network.hpp"
@@ -11,27 +12,32 @@ namespace {
 
 using namespace nextgov::literals;
 
+/// A network over its own topology; node ids are spec indices.
+RcNetwork make_network(Celsius ambient, std::vector<RcNodeSpec> nodes,
+                       std::vector<RcEdgeSpec> edges = {}) {
+  return RcNetwork{RcTopology::make(std::move(nodes), std::move(edges)), ambient};
+}
+
 TEST(RcNetwork, NodesStartAtAmbient) {
-  RcNetwork net{Celsius{21.0}};
-  const NodeId n = net.add_node("n", 1.0, 0.5);
+  const RcNetwork net = make_network(Celsius{21.0}, {{"n", 1.0, 0.5}});
+  const NodeId n = 0;
   EXPECT_DOUBLE_EQ(net.temperature(n).value(), 21.0);
   EXPECT_EQ(net.node_name(n), "n");
 }
 
 TEST(RcNetwork, SingleNodeSteadyStateIsOhmsLaw) {
   // T = T_amb + P / G.
-  RcNetwork net{Celsius{21.0}};
-  const NodeId n = net.add_node("n", 2.0, 0.5);
+  RcNetwork net = make_network(Celsius{21.0}, {{"n", 2.0, 0.5}});
+  const NodeId n = 0;
   net.set_power(n, Watts{3.0});
   const auto ss = net.steady_state();
   EXPECT_NEAR(ss[n].value(), 21.0 + 3.0 / 0.5, 1e-9);
 }
 
 TEST(RcNetwork, TransientConvergesToSteadyState) {
-  RcNetwork net{Celsius{21.0}};
-  const NodeId a = net.add_node("a", 1.0);
-  const NodeId b = net.add_node("b", 5.0, 0.4);
-  net.connect(a, b, 0.3);
+  RcNetwork net = make_network(Celsius{21.0}, {{"a", 1.0, 0.0}, {"b", 5.0, 0.4}}, {{0, 1, 0.3}});
+  const NodeId a = 0;
+  const NodeId b = 1;
   net.set_power(a, Watts{2.0});
   const auto ss = net.steady_state();
   for (int i = 0; i < 600; ++i) net.step(SimTime::from_seconds(1.0));
@@ -41,11 +47,11 @@ TEST(RcNetwork, TransientConvergesToSteadyState) {
 
 TEST(RcNetwork, SingleNodeTransientMatchesAnalyticExponential) {
   // T(t) = T_amb + (P/G)(1 - e^(-t G / C)).
-  RcNetwork net{Celsius{0.0}};
   const double c = 4.0;
   const double g = 0.5;
   const double p = 2.0;
-  const NodeId n = net.add_node("n", c, g);
+  RcNetwork net = make_network(Celsius{0.0}, {{"n", c, g}});
+  const NodeId n = 0;
   net.set_power(n, Watts{p});
   // Step at engine granularity (1 ms), far below tau = C/G = 8 s.
   const double t_end = 6.0;
@@ -55,20 +61,19 @@ TEST(RcNetwork, SingleNodeTransientMatchesAnalyticExponential) {
 }
 
 TEST(RcNetwork, NoPowerMeansStaysAtAmbient) {
-  RcNetwork net{Celsius{25.0}};
-  const NodeId a = net.add_node("a", 1.0, 0.2);
-  const NodeId b = net.add_node("b", 2.0);
-  net.connect(a, b, 0.3);
+  RcNetwork net = make_network(Celsius{25.0}, {{"a", 1.0, 0.2}, {"b", 2.0, 0.0}}, {{0, 1, 0.3}});
+  const NodeId a = 0;
+  const NodeId b = 1;
   net.step(SimTime::from_seconds(100.0));
   EXPECT_NEAR(net.temperature(a).value(), 25.0, 1e-9);
   EXPECT_NEAR(net.temperature(b).value(), 25.0, 1e-9);
 }
 
 TEST(RcNetwork, HeatFlowsFromHotToCold) {
-  RcNetwork net{Celsius{21.0}};
-  const NodeId hot = net.add_node("hot", 1.0);
-  const NodeId cold = net.add_node("cold", 1.0, 1.0);
-  net.connect(hot, cold, 0.5);
+  RcNetwork net =
+      make_network(Celsius{21.0}, {{"hot", 1.0, 0.0}, {"cold", 1.0, 1.0}}, {{0, 1, 0.5}});
+  const NodeId hot = 0;
+  const NodeId cold = 1;
   net.set_power(hot, Watts{1.0});
   net.step(SimTime::from_seconds(50.0));
   EXPECT_GT(net.temperature(hot).value(), net.temperature(cold).value());
@@ -78,11 +83,7 @@ TEST(RcNetwork, HeatFlowsFromHotToCold) {
 TEST(RcNetwork, SuperpositionHoldsAtSteadyState) {
   // The system is linear: ss(P1 + P2) = ss(P1) + ss(P2) - ss(0).
   const auto build = [] {
-    RcNetwork net{Celsius{21.0}};
-    const NodeId a = net.add_node("a", 1.0);
-    const NodeId b = net.add_node("b", 2.0, 0.4);
-    net.connect(a, b, 0.2);
-    return net;
+    return make_network(Celsius{21.0}, {{"a", 1.0, 0.0}, {"b", 2.0, 0.4}}, {{0, 1, 0.2}});
   };
   auto net1 = build();
   net1.set_power(0, Watts{1.5});
@@ -100,8 +101,8 @@ TEST(RcNetwork, SuperpositionHoldsAtSteadyState) {
 }
 
 TEST(RcNetwork, LargeStepIsStableViaSubstepping) {
-  RcNetwork net{Celsius{21.0}};
-  const NodeId n = net.add_node("fast", 0.01, 2.0);  // tau = 5 ms
+  RcNetwork net = make_network(Celsius{21.0}, {{"fast", 0.01, 2.0}});  // tau = 5 ms
+  const NodeId n = 0;
   net.set_power(n, Watts{1.0});
   net.step(SimTime::from_seconds(10.0));  // step >> tau
   EXPECT_NEAR(net.temperature(n).value(), 21.5, 1e-6);
@@ -109,28 +110,26 @@ TEST(RcNetwork, LargeStepIsStableViaSubstepping) {
 }
 
 TEST(RcNetwork, SteadyStateRequiresAmbientPath) {
-  RcNetwork net{Celsius{21.0}};
-  const NodeId a = net.add_node("a", 1.0);
-  const NodeId b = net.add_node("b", 1.0);
-  net.connect(a, b, 0.5);
+  RcNetwork net = make_network(Celsius{21.0}, {{"a", 1.0, 0.0}, {"b", 1.0, 0.0}}, {{0, 1, 0.5}});
+  const NodeId a = 0;
   net.set_power(a, Watts{1.0});
   EXPECT_THROW(net.steady_state(), ConfigError);
 }
 
 TEST(RcNetwork, RejectsInvalidTopology) {
-  RcNetwork net{Celsius{21.0}};
-  const NodeId a = net.add_node("a", 1.0, 0.1);
-  EXPECT_THROW(net.add_node("bad", 0.0), ConfigError);
-  EXPECT_THROW(net.connect(a, a, 0.5), ConfigError);
-  EXPECT_THROW(net.connect(a, 99, 0.5), ConfigError);
-  EXPECT_THROW(net.connect(a, a + 1, 0.5), ConfigError);  // unknown b
-  const NodeId b = net.add_node("b", 1.0);
-  EXPECT_THROW(net.connect(a, b, 0.0), ConfigError);
+  const RcNodeSpec a{"a", 1.0, 0.1};
+  const RcNodeSpec b{"b", 1.0, 0.0};
+  EXPECT_THROW((void)RcTopology::make({a, {"bad", 0.0, 0.0}}, {}), ConfigError);
+  EXPECT_THROW((void)RcTopology::make({a}, {{0, 0, 0.5}}), ConfigError);
+  EXPECT_THROW((void)RcTopology::make({a}, {{0, 99, 0.5}}), ConfigError);
+  EXPECT_THROW((void)RcTopology::make({a}, {{0, 1, 0.5}}), ConfigError);  // unknown b
+  EXPECT_THROW((void)RcTopology::make({a, b}, {{0, 1, 0.0}}), ConfigError);
+  EXPECT_THROW((RcNetwork{nullptr, Celsius{21.0}}), ConfigError);
 }
 
 TEST(RcNetwork, SetAllTemperaturesForcesState) {
-  RcNetwork net{Celsius{21.0}};
-  const NodeId a = net.add_node("a", 1.0, 0.5);
+  RcNetwork net = make_network(Celsius{21.0}, {{"a", 1.0, 0.5}});
+  const NodeId a = 0;
   net.set_power(a, Watts{2.0});
   net.step(SimTime::from_seconds(30.0));
   net.set_all_temperatures(Celsius{21.0});
@@ -138,8 +137,8 @@ TEST(RcNetwork, SetAllTemperaturesForcesState) {
 }
 
 TEST(RcNetwork, AmbientChangeShiftsEquilibrium) {
-  RcNetwork net{Celsius{21.0}};
-  const NodeId a = net.add_node("a", 1.0, 0.5);
+  RcNetwork net = make_network(Celsius{21.0}, {{"a", 1.0, 0.5}});
+  const NodeId a = 0;
   net.set_power(a, Watts{1.0});
   net.set_ambient(Celsius{35.0});
   const auto ss = net.steady_state();
