@@ -53,18 +53,15 @@ inline PlanTiming time_run_plan(const sim::RunPlan& plan, unsigned hardware_thre
   t.can_measure_speedup = t.workers >= 2;
   t.contract_workers = std::max<std::size_t>(4, t.workers);
 
-  // Both sides time the per-session path (max_batch = 1): this measures
-  // the pool, not lock-step batching.
-  t.serial_s = wall_seconds(
-      [&] { t.serial_results = sim::execute(plan, {.workers = 1, .max_batch = 1}); });
+  t.serial_s = wall_seconds([&] { t.serial_results = sim::execute(plan, {.workers = 1}); });
 
   std::vector<sim::SessionResult> parallel_results;
   t.parallel_s = wall_seconds([&] {
-    parallel_results = sim::execute(plan, {.workers = t.contract_workers, .max_batch = 1});
+    parallel_results = sim::execute(plan, {.workers = t.contract_workers});
   });
   if (t.can_measure_speedup && t.contract_workers != t.workers) {
     t.parallel_s = wall_seconds(
-        [&] { (void)sim::execute(plan, {.workers = t.workers, .max_batch = 1}); });
+        [&] { (void)sim::execute(plan, {.workers = t.workers}); });
   }
   if (t.can_measure_speedup && t.parallel_s > 0.0) t.speedup = t.serial_s / t.parallel_s;
 

@@ -71,7 +71,7 @@ int main() {
   train.seed = 1004;
   const sim::TrainingResult trained = sim::train_next(app, core::NextConfig{}, train);
 
-  // The catalog-governor sessions go through the batch runner; the custom
+  // The catalog-governor sessions go through sim::execute(); the custom
   // meta-governor above assembles its engine by hand (it has no
   // GovernorKind), which stays possible alongside the runner.
   sim::ExperimentConfig cfg;

@@ -23,7 +23,7 @@ int main() {
   const sim::ScenarioSpec spec = sim::app_scenario(app);
 
   // 2. Baseline: stock schedutil for one paper-length session. Sessions
-  //    run through the batch runner - a one-entry plan here, a whole
+  //    run through sim::execute() - a one-entry plan here, a whole
   //    scenario matrix in bench/scenario_matrix.
   sim::ExperimentConfig config = spec.experiment_config(sim::GovernorKind::kSchedutil, 42);
   sim::RunPlan baseline_plan;

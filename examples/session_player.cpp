@@ -16,12 +16,12 @@
 //   deploys the learned Q-table for the measured session (the paper's
 //   "fully trained" evaluation protocol).
 //
-//   duration_s <= 0 (the default) keeps the scenario's own duration.
+//   duration_s : seconds as a plain decimal, at most 1e9; 0 (the default)
+//                keeps the scenario's own duration.
 //
 // Prints the session summary and, when csv_path is given, the full 1 s
 // time series for plotting.
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 
@@ -48,6 +48,7 @@ void print_usage() {
   std::puts(
       "usage: session_player [workload] [governor] [duration_s] [seed] [csv_path]\n"
       "       session_player --list\n"
+      "  duration_s: seconds, 0 <= duration_s <= 1e9 (0 = the workload's own)\n"
       "  workload: facebook spotify web_browser youtube lineage pubg home\n"
       "            or a library scenario (see below)\n"
       "  governor: schedutil performance powersave ondemand intqos next next_trained");
@@ -64,8 +65,19 @@ int main(int argc, char** argv) {
   }
   const std::string gov_name = argc > 2 ? argv[2] : "schedutil";
   // Default 0 = the scenario's own duration (paper session length for
-  // catalog apps, the full session for library scenarios).
-  const double duration_s = argc > 3 ? std::atof(argv[3]) : 0.0;
+  // catalog apps, the full session for library scenarios). Strict parse: a
+  // mistyped duration is a usage error, and the bound keeps every accepted
+  // value far inside SimTime's int64 microseconds.
+  constexpr double kMaxDurationS = 1e9;
+  double duration_s = 0.0;
+  if (argc > 3 && !parse_seconds(argv[3], kMaxDurationS, duration_s)) {
+    std::fprintf(stderr,
+                 "session_player: duration_s must be a decimal number of seconds in "
+                 "[0, 1e9], got '%s'\n\n",
+                 argv[3]);
+    print_usage();
+    return 2;
+  }
   // Strict parse: strtoull silently wrapped "-1" to 2^64 - 1 and accepted
   // trailing garbage; a mistyped seed should be a usage error, not a
   // surprise trajectory.

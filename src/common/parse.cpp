@@ -1,6 +1,7 @@
 #include "common/parse.hpp"
 
 #include <cstddef>
+#include <cstdlib>
 #include <limits>
 
 namespace nextgov {
@@ -26,6 +27,28 @@ bool parse_count(const char* arg, std::size_t& out) noexcept {
     if (value > static_cast<std::uint64_t>(std::numeric_limits<std::size_t>::max())) return false;
   }
   out = static_cast<std::size_t>(value);
+  return true;
+}
+
+bool parse_seconds(const char* arg, double max_s, double& out) noexcept {
+  if (arg == nullptr) return false;
+  bool digit = false;
+  bool point = false;
+  for (const char* p = arg; *p != '\0'; ++p) {
+    if (*p >= '0' && *p <= '9') {
+      digit = true;
+    } else if (*p == '.' && !point) {
+      point = true;
+    } else {
+      return false;
+    }
+  }
+  if (!digit) return false;
+  // The grammar above is a subset of strtod's, so strtod consumes it all
+  // and only rounds; a long digit string can still exceed max_s.
+  const double value = std::strtod(arg, nullptr);
+  if (!(value <= max_s)) return false;
+  out = value;
   return true;
 }
 

@@ -9,6 +9,8 @@
 // digits, nothing else - no sign, no whitespace, no base prefixes, no
 // trailing garbage - and reject anything whose value does not fit the
 // output type. No errno involved, so there is nothing to forget to check.
+// parse_seconds applies the same rule to durations: plain decimals only,
+// bounded by the caller.
 //
 // Pinned by tests/common/parse_test.cpp (the "-5" rejection is the
 // regression test for the strtoul bug).
@@ -26,5 +28,11 @@ namespace nextgov {
 /// Same, for values that must fit std::size_t (identical to parse_u64 on
 /// 64-bit hosts; on narrower hosts, values above SIZE_MAX are rejected).
 [[nodiscard]] bool parse_count(const char* arg, std::size_t& out) noexcept;
+
+/// Parses a non-negative decimal number of seconds: digits with at most one
+/// '.', at least one digit, nothing else (no sign, whitespace, exponent,
+/// "inf" or "nan"). Returns false (leaving `out` untouched) on any other
+/// form or a value above `max_s`.
+[[nodiscard]] bool parse_seconds(const char* arg, double max_s, double& out) noexcept;
 
 }  // namespace nextgov

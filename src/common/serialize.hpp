@@ -1,7 +1,7 @@
 // serialize.hpp - versioned, endian-stable binary snapshot format.
 //
-// Everything the repo persists (Q-tables, agent training state, whole-fleet
-// checkpoints) goes through this one layer so corruption handling, version
+// Everything the repo persists (Q-tables and the fleet server's snapshot
+// ring) goes through this one layer so corruption handling, version
 // policy and byte order are decided exactly once:
 //
 //   * ByteWriter/ByteReader encode fixed-width little-endian primitives
@@ -16,10 +16,11 @@
 //     snapshot is always a reported error, never UB or a silent partial
 //     load.
 //
-// Version policy (documented in bench/README.md): writers always emit
-// kSnapshotVersion; readers refuse anything newer ("refuse-forward") and
-// read back at most one version (kSnapshotVersionMin), so a rolling fleet
-// upgrade can always restore the previous release's checkpoints.
+// Version policy (documented in ROADMAP.md, "Snapshot format & fault
+// tolerance"): writers always emit kSnapshotVersion; readers refuse
+// anything newer ("refuse-forward") and read back at most one version
+// (kSnapshotVersionMin), so a rolling fleet upgrade can always restore the
+// previous release's checkpoints.
 #pragma once
 
 #include <cstdint>

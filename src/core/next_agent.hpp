@@ -26,7 +26,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -35,7 +34,6 @@
 #include "core/next_config.hpp"
 #include "core/next_state.hpp"
 #include "governors/governor.hpp"
-#include "rl/convergence.hpp"
 #include "rl/policy.hpp"
 #include "rl/qlearning.hpp"
 #include "rl/qtable.hpp"
@@ -77,42 +75,18 @@ class NextAgent final : public governors::MetaGovernor {
   [[nodiscard]] std::uint64_t decisions() const noexcept { return decisions_; }
   [[nodiscard]] double last_reward() const noexcept { return last_reward_; }
   [[nodiscard]] double mean_reward() const noexcept;
-  [[nodiscard]] const rl::ConvergenceDetector& convergence() const noexcept {
-    return convergence_;
-  }
-  [[nodiscard]] bool converged() const noexcept { return convergence_.converged(); }
 
   /// The reward function, exposed for tests and the ablation benches.
   [[nodiscard]] double reward(const governors::Observation& obs, int target_fps) const noexcept;
 
-  /// Runs one control decision for a whole batch-resident group, phase by
-  /// phase across the lanes: discretize every lane's observation, sweep the
-  /// reward/Q-update step, resolve greedy lanes through one batched
-  /// rl::best_actions lookup (exploring lanes draw through their own
-  /// policy/rng), then commit. Each phase calls exactly the per-agent
-  /// helpers control() is composed of, in the same order per lane, so the
-  /// group sweep is bit-identical to calling control() lane by lane -
-  /// sessions are independent, so reordering *across* lanes is free.
-  /// All spans must have equal length; null entries are not allowed.
-  static void control_group(std::span<NextAgent* const> agents,
-                            std::span<const governors::Observation* const> obs,
-                            std::span<soc::Soc* const> socs);
-
  private:
   void apply_action(std::size_t action, soc::Soc& soc) noexcept;
-  // The three phases control() is made of (control_group sweeps them across
-  // lanes; keeping one implementation is what keeps the two paths from
-  // drifting).
-  void absorb_transition(const governors::Observation& obs, int target_fps, rl::StateKey state);
-  [[nodiscard]] std::size_t select_action(rl::StateKey state);
-  void commit_decision(rl::StateKey state, std::size_t action, soc::Soc& soc);
 
   NextConfig config_;
   NextStateEncoder encoder_;
   rl::QTable table_;
   rl::QLearning learner_;
   rl::EpsilonGreedyPolicy policy_;
-  rl::ConvergenceDetector convergence_;
   Rng rng_;
   FrameWindow window_;
   AgentMode mode_{AgentMode::kTraining};

@@ -3,8 +3,8 @@
 //   Q(s_i, a_i) <- Q(s_i, a_i) + alpha * (r_i - Q(s_i, a_i)
 //                                         + gamma * max_a Q(s_{i+1}, a))
 //
-// Kept as a tiny standalone component so the Next agent, the gridworld
-// convergence tests and the offline/cloud trainer share one implementation.
+// Kept as a tiny standalone component so the Next agent and the gridworld
+// convergence tests share one implementation.
 #pragma once
 
 #include "rl/qtable.hpp"
@@ -27,7 +27,7 @@ class QLearning {
   explicit QLearning(QLearningParams params);
 
   /// Applies one update; returns the temporal-difference error
-  /// (r + gamma*maxQ(s') - Q(s,a)) used for convergence detection.
+  /// (r + gamma*maxQ(s') - Q(s,a)).
   double update(QTable& table, StateKey s, std::size_t a, double reward, StateKey s_next);
 
   /// Terminal variant (no bootstrap from a successor state).

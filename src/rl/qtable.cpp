@@ -278,12 +278,4 @@ QTable QTable::load(const std::string& path) {
   return t;
 }
 
-void best_actions(std::span<const QTable* const> tables, std::span<const StateKey> states,
-                  std::size_t fallback, std::span<std::size_t> out) noexcept {
-  NEXTGOV_ASSERT(states.size() == tables.size() && out.size() == tables.size());
-  for (std::size_t i = 0; i < tables.size(); ++i) {
-    out[i] = tables[i]->best_action(states[i], fallback);
-  }
-}
-
 }  // namespace nextgov::rl

@@ -199,12 +199,4 @@ class QTable {
   std::vector<std::uint32_t> tried_;
 };
 
-/// Batched greedy lookup across a group of lanes: out[i] =
-/// tables[i]->best_action(states[i], fallback). The deployed decision sweep
-/// of core::NextAgent::control_group resolves a whole batch-resident group
-/// through one call; per lane it is the scalar call, so the batch path is
-/// bit-identical by construction. All spans must have equal length.
-void best_actions(std::span<const QTable* const> tables, std::span<const StateKey> states,
-                  std::size_t fallback, std::span<std::size_t> out) noexcept;
-
 }  // namespace nextgov::rl

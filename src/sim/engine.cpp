@@ -6,10 +6,8 @@
 #include "common/error.hpp"
 #include "core/next_agent.hpp"
 #include "core/ppdw.hpp"
-#include "soc/power_batch.hpp"
 #include "soc/power_model.hpp"
 #include "soc/sensors.hpp"
-#include "thermal/rc_batch.hpp"
 
 namespace nextgov::sim {
 
@@ -140,11 +138,6 @@ void Engine::rebuild_observation(bool force) {
   obs_.sensors.power = soc::quantize_power(device_power_);
 }
 
-double Engine::node_temp(thermal::NodeId id) const noexcept {
-  return batch_ != nullptr ? batch_->temperature_lane(id)[batch_lane_]
-                           : thermal_.network.temperatures_raw()[id];
-}
-
 void Engine::record_if_due() {
   if (now_ < next_record_) return;
   next_record_ = now_ + recorder_.period();
@@ -183,7 +176,6 @@ void Engine::step_pre_power() {
 
 void Engine::apply_power_model() {
   // 3. utilization -> power, injected into the network for the solve.
-  NEXTGOV_ASSERT(batch_ == nullptr);
   auto& net = thermal_.network;
   Watts soc_power{0.0};
   for (std::size_t i = 0; i < soc_.cluster_count(); ++i) {
@@ -202,8 +194,7 @@ void Engine::step_post_observe() {
   now_ += config_.step;
 
   // 5. sensors + sampled stream + kernel governor. The meta governor's
-  // control point is only latched here; running it is its own phase so a
-  // batch driver can sweep a whole group's agents at once.
+  // control point is only latched here; running it is its own phase.
   rebuild_observation();
   if (meta_gov_ != nullptr) {
     if (meta_sample_period_.us() > 0 && now_ >= next_meta_sample_) {
@@ -238,30 +229,6 @@ void Engine::step_post_finish() {
   record_if_due();
 }
 
-void Engine::attach_thermal_batch(thermal::RcBatch& batch, std::size_t lane) {
-  require(batch_ == nullptr, "engine is already attached to a thermal batch");
-  batch.load_state(lane, thermal_.network);  // validates the shared topology
-  // The serial power phase rewrites the constant non-cluster node powers
-  // every tick; a resident lane receives them once here (same values).
-  const auto& device = soc_.device_power();
-  batch.set_power(lane, thermal_.nodes.skin, device.display);
-  batch.set_power(lane, thermal_.nodes.soc_board, device.rest_of_device);
-  batch_ = &batch;
-  batch_lane_ = lane;
-}
-
-void Engine::detach_thermal_batch() {
-  if (batch_ == nullptr) return;
-  batch_->store_temperatures(batch_lane_, thermal_.network);
-  batch_ = nullptr;
-}
-
-void Engine::push_power_inputs(soc::PowerBatch& batch, std::size_t lane) const {
-  for (std::size_t i = 0; i < soc_.cluster_count(); ++i) {
-    batch.set_input(lane, i, soc_.cluster(i).freq_index(), loads_[i].busy_avg);
-  }
-}
-
 void Engine::step() {
   step_pre_power();
   apply_power_model();
@@ -287,7 +254,6 @@ void Engine::reset_session(std::unique_ptr<workload::App> new_app) {
   app_ = std::move(new_app);
   pipeline_.reset(now_);
   thermal_.network.set_all_temperatures(config_.ambient);
-  if (batch_ != nullptr) batch_->set_all_temperatures(batch_lane_, config_.ambient);
   soc_.reset();
   freq_gov_->reset();
   if (meta_gov_) meta_gov_->reset();

@@ -28,12 +28,6 @@
 namespace nextgov::core {
 class NextAgent;
 }
-namespace nextgov::soc {
-class PowerBatch;
-}
-namespace nextgov::thermal {
-class RcBatch;
-}
 
 namespace nextgov::sim {
 
@@ -82,64 +76,30 @@ class Engine {
   /// Executes exactly one engine step.
   void step();
 
-  // The phases step() is made of, in order, so external drivers
-  // (sim::execute()'s lock-step path) can interleave N engines per phase
-  // while staying bit-identical to per-engine step():
+  // The phases step() is made of, in order, so external drivers can time
+  // or interleave them while staying bit-identical to step() (perfbench's
+  // phone_deploy steps them by hand; execute()'s phase timings lap them):
   //   step_pre_power(); apply_power_model(); thermal().step(config().step);
   //   step_post_observe(); step_post_meta(); step_post_finish();
 
   /// Advances the app/render/load substrates one tick (no thermal or power
-  /// reads - safe whether or not the session is batch-resident).
+  /// reads).
   void step_pre_power();
   /// Evaluates the power model against the engine's own RcNetwork and
-  /// writes node powers back into it. Only valid detached; batch-resident
-  /// sessions evaluate through soc::PowerBatch instead (push_power_inputs
-  /// -> PowerBatch::evaluate -> set_device_power).
+  /// writes node powers back into it.
   void apply_power_model();
   /// Advances the clock, refreshes the observation and runs the sampled
   /// stream + kernel frequency governor; latches whether the meta governor
-  /// is due this tick (meta_control_due()).
+  /// is due this tick.
   void step_post_observe();
-  /// True when step_post_observe() latched a meta-governor control point
-  /// for the current tick. Cleared by step_post_meta() or
-  /// skip_meta_control().
-  [[nodiscard]] bool meta_control_due() const noexcept { return meta_due_; }
-  /// Runs the meta governor's control step if due.
+  /// Runs the meta governor's control step if step_post_observe() latched
+  /// one for the current tick.
   void step_post_meta();
-  /// Declares the due meta control handled externally (the batch driver
-  /// runs NextAgent decisions as one group sweep instead).
-  void skip_meta_control() noexcept { meta_due_ = false; }
   /// Thermal throttle, running totals and the recorder.
   void step_post_finish();
 
-  /// --- batch residency -------------------------------------------------
-  /// Parks this session's thermal state in `batch` lane `lane` (same
-  /// topology pointer required): temperatures/powers/ambient move into the
-  /// SoA lanes and the constant non-cluster node powers (display on skin,
-  /// rest-of-device on soc_board) are written once - the serial pre phase
-  /// rewrites those same values every tick, so once is equivalent. While
-  /// attached, thermal() is stale; observation and throttle reads go to the
-  /// lanes, and the driver owns the thermal step (RcBatch::step).
-  void attach_thermal_batch(thermal::RcBatch& batch, std::size_t lane);
-  /// Scatters lane temperatures back into the engine's own network and
-  /// resumes self-contained stepping. No-op when detached.
-  void detach_thermal_batch();
-  [[nodiscard]] bool thermal_batch_attached() const noexcept { return batch_ != nullptr; }
-  /// Pushes this tick's per-cluster OPP index + utilization into a
-  /// PowerBatch lane (the batch-resident replacement for
-  /// apply_power_model()'s input side).
-  void push_power_inputs(soc::PowerBatch& batch, std::size_t lane) const;
-  /// Adopts the externally evaluated device power (PowerBatch::device_power)
-  /// that the observation's fuel gauge and energy totals consume.
-  void set_device_power(Watts p) noexcept { device_power_ = p; }
-  /// Thermal node feeding each cluster's junction sensor, in cluster order
-  /// (what PowerBatch lanes must be wired to).
-  [[nodiscard]] const std::array<thermal::NodeId, 3>& cluster_nodes() const noexcept {
-    return cluster_node_;
-  }
   /// The meta governor as a Next agent, or null when the session runs a
-  /// different (or no) meta governor. Batch drivers use this to route
-  /// control points through core::NextAgent::control_group.
+  /// different (or no) meta governor.
   [[nodiscard]] core::NextAgent* next_agent() noexcept { return next_agent_; }
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
@@ -186,9 +146,9 @@ class Engine {
   void update_loads(const render::PipelineStepResult& pr);
   void apply_thermal_throttle();
   void record_if_due();
-  /// Node temperature from wherever the session's thermal state currently
-  /// lives: the attached batch lane, or the engine's own network.
-  [[nodiscard]] double node_temp(thermal::NodeId id) const noexcept;
+  [[nodiscard]] double node_temp(thermal::NodeId id) const noexcept {
+    return thermal_.network.temperatures_raw()[id];
+  }
 
   EngineConfig config_;
   soc::Soc soc_;
@@ -197,17 +157,13 @@ class Engine {
   std::unique_ptr<workload::App> app_;
   std::unique_ptr<governors::FreqGovernor> freq_gov_;
   std::unique_ptr<governors::MetaGovernor> meta_gov_;
-  /// meta_gov_ downcast once at construction; record_if_due() used to
-  /// dynamic_cast on every sample, and batch drivers use it to group Next
-  /// control points.
+  /// meta_gov_ downcast once at construction, so record_if_due() need not
+  /// dynamic_cast on every sample.
   core::NextAgent* next_agent_{nullptr};
   /// Thermal node feeding each cluster's junction sensor, in cluster order.
   std::array<thermal::NodeId, 3> cluster_node_{};
-  /// Non-owning: the SoA thermal batch this session is parked in, if any.
-  thermal::RcBatch* batch_{nullptr};
-  std::size_t batch_lane_{0};
   /// Latched by step_post_observe() when the meta governor's control period
-  /// elapses; consumed by step_post_meta() / skip_meta_control().
+  /// elapses; consumed by step_post_meta().
   bool meta_due_{false};
 
   SimTime now_{SimTime::zero()};

@@ -127,7 +127,7 @@ TrainingResult train_next_on(AppFactory app_factory, const core::NextConfig& con
   require(static_cast<bool>(app_factory), "train_next_on needs an app factory");
   TrainingPlan plan;
   plan.add(std::move(app_factory), "", config, options);
-  return std::move(execute(plan, {.workers = 1, .max_batch = 1}).front());
+  return std::move(execute(plan, {.workers = 1}).front());
 }
 
 TrainingResult train_next(workload::AppId app, const core::NextConfig& config,

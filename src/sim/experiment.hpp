@@ -103,7 +103,8 @@ struct TrainingOptions {
   /// Panel refresh rate the agent trains against (scenario variants train
   /// at 90/120 Hz; the paper trains at 60).
   double refresh_hz{60.0};
-  /// true: end training the moment the convergence detector fires (the
+  /// true: end training the moment the convergence rule of execute()'s
+  /// training loop fires (enough decisions and state discovery settled; the
   /// paper's measured "training time", Fig. 6). false: keep refining until
   /// max_duration (the "fully trained" tables used in the evaluation).
   bool stop_at_convergence{false};

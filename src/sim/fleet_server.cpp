@@ -393,9 +393,8 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
     cell.initial_table = warm.has_value() ? &*warm : nullptr;
     plan.add(app_factory_, "device_" + std::to_string(d), options_.next_config, cell);
   }
-  // exec_ may fan the plan out across worker threads and lock-step batches
-  // - bit-identical either way, so snapshots and goldens are oblivious to
-  // the choice.
+  // exec_ may fan the plan out across worker threads - bit-identical
+  // either way, so snapshots and goldens are oblivious to the choice.
   const std::vector<TrainingResult> results = execute(plan, exec_);
   double reward_sum = 0.0;
   for (std::size_t i = 0; i < results.size(); ++i) {

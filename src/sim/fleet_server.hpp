@@ -234,8 +234,8 @@ struct FleetServerStats {
 /// resumes from the last ring boundary bit-identically.
 class FleetServer {
  public:
-  /// `exec` is how each round's training plan runs (worker threads, batch
-  /// width). Pure execution strategy - the round's merged tables are
+  /// `exec` is how each round's training plan runs (worker threads). Pure
+  /// execution strategy - the round's merged tables are
   /// bit-identical under any value (pinned by
   /// tests/sim/fleet_server_test.cpp), so it is not part of the options
   /// identity a ring entry pins: a ring written under one ExecOptions

@@ -5,8 +5,8 @@
 // cells: evaluation sweeps are (app x governor x seed x config) sessions
 // through the 1 ms engine loop, training sweeps are (app x NextConfig x
 // seed x budget) online-learning runs. Callers describe a RunPlan or a
-// TrainingPlan and hand it to execute(); ExecOptions picks worker threads
-// and batch width.
+// TrainingPlan and hand it to execute(); ExecOptions picks the worker
+// threads.
 //
 // Determinism contract: a cell's entire trajectory is a function of its
 // spec (the engine holds no global state, and every stochastic element
@@ -122,69 +122,50 @@ class TrainingPlan {
 
 // --- execution options -----------------------------------------------------
 
-/// Wall-clock accumulated per phase of the batch-resident lock-step loop,
-/// in seconds, summed over all lock-step batches of a run (batches that
-/// fall back to per-session stepping contribute nothing). perfbench's
+/// Wall-clock accumulated per phase of Engine::step(), in seconds, summed
+/// over every cell of a run (see ExecOptions::phase_timings). perfbench's
 /// traced train_eval_sweep and fleet_churn runs report them as per-layer
-/// shares of the batched engine step.
+/// shares of the engine step.
 struct BatchPhaseTimings {
-  double pre_s{0.0};      ///< app/render/load pre-phases
-  double power_s{0.0};    ///< PowerBatch input push + [cluster][session] sweep
-  double thermal_s{0.0};  ///< RcBatch SoA solve
+  double pre_s{0.0};      ///< app/render/load pre-phase (step_pre_power)
+  double power_s{0.0};    ///< power model (apply_power_model)
+  double thermal_s{0.0};  ///< RC thermal solve
   double observe_s{0.0};  ///< observation refresh + sample + kernel governor
-  double post_s{0.0};     ///< meta control (incl. grouped Q-step) + throttle/totals/record
-  double scatter_s{0.0};  ///< batch entry/exit gather + scatter (boundaries only)
-  std::int64_t ticks{0};  ///< engine-ticks x sessions advanced lock-step
+  double post_s{0.0};     ///< meta control (incl. the Q step) + throttle/totals/record
+  /// Always 0: the batch entry/exit of the retired lock-step path. Kept
+  /// because perfbench lays its spans out over these six fields.
+  double scatter_s{0.0};
+  std::int64_t ticks{0};  ///< engine ticks advanced, summed over every cell
 };
 
 /// How execute() runs a plan. Every value yields the same results (see the
-/// determinism contract above); the fields only trade throughput and
-/// memory.
+/// determinism contract above).
 struct ExecOptions {
   /// Worker threads; 0 = one per hardware thread, 1 = serial in the calling
   /// thread (no pool).
   std::size_t workers{0};
-  /// Max cells one worker advances lock-step (see execute()). 1 = the
-  /// per-session reference path: whole sessions / training cells one at a
-  /// time. 0 = size batches automatically: the plan is split evenly across
-  /// the workers, capped so per-worker engine memory stays bounded, and
-  /// shares too narrow for the SoA sweep to pay (< 4 cells) degenerate to
-  /// the per-session path. Any other value is honored as given.
-  std::size_t max_batch{0};
-  /// When set, every lock-step batch accumulates per-phase wall time here
-  /// (merged under a lock once per batch, so the hot loop pays only the
-  /// clock reads). Leave null outside measurement runs.
+  /// When set, every engine steps through a timed per-tick loop over
+  /// Engine::step()'s phases and accumulates their wall time here (merged
+  /// under a lock once per cell, so the loop pays only the clock reads).
+  /// Unset, engines run plain Engine::run. Leave null outside measurement
+  /// runs.
   BatchPhaseTimings* phase_timings{nullptr};
 };
 
 // --- the entry point -------------------------------------------------------
 
 /// Executes every session of `plan` and returns results in plan order. A
-/// ScenarioMatrix runs as execute(matrix.to_run_plan(governor)).
-///
-/// The lock-step path (max_batch != 1) gives every worker a *group* of
-/// homogeneous sessions that stays *batch-resident* between ticks: each
-/// engine parks its thermal state in an RcBatch lane
-/// (Engine::attach_thermal_batch), and every tick runs as phase sweeps
-/// across the group - app/render pre-phases, one [cluster][session] power
-/// sweep (soc/power_batch.hpp) into the thermal power lanes, one SoA
-/// thermal solve (thermal/rc_batch.hpp), observation reading the
-/// temperature lanes in place, and grouped NextAgent control points
-/// (core::NextAgent::control_group). Each sweep reproduces every session's
-/// per-step arithmetic exactly. Run plans group by duration, training
-/// plans by (max_duration, episode_length) with stop_at_convergence unset
-/// (early stopping is data-dependent control flow); cells that fit no
-/// group, or whose engines turn out to use a different topology or step,
-/// fall back to the per-session path.
+/// ScenarioMatrix runs as execute(matrix.to_run_plan(governor)). Each
+/// session gets its own engine, run with Engine::run; the sessions are
+/// spread over the worker pool (run_indexed_tasks).
 [[nodiscard]] std::vector<SessionResult> execute(const RunPlan& plan,
                                                  const ExecOptions& options = {});
 
 /// Training counterpart: TrainingResults in plan order, bit-identical to
-/// serial per-cell training (wall_seconds excepted; a lock-step batch
-/// attributes an even share of its wall time to each of its cells). This
-/// holds the repo's one training loop - chunked episodes, app re-opens and
-/// convergence checks - for batches of 1..N cells; train_next() and
-/// train_next_on() run one-cell plans through it.
+/// serial per-cell training (wall_seconds excepted). This holds the repo's
+/// one training loop - chunked episodes, app re-opens and convergence
+/// checks - one engine per cell; train_next() and train_next_on() run
+/// one-cell plans through it.
 [[nodiscard]] std::vector<TrainingResult> execute(const TrainingPlan& plan,
                                                   const ExecOptions& options = {});
 
@@ -196,27 +177,30 @@ struct ExecOptions {
 
 // --- perfbench compatibility shim: begin ------------------------------------
 // perfbench/ is built against these names, which predate execute(). They
-// only forward (run_plan/run_training_plan on the per-session path,
-// max_batch = 1); nothing else in the tree calls them (CI greps for it).
+// only forward; nothing else in the tree calls them (CI greps for it).
+// BatchOptions' max_batch is the retired lock-step batch width: accepted
+// and ignored.
 using RunnerOptions = ExecOptions;
-using BatchOptions = ExecOptions;
+struct BatchOptions {
+  std::size_t workers{0};
+  std::size_t max_batch{0};
+  BatchPhaseTimings* phase_timings{nullptr};
+};
 [[nodiscard]] inline std::vector<SessionResult> run_plan(const RunPlan& plan,
-                                                         RunnerOptions options = {}) {
-  options.max_batch = 1;
+                                                         const RunnerOptions& options = {}) {
   return execute(plan, options);
 }
-[[nodiscard]] inline std::vector<TrainingResult> run_training_plan(const TrainingPlan& plan,
-                                                                   RunnerOptions options = {}) {
-  options.max_batch = 1;
+[[nodiscard]] inline std::vector<TrainingResult> run_training_plan(
+    const TrainingPlan& plan, const RunnerOptions& options = {}) {
   return execute(plan, options);
 }
 [[nodiscard]] inline std::vector<SessionResult> run_plan_batched(
     const RunPlan& plan, const BatchOptions& options = {}) {
-  return execute(plan, options);
+  return execute(plan, {.workers = options.workers, .phase_timings = options.phase_timings});
 }
 [[nodiscard]] inline std::vector<TrainingResult> run_training_plan_batched(
     const TrainingPlan& plan, const BatchOptions& options = {}) {
-  return execute(plan, options);
+  return execute(plan, {.workers = options.workers, .phase_timings = options.phase_timings});
 }
 // --- perfbench compatibility shim: end --------------------------------------
 

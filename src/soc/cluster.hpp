@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,13 +81,6 @@ class Cluster {
   ///   leak_power_coeff_w = k_leak * V        (P_leak = coeff * exp(...))
   [[nodiscard]] double dyn_power_coeff_w() const noexcept { return dyn_coeff_w_[index_]; }
   [[nodiscard]] double leak_power_coeff_w() const noexcept { return leak_coeff_w_[index_]; }
-  /// The whole per-OPP coefficient tables (index = OPP index). PowerBatch
-  /// copies these once per group and sweeps them for N sessions at a time;
-  /// they are also the homogeneity check for batch-resident power stepping.
-  [[nodiscard]] std::span<const double> dyn_power_table() const noexcept { return dyn_coeff_w_; }
-  [[nodiscard]] std::span<const double> leak_power_table() const noexcept {
-    return leak_coeff_w_;
-  }
   /// f_max / f at the current OPP (>= 1): the PELT-style demand scale
   /// factor, tabled so load accounting avoids a divide per cluster per step.
   [[nodiscard]] double inv_relative_speed() const noexcept { return inv_rel_speed_[index_]; }

@@ -12,9 +12,7 @@
 // The solver structure (CSR layout, stability bound, steady-state system)
 // is built exactly once per process: note9_topology() returns the shared
 // ref-counted RcTopology and every engine's RcNetwork is a per-session
-// state view over it. That shared pointer is also the homogeneity key the
-// batched stepping path (thermal/rc_batch.hpp, sim::execute()'s lock-step
-// path) groups sessions by.
+// state view over it.
 #pragma once
 
 #include <memory>

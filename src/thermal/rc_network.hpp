@@ -20,8 +20,6 @@
 //   * RcNetwork is a thin per-session state view over a topology: node
 //     temperatures, injected powers, the ambient boundary and the cached
 //     sub-step count for the engine's fixed step.
-//   * rc_batch.hpp steps many same-topology sessions in one
-//     structure-of-arrays sweep, bit-identical to per-session step().
 //
 // steady_state() solves the linear system directly (Gaussian elimination,
 // networks are tiny) and is used for calibration and property tests.
@@ -58,7 +56,7 @@ struct RcEdgeSpec {
 /// The immutable, shareable solver structure: node/edge specs plus every
 /// precomputed view the steppers need. Build once (RcTopology::make), share
 /// across sessions with std::shared_ptr<const RcTopology>; per-session
-/// state lives in RcNetwork (or, batched, in RcBatch).
+/// state lives in RcNetwork.
 class RcTopology {
  public:
   /// Validates and precomputes; throws ConfigError on invalid parameters
@@ -139,17 +137,13 @@ class RcNetwork {
     return topo_->max_stable_dt_seconds();
   }
 
-  /// The topology this session's state lives on. Two networks batch-step
-  /// together iff their topology pointers are equal.
+  /// The topology this session's state lives on.
   [[nodiscard]] const std::shared_ptr<const RcTopology>& topology() const noexcept {
     return topo_;
   }
 
   /// Node temperatures in node order (the engine's observation reads).
   [[nodiscard]] std::span<const double> temperatures_raw() const noexcept { return temp_; }
-
-  /// The batch stepper loads and stores state directly.
-  friend class RcBatch;
 
  private:
   void euler_substep(double dt_s) noexcept;

@@ -1,4 +1,4 @@
-// Tests for the strict CLI count/seed parsers (common/parse.hpp). The
+// Tests for the strict CLI count/seed/duration parsers (common/parse.hpp). The
 // "-5" rejection is THE regression test: the strtoul-based parsers these
 // replaced accepted a leading '-' and wrapped the negated value, turning a
 // typo'd count into ~1.8e19.
@@ -65,6 +65,33 @@ TEST(Parse, RejectsNonDigitForms) {
   EXPECT_FALSE(parse_u64("0x10", v));  // no base prefixes
   EXPECT_FALSE(parse_u64("1e3", v));   // no exponents
   EXPECT_EQ(v, 1234u);
+}
+
+TEST(Parse, SecondsAcceptPlainDecimalsWithinTheBound) {
+  double v = -1.0;
+  EXPECT_TRUE(parse_seconds("0", 100.0, v));
+  EXPECT_EQ(v, 0.0);
+  EXPECT_TRUE(parse_seconds("15", 100.0, v));
+  EXPECT_EQ(v, 15.0);
+  EXPECT_TRUE(parse_seconds("2.5", 100.0, v));
+  EXPECT_EQ(v, 2.5);
+  EXPECT_TRUE(parse_seconds(".5", 100.0, v));
+  EXPECT_EQ(v, 0.5);
+  EXPECT_TRUE(parse_seconds("100", 100.0, v));
+  EXPECT_EQ(v, 100.0);
+}
+
+TEST(Parse, SecondsRejectEveryOtherForm) {
+  // atof read "15O" as 15 and "abc", "inf", "1e300" as 0 or a value no
+  // SimTime can hold; each must be a parse error instead.
+  double v = 7.0;
+  for (const char* bad : {"", "15O", "abc", "inf", "nan", "1e300", "1e3", "-1", "+1", " 1",
+                          "1 ", ".", "1.2.3", "0x10", "100.5"}) {
+    EXPECT_FALSE(parse_seconds(bad, 100.0, v)) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(parse_seconds(nullptr, 100.0, v));
+  EXPECT_FALSE(parse_seconds(std::string(400, '9').c_str(), 100.0, v));
+  EXPECT_EQ(v, 7.0) << "out must be untouched on failure";
 }
 
 TEST(Parse, CountMatchesU64OnSixtyFourBitHosts) {

@@ -7,6 +7,8 @@
 #include "governors/schedutil.hpp"
 #include "governors/simple_governors.hpp"
 #include "sim/engine.hpp"
+#include "sim/experiment.hpp"
+#include "sim/scenario.hpp"
 #include "workload/apps.hpp"
 
 namespace nextgov::sim {
@@ -145,6 +147,36 @@ TEST(Engine, FpsObservationMatchesPresentedFrames) {
   // Average FPS derived from totals must be in the same band as the
   // instantaneous observation for a steady 30 FPS video.
   EXPECT_NEAR(e->average_fps(), 30.0, 5.0);
+}
+
+// The suite name predates per-session stepping as execute()'s only path
+// (the phase split once fed a batch-resident lock-step pipeline); it is
+// kept so test history stays traceable.
+TEST(BatchResident, EnginePhaseSplitComposesToStep) {
+  // External drivers (perfbench's hand-stepped phone loop, execute()'s
+  // phase timings) step the phases one by one; their concatenation must be
+  // exactly step(). Run one engine through each path and demand a
+  // bitwise-equal summary.
+  ScenarioSpec spec = scenario("fig1_session");
+  spec.duration = SimTime::from_seconds(2.0);
+  const ExperimentConfig config = spec.experiment_config(GovernorKind::kNext);
+  auto phased = make_engine(spec.app_factory(), config);
+  auto stepped = make_engine(spec.app_factory(), config);
+
+  const SimTime dt = phased->config().step;
+  const std::int64_t ticks = config.duration.us() / dt.us();
+  for (std::int64_t t = 0; t < ticks; ++t) {
+    phased->step_pre_power();
+    phased->apply_power_model();
+    phased->thermal().step(dt);
+    phased->step_post_observe();
+    phased->step_post_meta();
+    phased->step_post_finish();
+    stepped->step();
+  }
+  EXPECT_TRUE(bit_identical(summarize(*phased, "app", "gov"),
+                            summarize(*stepped, "app", "gov")));
+  EXPECT_EQ(phased->now().us(), stepped->now().us());
 }
 
 }  // namespace

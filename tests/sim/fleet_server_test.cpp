@@ -454,15 +454,15 @@ TEST(FleetServerBackoff, HugeBackoffServerRoundSurvives) {
 // history stays traceable.
 
 TEST(FleetServer, ShardedTrainingBitIdentical) {
-  // A churning round trained serially per device and pooled in one
-  // lock-step batch lands on the same bytes and the same accounting.
+  // A churning round trained serially and pooled across workers lands on
+  // the same bytes and the same accounting.
   FleetServerOptions options = small_server();
   options.churn.straggle_rate = 0.3;
   options.churn.upload_fail_rate = 0.2;
-  FleetServer serial{workload::AppId::kFacebook, options, {.workers = 1, .max_batch = 1}};
+  FleetServer serial{workload::AppId::kFacebook, options, {.workers = 1}};
   serial.run_rounds(2);
 
-  FleetServer pooled{workload::AppId::kFacebook, options, {.workers = 2, .max_batch = 3}};
+  FleetServer pooled{workload::AppId::kFacebook, options, {.workers = 2}};
   pooled.run_rounds(2);
 
   ASSERT_NE(serial.global(), nullptr);
@@ -565,19 +565,19 @@ TEST(FleetServer, ProcessesKnobExcludedFromOptionsIdentity) {
   options.snapshot_ring = 2;
   options.snapshot_prefix = ring_prefix("exec_identity");
   {
-    FleetServer batched{workload::AppId::kFacebook, options, {.workers = 1, .max_batch = 3}};
-    batched.run_rounds(1);
+    FleetServer serial{workload::AppId::kFacebook, options, {.workers = 1}};
+    serial.run_rounds(1);
   }  // destroyed without drain(): kill -9
-  FleetServer per_session{workload::AppId::kFacebook, options, {.workers = 2, .max_batch = 1}};
-  ASSERT_TRUE(per_session.restored());
-  EXPECT_EQ(per_session.round(), 1u);
-  per_session.run_rounds(1);
-  FleetServer batched_again{workload::AppId::kFacebook, options, {.workers = 3}};
-  ASSERT_TRUE(batched_again.restored());
-  EXPECT_EQ(batched_again.round(), 2u);
-  ASSERT_NE(per_session.global(), nullptr);
-  ASSERT_NE(batched_again.global(), nullptr);
-  EXPECT_EQ(canonical_bytes(*batched_again.global()), canonical_bytes(*per_session.global()));
+  FleetServer pooled{workload::AppId::kFacebook, options, {.workers = 2}};
+  ASSERT_TRUE(pooled.restored());
+  EXPECT_EQ(pooled.round(), 1u);
+  pooled.run_rounds(1);
+  FleetServer pooled_again{workload::AppId::kFacebook, options, {.workers = 3}};
+  ASSERT_TRUE(pooled_again.restored());
+  EXPECT_EQ(pooled_again.round(), 2u);
+  ASSERT_NE(pooled.global(), nullptr);
+  ASSERT_NE(pooled_again.global(), nullptr);
+  EXPECT_EQ(canonical_bytes(*pooled_again.global()), canonical_bytes(*pooled.global()));
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ TEST(Fleet, CalmServerIsSynchronousFedAvg) {
     cell.ambient = options.ambient;
     plan.add(workload::AppId::kFacebook, options.next_config, cell);
   }
-  const std::vector<TrainingResult> devices = execute(plan, {.workers = 2, .max_batch = 1});
+  const std::vector<TrainingResult> devices = execute(plan, {.workers = 2});
   std::vector<const rl::QTable*> tables;
   for (const TrainingResult& r : devices) tables.push_back(&r.table);
   EXPECT_EQ(canonical_bytes(*server.global()), canonical_bytes(rl::merge_q_tables(tables)));
@@ -75,7 +75,7 @@ TEST(Fleet, CalmServerIsSynchronousFedAvg) {
 }
 
 TEST(Fleet, DeterministicAcrossWorkerCounts) {
-  // Each round trains every device through the pooled batch runner; the
+  // Each round trains every device through the worker pool; the
   // global table and everything the progress callback reports (apart from
   // wall time) must be independent of the pool size.
   const FleetServerOptions options = calm_fleet();
@@ -104,9 +104,8 @@ TEST(Fleet, DeterministicAcrossWorkerCounts) {
 
 TEST(Fleet, DeterministicAcrossProcessCounts) {
   // The uneven rung of the same contract: the devices do not split evenly
-  // across the workers (4 devices over 3), on the per-session path and in
-  // uneven lock-step batches (one of 3 devices, one of 1), and the global
-  // table must still come out bit-identical.
+  // across the workers (4 devices over 3), and the global table must still
+  // come out bit-identical.
   FleetServerOptions options = calm_fleet();
   FleetServer serial{workload::AppId::kFacebook, options, {.workers = 1}};
   std::vector<double> rewards;
@@ -114,19 +113,15 @@ TEST(Fleet, DeterministicAcrossProcessCounts) {
     rewards.push_back(rs.mean_reward);
   });
   ASSERT_NE(serial.global(), nullptr);
-  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{3}}) {
-    SCOPED_TRACE(max_batch);
-    FleetServer pooled{workload::AppId::kFacebook, options,
-                       {.workers = 3, .max_batch = max_batch}};
-    std::vector<double> pooled_rewards;
-    pooled.run_rounds(2, [&](const FleetServerRoundStats& rs) {
-      pooled_rewards.push_back(rs.mean_reward);
-    });
-    ASSERT_NE(pooled.global(), nullptr);
-    EXPECT_EQ(canonical_bytes(*serial.global()), canonical_bytes(*pooled.global()));
-    EXPECT_EQ(serial.stats().total_decisions, pooled.stats().total_decisions);
-    EXPECT_EQ(rewards, pooled_rewards);
-  }
+  FleetServer pooled{workload::AppId::kFacebook, options, {.workers = 3}};
+  std::vector<double> pooled_rewards;
+  pooled.run_rounds(2, [&](const FleetServerRoundStats& rs) {
+    pooled_rewards.push_back(rs.mean_reward);
+  });
+  ASSERT_NE(pooled.global(), nullptr);
+  EXPECT_EQ(canonical_bytes(*serial.global()), canonical_bytes(*pooled.global()));
+  EXPECT_EQ(serial.stats().total_decisions, pooled.stats().total_decisions);
+  EXPECT_EQ(rewards, pooled_rewards);
 }
 
 TEST(Fleet, ProgressFiresOncePerRoundAndCoverageGrows) {
@@ -337,11 +332,11 @@ TEST(Fleet, DeltaUploadsKnobExcludedFromOptionsIdentity) {
 }
 
 TEST(Fleet, ProcessesKnobExcludedFromOptionsIdentity) {
-  // A ring written serially must resume pooled: the worker count and batch
-  // width are execution strategy, not trajectory, so they live in the
-  // constructor's ExecOptions rather than in the FleetServerOptions a ring
-  // entry pins. Pinned end to end by killing a serial server and resuming
-  // it on two workers in lock-step batches.
+  // A ring written serially must resume pooled: the worker count is
+  // execution strategy, not trajectory, so it lives in the constructor's
+  // ExecOptions rather than in the FleetServerOptions a ring entry pins.
+  // Pinned end to end by killing a serial server and resuming it on two
+  // workers.
   FleetServerOptions options = calm_fleet();
   FleetServer straight{workload::AppId::kFacebook, options, {.workers = 1}};
   straight.run_rounds(3);
@@ -353,7 +348,7 @@ TEST(Fleet, ProcessesKnobExcludedFromOptionsIdentity) {
     FleetServer doomed{workload::AppId::kFacebook, options, {.workers = 1}};
     doomed.run_rounds(2);
   }  // destroyed without drain(): kill -9
-  FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 2, .max_batch = 2}};
+  FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 2}};
   ASSERT_TRUE(resumed.restored());
   EXPECT_EQ(resumed.round(), 2u);
   resumed.run_rounds(1);

@@ -1,10 +1,9 @@
 // Tests for execute()'s pooled path on scenario matrices: the bit-identity
-// contract across worker counts and batch widths, on evaluation and
-// training plans. The suite name "Multiproc" and the "Process"/"Sharded"
-// test names predate the thread-only pool (the plan once also ran across
-// forked worker processes); they are kept so test history stays
-// traceable. Unless a test says otherwise, workers run the per-session
-// path (max_batch = 1), and the reference is serial per-session execution.
+// contract across worker counts, on evaluation and training plans. The
+// suite name "Multiproc" and the "Process"/"Sharded" test names predate
+// the thread-only pool (the plan once also ran across forked worker
+// processes); they are kept so test history stays traceable. The reference
+// is serial execution.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -30,11 +29,11 @@ ScenarioMatrix short_matrix() {
   return matrix;
 }
 
-/// The serial per-session reference path.
-constexpr ExecOptions kSerial{.workers = 1, .max_batch = 1};
+/// The serial reference path.
+constexpr ExecOptions kSerial{.workers = 1};
 
-/// Per-session cells across `workers` threads.
-ExecOptions in_workers(std::size_t workers) { return {.workers = workers, .max_batch = 1}; }
+/// Cells across `workers` threads.
+ExecOptions in_workers(std::size_t workers) { return {.workers = workers}; }
 
 void expect_all_bit_identical(const std::vector<SessionResult>& expected,
                               const std::vector<SessionResult>& actual) {
@@ -78,15 +77,6 @@ TEST(Multiproc, MoreProcessesThanCellsClampsToCells) {
   EXPECT_EQ(resolve_workers(8, plan.size()), plan.size());
   const std::vector<SessionResult> reference = execute(plan, kSerial);
   expect_all_bit_identical(reference, execute(plan, in_workers(8)));
-}
-
-TEST(Multiproc, BatchedShardsBitIdentical) {
-  // Workers on execute()'s default (auto-sized lock-step) path and with an
-  // explicit batch width.
-  const RunPlan plan = short_matrix().to_run_plan(GovernorKind::kSchedutil);
-  const std::vector<SessionResult> reference = execute(plan, kSerial);
-  expect_all_bit_identical(reference, execute(plan, {.workers = 2}));
-  expect_all_bit_identical(reference, execute(plan, {.workers = 2, .max_batch = 6}));
 }
 
 TEST(Multiproc, TrainingPlanShardedBitIdentical) {

@@ -1,10 +1,11 @@
 // Tests for the one execution entry point, sim::execute(): plan
 // construction, seed derivation, and the core determinism contract - every
-// ExecOptions value (worker count, batch width) yields results
+// ExecOptions value (worker count, phase timings) yields results
 // bit-identical to serial per-session execution in plan order, checked on
 // hand-picked plans and on seeded random ones (catalog apps and random
-// scenarios). "PhaseTimingsRequireOneProcess" predates the thread-only
-// pool (plans once also ran across forked worker processes); the name is
+// scenarios). The "BatchRunner" tests and "PhaseTimingsRequireOneProcess"
+// predate per-session stepping as the only path (plans once also ran in
+// lock-step batches and across forked worker processes); the names are
 // kept so test history stays traceable.
 #include <gtest/gtest.h>
 
@@ -77,8 +78,8 @@ TEST(RunPlan, AddRejectsNullFactory) {
 
 TEST(Runner, ParallelIsBitIdenticalToSerial) {
   const RunPlan plan = small_grid();
-  const auto serial = execute(plan, {.workers = 1, .max_batch = 1});
-  const auto parallel = execute(plan, {.workers = 4, .max_batch = 1});
+  const auto serial = execute(plan, {.workers = 1});
+  const auto parallel = execute(plan, {.workers = 4});
   ASSERT_EQ(serial.size(), plan.size());
   ASSERT_EQ(parallel.size(), plan.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -96,8 +97,8 @@ TEST(Runner, RepeatedParallelRunsAreIdentical) {
   plan.add(workload::AppId::kPubg, base);
   base.seed = 12;
   plan.add(workload::AppId::kPubg, base);
-  const auto first = execute(plan, {.workers = 2, .max_batch = 1});
-  const auto second = execute(plan, {.workers = 3, .max_batch = 1});
+  const auto first = execute(plan, {.workers = 2});
+  const auto second = execute(plan, {.workers = 3});
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     SCOPED_TRACE(i);
@@ -106,7 +107,7 @@ TEST(Runner, RepeatedParallelRunsAreIdentical) {
 }
 
 TEST(Runner, EmptyPlanReturnsEmpty) {
-  EXPECT_TRUE(execute(RunPlan{}, {.max_batch = 1}).empty());
+  EXPECT_TRUE(execute(RunPlan{}, {}).empty());
 }
 
 TEST(Runner, PropagatesSessionFailure) {
@@ -117,27 +118,26 @@ TEST(Runner, PropagatesSessionFailure) {
   plan.add([](std::uint64_t) -> std::unique_ptr<workload::App> {
     throw ConfigError("boom");
   }, "broken", ok);
-  EXPECT_THROW((void)execute(plan, {.workers = 2, .max_batch = 1}), ConfigError);
+  EXPECT_THROW((void)execute(plan, {.workers = 2}), ConfigError);
 }
 
 TEST(BatchRunner, BatchedPlanIsBitIdenticalToRunPlan) {
-  // Mixed governors/apps/seeds AND mixed durations: the duration split
-  // produces several lock-step groups plus batching/fallback boundaries,
-  // all of which must reproduce the per-session path exactly.
+  // Mixed governors/apps/seeds AND mixed durations, on several pool
+  // sizes: every one must reproduce the serial path exactly.
   RunPlan plan = small_grid();
   ExperimentConfig odd;
   odd.duration = SimTime::from_seconds(3.0);
   odd.governor = GovernorKind::kNext;
   odd.seed = 77;
   plan.add(workload::AppId::kPubg, odd);
-  const auto reference = execute(plan, {.workers = 1, .max_batch = 1});
-  for (const std::size_t max_batch : {std::size_t{0}, std::size_t{1}, std::size_t{5}}) {
-    SCOPED_TRACE(max_batch);
-    const auto batched = execute(plan, {.workers = 3, .max_batch = max_batch});
-    ASSERT_EQ(batched.size(), reference.size());
+  const auto reference = execute(plan, {.workers = 1});
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{3}}) {
+    SCOPED_TRACE(workers);
+    const auto pooled = execute(plan, {.workers = workers});
+    ASSERT_EQ(pooled.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
       SCOPED_TRACE(i);
-      expect_bit_identical(reference[i], batched[i]);
+      expect_bit_identical(reference[i], pooled[i]);
     }
   }
 }
@@ -149,8 +149,7 @@ TEST(BatchRunner, BatchedTrainingIsBitIdenticalToTrainingPlan) {
   base.episode_length = SimTime::from_seconds(8.0);
   plan.add_seed_sweep(workload::AppId::kFacebook, core::NextConfig{}, base, 3, 5);
   // A heterogeneous straggler (different budget) and an early-stopping
-  // cell: both must route through the per-cell fallback inside the same
-  // batched call.
+  // cell next to the homogeneous sweep.
   TrainingOptions longer = base;
   longer.max_duration = SimTime::from_seconds(12.0);
   plan.add(workload::AppId::kLineage, core::NextConfig{}, longer);
@@ -158,15 +157,12 @@ TEST(BatchRunner, BatchedTrainingIsBitIdenticalToTrainingPlan) {
   stopper.stop_at_convergence = true;
   plan.add(workload::AppId::kFacebook, core::NextConfig{}, stopper);
 
-  const auto reference = execute(plan, {.workers = 1, .max_batch = 1});
-  // Explicit max_batch forces the lock-step trainer for the homogeneous
-  // cells (auto sizing would degenerate shares this small to the
-  // per-cell path).
-  const auto batched = execute(plan, {.workers = 2, .max_batch = 8});
-  ASSERT_EQ(batched.size(), reference.size());
+  const auto reference = execute(plan, {.workers = 1});
+  const auto pooled = execute(plan, {.workers = 2});
+  ASSERT_EQ(pooled.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     SCOPED_TRACE(i);
-    expect_training_identical(reference[i], batched[i]);
+    expect_training_identical(reference[i], pooled[i]);
   }
 }
 
@@ -176,15 +172,14 @@ TEST(BatchRunner, EmptyPlansReturnEmpty) {
 }
 
 TEST(Execute, PhaseTimingsRequireOneProcess) {
-  // A lock-step batch run with a phase sink accumulates its ticks there.
+  // A run with a phase sink accumulates its ticks there.
   RunPlan plan;
   ExperimentConfig config;
   config.duration = SimTime::from_seconds(1.0);
   plan.add(workload::AppId::kHome, config);
   plan.add(workload::AppId::kHome, config);
   BatchPhaseTimings timings;
-  EXPECT_EQ(execute(plan, {.workers = 1, .max_batch = 2, .phase_timings = &timings}).size(),
-            2u);
+  EXPECT_EQ(execute(plan, {.workers = 1, .phase_timings = &timings}).size(), 2u);
   EXPECT_GT(timings.ticks, 0);
 }
 
@@ -238,8 +233,7 @@ ScenarioSpec random_scenario(Rng& rng) {
 }
 
 /// Seeded random evaluation plan under all six governors: whole-second
-/// 2-5 s sessions (so equal durations form lock-step groups next to
-/// singletons), ambients in [15, 35) C and 60/90/120 Hz panels; Next cells
+/// 2-5 s sessions, ambients in [15, 35) C and 60/90/120 Hz panels; Next cells
 /// either deploy untrained or learn online. About half the sessions run a
 /// catalog app, the rest a random scenario (random_scenario()) added
 /// through its app_factory() and experiment_config().
@@ -279,9 +273,8 @@ RunPlan random_run_plan(std::uint64_t seed) {
   return plan;
 }
 
-/// Seeded random training plan: two budgets x two episode lengths (so
-/// some cells share a lock-step clock and some don't), random ambients and
-/// panels, and roughly one early-stopping cell in four.
+/// Seeded random training plan: two budgets x two episode lengths, random
+/// ambients and panels, and roughly one early-stopping cell in four.
 TrainingPlan random_training_plan(std::uint64_t seed) {
   Rng rng{seed};
   constexpr double kBudgets[] = {6.0, 10.0};
@@ -303,15 +296,11 @@ TrainingPlan random_training_plan(std::uint64_t seed) {
   return plan;
 }
 
-/// Every (workers, max_batch) point of the differential grid; {1, 1} -
-/// serial, per-session - is the reference.
+/// Every pool size of the differential grid; workers = 1 - serial - is
+/// the reference.
 std::vector<ExecOptions> every_path() {
   std::vector<ExecOptions> paths;
-  for (const std::size_t workers : {1, 3}) {
-    for (const std::size_t max_batch : {0, 1, 4}) {
-      paths.push_back({.workers = workers, .max_batch = max_batch});
-    }
-  }
+  for (const std::size_t workers : {2, 3}) paths.push_back({.workers = workers});
   return paths;
 }
 
@@ -340,7 +329,7 @@ TEST(Execute, RandomPlansAgreeAcrossEveryPath) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     SCOPED_TRACE(seed);
     const RunPlan plan = random_run_plan(derive_seed(0xE8EC, seed));
-    const auto reference = execute(plan, {.workers = 1, .max_batch = 1});
+    const auto reference = execute(plan, {.workers = 1});
     ASSERT_EQ(reference.size(), plan.size());
     for (std::size_t i = 0; i < plan.size(); ++i) {
       expect_well_formed(reference[i], plan.sessions()[i].config.refresh_hz);
@@ -351,8 +340,7 @@ TEST(Execute, RandomPlansAgreeAcrossEveryPath) {
       }
     }
     for (const ExecOptions& path : paths) {
-      SCOPED_TRACE(testing::Message() << "workers " << path.workers << " max_batch "
-                                      << path.max_batch);
+      SCOPED_TRACE(testing::Message() << "workers " << path.workers);
       const auto results = execute(plan, path);
       ASSERT_EQ(results.size(), reference.size());
       for (std::size_t i = 0; i < reference.size(); ++i) {
@@ -366,11 +354,10 @@ TEST(Execute, RandomPlansAgreeAcrossEveryPath) {
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     SCOPED_TRACE(seed);
     const TrainingPlan plan = random_training_plan(derive_seed(0x7EA1, seed));
-    const auto reference = execute(plan, {.workers = 1, .max_batch = 1});
+    const auto reference = execute(plan, {.workers = 1});
     ASSERT_EQ(reference.size(), plan.size());
     for (const ExecOptions& path : paths) {
-      SCOPED_TRACE(testing::Message() << "workers " << path.workers << " max_batch "
-                                      << path.max_batch);
+      SCOPED_TRACE(testing::Message() << "workers " << path.workers);
       const auto results = execute(plan, path);
       ASSERT_EQ(results.size(), reference.size());
       for (std::size_t i = 0; i < reference.size(); ++i) {
@@ -379,6 +366,40 @@ TEST(Execute, RandomPlansAgreeAcrossEveryPath) {
       }
     }
   }
+}
+
+TEST(Execute, PhaseTimingsLeaveResultsBitIdentical) {
+  // The timed per-tick loop only reads the clock between step()'s phases:
+  // a mixed run plan and a mixed training plan come out bit-identical to
+  // untimed runs, and every session tick lands in the sink exactly once.
+  const RunPlan plan = random_run_plan(derive_seed(0x71AE, 1));
+  const auto reference = execute(plan, {.workers = 1});
+  BatchPhaseTimings timings;
+  const auto timed = execute(plan, {.workers = 3, .phase_timings = &timings});
+  ASSERT_EQ(timed.size(), reference.size());
+  std::int64_t session_ticks = 0;
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_TRUE(bit_identical(reference[i], timed[i])) << "session " << i;
+    session_ticks += plan.sessions()[i].config.duration.us() / 1000;
+  }
+  EXPECT_EQ(timings.ticks, session_ticks);
+  for (const double phase_s : {timings.pre_s, timings.power_s, timings.thermal_s,
+                               timings.observe_s, timings.post_s}) {
+    EXPECT_GT(phase_s, 0.0);
+  }
+
+  const TrainingPlan tplan = random_training_plan(derive_seed(0x71AE, 2));
+  const auto treference = execute(tplan, {.workers = 1});
+  BatchPhaseTimings ttimings;
+  const auto ttimed = execute(tplan, {.workers = 3, .phase_timings = &ttimings});
+  ASSERT_EQ(ttimed.size(), treference.size());
+  std::int64_t cell_ticks = 0;
+  for (std::size_t i = 0; i < treference.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_training_identical(treference[i], ttimed[i]);
+    cell_ticks += std::llround(treference[i].sim_seconds * 1000.0);
+  }
+  EXPECT_EQ(ttimings.ticks, cell_ticks);
 }
 
 TEST(Runner, DeriveSeedIsDeterministicAndSpreads) {

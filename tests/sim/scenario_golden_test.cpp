@@ -103,7 +103,7 @@ TEST(ScenarioGolden, LibraryFingerprintsAreStable) {
     const ScenarioSpec spec = scenario(name);
     plan.add(spec.app_factory(), spec.name, spec.experiment_config(GovernorKind::kSchedutil));
   }
-  const auto results = execute(plan, {.max_batch = 1});
+  const auto results = execute(plan);
   ASSERT_EQ(results.size(), names.size());
 
   bool all_ok = true;

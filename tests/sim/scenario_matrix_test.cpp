@@ -133,9 +133,9 @@ TEST(ScenarioMatrixTest, RunPlanBitIdenticalAcrossWorkerCounts) {
   const ScenarioMatrix matrix = small_matrix();
   const RunPlan plan = matrix.to_run_plan(GovernorKind::kSchedutil);
   ASSERT_GE(plan.size(), 12u);
-  const auto serial = execute(plan, {.workers = 1, .max_batch = 1});
-  const auto pooled4 = execute(plan, {.workers = 4, .max_batch = 1});
-  const auto pooled3 = execute(plan, {.workers = 3, .max_batch = 1});
+  const auto serial = execute(plan, {.workers = 1});
+  const auto pooled4 = execute(plan, {.workers = 4});
+  const auto pooled3 = execute(plan, {.workers = 3});
   ASSERT_EQ(serial.size(), pooled4.size());
   ASSERT_EQ(serial.size(), pooled3.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {

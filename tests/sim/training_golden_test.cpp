@@ -1,13 +1,15 @@
 // Golden net over Next's online training (ctest label: golden). A small
-// TrainingPlan - two cells that share a lock-step clock, a warm-started
-// cell on that same clock and an early-stopping cell - runs serially
-// per cell ({workers 1, max_batch 1}) and lock-step on two workers
-// ({workers 2, max_batch 8}). Both runs must reproduce the checked-in
+// TrainingPlan - two cells with one budget, a warm-started cell on that
+// same budget and an early-stopping cell - runs serially ({workers 1}) and
+// on two workers ({workers 2}). Both runs must reproduce the checked-in
 // fingerprint bit for bit: the CRC-32 and length of each learned table's
 // canonical bytes (QTable::serialize) plus the exact bits of decisions,
 // converged, sim_seconds and final_mean_reward. The scenario goldens run
 // schedutil and the execution-path tests only check that paths agree
 // with each other, so this is the net that pins what training learns.
+// "LockStepOnTwoWorkers" predates per-cell stepping as execute()'s only
+// path (the cells once also trained in lock-step batches); the name is
+// kept so test history stays traceable.
 //
 // Regenerating after a deliberate change to the training trajectory: run
 //
@@ -79,14 +81,13 @@ const rl::QTable& warm_base() {
 
 TrainingPlan golden_plan() {
   TrainingPlan plan;
-  // Same (max_duration, episode_length), stop_at_convergence unset: these
-  // three share one lock-step batch when max_batch allows it.
+  // Same (max_duration, episode_length), stop_at_convergence unset.
   plan.add(workload::AppId::kFacebook, core::NextConfig{}, budget(3, 120.0, 40.0));
   plan.add(workload::AppId::kLineage, core::NextConfig{}, budget(4, 120.0, 40.0));
   TrainingOptions warm = budget(5, 120.0, 40.0);
   warm.initial_table = &warm_base();
   plan.add(workload::AppId::kFacebook, core::NextConfig{}, warm);
-  // Early stopping: always a batch of its own.
+  // Early stopping.
   TrainingOptions stop = budget(6, 900.0, 60.0);
   stop.stop_at_convergence = true;
   plan.add(workload::AppId::kYoutube, core::NextConfig{}, stop);
@@ -130,11 +131,11 @@ void expect_golden(const std::vector<TrainingResult>& results) {
 }
 
 TEST(TrainingGolden, SerialPerCellMatchesFingerprint) {
-  expect_golden(execute(golden_plan(), {.workers = 1, .max_batch = 1}));
+  expect_golden(execute(golden_plan(), {.workers = 1}));
 }
 
 TEST(TrainingGolden, LockStepOnTwoWorkersMatchesFingerprint) {
-  expect_golden(execute(golden_plan(), {.workers = 2, .max_batch = 8}));
+  expect_golden(execute(golden_plan(), {.workers = 2}));
 }
 
 }  // namespace

@@ -54,8 +54,8 @@ TEST(TrainingRunner, ParallelIsBitIdenticalToSerial) {
   plan.add(workload::AppId::kFacebook, core::NextConfig{}, short_training(6));
   plan.add(workload::AppId::kLineage, core::NextConfig{}, short_training(7));
   plan.add(workload::AppId::kLineage, core::NextConfig{}, short_training(8));
-  const auto serial = execute(plan, {.workers = 1, .max_batch = 1});
-  const auto parallel = execute(plan, {.workers = 4, .max_batch = 1});
+  const auto serial = execute(plan, {.workers = 1});
+  const auto parallel = execute(plan, {.workers = 4});
   ASSERT_EQ(serial.size(), plan.size());
   ASSERT_EQ(parallel.size(), plan.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -82,7 +82,7 @@ TEST(TrainingRunner, WarmStartResumesFromTable) {
 }
 
 TEST(TrainingRunner, EmptyPlanReturnsEmpty) {
-  EXPECT_TRUE(execute(TrainingPlan{}, {.max_batch = 1}).empty());
+  EXPECT_TRUE(execute(TrainingPlan{}, {}).empty());
 }
 
 TEST(TrainingRunner, PropagatesTrainingFailure) {
@@ -91,7 +91,7 @@ TEST(TrainingRunner, PropagatesTrainingFailure) {
   plan.add([](std::uint64_t) -> std::unique_ptr<workload::App> {
     throw ConfigError("boom");
   }, "broken", core::NextConfig{}, short_training(2, 5.0));
-  EXPECT_THROW((void)execute(plan, {.workers = 2, .max_batch = 1}), ConfigError);
+  EXPECT_THROW((void)execute(plan, {.workers = 2}), ConfigError);
 }
 
 }  // namespace

@@ -145,5 +145,13 @@ TEST(RcNetwork, AmbientChangeShiftsEquilibrium) {
   EXPECT_NEAR(ss[a].value(), 35.0 + 2.0, 1e-9);
 }
 
+TEST(RcTopologySharing, TopologyValidatesSpecs) {
+  EXPECT_THROW((RcTopology{{{"bad", 0.0, 0.0}}, {}}), ConfigError);
+  EXPECT_THROW((RcTopology{{{"a", 1.0, -0.1}}, {}}), ConfigError);
+  EXPECT_THROW((RcTopology{{{"a", 1.0, 0.0}}, {{0, 0, 0.5}}}), ConfigError);
+  EXPECT_THROW((RcTopology{{{"a", 1.0, 0.0}}, {{0, 7, 0.5}}}), ConfigError);
+  EXPECT_THROW((RcTopology{{{"a", 1.0, 0.0}, {"b", 1.0, 0.0}}, {{0, 1, 0.0}}}), ConfigError);
+}
+
 }  // namespace
 }  // namespace nextgov::thermal
