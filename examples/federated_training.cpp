@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
                 stats.delta_uploads);
   });
   const rl::QTable& global = *server.global();
-  const sim::FleetServerStats& totals = server.stats();
+  const sim::FleetServerStats totals = server.stats();
 
   const rl::CloudTimingModel timing{};
   std::printf("\nglobal aggregate: %zu states, %.1f s wall for %.0f device-sim-seconds "

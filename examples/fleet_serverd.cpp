@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
 
   // SIGINT/SIGTERM or round budget: either way, drain cleanly.
   server.drain();
-  const sim::FleetServerStats& stats = server.stats();
+  const sim::FleetServerStats stats = server.stats();
   std::printf("fleet_serverd: drained at round %zu (accepted %llu, retried %llu, "
               "lost %llu, late %llu, departures %llu, quarantined %zu)\n",
               server.round(), static_cast<unsigned long long>(stats.uploads_accepted),

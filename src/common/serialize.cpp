@@ -10,27 +10,46 @@ namespace nextgov {
 
 namespace {
 
-/// CRC-32 lookup table for the reflected IEEE polynomial 0xEDB88320,
-/// generated once at static-init time (256 * 8 shifts, negligible).
-std::array<std::uint32_t, 256> make_crc_table() noexcept {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 lookup tables for the reflected IEEE polynomial 0xEDB88320.
+/// Row 0 is the bytewise table; row k advances a byte through k more zero
+/// bytes, so one step folds eight input bytes with eight lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() noexcept {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  }
+  return t;
 }
 
-const std::array<std::uint32_t, 256>& crc_table() noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  return table;
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Little-endian u32 at `p`, on any host (compilers fold this to one load
+/// where the host is little-endian).
+std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 std::uint32_t crc32_accumulate(std::uint32_t crc,
                                std::span<const std::uint8_t> data) noexcept {
-  const auto& table = crc_table();
-  for (const std::uint8_t byte : data) crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  const CrcTables& t = kCrcTables;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+          t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc;
 }
 
@@ -60,27 +79,6 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept {
 
 // --- ByteWriter -------------------------------------------------------------
 
-void ByteWriter::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void ByteWriter::u32(std::uint32_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v));
-  u32(static_cast<std::uint32_t>(v >> 32));
-}
-
-void ByteWriter::f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
-
-void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
 void ByteWriter::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
   buf_.insert(buf_.end(), s.begin(), s.end());
@@ -88,6 +86,19 @@ void ByteWriter::str(std::string_view s) {
 
 void ByteWriter::bytes(std::span<const std::uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
+}
+
+void ByteWriter::f32s(std::span<const float> values) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto* raw = reinterpret_cast<const std::uint8_t*>(values.data());
+    buf_.insert(buf_.end(), raw, raw + values.size_bytes());
+  } else {
+    for (const float v : values) f32(v);
+  }
+}
+
+void ByteWriter::reserve(std::size_t n) {
+  if (buf_.capacity() - buf_.size() < n) buf_.reserve(buf_.size() + n);
 }
 
 // --- ByteReader -------------------------------------------------------------
@@ -166,6 +177,33 @@ std::string ByteReader::str() {
 
 // --- SnapshotWriter ---------------------------------------------------------
 
+namespace {
+
+constexpr std::size_t kContainerHeaderBytes = 12;  // magic, version, section count
+
+void put_container_header(ByteWriter& out, std::size_t sections) {
+  out.u32(kSnapshotMagic);
+  out.u32(kSnapshotVersion);
+  out.u32(static_cast<std::uint32_t>(sections));
+}
+
+/// Name, payload length and CRC: everything of a section but its payload.
+void put_section_header(ByteWriter& out, const std::string& name,
+                        std::span<const std::uint8_t> payload) {
+  out.str(name);
+  out.u64(payload.size());
+  out.u32(section_crc(kSnapshotVersion, payload));
+}
+
+std::size_t section_header_bytes(const std::string& name) { return 4 + name.size() + 8 + 4; }
+
+void write_all(std::ofstream& out, std::span<const std::uint8_t> bytes) {
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+}  // namespace
+
 ByteWriter& SnapshotWriter::section(std::string name) {
   for (const Section& s : sections_) {
     require(s.name != name, "snapshot section name used twice");
@@ -175,27 +213,33 @@ ByteWriter& SnapshotWriter::section(std::string name) {
 }
 
 std::vector<std::uint8_t> SnapshotWriter::bytes() const {
+  std::size_t total = kContainerHeaderBytes;
+  for (const Section& s : sections_) total += section_header_bytes(s.name) + s.payload.size();
   ByteWriter out;
-  out.u32(kSnapshotMagic);
-  out.u32(kSnapshotVersion);
-  out.u32(static_cast<std::uint32_t>(sections_.size()));
+  out.reserve(total);
+  put_container_header(out, sections_.size());
   for (const Section& s : sections_) {
-    out.str(s.name);
-    out.u64(s.payload.size());
-    out.u32(section_crc(kSnapshotVersion, s.payload.data()));
+    put_section_header(out, s.name, s.payload.data());
     out.bytes(s.payload.data());
   }
-  return out.data();
+  return out.take();
 }
 
 void SnapshotWriter::write_file(const std::string& path) const {
-  const std::vector<std::uint8_t> blob = bytes();
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out{tmp, std::ios::binary | std::ios::trunc};
     if (!out) throw IoError("cannot open snapshot for writing: " + tmp);
-    out.write(reinterpret_cast<const char*>(blob.data()),
-              static_cast<std::streamsize>(blob.size()));
+    ByteWriter header;
+    put_container_header(header, sections_.size());
+    write_all(out, header.data());
+    for (const Section& s : sections_) {
+      ByteWriter section_header;
+      put_section_header(section_header, s.name, s.payload.data());
+      write_all(out, section_header.data());
+      write_all(out, s.payload.data());
+    }
+    out.close();
     if (!out) throw IoError("failed writing snapshot: " + tmp);
   }
   // POSIX rename atomically replaces `path`: a reader sees either the old

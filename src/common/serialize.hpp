@@ -16,6 +16,17 @@
 //     snapshot is always a reported error, never UB or a silent partial
 //     load.
 //
+// Write path cost. A fleet-server ring entry is megabytes of Q-table rows,
+// so the writer works per field and per row, never per byte: ByteWriter
+// appends each fixed-width field with one sized write and a row of floats
+// with one bulk write (f32s), an encoder that knows its size reserves it
+// exactly up front (reserve), crc32 is a slicing-by-8 table CRC (eight
+// bytes per step, same polynomial and values as the bytewise form), and
+// SnapshotWriter::write_file streams the header and each section straight
+// to the file instead of assembling the container a second time. None of
+// this changes a byte: FleetResumeGolden.RingEntryBytesArePinned holds
+// ring entries and upload blobs to fixed digests.
+//
 // Version policy (documented in ROADMAP.md, "Snapshot format & fault
 // tolerance"): writers always emit kSnapshotVersion; readers refuse
 // anything newer ("refuse-forward") and read back at most one version
@@ -23,7 +34,9 @@
 // previous release's checkpoints.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -63,21 +76,46 @@ class SerializeError : public IoError {
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u16(std::uint16_t v) { put_le(v); }
+  void u32(std::uint32_t v) { put_le(v); }
+  void u64(std::uint64_t v) { put_le(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f32(float v);   ///< IEEE-754 bit pattern, bit-exact round trip
-  void f64(double v);  ///< IEEE-754 bit pattern, bit-exact round trip
+  /// IEEE-754 bit pattern, bit-exact round trip.
+  void f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
+  /// IEEE-754 bit pattern, bit-exact round trip.
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   /// Length-prefixed (u32) UTF-8 bytes.
   void str(std::string_view s);
   void bytes(std::span<const std::uint8_t> data);
+  /// The same bytes as f32() on each value in turn, in one append.
+  void f32s(std::span<const float> values);
+
+  /// Makes room for `n` more bytes. When the buffer must grow it grows to
+  /// exactly size() + n, so an encoder that knows its size up front
+  /// allocates once and no more than it writes.
+  void reserve(std::size_t n);
 
   [[nodiscard]] const std::vector<std::uint8_t>& data() const noexcept { return buf_; }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
+  /// Moves the encoded bytes out, leaving the writer empty.
+  [[nodiscard]] std::vector<std::uint8_t> take() noexcept { return std::move(buf_); }
 
  private:
+  /// Appends an unsigned integer's little-endian bytes in one sized write.
+  template <typename T>
+  void put_le(T v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(buf_.data() + at, &v, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+      }
+    }
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -153,11 +191,13 @@ class SnapshotWriter {
   ByteWriter& section(std::string name);
 
   /// The assembled container (magic, version, section table + payloads,
-  /// per-section CRC32).
+  /// per-section CRC32), in one exactly-sized buffer.
   [[nodiscard]] std::vector<std::uint8_t> bytes() const;
 
   /// Writes the container to `path` atomically (temp file + rename), so a
   /// crash mid-write can never leave a half-written snapshot at `path`.
+  /// The header and each section go straight to the file, so the payloads
+  /// are never copied into a second buffer; the bytes equal bytes().
   /// Throws IoError on filesystem failure.
   void write_file(const std::string& path) const;
 

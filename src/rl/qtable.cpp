@@ -1,7 +1,9 @@
 #include "rl/qtable.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -166,12 +168,6 @@ std::uint32_t QTable::tried_mask(StateKey s) const noexcept {
   return slot == kNoSlot ? 0 : tried_[slot];
 }
 
-std::optional<QTable::EntryView> QTable::find_entry(StateKey s) const noexcept {
-  const std::size_t slot = find_slot(s);
-  if (slot == kNoSlot) return std::nullopt;
-  return EntryView{keys_[slot], visits_[slot], tried_[slot], q_.data() + slot * actions_, 1};
-}
-
 void QTable::install_entry(StateKey s, std::uint64_t visits, std::uint32_t tried,
                            std::span<const float> q) {
   NEXTGOV_ASSERT(q.size() == actions_);
@@ -211,18 +207,35 @@ bool QTable::operator==(const QTable& other) const noexcept {
   return true;
 }
 
-std::vector<std::uint32_t> QTable::sorted_slots() const {
-  std::vector<std::uint32_t> slots;
+std::vector<std::pair<StateKey, std::uint32_t>> QTable::sorted_slots() const {
+  using Entry = std::pair<StateKey, std::uint32_t>;
+  std::vector<Entry> slots;
   slots.reserve(size_);
+  StateKey varying = 0;  // bits in which some key differs from the first
   for (std::size_t i = 0; i < capacity_; ++i) {
-    if (used_[i]) slots.push_back(static_cast<std::uint32_t>(i));
+    if (!used_[i]) continue;
+    slots.emplace_back(keys_[i], static_cast<std::uint32_t>(i));
+    varying |= keys_[i] ^ slots.front().first;
   }
-  std::sort(slots.begin(), slots.end(),
-            [this](std::uint32_t a, std::uint32_t b) { return keys_[a] < keys_[b]; });
+  if (varying == 0) return slots;  // at most one state
+  // LSD radix sort over the key bytes that vary: a few linear passes where a
+  // comparison sort mispredicts a branch per compare. Packed state keys are
+  // mixed-radix and rarely span more than four bytes, so most passes skip.
+  std::vector<Entry> scratch(slots.size());
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xFFu) == 0) continue;
+    std::array<std::size_t, 256> start{};
+    for (const Entry& e : slots) ++start[(e.first >> shift) & 0xFFu];
+    std::size_t sum = 0;
+    for (std::size_t& s : start) sum += std::exchange(s, sum);
+    for (const Entry& e : slots) scratch[start[(e.first >> shift) & 0xFFu]++] = e;
+    slots.swap(scratch);
+  }
   return slots;
 }
 
 void QTable::serialize(ByteWriter& out) const {
+  out.reserve(serialized_size());
   out.u64(static_cast<std::uint64_t>(actions_));
   out.f64(default_q_);
   out.u64(total_visits_);
@@ -230,11 +243,11 @@ void QTable::serialize(ByteWriter& out) const {
   // Canonical order: sorted by state key. The probe order depends on
   // insertion history and capacity, which must not leak into the snapshot
   // bytes (resume-equality tests compare serialized fleets byte-for-byte).
-  for (const std::uint32_t slot : sorted_slots()) {
-    out.u64(keys_[slot]);
+  for (const auto& [key, slot] : sorted_slots()) {
+    out.u64(key);
     out.u64(visits_[slot]);
     out.u32(tried_[slot]);
-    for (std::size_t a = 0; a < actions_; ++a) out.f32(q_[slot * actions_ + a]);
+    out.f32s({q_.data() + slot * actions_, actions_});
   }
 }
 

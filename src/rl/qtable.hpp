@@ -23,6 +23,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/serialize.hpp"
@@ -30,6 +31,8 @@
 namespace nextgov::rl {
 
 using StateKey = std::uint64_t;
+
+struct QTableDelta;  // rl/qtable_delta.hpp
 
 /// Hash for packed state keys. libstdc++'s std::hash<uint64_t> is the
 /// identity, which clusters the packed bit-fields into few buckets; one
@@ -113,8 +116,14 @@ class QTable {
 
   /// Canonical binary encoding into a snapshot payload: entries are
   /// emitted sorted by state key, so two tables that compare == always
-  /// serialize to identical bytes regardless of insertion history.
+  /// serialize to identical bytes regardless of insertion history. `out`
+  /// grows by exactly serialized_size() bytes, reserved in one step.
   void serialize(ByteWriter& out) const;
+  /// Bytes serialize() appends: a 32-byte header, then per state its key,
+  /// visit count, tried mask and one f32 per action.
+  [[nodiscard]] std::size_t serialized_size() const noexcept {
+    return 32 + size_ * (20 + 4 * actions_);
+  }
   /// Decodes what serialize() wrote. Throws SerializeError on truncation
   /// or structurally impossible values.
   [[nodiscard]] static QTable deserialize(ByteReader& in);
@@ -154,20 +163,18 @@ class QTable {
   /// `entries()` unordered_map accessor made possible).
   template <typename Fn>
   void for_each_entry(Fn&& fn) const {
-    for (const std::uint32_t slot : sorted_slots()) {
-      fn(EntryView{keys_[slot], visits_[slot], tried_[slot], q_.data() + slot * actions_, 1});
+    for (const auto& [key, slot] : sorted_slots()) {
+      fn(EntryView{key, visits_[slot], tried_[slot], q_.data() + slot * actions_, 1});
     }
   }
-
-  /// Point lookup returning the stored entry's view, or nullopt for unknown
-  /// states. Unlike q()/visits(), the view reads the float lanes exactly
-  /// (no double round trip), which is what the delta encoder compares.
-  [[nodiscard]] std::optional<EntryView> find_entry(StateKey s) const noexcept;
 
  private:
   // The quantized wire decoder (rl/qtable_delta.hpp) restores total_visits
   // from its header instead of re-summing entries, matching deserialize().
   friend QTable deserialize_quantized(ByteReader& in);
+  // The delta encoder walks `next` in slot order and probes the base once
+  // per state, then sorts only the changed rows.
+  friend std::optional<QTableDelta> try_make_delta(const QTable& base, const QTable& next);
 
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
@@ -179,7 +186,8 @@ class QTable {
   /// Ensure capacity for `n` states without exceeding the max load factor.
   void reserve_states(std::size_t n);
   void grow();
-  [[nodiscard]] std::vector<std::uint32_t> sorted_slots() const;
+  /// (key, slot) of every stored state, sorted by key.
+  [[nodiscard]] std::vector<std::pair<StateKey, std::uint32_t>> sorted_slots() const;
 
   std::size_t actions_;
   double default_q_{0.0};

@@ -21,16 +21,17 @@ namespace {
 }  // namespace
 
 void QTableDelta::serialize(ByteWriter& out) const {
+  out.reserve(40 + changes.size() * (20 + 4 * action_count));
   out.u64(static_cast<std::uint64_t>(action_count));
   out.f64(default_q);
   out.u64(base_states);
   out.u64(base_total_visits);
   out.u64(static_cast<std::uint64_t>(changes.size()));
-  for (const Change& c : changes) {
-    out.u64(c.key);
-    out.i64(c.visit_delta);
-    out.u32(c.tried);
-    for (const float q : c.q) out.f32(q);
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    out.u64(changes[i].key);
+    out.i64(changes[i].visit_delta);
+    out.u32(changes[i].tried);
+    out.f32s(row(i));
   }
 }
 
@@ -47,75 +48,82 @@ QTableDelta QTableDelta::deserialize(ByteReader& in) {
   // A change is its key, visit delta, tried mask and one f32 per action.
   const std::size_t count = in.bounded_count(in.u64(), 20 + 4 * d.action_count,
                                              "corrupt Q-table delta header: change count");
-  d.changes.reserve(count);
-  StateKey prev = 0;
+  d.changes.resize(count);
+  d.q.resize(count * d.action_count);
   for (std::size_t i = 0; i < count; ++i) {
-    Change c;
+    Change& c = d.changes[i];
     c.key = in.u64();
-    if (i > 0 && c.key <= prev) {
+    if (i > 0 && c.key <= d.changes[i - 1].key) {
       in.fail("corrupt Q-table delta payload: change keys not strictly increasing");
     }
-    prev = c.key;
     c.visit_delta = in.i64();
     c.tried = in.u32();
-    c.q.resize(d.action_count);
-    for (float& q : c.q) q = in.f32();
-    d.changes.push_back(std::move(c));
+    for (std::size_t a = 0; a < d.action_count; ++a) d.q[i * d.action_count + a] = in.f32();
   }
   return d;
 }
 
 std::optional<QTableDelta> try_make_delta(const QTable& base, const QTable& next) {
-  if (base.action_count() != next.action_count() ||
-      !bits_equal(base.default_q(), next.default_q()) ||
-      base.state_count() > next.state_count()) {
+  if (base.actions_ != next.actions_ || !bits_equal(base.default_q_, next.default_q_) ||
+      base.size_ > next.size_) {
     return std::nullopt;
   }
-  // The delta can only add or modify states (the table itself never erases),
-  // so every base state must still exist in `next`.
-  bool subset = true;
-  base.for_each_entry([&](const QTable::EntryView& e) {
-    if (!next.contains(e.key())) subset = false;
-  });
-  if (!subset) return std::nullopt;
-
-  const std::size_t actions = next.action_count();
-  QTableDelta d;
-  d.action_count = actions;
-  d.default_q = next.default_q();
-  d.base_states = base.state_count();
-  d.base_total_visits = base.total_visits();
+  const std::size_t actions = next.actions_;
+  // One pass over `next` in slot order. A state changed when the base lacks
+  // it or any of its visit count, tried mask or Q bit patterns differ.
+  struct Changed {
+    StateKey key;
+    std::uint32_t slot;  // in `next`
+    std::int64_t visit_delta;
+  };
+  std::vector<Changed> changed;
+  std::size_t hits = 0;
   std::int64_t visit_delta_sum = 0;
-  next.for_each_entry([&](const QTable::EntryView& e) {
-    const std::optional<QTable::EntryView> b = base.find_entry(e.key());
-    bool changed = !b.has_value() || b->visits() != e.visits() || b->tried() != e.tried();
-    if (!changed) {
-      for (std::size_t a = 0; a < actions; ++a) {
-        if (!bits_equal(b->q(a), e.q(a))) {
-          changed = true;
-          break;
-        }
+  for (std::size_t i = 0; i < next.capacity_; ++i) {
+    if (!next.used_[i]) continue;
+    const StateKey key = next.keys_[i];
+    const std::size_t b = base.find_slot(key);
+    std::uint64_t base_visits = 0;
+    if (b != QTable::kNoSlot) {
+      ++hits;
+      base_visits = base.visits_[b];
+      const float* bq = base.q_.data() + b * actions;
+      const float* nq = next.q_.data() + i * actions;
+      if (base_visits == next.visits_[i] && base.tried_[b] == next.tried_[i] &&
+          std::equal(bq, bq + actions, nq, [](float x, float y) { return bits_equal(x, y); })) {
+        continue;
       }
     }
-    if (!changed) return;
-    QTableDelta::Change c;
-    c.key = e.key();
-    const std::uint64_t base_visits = b.has_value() ? b->visits() : 0;
-    c.visit_delta = static_cast<std::int64_t>(e.visits() - base_visits);
-    visit_delta_sum += c.visit_delta;
-    c.tried = e.tried();
-    c.q.resize(actions);
-    for (std::size_t a = 0; a < actions; ++a) c.q[a] = e.q(a);
-    d.changes.push_back(std::move(c));
-  });
+    const auto visit_delta = static_cast<std::int64_t>(next.visits_[i] - base_visits);
+    visit_delta_sum += visit_delta;
+    changed.push_back(Changed{key, static_cast<std::uint32_t>(i), visit_delta});
+  }
+  // The delta can only add or modify states (the table itself never
+  // erases), so every base state must have turned up in `next`.
+  if (hits != base.size_) return std::nullopt;
   // apply_delta reconstructs total_visits by accumulating per-state diffs,
   // which only lands on the sender's exact total when the totals are
   // consistent with the entries. Every QTable mutation path maintains that
   // invariant; if a hand-decoded table ever violated it, fall back to a
   // full upload rather than ship a delta that cannot replay bit-exactly.
-  const std::int64_t total_diff =
-      static_cast<std::int64_t>(next.total_visits() - base.total_visits());
+  const auto total_diff = static_cast<std::int64_t>(next.total_visits_ - base.total_visits_);
   if (visit_delta_sum != total_diff) return std::nullopt;
+
+  std::sort(changed.begin(), changed.end(),
+            [](const Changed& x, const Changed& y) { return x.key < y.key; });
+  QTableDelta d;
+  d.action_count = actions;
+  d.default_q = next.default_q_;
+  d.base_states = base.size_;
+  d.base_total_visits = base.total_visits_;
+  d.changes.reserve(changed.size());
+  d.q.resize(changed.size() * actions);
+  for (std::size_t c = 0; c < changed.size(); ++c) {
+    const std::size_t slot = changed[c].slot;
+    d.changes.push_back(
+        QTableDelta::Change{changed[c].key, changed[c].visit_delta, next.tried_[slot]});
+    std::copy_n(next.q_.data() + slot * actions, actions, d.q.data() + c * actions);
+  }
   return d;
 }
 
@@ -128,14 +136,15 @@ QTable apply_delta(const QTable& base, const QTableDelta& delta) {
         "Q-table delta rejected: base-table guards do not match the table it is being "
         "applied to (sender and receiver disagree about the last accepted sync)");
   }
+  if (delta.q.size() != delta.changes.size() * delta.action_count) {
+    throw SerializeError("Q-table delta rejected: Q rows do not match the change count");
+  }
   QTable out = base;
-  for (const QTableDelta::Change& c : delta.changes) {
-    if (c.q.size() != base.action_count()) {
-      throw SerializeError("Q-table delta rejected: change row has wrong action count");
-    }
+  for (std::size_t i = 0; i < delta.changes.size(); ++i) {
+    const QTableDelta::Change& c = delta.changes[i];
     const std::uint64_t visits =
         out.visits(c.key) + static_cast<std::uint64_t>(c.visit_delta);
-    out.install_entry(c.key, visits, c.tried, c.q);
+    out.install_entry(c.key, visits, c.tried, delta.row(i));
   }
   return out;
 }

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/serialize.hpp"
@@ -28,7 +29,7 @@
 
 namespace nextgov::rl {
 
-/// Sparse update of one table against a shared base. `changes` carries the
+/// Sparse update of one table against a shared base. A change carries the
 /// *absolute* new tried mask and Q lanes (floats are not deltas - summing
 /// rounded floats would drift) but a *signed* visit delta, because a
 /// staleness-discounted merge can lower a state's visit count.
@@ -44,9 +45,17 @@ struct QTableDelta {
     StateKey key{0};
     std::int64_t visit_delta{0};
     std::uint32_t tried{0};
-    std::vector<float> q;  ///< absolute values, one per action
   };
   std::vector<Change> changes;  ///< sorted by key (canonical encoding order)
+  /// Every change's absolute Q values in one flat array: change i's row is
+  /// q[i * action_count, (i + 1) * action_count). One array, not one per
+  /// change, so a delta costs the same few allocations whatever its size.
+  std::vector<float> q;
+
+  /// Change i's Q row.
+  [[nodiscard]] std::span<const float> row(std::size_t i) const noexcept {
+    return {q.data() + i * action_count, action_count};
+  }
 
   /// Canonical binary encoding (sorted changes -> equal deltas give equal
   /// bytes). Same ByteWriter conventions as QTable::serialize.
@@ -59,6 +68,8 @@ struct QTableDelta {
 /// `next` is not a superset evolution of `base` (mismatched action count or
 /// default_q, or a base state missing from `next`) - callers fall back to a
 /// full upload. An empty `changes` vector is a valid result (nothing moved).
+/// One pass over `next` in slot order with one base probe per state; only
+/// the changed rows are sorted.
 [[nodiscard]] std::optional<QTableDelta> try_make_delta(const QTable& base, const QTable& next);
 
 /// Reconstructs the sender's table: apply_delta(base, *try_make_delta(base,

@@ -57,6 +57,8 @@ struct PendingUpload {
 
 /// The complete persistent state of a fleet server at a round boundary -
 /// everything a resumed server needs to continue bit-identically.
+/// FleetServer keeps its live state in this form, so a ring write
+/// serializes it in place and a restore adopts a decoded one whole.
 ///
 /// On disk it spans three sections: "fleet_state" (round cursor, counters,
 /// per-device uploads, the global aggregate), "server_state" (format

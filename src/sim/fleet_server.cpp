@@ -187,13 +187,11 @@ void encode_fleet_server_options(const FleetServerOptions& o, ByteWriter& out) {
 
 FleetServer::FleetServer(AppFactory app_factory, const FleetServerOptions& options,
                          const ExecOptions& exec)
-    : app_factory_{std::move(app_factory)},
-      options_{options},
-      exec_{exec},
-      leases_(options.devices),
-      uploads_(options.devices) {
+    : app_factory_{std::move(app_factory)}, options_{options}, exec_{exec} {
   require(static_cast<bool>(app_factory_), "FleetServer needs an app factory");
   validate_fleet_server_options(options_);
+  state_.leases.resize(options_.devices);
+  state_.uploads.resize(options_.devices);
   if (options_.snapshot_ring > 0) restore_from_ring();
 }
 
@@ -206,36 +204,31 @@ std::string FleetServer::ring_path(std::size_t slot) const {
   return options_.snapshot_prefix + "." + std::to_string(slot);
 }
 
-FleetSnapshot FleetServer::boundary_snapshot() const {
-  FleetSnapshot snap;
-  snap.next_round = round_;
-  snap.total_decisions = stats_.total_decisions;
-  snap.last_round_mean_reward = last_round_mean_reward_;
-  snap.uploads = uploads_;
-  snap.last_aggregate = last_aggregate_;
-  snap.leases = leases_;
-  snap.pending_uploads = pending_;
-  snap.server_clock_us = clock_us_;
-  snap.server_counters.rounds_served = stats_.rounds_served;
-  snap.server_counters.uploads_accepted = stats_.uploads_accepted;
-  snap.server_counters.uploads_retried = stats_.uploads_retried;
-  snap.server_counters.uploads_lost = stats_.uploads_lost;
-  snap.server_counters.late_uploads_merged = stats_.late_uploads_merged;
-  snap.server_counters.departures = stats_.departures;
-  snap.sync.upload_bytes_full = stats_.upload_bytes_full;
-  snap.sync.upload_bytes_delta = stats_.upload_bytes_delta;
-  snap.sync.uploads_full = stats_.uploads_full;
-  snap.sync.uploads_delta = stats_.uploads_delta;
-  return snap;
+FleetServerStats FleetServer::stats() const noexcept {
+  const FleetSnapshot::ServerCounters& c = state_.server_counters;
+  return FleetServerStats{.rounds_served = c.rounds_served,
+                          .uploads_accepted = c.uploads_accepted,
+                          .uploads_retried = c.uploads_retried,
+                          .uploads_lost = c.uploads_lost,
+                          .late_uploads_merged = c.late_uploads_merged,
+                          .departures = c.departures,
+                          .total_decisions = state_.total_decisions,
+                          .upload_bytes_full = state_.sync.upload_bytes_full,
+                          .upload_bytes_delta = state_.sync.upload_bytes_delta,
+                          .uploads_full = state_.sync.uploads_full,
+                          .uploads_delta = state_.sync.uploads_delta,
+                          .rejoins = rejoins_,
+                          .snapshots_written = snapshots_written_,
+                          .snapshots_quarantined = snapshots_quarantined_};
 }
 
 void FleetServer::write_ring_snapshot() {
   if (options_.snapshot_ring == 0) return;
   SnapshotWriter out;
   encode_fleet_server_options(options_, out.section(kServerOptionsSection));
-  write_fleet_state_sections(out, boundary_snapshot());
-  out.write_file(ring_path(round_ % options_.snapshot_ring));
-  ++stats_.snapshots_written;
+  write_fleet_state_sections(out, state_);
+  out.write_file(ring_path(state_.next_round % options_.snapshot_ring));
+  ++snapshots_written_;
 }
 
 void FleetServer::drain() { write_ring_snapshot(); }
@@ -251,7 +244,7 @@ void FleetServer::restore_from_ring() {
       // Damaged entry: already renamed to <path>.corrupt and logged; fall
       // back to the next (older) ring entry. A version-window refusal is
       // not quarantined but equally unusable by this build - skip it too.
-      if (e.kind() == SerializeError::Kind::kCorrupt) ++stats_.snapshots_quarantined;
+      if (e.kind() == SerializeError::Kind::kCorrupt) ++snapshots_quarantined_;
       continue;
     } catch (const IoError&) {
       continue;  // slot never written (fresh ring or short run)
@@ -288,51 +281,35 @@ void FleetServer::restore_from_ring() {
       // does not fit this server: as unusable as a CRC failure, and
       // quarantined the same way.
       (void)quarantine_snapshot(path, e.what());
-      ++stats_.snapshots_quarantined;
+      ++snapshots_quarantined_;
       continue;
     }
     if (!best.has_value() || snap->next_round > best->next_round) best = std::move(snap);
   }
   if (!best.has_value()) return;  // cold start at round 0
-  round_ = best->next_round;
-  clock_us_ = best->server_clock_us;
-  leases_ = std::move(best->leases);
-  uploads_ = std::move(best->uploads);
-  pending_ = std::move(best->pending_uploads);
-  last_aggregate_ = std::move(best->last_aggregate);
-  last_round_mean_reward_ = best->last_round_mean_reward;
-  stats_.rounds_served = best->server_counters.rounds_served;
-  stats_.uploads_accepted = best->server_counters.uploads_accepted;
-  stats_.uploads_retried = best->server_counters.uploads_retried;
-  stats_.uploads_lost = best->server_counters.uploads_lost;
-  stats_.late_uploads_merged = best->server_counters.late_uploads_merged;
-  stats_.departures = best->server_counters.departures;
-  stats_.total_decisions = best->total_decisions;
-  stats_.upload_bytes_full = best->sync.upload_bytes_full;
-  stats_.upload_bytes_delta = best->sync.upload_bytes_delta;
-  stats_.uploads_full = best->sync.uploads_full;
-  stats_.uploads_delta = best->sync.uploads_delta;
+  state_ = std::move(*best);
   restored_ = true;
 }
 
 void FleetServer::run_round(const FleetServerProgressFn& progress) {
   const auto wall_start = std::chrono::steady_clock::now();
-  const std::size_t r = round_;
+  const std::size_t r = state_.next_round;
   const std::int64_t round_start =
       static_cast<std::int64_t>(r) * options_.round_deadline.us();
   const std::int64_t round_close = round_start + options_.round_deadline.us();
-  clock_us_ = round_start;
+  state_.server_clock_us = round_start;
 
   FleetServerRoundStats rs;
   rs.round = r;
+  FleetSnapshot::ServerCounters& counters = state_.server_counters;
 
   // 1. Re-registration: departed devices whose absence has run its course
   //    take a fresh lease before the round starts.
   for (std::size_t d = 0; d < options_.devices; ++d) {
-    if (!leases_[d].active && leases_[d].rejoin_round <= r) {
-      leases_[d] = DeviceLease{};
+    if (!state_.leases[d].active && state_.leases[d].rejoin_round <= r) {
+      state_.leases[d] = DeviceLease{};
       ++rs.rejoined;
-      ++stats_.rejoins;
+      ++rejoins_;
     }
   }
 
@@ -347,7 +324,7 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   std::vector<std::size_t> trainees;
   std::vector<std::int64_t> first_attempt_us(options_.devices, 0);
   for (std::size_t d = 0; d < options_.devices; ++d) {
-    if (!leases_[d].active) continue;
+    if (!state_.leases[d].active) continue;
     SplitMix64 depart = churn_stream(options_.churn.seed, kDepartSalt, r, d);
     if (bernoulli(depart, options_.churn.depart_rate)) {
       const std::int64_t depart_us =
@@ -359,8 +336,8 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
                             options_.heartbeat_period.us();
       heap.push_back(Event{last_heartbeat + options_.lease_timeout.us(),
                            Event::kLeaseExpiry, d, r, 0, 0});
-      leases_[d].active = false;
-      leases_[d].rejoin_round = r + options_.churn.rejoin_after_rounds;
+      state_.leases[d].active = false;
+      state_.leases[d].rejoin_round = r + options_.churn.rejoin_after_rounds;
       continue;
     }
     std::int64_t start = round_start + options_.round_duration.us();
@@ -382,7 +359,7 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   //    from the global aggregate (visit mass stripped so historical
   //    experience is counted once, via the aggregate, not once per device).
   std::optional<rl::QTable> warm;
-  if (last_aggregate_.has_value()) warm = strip_visit_mass(*last_aggregate_);
+  if (state_.last_aggregate.has_value()) warm = strip_visit_mass(*state_.last_aggregate);
   TrainingPlan plan;
   for (const std::size_t d : trainees) {
     TrainingOptions cell;
@@ -395,12 +372,12 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   }
   // exec_ may fan the plan out across worker threads - bit-identical
   // either way, so snapshots and goldens are oblivious to the choice.
-  const std::vector<TrainingResult> results = execute(plan, exec_);
+  std::vector<TrainingResult> results = execute(plan, exec_);
   double reward_sum = 0.0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     reward_sum += results[i].final_mean_reward;
-    stats_.total_decisions += results[i].decisions;
-    arena.push_back(results[i].table);
+    state_.total_decisions += results[i].decisions;
+    arena.push_back(std::move(results[i].table));
     heap.push_back(Event{first_attempt_us[trainees[i]], Event::kUploadArrival,
                          trainees[i], r, 0, arena.size() - 1});
   }
@@ -410,12 +387,12 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   // Pending uploads from earlier rounds re-enter the loop with their
   // persisted arrival times and attempt counters, so a restarted server
   // replays exactly the same arrivals.
-  for (PendingUpload& p : pending_) {
+  for (PendingUpload& p : state_.pending_uploads) {
     arena.push_back(std::move(p.table));
     heap.push_back(Event{p.arrival_us, Event::kUploadArrival, p.device, p.trained_round,
                          p.attempts_used, arena.size() - 1});
   }
-  pending_.clear();
+  state_.pending_uploads.clear();
 
   // 4. The event loop: process lease expiries and upload arrivals in
   //    simulated-time order until the straggler deadline.
@@ -425,7 +402,7 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
     std::pop_heap(heap.begin(), heap.end(), later);
     Event ev = heap.back();
     heap.pop_back();
-    clock_us_ = ev.t_us;
+    state_.server_clock_us = ev.t_us;
     if (ev.kind == Event::kLeaseExpiry) {
       // The departed device's in-flight uploads die with its lease.
       std::size_t dropped = 0;
@@ -440,10 +417,10 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
                                   }),
                    heap.end());
         std::make_heap(heap.begin(), heap.end(), later);
-        stats_.uploads_lost += dropped;
+        counters.uploads_lost += dropped;
         rs.lost_uploads += dropped;
       }
-      ++stats_.departures;
+      ++counters.departures;
       ++rs.departures;
       NEXTGOV_LOG(kInfo) << "fleet_server: device " << ev.device
                          << " lease expired at t=" << ev.t_us << "us (round " << r << ")";
@@ -457,21 +434,18 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
     // holds); carried uploads from earlier rounds always travel full. The
     // decoded table is bit-identical to the sender's on either path, so the
     // choice only shows in the byte counters.
-    bool delivered = true;
-    rl::QTable* table = &arena[ev.table];
-    std::optional<rl::QTable> decoded;
     const rl::QTable* base =
         options_.delta_uploads && ev.trained_round == r && warm.has_value() ? &*warm
                                                                             : nullptr;
     bool went_delta = false;
-    std::vector<std::uint8_t> blob = encode_upload(*table, base, &went_delta);
+    std::vector<std::uint8_t> blob = encode_upload(arena[ev.table], base, &went_delta);
     if (went_delta) {
-      stats_.upload_bytes_delta += blob.size();
-      ++stats_.uploads_delta;
+      state_.sync.upload_bytes_delta += blob.size();
+      ++state_.sync.uploads_delta;
       ++rs.delta_uploads;
     } else {
-      stats_.upload_bytes_full += blob.size();
-      ++stats_.uploads_full;
+      state_.sync.upload_bytes_full += blob.size();
+      ++state_.sync.uploads_full;
     }
     rs.upload_bytes += blob.size();
     if (options_.churn.upload_fail_rate > 0.0) {
@@ -479,17 +453,17 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
           attempt_stream(options_.churn.seed, ev.trained_round, ev.device, ev.attempt);
       if (bernoulli(fate, options_.churn.upload_fail_rate)) damage_blob(blob, fate);
     }
+    std::optional<rl::QTable> decoded;
     try {
       decoded = decode_upload(std::move(blob), base,
                               "upload from device " + std::to_string(ev.device));
-      table = &*decoded;
     } catch (const SerializeError&) {
-      delivered = false;
+      // Damaged in flight: decoded stays empty and the upload retries.
     }
-    if (!delivered) {
+    if (!decoded.has_value()) {
       const std::uint32_t next_attempt = ev.attempt + 1;
       if (next_attempt >= options_.max_upload_attempts) {
-        ++stats_.uploads_lost;
+        ++counters.uploads_lost;
         ++rs.lost_uploads;
         continue;
       }
@@ -500,19 +474,20 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
       heap.push_back(Event{ev.t_us + delay, Event::kUploadArrival, ev.device,
                            ev.trained_round, next_attempt, ev.table});
       std::push_heap(heap.begin(), heap.end(), later);
-      ++stats_.uploads_retried;
+      ++counters.uploads_retried;
       ++rs.retries;
       continue;
     }
     // Accepted. Only a strictly fresher table replaces a device's standing
     // upload (a very late round-k arrival after round-(k+1) already landed
     // is redundant, not a regression).
-    if (!uploads_[ev.device].has_value() || uploads_[ev.device]->round < ev.trained_round) {
-      uploads_[ev.device] = FleetUpload{*table, ev.trained_round};
-      ++stats_.uploads_accepted;
+    std::optional<FleetUpload>& standing = state_.uploads[ev.device];
+    if (!standing.has_value() || standing->round < ev.trained_round) {
+      standing = FleetUpload{std::move(*decoded), ev.trained_round};
+      ++counters.uploads_accepted;
       ++accepted_this_round;
       if (ev.trained_round < r) {
-        ++stats_.late_uploads_merged;
+        ++counters.late_uploads_merged;
         ++rs.late_merged;
       } else {
         ++rs.quorum;
@@ -525,15 +500,15 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   //    dropped, and never allowed to stall this round's close.
   for (Event& ev : heap) {
     NEXTGOV_ASSERT(ev.kind == Event::kUploadArrival);  // expiries resolve in-round
-    pending_.push_back(PendingUpload{ev.device, ev.trained_round, ev.t_us, ev.attempt,
+    state_.pending_uploads.push_back(PendingUpload{ev.device, ev.trained_round, ev.t_us, ev.attempt,
                                      std::move(arena[ev.table])});
   }
-  std::sort(pending_.begin(), pending_.end(), [](const PendingUpload& a,
+  std::sort(state_.pending_uploads.begin(), state_.pending_uploads.end(), [](const PendingUpload& a,
                                                  const PendingUpload& b) {
     return std::tie(a.arrival_us, a.device, a.trained_round, a.attempts_used) <
            std::tie(b.arrival_us, b.device, b.trained_round, b.attempts_used);
   });
-  rs.carried_late = pending_.size();
+  rs.carried_late = state_.pending_uploads.size();
 
   // 6. Graceful degradation merge: the staleness-weighted aggregate of
   //    every device's last accepted upload, aged by how many rounds ago it
@@ -543,20 +518,20 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   if (accepted_this_round > 0) {
     std::vector<const rl::QTable*> tables;
     std::vector<double> staleness;
-    for (const auto& upload : uploads_) {
+    for (const auto& upload : state_.uploads) {
       if (!upload.has_value()) continue;
       tables.push_back(&upload->table);
       staleness.push_back(static_cast<double>(r - upload->round));
     }
-    last_aggregate_ = rl::merge_q_tables(tables, staleness, options_.merge_policy);
+    state_.last_aggregate = rl::merge_q_tables(tables, staleness, options_.merge_policy);
   }
-  rs.global_states = last_aggregate_.has_value() ? last_aggregate_->state_count() : 0;
-  last_round_mean_reward_ = rs.mean_reward;
+  rs.global_states = state_.last_aggregate.has_value() ? state_.last_aggregate->state_count() : 0;
+  state_.last_round_mean_reward = rs.mean_reward;
 
   // 7. Round boundary: advance the clock, rotate the snapshot ring, report.
-  clock_us_ = round_close;
-  round_ = r + 1;
-  ++stats_.rounds_served;
+  state_.server_clock_us = round_close;
+  state_.next_round = r + 1;
+  ++counters.rounds_served;
   write_ring_snapshot();
   rs.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)

@@ -48,9 +48,13 @@
 //     state (FleetSnapshot: global + per-device uploads + leases + pending
 //     uploads + clock + counters) to
 //     `<snapshot_prefix>.<round mod snapshot_ring>`, keeping the last K
-//     boundaries. Startup scans the ring, quarantines entries that fail
-//     CRC or do not decode into a state this server can resume (renamed
-//     to `<path>.corrupt` via quarantine_snapshot) and restores from the
+//     boundaries. The server keeps that state as one FleetSnapshot member
+//     and serializes it in place, so a boundary costs one pass over the
+//     tables into the section buffers and one streamed file write - no
+//     deep copy of the tables and no second copy of the container.
+//     Startup scans the ring, quarantines entries that fail CRC or do not
+//     decode into a state this server can resume (renamed to
+//     `<path>.corrupt` via quarantine_snapshot) and restores from the
 //     newest valid one, so a kill -9 at any point loses
 //     at most the round in progress - and replaying that round from the
 //     boundary is bit-identical to never having died. Crash/resume is
@@ -203,7 +207,7 @@ using FleetServerProgressFn = std::function<void(const FleetServerRoundStats&)>;
 /// Cumulative server statistics. The counters that determine replay or
 /// reporting continuity (everything through `uploads_delta`) are persisted
 /// in the snapshot ring; the per-process fields below them restart at zero
-/// after a resume.
+/// after a resume. FleetServer::stats() assembles a copy on each call.
 struct FleetServerStats {
   std::uint64_t rounds_served{0};
   std::uint64_t uploads_accepted{0};
@@ -255,14 +259,15 @@ class FleetServer {
   void drain();
 
   /// Next round to execute (== rounds completed since round 0).
-  [[nodiscard]] std::size_t round() const noexcept { return round_; }
+  [[nodiscard]] std::size_t round() const noexcept { return state_.next_round; }
   /// Simulated clock, at a round boundary between run_round() calls.
-  [[nodiscard]] SimTime now() const noexcept { return SimTime::from_us(clock_us_); }
+  [[nodiscard]] SimTime now() const noexcept { return SimTime::from_us(state_.server_clock_us); }
   /// Current global aggregate; nullptr before the first accepted upload.
   [[nodiscard]] const rl::QTable* global() const noexcept {
-    return last_aggregate_.has_value() ? &*last_aggregate_ : nullptr;
+    return state_.last_aggregate.has_value() ? &*state_.last_aggregate : nullptr;
   }
-  [[nodiscard]] const FleetServerStats& stats() const noexcept { return stats_; }
+  /// The persisted counters of the current state plus this process's own.
+  [[nodiscard]] FleetServerStats stats() const noexcept;
   /// True when construction restored state from the snapshot ring.
   [[nodiscard]] bool restored() const noexcept { return restored_; }
   [[nodiscard]] const FleetServerOptions& options() const noexcept { return options_; }
@@ -271,21 +276,21 @@ class FleetServer {
   void restore_from_ring();
   void write_ring_snapshot();
   [[nodiscard]] std::string ring_path(std::size_t slot) const;
-  [[nodiscard]] FleetSnapshot boundary_snapshot() const;
 
   AppFactory app_factory_;
   FleetServerOptions options_;
   ExecOptions exec_;
 
-  std::size_t round_{0};
-  std::int64_t clock_us_{0};
-  std::vector<DeviceLease> leases_;
-  /// Last accepted upload per device (the staleness merge input).
-  std::vector<std::optional<FleetUpload>> uploads_;
-  std::vector<PendingUpload> pending_;
-  std::optional<rl::QTable> last_aggregate_;
-  double last_round_mean_reward_{0.0};
-  FleetServerStats stats_;
+  /// Everything a ring entry persists, in the form it is written in: the
+  /// round cursor and clock, leases, each device's last accepted upload
+  /// (the staleness merge input), pending uploads, the global aggregate and
+  /// the persisted counters. write_ring_snapshot serializes it in place; a
+  /// restore adopts a decoded one whole.
+  FleetSnapshot state_;
+  // Per-process counters, restarted at zero by a resume.
+  std::uint64_t rejoins_{0};
+  std::size_t snapshots_written_{0};
+  std::size_t snapshots_quarantined_{0};
   bool restored_{false};
 };
 

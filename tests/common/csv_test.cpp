@@ -21,7 +21,11 @@ std::string read_all(const std::string& path) {
 class CsvTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/nextgov_csv_test.csv";
+  // One file per test: ctest -j runs the tests of this fixture as separate
+  // processes at once, and a shared path lets one test's TearDown delete
+  // or rewrite the file another is reading.
+  std::string path_ = ::testing::TempDir() + "/nextgov_csv_test_" +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
 };
 
 TEST_F(CsvTest, WritesHeaderAndRows) {

@@ -292,7 +292,7 @@ TEST(FleetFaults, RoundStatsReportFaults) {
     late += rs.late_merged;
     accepted += rs.quorum + rs.late_merged;
   }
-  const FleetServerStats& stats = server.stats();
+  const FleetServerStats stats = server.stats();
   EXPECT_EQ(departures, stats.departures);
   EXPECT_EQ(retries, stats.uploads_retried);
   EXPECT_EQ(lost, stats.uploads_lost);

@@ -8,7 +8,9 @@
 // same contract end to end through real signals and the filesystem. The
 // FleetResumeGolden tests hold a calm fleet (synchronous FedAvg) to the
 // same bar - down to the bytes of every ring entry - and pin the ring
-// entries themselves as canonical bytes.
+// entries themselves as canonical bytes: RingEntryBytesArePinned holds a
+// churning delta-upload fleet's ring slots and upload blobs to fixed sizes
+// and digests, so no writer change moves a persisted or wire byte unnoticed.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/fleet.hpp"
 #include "sim/fleet_server.hpp"
 
 namespace nextgov::sim {
@@ -201,6 +204,75 @@ TEST(FleetResumeGolden, SnapshotFileBytesAreDeterministic) {
     EXPECT_FALSE(a.empty());
     EXPECT_EQ(a, read_all(four.snapshot_prefix + "." + std::to_string(slot)));
   }
+}
+
+/// FNV-1a, 64-bit: a digest computed here rather than with the library's
+/// crc32, so the pins below hold the writer to bytes no library change can
+/// redefine.
+template <typename Bytes>
+std::uint64_t fnv1a64(const Bytes& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto b : bytes) {
+    h ^= static_cast<std::uint8_t>(b);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(FleetResumeGolden, RingEntryBytesArePinned) {
+  // The churning fleet (departures, stragglers, damaged uploads) with delta
+  // uploads on: every ring slot, a full upload blob and a delta upload blob
+  // keep the exact sizes and digests the version-3 writer has always
+  // produced. Re-pin only together with a kSnapshotVersion bump.
+  FleetServerOptions options = golden_server(ring_prefix("pinned"));
+  options.delta_uploads = true;
+  FleetServer server{workload::AppId::kFacebook, options, {.workers = 2}};
+  server.run_rounds(kRounds);
+  ASSERT_GT(server.stats().uploads_delta, 0u);
+  ASSERT_GT(server.stats().uploads_retried, 0u);
+
+  struct Pin {
+    std::size_t size;
+    std::uint64_t fnv;
+  };
+  const Pin ring[] = {{103471, 0x34fd6d034fea7c68ULL},
+                      {117859, 0xa767af3290aabe28ULL},
+                      {67463, 0xae99dd6c8b9fb9e3ULL}};
+  for (std::size_t slot = 0; slot < options.snapshot_ring; ++slot) {
+    SCOPED_TRACE("ring slot " + std::to_string(slot));
+    const std::vector<char> bytes =
+        read_all(options.snapshot_prefix + "." + std::to_string(slot));
+    EXPECT_EQ(bytes.size(), ring[slot].size);
+    EXPECT_EQ(fnv1a64(bytes), ring[slot].fnv) << std::hex << fnv1a64(bytes);
+  }
+
+  // Upload blobs: the global table in full, and a delta against its
+  // warm-start form after a synthetic round touched every fifth state and
+  // visited three new ones.
+  ASSERT_NE(server.global(), nullptr);
+  const rl::QTable& global = *server.global();
+  const std::vector<std::uint8_t> full = encode_upload(global, nullptr);
+  EXPECT_EQ(full.size(), 29858u);
+  EXPECT_EQ(fnv1a64(full), 0x9dd239e3fbdace12ULL) << std::hex << fnv1a64(full);
+
+  const rl::QTable base = strip_visit_mass(global);
+  rl::QTable next = base;
+  std::vector<rl::StateKey> keys;
+  base.for_each_entry([&](const rl::QTable::EntryView& e) { keys.push_back(e.key()); });
+  for (std::size_t i = 0; i < keys.size(); i += 5) {
+    next.set_q(keys[i], i % next.action_count(), 0.25 * static_cast<double>(i % 17) - 2.0);
+    next.record_visit(keys[i]);
+  }
+  for (rl::StateKey k = 1; k <= 3; ++k) {
+    next.set_q(k, 0, -1.5);
+    next.record_visit(k);
+  }
+  bool went_delta = false;
+  const std::vector<std::uint8_t> delta = encode_upload(next, &base, &went_delta);
+  ASSERT_TRUE(went_delta);
+  EXPECT_EQ(delta.size(), 6233u);
+  EXPECT_EQ(fnv1a64(delta), 0x264162b64c4fc7f2ULL) << std::hex << fnv1a64(delta);
+  EXPECT_TRUE(decode_upload(delta, &base, "pinned delta") == next);
 }
 
 }  // namespace
