@@ -89,12 +89,13 @@ void ByteWriter::bytes(std::span<const std::uint8_t> data) {
 }
 
 void ByteWriter::f32s(std::span<const float> values) {
-  if constexpr (std::endian::native == std::endian::little) {
-    const auto* raw = reinterpret_cast<const std::uint8_t*>(values.data());
-    buf_.insert(buf_.end(), raw, raw + values.size_bytes());
-  } else {
-    for (const float v : values) f32(v);
-  }
+  store_f32s(append(values.size_bytes()).data(), values);
+}
+
+std::span<std::uint8_t> ByteWriter::append(std::size_t n) {
+  const std::size_t at = buf_.size();
+  buf_.resize(at + n);
+  return {buf_.data() + at, n};
 }
 
 void ByteWriter::reserve(std::size_t n) {

@@ -19,13 +19,15 @@
 // Write path cost. A fleet-server ring entry is megabytes of Q-table rows,
 // so the writer works per field and per row, never per byte: ByteWriter
 // appends each fixed-width field with one sized write and a row of floats
-// with one bulk write (f32s), an encoder that knows its size reserves it
-// exactly up front (reserve), crc32 is a slicing-by-8 table CRC (eight
-// bytes per step, same polynomial and values as the bytewise form), and
-// SnapshotWriter::write_file streams the header and each section straight
-// to the file instead of assembling the container a second time. None of
-// this changes a byte: FleetResumeGolden.RingEntryBytesArePinned holds
-// ring entries and upload blobs to fixed digests.
+// with one bulk write (f32s), a table encoder grows the buffer once for all
+// its rows and fills them in place (append + store_le), an encoder that
+// knows its size reserves it exactly up front (reserve), crc32 is a
+// slicing-by-8 table CRC (eight bytes per step, same polynomial and values
+// as the bytewise form), and SnapshotWriter::write_file streams the header
+// and each section straight to the file instead of assembling the container
+// a second time. None of this changes a byte:
+// FleetResumeGolden.RingEntryBytesArePinned holds ring entries and upload
+// blobs to fixed digests.
 //
 // Version policy (documented in ROADMAP.md, "Snapshot format & fault
 // tolerance"): writers always emit kSnapshotVersion; readers refuse
@@ -72,6 +74,31 @@ class SerializeError : public IoError {
 /// truncation the length fields miss.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept;
 
+/// Writes `v`'s little-endian bytes at `at` and returns the byte after them:
+/// the in-place form of ByteWriter's fixed-width fields, for encoders that
+/// fill a region from ByteWriter::append.
+template <typename T>
+std::uint8_t* store_le(std::uint8_t* at, T v) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(at, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return at + sizeof(T);
+}
+
+/// store_le of each value's IEEE-754 bit pattern in turn, in one copy on
+/// little-endian hosts.
+inline std::uint8_t* store_f32s(std::uint8_t* at, std::span<const float> values) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!values.empty()) std::memcpy(at, values.data(), values.size_bytes());
+    return at + values.size_bytes();
+  } else {
+    for (const float v : values) at = store_le(at, std::bit_cast<std::uint32_t>(v));
+    return at;
+  }
+}
+
 /// Appends fixed-width little-endian primitives to a growable byte buffer.
 class ByteWriter {
  public:
@@ -91,6 +118,11 @@ class ByteWriter {
   /// The same bytes as f32() on each value in turn, in one append.
   void f32s(std::span<const float> values);
 
+  /// Appends `n` bytes for the caller to fill in place (with store_le): an
+  /// encoder that lays out many rows grows the buffer once instead of once
+  /// per field. The span is invalidated by the next append of any kind.
+  [[nodiscard]] std::span<std::uint8_t> append(std::size_t n);
+
   /// Makes room for `n` more bytes. When the buffer must grow it grows to
   /// exactly size() + n, so an encoder that knows its size up front
   /// allocates once and no more than it writes.
@@ -107,13 +139,7 @@ class ByteWriter {
   void put_le(T v) {
     const std::size_t at = buf_.size();
     buf_.resize(at + sizeof(T));
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(buf_.data() + at, &v, sizeof(T));
-    } else {
-      for (std::size_t i = 0; i < sizeof(T); ++i) {
-        buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-      }
-    }
+    store_le(buf_.data() + at, v);
   }
 
   std::vector<std::uint8_t> buf_;

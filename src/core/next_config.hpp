@@ -50,8 +50,9 @@ struct NextConfig {
   /// typical observed returns, deliberately below the theoretical maximum
   /// 1/(1-gamma)): enough to nudge the learner into untried actions along
   /// its trajectory without forcing exhaustive sweeps of every state.
-  /// Deployment ignores still-optimistic untried entries via
-  /// best_tried_action().
+  /// Deployment is greedy over the whole row (QTable::best_action), untried
+  /// entries included; only a never-visited state falls back to "do
+  /// nothing".
   double optimistic_q{1.2};
 
   // --- reward (Eq. 1/2/4 + target-FPS tracking, see next_agent.hpp) ---

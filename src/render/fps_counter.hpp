@@ -6,7 +6,8 @@
 // samples it at its own cadence.
 #pragma once
 
-#include <deque>
+#include <cstddef>
+#include <vector>
 
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
@@ -25,13 +26,24 @@ class SlidingFpsCounter {
   /// Frames presented in (now - window, now], scaled to per-second units.
   [[nodiscard]] Fps fps(SimTime now) const;
 
-  void clear() noexcept { presents_.clear(); }
+  void clear() noexcept {
+    head_ = 0;
+    size_ = 0;
+  }
 
  private:
   void evict(SimTime now) const;
+  /// Doubles the buffer, oldest present first.
+  void grow();
 
   SimTime window_;
-  mutable std::deque<SimTime> presents_;
+  /// Present times in a circular buffer, oldest at head_; the capacity is
+  /// a power of two. Appends and evictions never allocate, and the buffer
+  /// grows only when full, so once it has held one window's presents the
+  /// engine step allocates nothing here.
+  std::vector<SimTime> presents_;
+  mutable std::size_t head_{0};
+  mutable std::size_t size_{0};
 };
 
 }  // namespace nextgov::render

@@ -1,7 +1,8 @@
 #include "rl/federated.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -20,45 +21,64 @@ QTable merge_impl(std::span<const QTable* const> tables,
     require(t->action_count() == actions, "merge_q_tables: action count mismatch");
   }
 
-  QTable merged{actions};
-  // Accumulate visit-weighted sums per (state, action). Only actions a
-  // device actually *tried* contribute - untried entries still carry the
+  // A k-way merge over the inputs' key-order walks: each step takes the
+  // smallest key still pending in any input, adds that state's
+  // contributions in table order (the order the sums have always been
+  // taken in, so every average is bit-identical), and appends the merged
+  // row. Rows come out in key order, so the aggregate - and the warm start
+  // stripped from it - has no unsorted tail for later walks to sort.
+  std::vector<QTable::KeyOrderCursor> cursors;
+  cursors.reserve(tables.size());
+  for (const QTable* t : tables) cursors.emplace_back(*t);
+  // Visit-weighted sums per action for the state being merged. Only actions
+  // a device actually *tried* contribute - untried entries still carry the
   // optimistic initialization value and must not pollute the average.
-  struct Acc {
-    std::vector<double> weighted_q;
-    std::vector<double> weight;
-    double visits{0.0};
-  };
-  std::unordered_map<StateKey, Acc> acc;
-  for (std::size_t ti = 0; ti < tables.size(); ++ti) {
-    const QTable* t = tables[ti];
-    const double tw = table_weight[ti];
-    t->for_each_entry([&](const QTable::EntryView& e) {
-      auto [it, inserted] = acc.try_emplace(e.key());
-      if (inserted) {
-        it->second.weighted_q.assign(actions, 0.0);
-        it->second.weight.assign(actions, 0.0);
+  std::vector<double> weighted_q(actions);
+  std::vector<double> weight(actions);
+  std::vector<float> row(actions);
+  QTable merged{actions};
+  for (;;) {
+    bool pending = false;
+    StateKey key = 0;
+    for (const QTable::KeyOrderCursor& c : cursors) {
+      if (!c.done() && (!pending || c.key() < key)) {
+        key = c.key();
+        pending = true;
       }
+    }
+    if (!pending) break;
+    std::fill(weighted_q.begin(), weighted_q.end(), 0.0);
+    std::fill(weight.begin(), weight.end(), 0.0);
+    double visits = 0.0;
+    for (std::size_t ti = 0; ti < cursors.size(); ++ti) {
+      QTable::KeyOrderCursor& c = cursors[ti];
+      if (c.done() || c.key() != key) continue;
+      const QTable::EntryView e = c.entry();
+      const double tw = table_weight[ti];
       // Visit count + 1 so tables with zero recorded visits still count.
       const double w = tw * (static_cast<double>(e.visits()) + 1.0);
       for (std::size_t a = 0; a < actions && a < 32; ++a) {
         if ((e.tried() & (1u << a)) == 0) continue;
-        it->second.weighted_q[a] += w * static_cast<double>(e.q(a));
-        it->second.weight[a] += w;
+        weighted_q[a] += w * static_cast<double>(e.q(a));
+        weight[a] += w;
       }
-      it->second.visits += tw * static_cast<double>(e.visits());
-    });
-  }
-  for (const auto& [key, a] : acc) {
-    for (std::size_t action = 0; action < actions; ++action) {
-      if (a.weight[action] > 0.0) {
-        merged.set_q(key, action, a.weighted_q[action] / a.weight[action]);
+      visits += tw * static_cast<double>(e.visits());
+      c.next();
+    }
+    // An action no input tried keeps the merged table's default (0) and
+    // stays untried.
+    std::uint32_t tried = 0;
+    for (std::size_t a = 0; a < actions; ++a) {
+      row[a] = 0.0f;
+      if (weight[a] > 0.0) {
+        row[a] = static_cast<float>(weighted_q[a] / weight[a]);
+        tried |= 1u << a;
       }
     }
     // Staleness-discounted visit mass rounds to the nearest count, so the
     // merged table's own weight in later (hierarchical) merges reflects
     // how much *fresh* experience actually backs it.
-    merged.add_visits(key, static_cast<std::uint64_t>(std::llround(a.visits)));
+    merged.install_entry(key, static_cast<std::uint64_t>(std::llround(visits)), tried, row);
   }
   return merged;
 }

@@ -14,11 +14,11 @@ namespace {
 constexpr const char* kQTableSection = "qtable";
 
 /// A session typically visits a few thousand quantized states (Fig. 6
-/// reports state counts in this range); the first insert allocates straight
-/// at this capacity so online training never rehashes. Allocation is lazy:
-/// a default-constructed table owns no slot arrays, which keeps the many
+/// reports state counts in this range); the first insert sizes the index
+/// for this many states so online training never rebuilds it. Allocation is
+/// lazy: a default-constructed table owns no arrays, which keeps the many
 /// empty-table copies in the fleet paths free.
-constexpr std::size_t kInitialStateCapacity = 4096;
+constexpr std::size_t kInitialIndexSlots = 4096;
 }  // namespace
 
 QTable::QTable(std::size_t action_count, double default_q)
@@ -26,180 +26,132 @@ QTable::QTable(std::size_t action_count, double default_q)
   require(action_count > 0, "QTable needs at least one action");
 }
 
-std::size_t QTable::initial_capacity() const noexcept {
-  // deserialize() admits up to 4096 actions; for such fat action spaces the
-  // 4096-slot slab would front a multi-MB value plane, so scale the first
-  // allocation down and let power-of-two growth catch up on demand.
-  return actions_ <= 64 ? kInitialStateCapacity : 64;
-}
-
-std::size_t QTable::find_slot(StateKey s) const noexcept {
-  if (capacity_ == 0) return kNoSlot;
-  const std::size_t mask = capacity_ - 1;
+std::size_t QTable::find_row(StateKey s) const noexcept {
+  if (index_.empty()) return kNoRow;
+  const std::size_t mask = index_.size() - 1;
   std::size_t i = StateKeyHash{}(s) & mask;
   // Load stays below 3/4 and nothing is ever erased, so the probe chain is
   // tombstone-free and always terminates at an empty slot.
-  while (used_[i]) {
-    if (keys_[i] == s) return i;
+  while (index_[i] != kEmptySlot) {
+    if (keys_[index_[i]] == s) return index_[i];
     i = (i + 1) & mask;
   }
-  return kNoSlot;
+  return kNoRow;
 }
 
-std::size_t QTable::insert_slot(StateKey s) {
-  if (capacity_ == 0 || 4 * (size_ + 1) > 3 * capacity_) grow();
-  const std::size_t mask = capacity_ - 1;
+std::size_t QTable::insert_row(StateKey s) {
+  const std::size_t row = keys_.size();
+  if (4 * (row + 1) > 3 * index_.size()) grow_index();
+  const std::size_t mask = index_.size() - 1;
   std::size_t i = StateKeyHash{}(s) & mask;
-  while (used_[i]) {
-    if (keys_[i] == s) return i;
+  while (index_[i] != kEmptySlot) {
+    if (keys_[index_[i]] == s) return index_[i];
     i = (i + 1) & mask;
   }
-  used_[i] = 1;
-  keys_[i] = s;
-  // visits_/tried_ of a never-claimed slot are already zero; only the Q row
-  // needs the optimistic default.
-  for (std::size_t a = 0; a < actions_; ++a) {
-    q_[i * actions_ + a] = static_cast<float>(default_q_);
-  }
-  ++size_;
-  return i;
+  require(row < kEmptySlot, "QTable: too many states for a 32-bit row index");
+  index_[i] = static_cast<std::uint32_t>(row);
+  if (sorted_prefix_ == row && (row == 0 || s > keys_.back())) ++sorted_prefix_;
+  keys_.push_back(s);
+  visits_.push_back(0);
+  tried_.push_back(0);
+  q_.resize(q_.size() + actions_, static_cast<float>(default_q_));
+  return row;
 }
 
-void QTable::reserve_states(std::size_t n) {
-  while (capacity_ == 0 || 4 * n > 3 * capacity_) grow();
+void QTable::reserve_rows(std::size_t n) {
+  keys_.reserve(n);
+  visits_.reserve(n);
+  tried_.reserve(n);
+  q_.reserve(n * actions_);
+  while (4 * n > 3 * index_.size()) grow_index();
 }
 
-void QTable::grow() {
-  const std::size_t new_cap = capacity_ == 0 ? initial_capacity() : capacity_ * 2;
-  std::vector<StateKey> keys(new_cap, 0);
-  std::vector<std::uint8_t> used(new_cap, 0);
-  std::vector<float> q(new_cap * actions_, 0.0f);
-  std::vector<std::uint64_t> visits(new_cap, 0);
-  std::vector<std::uint32_t> tried(new_cap, 0);
-  const std::size_t mask = new_cap - 1;
-  for (std::size_t i = 0; i < capacity_; ++i) {
-    if (!used_[i]) continue;
-    std::size_t j = StateKeyHash{}(keys_[i]) & mask;
-    while (used[j]) j = (j + 1) & mask;
-    used[j] = 1;
-    keys[j] = keys_[i];
-    visits[j] = visits_[i];
-    tried[j] = tried_[i];
-    for (std::size_t a = 0; a < actions_; ++a) {
-      q[j * actions_ + a] = q_[i * actions_ + a];
-    }
+void QTable::grow_index() {
+  index_.assign(index_.empty() ? kInitialIndexSlots : 2 * index_.size(), kEmptySlot);
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t row = 0; row < keys_.size(); ++row) {
+    std::size_t i = StateKeyHash{}(keys_[row]) & mask;
+    while (index_[i] != kEmptySlot) i = (i + 1) & mask;
+    index_[i] = static_cast<std::uint32_t>(row);
   }
-  keys_ = std::move(keys);
-  used_ = std::move(used);
-  q_ = std::move(q);
-  visits_ = std::move(visits);
-  tried_ = std::move(tried);
-  capacity_ = new_cap;
 }
 
 double QTable::q(StateKey s, std::size_t a) const noexcept {
   NEXTGOV_ASSERT(a < actions_);
-  const std::size_t slot = find_slot(s);
-  return slot == kNoSlot ? default_q_ : static_cast<double>(q_[slot * actions_ + a]);
+  const std::size_t row = find_row(s);
+  return row == kNoRow ? default_q_ : static_cast<double>(q_[row * actions_ + a]);
 }
 
 void QTable::set_q(StateKey s, std::size_t a, double value) {
   NEXTGOV_ASSERT(a < actions_);
-  const std::size_t slot = insert_slot(s);
-  q_[slot * actions_ + a] = static_cast<float>(value);
-  if (a < 32) tried_[slot] |= (1u << a);
+  const std::size_t row = insert_row(s);
+  q_[row * actions_ + a] = static_cast<float>(value);
+  if (a < 32) tried_[row] |= (1u << a);
 }
 
 double QTable::max_q(StateKey s) const noexcept {
-  const std::size_t slot = find_slot(s);
-  if (slot == kNoSlot) return default_q_;
-  float best = q_[slot * actions_];
+  const std::size_t row = find_row(s);
+  if (row == kNoRow) return default_q_;
+  float best = q_[row * actions_];
   for (std::size_t a = 1; a < actions_; ++a) {
-    const float v = q_[slot * actions_ + a];
+    const float v = q_[row * actions_ + a];
     best = v > best ? v : best;
   }
   return static_cast<double>(best);
 }
 
 std::size_t QTable::best_action(StateKey s, std::size_t fallback) const noexcept {
-  const std::size_t slot = find_slot(s);
-  if (slot == kNoSlot) return fallback;
+  const std::size_t row = find_row(s);
+  if (row == kNoRow) return fallback;
   std::size_t best = 0;
   for (std::size_t a = 1; a < actions_; ++a) {
-    if (q_[slot * actions_ + a] > q_[slot * actions_ + best]) best = a;
-  }
-  return best;
-}
-
-std::size_t QTable::best_tried_action(StateKey s, std::size_t fallback) const noexcept {
-  const std::size_t slot = find_slot(s);
-  if (slot == kNoSlot || tried_[slot] == 0) return fallback;
-  std::size_t best = fallback;
-  bool found = false;
-  for (std::size_t a = 0; a < actions_ && a < 32; ++a) {
-    if ((tried_[slot] & (1u << a)) == 0) continue;
-    if (!found || q_[slot * actions_ + a] > q_[slot * actions_ + best]) {
-      best = a;
-      found = true;
-    }
+    if (q_[row * actions_ + a] > q_[row * actions_ + best]) best = a;
   }
   return best;
 }
 
 void QTable::record_visit(StateKey s) {
-  ++visits_[insert_slot(s)];
+  const std::size_t row = insert_row(s);
+  ++visits_[row];
   ++total_visits_;
 }
 
 void QTable::add_visits(StateKey s, std::uint64_t n) {
-  visits_[insert_slot(s)] += n;
+  const std::size_t row = insert_row(s);
+  visits_[row] += n;
   total_visits_ += n;
 }
 
 std::uint64_t QTable::visits(StateKey s) const noexcept {
-  const std::size_t slot = find_slot(s);
-  return slot == kNoSlot ? 0 : visits_[slot];
+  const std::size_t row = find_row(s);
+  return row == kNoRow ? 0 : visits_[row];
 }
 
-bool QTable::contains(StateKey s) const noexcept { return find_slot(s) != kNoSlot; }
-
-std::uint32_t QTable::tried_mask(StateKey s) const noexcept {
-  const std::size_t slot = find_slot(s);
-  return slot == kNoSlot ? 0 : tried_[slot];
-}
+bool QTable::contains(StateKey s) const noexcept { return find_row(s) != kNoRow; }
 
 void QTable::install_entry(StateKey s, std::uint64_t visits, std::uint32_t tried,
                            std::span<const float> q) {
   NEXTGOV_ASSERT(q.size() == actions_);
-  const std::size_t slot = insert_slot(s);
-  total_visits_ += visits - visits_[slot];  // wraps correctly when shrinking
-  visits_[slot] = visits;
-  tried_[slot] = tried;
-  for (std::size_t a = 0; a < actions_; ++a) q_[slot * actions_ + a] = q[a];
-}
-
-void QTable::clear() {
-  std::fill(used_.begin(), used_.end(), std::uint8_t{0});
-  std::fill(visits_.begin(), visits_.end(), std::uint64_t{0});
-  std::fill(tried_.begin(), tried_.end(), std::uint32_t{0});
-  size_ = 0;
-  total_visits_ = 0;
+  const std::size_t row = insert_row(s);
+  total_visits_ += visits - visits_[row];  // wraps correctly when shrinking
+  visits_[row] = visits;
+  tried_[row] = tried;
+  for (std::size_t a = 0; a < actions_; ++a) q_[row * actions_ + a] = q[a];
 }
 
 bool QTable::operator==(const QTable& other) const noexcept {
   if (actions_ != other.actions_ || total_visits_ != other.total_visits_ ||
-      size_ != other.size_ ||
+      keys_.size() != other.keys_.size() ||
       std::bit_cast<std::uint64_t>(default_q_) != std::bit_cast<std::uint64_t>(other.default_q_)) {
     return false;
   }
-  for (std::size_t i = 0; i < capacity_; ++i) {
-    if (!used_[i]) continue;
-    const std::size_t j = other.find_slot(keys_[i]);
-    if (j == kNoSlot) return false;
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    const std::size_t j = other.find_row(keys_[i]);
+    if (j == kNoRow) return false;
     if (visits_[i] != other.visits_[j] || tried_[i] != other.tried_[j]) return false;
     for (std::size_t a = 0; a < actions_; ++a) {
       if (std::bit_cast<std::uint32_t>(q_[i * actions_ + a]) !=
-          std::bit_cast<std::uint32_t>(other.q_[j * other.actions_ + a])) {
+          std::bit_cast<std::uint32_t>(other.q_[j * actions_ + a])) {
         return false;
       }
     }
@@ -207,31 +159,56 @@ bool QTable::operator==(const QTable& other) const noexcept {
   return true;
 }
 
-std::vector<std::pair<StateKey, std::uint32_t>> QTable::sorted_slots() const {
+std::vector<std::pair<StateKey, std::uint32_t>> QTable::sorted_tail() const {
   using Entry = std::pair<StateKey, std::uint32_t>;
-  std::vector<Entry> slots;
-  slots.reserve(size_);
+  std::vector<Entry> tail;
+  if (sorted_prefix_ == keys_.size()) return tail;
+  tail.reserve(keys_.size() - sorted_prefix_);
   StateKey varying = 0;  // bits in which some key differs from the first
-  for (std::size_t i = 0; i < capacity_; ++i) {
-    if (!used_[i]) continue;
-    slots.emplace_back(keys_[i], static_cast<std::uint32_t>(i));
-    varying |= keys_[i] ^ slots.front().first;
+  for (std::size_t row = sorted_prefix_; row < keys_.size(); ++row) {
+    tail.emplace_back(keys_[row], static_cast<std::uint32_t>(row));
+    varying |= keys_[row] ^ tail.front().first;
   }
-  if (varying == 0) return slots;  // at most one state
+  if (varying == 0) return tail;  // a single row
   // LSD radix sort over the key bytes that vary: a few linear passes where a
-  // comparison sort mispredicts a branch per compare. Packed state keys are
-  // mixed-radix and rarely span more than four bytes, so most passes skip.
-  std::vector<Entry> scratch(slots.size());
+  // comparison sort mispredicts a branch per compare (a table trained from
+  // scratch is all tail). Packed state keys are mixed-radix and rarely span
+  // more than four bytes, so most passes skip.
+  std::vector<Entry> scratch(tail.size());
   for (unsigned shift = 0; shift < 64; shift += 8) {
     if (((varying >> shift) & 0xFFu) == 0) continue;
     std::array<std::size_t, 256> start{};
-    for (const Entry& e : slots) ++start[(e.first >> shift) & 0xFFu];
+    for (const Entry& e : tail) ++start[(e.first >> shift) & 0xFFu];
     std::size_t sum = 0;
     for (std::size_t& s : start) sum += std::exchange(s, sum);
-    for (const Entry& e : slots) scratch[start[(e.first >> shift) & 0xFFu]++] = e;
-    slots.swap(scratch);
+    for (const Entry& e : tail) scratch[start[(e.first >> shift) & 0xFFu]++] = e;
+    tail.swap(scratch);
   }
-  return slots;
+  return tail;
+}
+
+QTable::KeyOrderCursor::KeyOrderCursor(const QTable& table)
+    : table_{&table}, tail_{table.sorted_tail()} {
+  settle();
+}
+
+void QTable::KeyOrderCursor::next() noexcept {
+  if (row_ < table_->sorted_prefix_) {
+    ++prefix_at_;
+  } else {
+    ++tail_at_;
+  }
+  settle();
+}
+
+void QTable::KeyOrderCursor::settle() noexcept {
+  const bool prefix_left = prefix_at_ < table_->sorted_prefix_;
+  const bool tail_left = tail_at_ < tail_.size();
+  if (tail_left && (!prefix_left || tail_[tail_at_].first < table_->keys_[prefix_at_])) {
+    row_ = tail_[tail_at_].second;
+  } else {
+    row_ = prefix_left ? prefix_at_ : kNoRow;
+  }
 }
 
 void QTable::serialize(ByteWriter& out) const {
@@ -239,15 +216,18 @@ void QTable::serialize(ByteWriter& out) const {
   out.u64(static_cast<std::uint64_t>(actions_));
   out.f64(default_q_);
   out.u64(total_visits_);
-  out.u64(static_cast<std::uint64_t>(size_));
-  // Canonical order: sorted by state key. The probe order depends on
-  // insertion history and capacity, which must not leak into the snapshot
-  // bytes (resume-equality tests compare serialized fleets byte-for-byte).
-  for (const auto& [key, slot] : sorted_slots()) {
-    out.u64(key);
-    out.u64(visits_[slot]);
-    out.u32(tried_[slot]);
-    out.f32s({q_.data() + slot * actions_, actions_});
+  out.u64(static_cast<std::uint64_t>(keys_.size()));
+  // Canonical order: sorted by state key. Insertion order depends on the
+  // table's history, which must not leak into the snapshot bytes
+  // (resume-equality tests compare serialized fleets byte-for-byte). All
+  // rows go into one append, filled in place.
+  std::uint8_t* at = out.append(serialized_size() - 32).data();
+  for (KeyOrderCursor c{*this}; !c.done(); c.next()) {
+    const EntryView e = c.entry();
+    at = store_le(at, e.key());
+    at = store_le(at, e.visits());
+    at = store_le(at, e.tried());
+    at = store_f32s(at, {e.row_, actions_});
   }
 }
 
@@ -263,15 +243,15 @@ QTable QTable::deserialize(ByteReader& in) {
       in.bounded_count(in.u64(), 20 + 4 * actions, "corrupt Q-table header: state count");
   QTable t{static_cast<std::size_t>(actions), default_q};
   t.total_visits_ = total_visits;
-  if (states > 0) t.reserve_states(states);
+  if (states > 0) t.reserve_rows(states);
   for (std::size_t i = 0; i < states; ++i) {
-    const StateKey key = in.u64();
-    if (t.contains(key)) in.fail("corrupt Q-table payload: duplicate state key");
-    const std::size_t slot = t.insert_slot(key);
-    t.visits_[slot] = in.u64();
-    t.tried_[slot] = in.u32();
+    // insert_row hands back the existing row for a key seen before.
+    const std::size_t row = t.insert_row(in.u64());
+    if (row != i) in.fail("corrupt Q-table payload: duplicate state key");
+    t.visits_[row] = in.u64();
+    t.tried_[row] = in.u32();
     for (std::size_t a = 0; a < t.actions_; ++a) {
-      t.q_[slot * t.actions_ + a] = in.f32();
+      t.q_[row * t.actions_ + a] = in.f32();
     }
   }
   return t;

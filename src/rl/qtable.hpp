@@ -9,14 +9,22 @@
 // application is executed again the agent is able to refer to the Q-table":
 // save()/load() provide that per-app persistence.
 //
-// Storage layout: one contiguous key array plus structure-of-arrays value
-// lanes (q[action][slot], visits[slot], tried[slot]) with linear probing and
-// power-of-two growth. There is no per-entry allocation: a lookup is one
-// probe over the key array plus a strided lane load, instead of the
-// node-pointer chase + per-entry vector<float> indirection of the previous
-// unordered_map backend. The table never erases individual states
-// (clear() wipes everything), so probe chains are tombstone-free and lookups
-// terminate at the first empty slot.
+// Storage layout: the rows are dense, in insertion order - a key array,
+// visit and tried-mask lanes and row-major Q rows (q[row * actions + a]) -
+// and an open-addressing index of u32 row numbers (linear probing,
+// power-of-two capacity, growth at 3/4 load) finds a key's row. Growth
+// rebuilds only the index; a row's number never changes. There is no
+// per-entry allocation, and the table never erases a state, so probe chains
+// are tombstone-free and a lookup terminates at the first empty index slot.
+//
+// Key order is what every consumer of a whole table walks in: the
+// canonical serialize(), the federated merge and the delta encoder. The
+// table keeps a sorted prefix - rows [0, sorted_prefix_) are in increasing
+// key order, and an insert above the last key extends it - so a key-order
+// walk scans that prefix and sorts only the rows after it. Tables built in
+// key order (deserialize(), the merge output, a warm start, and copies of
+// these) have no such tail; a table trained or delta-decoded from one adds
+// only the states it newly visited.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +70,7 @@ class QTable {
 
   [[nodiscard]] std::size_t action_count() const noexcept { return actions_; }
   /// Number of distinct states ever touched.
-  [[nodiscard]] std::size_t state_count() const noexcept { return size_; }
+  [[nodiscard]] std::size_t state_count() const noexcept { return keys_.size(); }
 
   [[nodiscard]] double default_q() const noexcept { return default_q_; }
 
@@ -77,13 +85,6 @@ class QTable {
   /// states return `fallback`.
   [[nodiscard]] std::size_t best_action(StateKey s, std::size_t fallback = 0) const noexcept;
 
-  /// argmax over actions that have actually been updated at least once;
-  /// untried actions still carry the optimistic default and must not win
-  /// greedy *deployment* decisions. Returns `fallback` when the state is
-  /// unknown or nothing was tried.
-  [[nodiscard]] std::size_t best_tried_action(StateKey s,
-                                              std::size_t fallback = 0) const noexcept;
-
   /// Visit bookkeeping (used for federated weighting and diagnostics).
   void record_visit(StateKey s);
   /// Bulk visit accounting (used by the federated merge).
@@ -93,8 +94,6 @@ class QTable {
 
   /// Whether the state has a stored entry.
   [[nodiscard]] bool contains(StateKey s) const noexcept;
-  /// Bitmask of actions updated at least once; 0 for unknown states.
-  [[nodiscard]] std::uint32_t tried_mask(StateKey s) const noexcept;
 
   /// Raw entry write used by the delta/wire codecs (rl/qtable_delta.hpp):
   /// installs the exact visit count, tried mask and per-action values for a
@@ -103,8 +102,6 @@ class QTable {
   /// action_count() values.
   void install_entry(StateKey s, std::uint64_t visits, std::uint32_t tried,
                      std::span<const float> q);
-
-  void clear();
 
   /// Exact-state equality: action count, default_q, every entry's visit
   /// count, tried mask and action values (compared by IEEE bit pattern, so
@@ -122,7 +119,7 @@ class QTable {
   /// Bytes serialize() appends: a 32-byte header, then per state its key,
   /// visit count, tried mask and one f32 per action.
   [[nodiscard]] std::size_t serialized_size() const noexcept {
-    return 32 + size_ * (20 + 4 * actions_);
+    return 32 + keys_.size() * (20 + 4 * actions_);
   }
   /// Decodes what serialize() wrote. Throws SerializeError on truncation
   /// or structurally impossible values.
@@ -135,76 +132,103 @@ class QTable {
   void save(const std::string& path) const;
   [[nodiscard]] static QTable load(const std::string& path);
 
-  /// Read-only view of one stored state for iteration. Action values are
-  /// exposed through q(a) rather than a span so the view stays valid even
-  /// if the backing layout changes stride again.
+  /// Read-only view of one stored state for iteration.
   class EntryView {
    public:
     [[nodiscard]] StateKey key() const noexcept { return key_; }
     [[nodiscard]] std::uint64_t visits() const noexcept { return visits_; }
     [[nodiscard]] std::uint32_t tried() const noexcept { return tried_; }
-    [[nodiscard]] float q(std::size_t a) const noexcept { return lane_[a * stride_]; }
+    [[nodiscard]] float q(std::size_t a) const noexcept { return row_[a]; }
 
    private:
     friend class QTable;
-    EntryView(StateKey key, std::uint64_t visits, std::uint32_t tried, const float* lane,
-              std::size_t stride) noexcept
-        : key_{key}, visits_{visits}, tried_{tried}, lane_{lane}, stride_{stride} {}
+    EntryView(StateKey key, std::uint64_t visits, std::uint32_t tried, const float* row) noexcept
+        : key_{key}, visits_{visits}, tried_{tried}, row_{row} {}
     StateKey key_;
     std::uint64_t visits_;
     std::uint32_t tried_;
-    const float* lane_;
-    std::size_t stride_;
+    const float* row_;
+  };
+
+  /// Forward walk over the stored states in increasing key order: the
+  /// sorted prefix interleaved with the sorted tail (see the layout notes
+  /// above). for_each_entry is one such walk; the federated merge advances
+  /// one per input table side by side. The table must outlive the cursor
+  /// and stay unchanged while it walks.
+  class KeyOrderCursor {
+   public:
+    explicit KeyOrderCursor(const QTable& table);
+
+    [[nodiscard]] bool done() const noexcept { return row_ == kNoRow; }
+    [[nodiscard]] StateKey key() const noexcept { return table_->keys_[row_]; }
+    [[nodiscard]] EntryView entry() const noexcept { return table_->entry(row_); }
+    void next() noexcept;
+
+   private:
+    /// Moves row_ to the smaller of the next prefix row and the next tail
+    /// row (keys are unique, so there are no ties).
+    void settle() noexcept;
+
+    const QTable* table_;
+    std::vector<std::pair<StateKey, std::uint32_t>> tail_;  ///< (key, row), sorted by key
+    std::size_t prefix_at_{0};
+    std::size_t tail_at_{0};
+    std::size_t row_{kNoRow};
   };
 
   /// Order-stable iteration for merging/inspection: entries are visited
-  /// sorted by state key, never in probe/hash order, so callers cannot
-  /// accidentally depend on insertion history (the bug class the old
+  /// sorted by state key, never in insertion or hash order, so callers
+  /// cannot accidentally depend on insertion history (the bug class the old
   /// `entries()` unordered_map accessor made possible).
   template <typename Fn>
   void for_each_entry(Fn&& fn) const {
-    for (const auto& [key, slot] : sorted_slots()) {
-      fn(EntryView{key, visits_[slot], tried_[slot], q_.data() + slot * actions_, 1});
-    }
+    for (KeyOrderCursor c{*this}; !c.done(); c.next()) fn(c.entry());
   }
 
  private:
   // The quantized wire decoder (rl/qtable_delta.hpp) restores total_visits
   // from its header instead of re-summing entries, matching deserialize().
   friend QTable deserialize_quantized(ByteReader& in);
-  // The delta encoder walks `next` in slot order and probes the base once
-  // per state, then sorts only the changed rows.
+  // The delta encoder walks `next`'s rows in storage order and looks each
+  // key up in the base, then sorts only the changed rows.
   friend std::optional<QTableDelta> try_make_delta(const QTable& base, const QTable& next);
 
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
+  /// An index slot that holds no row.
+  static constexpr std::uint32_t kEmptySlot = ~std::uint32_t{0};
 
-  [[nodiscard]] std::size_t initial_capacity() const noexcept;
-  /// Occupied slot holding `s`, or kNoSlot.
-  [[nodiscard]] std::size_t find_slot(StateKey s) const noexcept;
-  /// Slot holding `s`, inserting (and growing) if absent.
-  std::size_t insert_slot(StateKey s);
-  /// Ensure capacity for `n` states without exceeding the max load factor.
-  void reserve_states(std::size_t n);
-  void grow();
-  /// (key, slot) of every stored state, sorted by key.
-  [[nodiscard]] std::vector<std::pair<StateKey, std::uint32_t>> sorted_slots() const;
+  [[nodiscard]] EntryView entry(std::size_t row) const noexcept {
+    return EntryView{keys_[row], visits_[row], tried_[row], q_.data() + row * actions_};
+  }
+  /// Row holding `s`, or kNoRow.
+  [[nodiscard]] std::size_t find_row(StateKey s) const noexcept;
+  /// Row holding `s`, appending one (and growing the index) if absent.
+  std::size_t insert_row(StateKey s);
+  /// Room for `n` rows without growing the row lanes or the index.
+  void reserve_rows(std::size_t n);
+  /// Doubles the index (or allocates the first one) and re-inserts every row.
+  void grow_index();
+  /// (key, row) of the rows after the sorted prefix, sorted by key.
+  [[nodiscard]] std::vector<std::pair<StateKey, std::uint32_t>> sorted_tail() const;
 
   std::size_t actions_;
   double default_q_{0.0};
   std::uint64_t total_visits_{0};
-  std::size_t size_{0};
-  std::size_t capacity_{0};  ///< power of two; 0 until the first insert
   std::vector<StateKey> keys_;
-  std::vector<std::uint8_t> used_;
-  /// Slot-major: q_[slot * actions_ + a]. Every consumer - the decision
+  std::vector<std::uint64_t> visits_;
+  std::vector<std::uint32_t> tried_;
+  /// Row-major: q_[row * actions_ + a]. Every consumer - the decision
   /// scans (max_q/best_action), the learning update, merge, serialize -
   /// reads one state's whole action row, so keeping the row contiguous
   /// makes each of those a single cache line instead of `actions_` strided
   /// misses (perfbench times these reads end to end: lookups in
   /// phone_deploy, updates in train_eval_sweep).
   std::vector<float> q_;
-  std::vector<std::uint64_t> visits_;
-  std::vector<std::uint32_t> tried_;
+  /// Rows [0, sorted_prefix_) are in strictly increasing key order.
+  std::size_t sorted_prefix_{0};
+  /// Open-addressing index: row number or kEmptySlot; power-of-two size,
+  /// empty until the first insert.
+  std::vector<std::uint32_t> index_;
 };
 
 }  // namespace nextgov::rl

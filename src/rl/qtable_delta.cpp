@@ -65,42 +65,44 @@ QTableDelta QTableDelta::deserialize(ByteReader& in) {
 
 std::optional<QTableDelta> try_make_delta(const QTable& base, const QTable& next) {
   if (base.actions_ != next.actions_ || !bits_equal(base.default_q_, next.default_q_) ||
-      base.size_ > next.size_) {
+      base.state_count() > next.state_count()) {
     return std::nullopt;
   }
   const std::size_t actions = next.actions_;
-  // One pass over `next` in slot order. A state changed when the base lacks
-  // it or any of its visit count, tried mask or Q bit patterns differ.
+  // One pass over `next`'s rows in storage order. A state changed when the
+  // base lacks it or any of its visit count, tried mask or Q bit patterns
+  // differ. A table trained from `base` is a copy of it plus appended rows,
+  // so row r of both usually holds the same key and the lookup is skipped.
   struct Changed {
     StateKey key;
-    std::uint32_t slot;  // in `next`
+    std::uint32_t row;  // in `next`
     std::int64_t visit_delta;
   };
   std::vector<Changed> changed;
   std::size_t hits = 0;
   std::int64_t visit_delta_sum = 0;
-  for (std::size_t i = 0; i < next.capacity_; ++i) {
-    if (!next.used_[i]) continue;
-    const StateKey key = next.keys_[i];
-    const std::size_t b = base.find_slot(key);
+  for (std::size_t r = 0; r < next.state_count(); ++r) {
+    const StateKey key = next.keys_[r];
+    const std::size_t b =
+        r < base.state_count() && base.keys_[r] == key ? r : base.find_row(key);
     std::uint64_t base_visits = 0;
-    if (b != QTable::kNoSlot) {
+    if (b != QTable::kNoRow) {
       ++hits;
       base_visits = base.visits_[b];
       const float* bq = base.q_.data() + b * actions;
-      const float* nq = next.q_.data() + i * actions;
-      if (base_visits == next.visits_[i] && base.tried_[b] == next.tried_[i] &&
+      const float* nq = next.q_.data() + r * actions;
+      if (base_visits == next.visits_[r] && base.tried_[b] == next.tried_[r] &&
           std::equal(bq, bq + actions, nq, [](float x, float y) { return bits_equal(x, y); })) {
         continue;
       }
     }
-    const auto visit_delta = static_cast<std::int64_t>(next.visits_[i] - base_visits);
+    const auto visit_delta = static_cast<std::int64_t>(next.visits_[r] - base_visits);
     visit_delta_sum += visit_delta;
-    changed.push_back(Changed{key, static_cast<std::uint32_t>(i), visit_delta});
+    changed.push_back(Changed{key, static_cast<std::uint32_t>(r), visit_delta});
   }
   // The delta can only add or modify states (the table itself never
   // erases), so every base state must have turned up in `next`.
-  if (hits != base.size_) return std::nullopt;
+  if (hits != base.state_count()) return std::nullopt;
   // apply_delta reconstructs total_visits by accumulating per-state diffs,
   // which only lands on the sender's exact total when the totals are
   // consistent with the entries. Every QTable mutation path maintains that
@@ -114,15 +116,15 @@ std::optional<QTableDelta> try_make_delta(const QTable& base, const QTable& next
   QTableDelta d;
   d.action_count = actions;
   d.default_q = next.default_q_;
-  d.base_states = base.size_;
+  d.base_states = base.state_count();
   d.base_total_visits = base.total_visits_;
   d.changes.reserve(changed.size());
   d.q.resize(changed.size() * actions);
   for (std::size_t c = 0; c < changed.size(); ++c) {
-    const std::size_t slot = changed[c].slot;
+    const std::size_t row = changed[c].row;
     d.changes.push_back(
-        QTableDelta::Change{changed[c].key, changed[c].visit_delta, next.tried_[slot]});
-    std::copy_n(next.q_.data() + slot * actions, actions, d.q.data() + c * actions);
+        QTableDelta::Change{changed[c].key, changed[c].visit_delta, next.tried_[row]});
+    std::copy_n(next.q_.data() + row * actions, actions, d.q.data() + c * actions);
   }
   return d;
 }
@@ -270,7 +272,7 @@ QTable deserialize_quantized(ByteReader& in) {
                                               "corrupt quantized Q-table header: state count");
   QTable t{static_cast<std::size_t>(actions), default_q};
   // Pre-size so the fill never rehashes mid-stream.
-  if (states > 0) t.reserve_states(states);
+  if (states > 0) t.reserve_rows(states);
   std::vector<float> row(static_cast<std::size_t>(actions));
   for (std::size_t i = 0; i < states; ++i) {
     const StateKey key = in.u64();

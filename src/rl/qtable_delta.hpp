@@ -68,8 +68,8 @@ struct QTableDelta {
 /// `next` is not a superset evolution of `base` (mismatched action count or
 /// default_q, or a base state missing from `next`) - callers fall back to a
 /// full upload. An empty `changes` vector is a valid result (nothing moved).
-/// One pass over `next` in slot order with one base probe per state; only
-/// the changed rows are sorted.
+/// One pass over `next`'s rows in storage order, with a base lookup only
+/// where the two tables' rows diverge; only the changed rows are sorted.
 [[nodiscard]] std::optional<QTableDelta> try_make_delta(const QTable& base, const QTable& next);
 
 /// Reconstructs the sender's table: apply_delta(base, *try_make_delta(base,

@@ -1,8 +1,10 @@
 #include "sim/fleet.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/log.hpp"
 #include "rl/qtable_delta.hpp"
@@ -65,11 +67,21 @@ rl::QTable decode_upload(std::vector<std::uint8_t> blob, const rl::QTable* delta
 }
 
 rl::QTable strip_visit_mass(const rl::QTable& table) {
-  rl::QTable out{table.action_count()};
+  const std::size_t actions = table.action_count();
+  // The tried bits that name an action; a state with none of them set is
+  // dropped, and an untried action reads the fresh table's default (0).
+  const std::uint32_t action_bits =
+      actions >= 32 ? ~std::uint32_t{0} : (std::uint32_t{1} << actions) - 1;
+  rl::QTable out{actions};
+  std::vector<float> row(actions);
+  // A key-order walk, so `out` is built in key order too.
   table.for_each_entry([&](const rl::QTable::EntryView& e) {
-    for (std::size_t a = 0; a < table.action_count() && a < 32; ++a) {
-      if ((e.tried() & (1u << a)) != 0) out.set_q(e.key(), a, e.q(a));
+    const std::uint32_t tried = e.tried() & action_bits;
+    if (tried == 0) return;
+    for (std::size_t a = 0; a < actions; ++a) {
+      row[a] = a < 32 && (tried & (1u << a)) != 0 ? e.q(a) : 0.0f;
     }
+    out.install_entry(e.key(), 0, tried, row);
   });
   return out;
 }
@@ -111,7 +123,26 @@ void encode_next_config(const core::NextConfig& c, ByteWriter& out) {
 }
 
 void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapshot) {
+  // Each section is sized up front and reserved once, so the tables
+  // serialized into it append without regrowing the buffer. The sizes
+  // follow the writes below field by field.
+  const auto table_bytes = [](const std::optional<rl::QTable>& t) {
+    return 1 + (t.has_value() ? t->serialized_size() : 0);
+  };
+  // The header fields and the device count, then the aggregate.
+  std::size_t state_bytes = 44 + table_bytes(snapshot.last_aggregate);
+  for (const std::optional<FleetUpload>& upload : snapshot.uploads) {
+    // Two flags and the last-upload round; an upload adds its round and table.
+    state_bytes += 10 + (upload.has_value() ? 8 + upload->table.serialized_size() : 0);
+  }
+  // The clock, lease and pending counts and six counters; 9 bytes a lease.
+  std::size_t server_bytes = 64 + 9 * snapshot.leases.size();
+  for (const PendingUpload& pending : snapshot.pending_uploads) {
+    server_bytes += 28 + pending.table.serialized_size();
+  }
+
   ByteWriter& state = out.section(kStateSection);
+  state.reserve(state_bytes);
   state.u64(static_cast<std::uint64_t>(snapshot.next_round));
   state.u64(snapshot.total_decisions);
   state.f64(snapshot.last_round_mean_reward);
@@ -134,6 +165,7 @@ void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapsh
   // state. A separate section keeps the version-1 "fleet_state" layout
   // byte-stable.
   ByteWriter& server = out.section(kServerSection);
+  server.reserve(server_bytes);
   server.i64(snapshot.server_clock_us);
   server.u32(static_cast<std::uint32_t>(snapshot.leases.size()));
   for (const DeviceLease& lease : snapshot.leases) {

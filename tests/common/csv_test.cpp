@@ -7,6 +7,7 @@
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "temp_path.hpp"
 
 namespace nextgov {
 namespace {
@@ -20,12 +21,7 @@ std::string read_all(const std::string& path) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  void TearDown() override { std::remove(path_.c_str()); }
-  // One file per test: ctest -j runs the tests of this fixture as separate
-  // processes at once, and a shared path lets one test's TearDown delete
-  // or rewrite the file another is reading.
-  std::string path_ = ::testing::TempDir() + "/nextgov_csv_test_" +
-                      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
+  std::string path_ = test::unique_temp_path("nextgov_csv_test.csv");
 };
 
 TEST_F(CsvTest, WritesHeaderAndRows) {

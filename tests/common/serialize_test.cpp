@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/serialize.hpp"
+#include "temp_path.hpp"
 
 namespace nextgov {
 namespace {
@@ -336,7 +337,7 @@ TEST(SnapshotContainer, TrailingGarbageThrows) {
 }
 
 TEST(SnapshotContainer, FileRoundTripIsAtomic) {
-  const std::string path = ::testing::TempDir() + "serialize_test_snapshot.bin";
+  const std::string path = test::unique_temp_path("serialize_test_snapshot.bin");
   SnapshotWriter w;
   w.section("data").u64(99);
   w.write_file(path);

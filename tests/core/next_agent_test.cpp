@@ -8,6 +8,7 @@
 
 #include "core/next_agent.hpp"
 #include "soc/soc.hpp"
+#include "temp_path.hpp"
 
 namespace nextgov::core {
 namespace {
@@ -138,7 +139,7 @@ TEST(NextAgent, TrainingModeLearns) {
 }
 
 TEST(NextAgent, QTablePersistenceRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/next_agent_table.bin";
+  const std::string path = test::unique_temp_path("next_agent_table.bin");
   soc::Soc soc = soc::make_exynos9810();
   auto agent = make_next_agent(soc, NextConfig{}, 1);
   agent->set_mode(AgentMode::kTraining);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sim/fleet_server.hpp"
+#include "temp_path.hpp"
 
 namespace nextgov::sim {
 namespace {
@@ -92,11 +93,7 @@ TEST(FleetServerFaults, DepartedDeviceNeverContributesAPartialTable) {
   FleetServerOptions options = churny_server();
   options.churn.straggle_rate = 0.0;   // isolate departures
   options.churn.upload_fail_rate = 0.0;
-  const std::string prefix =
-      ::testing::TempDir() + "/nextgov_fsrv_departed_ledger";
-  for (std::size_t slot = 0; slot < 4; ++slot) {
-    std::remove((prefix + "." + std::to_string(slot)).c_str());
-  }
+  const std::string prefix = test::unique_temp_path("nextgov_fsrv_departed_ledger");
   options.snapshot_ring = 1;
   options.snapshot_prefix = prefix;
 
@@ -169,11 +166,7 @@ TEST(FleetFaults, CrashAndResumeComposeWithFaults) {
   // restarted on its ring, must land on exactly the uninterrupted run's
   // bytes and fault counts - the fault draws replay identically because
   // they are keyed by (round, device, attempt), not by process history.
-  const std::string prefix = ::testing::TempDir() + "/nextgov_faulty_fleet_ring";
-  for (std::size_t slot = 0; slot < 2; ++slot) {
-    std::remove((prefix + "." + std::to_string(slot)).c_str());
-    std::remove((prefix + "." + std::to_string(slot) + ".corrupt").c_str());
-  }
+  const std::string prefix = test::unique_temp_path("nextgov_faulty_fleet_ring");
   FleetServerOptions options = dropout_and_corruption();
   FleetServer uninterrupted{workload::AppId::kFacebook, options, {.workers = 2}};
   uninterrupted.run_rounds(3);

@@ -10,6 +10,15 @@
 namespace nextgov::rl {
 namespace {
 
+/// The tried mask of state `s`; 0 when the table does not hold it.
+std::uint32_t tried_of(const QTable& t, StateKey s) {
+  std::uint32_t tried = 0;
+  t.for_each_entry([&](const QTable::EntryView& e) {
+    if (e.key() == s) tried = e.tried();
+  });
+  return tried;
+}
+
 TEST(Federated, SingleTableIsIdentityOnTriedEntries) {
   QTable t{3};
   t.set_q(1, 0, 0.5);
@@ -58,8 +67,9 @@ TEST(Federated, UntriedOptimisticEntriesDoNotPolluteMerge) {
   const QTable merged = merge_q_tables(tables);
   EXPECT_NEAR(merged.q(1, 0), 0.4, 1e-6);
   // Action 1 untried everywhere: merged entry keeps the merged-table
-  // default (0), not the devices' optimism.
-  EXPECT_EQ(merged.best_tried_action(1, 9), 0u);
+  // default (0), not the devices' optimism, and stays untried.
+  EXPECT_EQ(merged.q(1, 1), 0.0);
+  EXPECT_EQ(tried_of(merged, 1), 1u << 0);
 }
 
 TEST(Federated, MismatchedActionCountsRejected) {
@@ -176,7 +186,8 @@ TEST(FederatedMerge, SingleTableMergesToItself) {
   EXPECT_FLOAT_EQ(static_cast<float>(merged.q(20, 1)), -0.1f);
   EXPECT_EQ(merged.visits(10), 5u);
   EXPECT_EQ(merged.total_visits(), t.total_visits());
-  EXPECT_EQ(merged.best_tried_action(10, 9), 2u);
+  EXPECT_EQ(tried_of(merged, 10), (1u << 0) | (1u << 2));
+  EXPECT_EQ(tried_of(merged, 20), 1u << 1);
 }
 
 TEST(FederatedMerge, ZeroVisitTablesStillContribute) {
@@ -216,7 +227,7 @@ TEST(FederatedMerge, ExtremeStalenessUnderflowsToZeroWeightGracefully) {
   // future "skip zero-weight tables" optimization shows up as a diff here.
   EXPECT_EQ(merged.state_count(), 2u);
   EXPECT_EQ(merged.visits(2), 0u);
-  EXPECT_EQ(merged.best_tried_action(2, 7), 7u);
+  EXPECT_EQ(tried_of(merged, 2), 0u);
 }
 
 TEST(CloudTiming, AddsPaperCommunicationOverhead) {

@@ -250,10 +250,14 @@ TEST(WireQuant, LossyModesPreserveStructureAndBoundError) {
     // Keys, visits and tried masks are exact in every mode.
     EXPECT_EQ(back.state_count(), t.state_count());
     EXPECT_EQ(back.total_visits(), t.total_visits());
+    QTable::KeyOrderCursor walk{back};
     t.for_each_entry([&](const QTable::EntryView& e) {
-      ASSERT_TRUE(back.contains(e.key()));
-      EXPECT_EQ(back.visits(e.key()), e.visits());
-      EXPECT_EQ(back.tried_mask(e.key()), e.tried());
+      ASSERT_FALSE(walk.done());
+      const QTable::EntryView b = walk.entry();
+      walk.next();
+      ASSERT_EQ(b.key(), e.key());
+      EXPECT_EQ(b.visits(), e.visits());
+      EXPECT_EQ(b.tried(), e.tried());
       for (std::size_t a = 0; a < t.action_count(); ++a) {
         // Values are in [-5, 5] with a 10.0 default; q8's worst case is
         // half a code step of the 15-unit range, f16's is far smaller.

@@ -275,26 +275,5 @@ TEST(QTableProperty, MergeMatchesReferenceMath) {
   }
 }
 
-TEST(QTableProperty, ClearResetsButKeepsAgreeing) {
-  std::mt19937_64 rng{7};
-  QTable flat{4, 1.0};
-  RefTable ref{4, 1.0};
-  for (std::size_t i = 0; i < 500; ++i) {
-    const StateKey key = rng();
-    flat.set_q(key, i % 4, static_cast<double>(i));
-    ref.set_q(key, i % 4, static_cast<double>(i));
-    flat.record_visit(key);
-    ref.record_visit(key);
-  }
-  flat.clear();
-  ref.map.clear();
-  ref.total_visits = 0;
-  expect_tables_agree(flat, ref);
-  // The cleared table must be fully usable again.
-  flat.set_q(42, 1, 3.0);
-  ref.set_q(42, 1, 3.0);
-  expect_tables_agree(flat, ref);
-}
-
 }  // namespace
 }  // namespace nextgov::rl

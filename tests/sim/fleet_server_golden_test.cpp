@@ -21,6 +21,7 @@
 
 #include "sim/fleet.hpp"
 #include "sim/fleet_server.hpp"
+#include "temp_path.hpp"
 
 namespace nextgov::sim {
 namespace {
@@ -53,12 +54,7 @@ FleetServerOptions golden_server(const std::string& prefix) {
 }
 
 std::string ring_prefix(const std::string& name) {
-  const std::string prefix = ::testing::TempDir() + "/nextgov_fsrv_golden_" + name;
-  for (std::size_t slot = 0; slot < 8; ++slot) {
-    std::remove((prefix + "." + std::to_string(slot)).c_str());
-    std::remove((prefix + "." + std::to_string(slot) + ".corrupt").c_str());
-  }
-  return prefix;
+  return test::unique_temp_path("nextgov_fsrv_golden_" + name);
 }
 
 std::vector<std::uint8_t> canonical_bytes(const rl::QTable& table) {

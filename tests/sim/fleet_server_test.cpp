@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "sim/fleet_server.hpp"
+#include "temp_path.hpp"
 
 namespace nextgov::sim {
 namespace {
@@ -41,15 +42,10 @@ std::vector<std::uint8_t> canonical_bytes(const rl::QTable& table) {
   return out.data();
 }
 
-/// Fresh per-test ring prefix (and cleanup of any stale slots/quarantine
-/// files a previous run left behind).
+/// Fresh per-test ring prefix (unique_temp_path removes any stale slots and
+/// quarantine files).
 std::string ring_prefix(const std::string& name) {
-  const std::string prefix = ::testing::TempDir() + "/nextgov_fsrv_" + name;
-  for (std::size_t slot = 0; slot < 16; ++slot) {
-    std::remove((prefix + "." + std::to_string(slot)).c_str());
-    std::remove((prefix + "." + std::to_string(slot) + ".corrupt").c_str());
-  }
-  return prefix;
+  return test::unique_temp_path("nextgov_fsrv_" + name);
 }
 
 TEST(FleetServerOptionsValidation, RejectsDegenerateConfigurations) {

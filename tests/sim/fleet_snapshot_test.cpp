@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sim/fleet_server.hpp"
+#include "temp_path.hpp"
 
 namespace nextgov::sim {
 namespace {
@@ -83,11 +84,7 @@ void write_bytes(const std::string& path, const std::vector<std::uint8_t>& bytes
 
 class FleetSnapshotFile : public ::testing::Test {
  protected:
-  void TearDown() override {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".corrupt").c_str());
-  }
-  std::string path_ = ::testing::TempDir() + "/nextgov_fleet_snapshot_test.bin";
+  std::string path_ = test::unique_temp_path("nextgov_fleet_snapshot_test.bin");
 };
 
 TEST_F(FleetSnapshotFile, RoundTripsAllState) {
@@ -171,7 +168,7 @@ TEST_F(FleetSnapshotFile, ResumeUnderDifferentOptionsIsRefused) {
   // a "fleet_options" section instead of "fleet_server_options". Found in a
   // ring slot it is refused loudly, as a typed error - and, being a valid
   // file, left in place rather than quarantined.
-  const std::string prefix = ::testing::TempDir() + "/nextgov_fleet_legacy_ring";
+  const std::string prefix = test::unique_temp_path("nextgov_fleet_legacy_ring");
   const std::string slot = prefix + ".0";
   SnapshotWriter legacy;
   legacy.section("fleet_options").u64(8);

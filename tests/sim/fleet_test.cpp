@@ -18,6 +18,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sim/fleet_server.hpp"
+#include "temp_path.hpp"
 
 namespace nextgov::sim {
 namespace {
@@ -40,12 +41,7 @@ std::vector<std::uint8_t> canonical_bytes(const rl::QTable& table) {
 }
 
 std::string ring_prefix(const std::string& name) {
-  const std::string prefix = ::testing::TempDir() + "/nextgov_fleet_" + name;
-  for (std::size_t slot = 0; slot < 4; ++slot) {
-    std::remove((prefix + "." + std::to_string(slot)).c_str());
-    std::remove((prefix + "." + std::to_string(slot) + ".corrupt").c_str());
-  }
-  return prefix;
+  return test::unique_temp_path("nextgov_fleet_" + name);
 }
 
 TEST(Fleet, CalmServerIsSynchronousFedAvg) {

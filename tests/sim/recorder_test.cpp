@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "sim/recorder.hpp"
+#include "temp_path.hpp"
 
 namespace nextgov::sim {
 namespace {
@@ -39,7 +40,7 @@ TEST(Recorder, RejectsNonPositivePeriod) {
 }
 
 TEST(Recorder, CsvHasHeaderAndAllRows) {
-  const std::string path = ::testing::TempDir() + "/recorder_test.csv";
+  const std::string path = test::unique_temp_path("recorder_test.csv");
   Recorder rec;
   Sample s;
   s.time_s = 1.0;

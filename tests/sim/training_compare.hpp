@@ -21,12 +21,17 @@ inline void expect_training_identical(const TrainingResult& a, const TrainingRes
   ASSERT_EQ(a.table.action_count(), b.table.action_count());
   ASSERT_EQ(a.table.state_count(), b.table.state_count());
   EXPECT_EQ(a.table.total_visits(), b.table.total_visits());
+  // Both tables walk in key order, so equal tables pair up entry by entry.
+  rl::QTable::KeyOrderCursor walk_b{b.table};
   a.table.for_each_entry([&](const rl::QTable::EntryView& ea) {
-    ASSERT_TRUE(b.table.contains(ea.key())) << "state " << ea.key() << " missing";
-    EXPECT_EQ(ea.visits(), b.table.visits(ea.key())) << "state " << ea.key();
-    EXPECT_EQ(ea.tried(), b.table.tried_mask(ea.key())) << "state " << ea.key();
+    ASSERT_FALSE(walk_b.done());
+    const rl::QTable::EntryView eb = walk_b.entry();
+    walk_b.next();
+    ASSERT_EQ(ea.key(), eb.key()) << "state " << ea.key() << " missing";
+    EXPECT_EQ(ea.visits(), eb.visits()) << "state " << ea.key();
+    EXPECT_EQ(ea.tried(), eb.tried()) << "state " << ea.key();
     for (std::size_t i = 0; i < a.table.action_count(); ++i) {
-      EXPECT_EQ(ea.q(i), b.table.q(ea.key(), i)) << "state " << ea.key() << " action " << i;
+      EXPECT_EQ(ea.q(i), eb.q(i)) << "state " << ea.key() << " action " << i;
     }
   });
   EXPECT_TRUE(a.table == b.table);

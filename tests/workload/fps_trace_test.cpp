@@ -5,14 +5,14 @@
 
 #include "common/error.hpp"
 #include "workload/fps_trace.hpp"
+#include "temp_path.hpp"
 
 namespace nextgov::workload {
 namespace {
 
 class FpsTraceTest : public ::testing::Test {
  protected:
-  void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/nextgov_trace_test.csv";
+  std::string path_ = test::unique_temp_path("nextgov_trace_test.csv");
 };
 
 TEST_F(FpsTraceTest, RoundTripsThroughCsv) {
