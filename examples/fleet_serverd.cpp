@@ -4,7 +4,8 @@
 //
 //   * SIGINT/SIGTERM request a clean drain - the server finishes the round
 //     in progress, persists a final boundary snapshot to the ring, and
-//     exits 0;
+//     exits 0 (1 when that final write fails; a failed ring write after
+//     an ordinary round is logged and skipped, and serving goes on);
 //   * SIGKILL (kill -9) obviously gets no courtesy - which is the point:
 //     on the next start the daemon restores from the newest valid ring
 //     entry (quarantining any corrupt one to `<path>.corrupt`) and the
@@ -132,17 +133,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  // SIGINT/SIGTERM or round budget: either way, drain cleanly.
-  server.drain();
+  // SIGINT/SIGTERM or round budget: either way, drain cleanly. A round
+  // whose ring write failed kept serving (counted below); a final boundary
+  // that does not land exits 1.
+  try {
+    server.drain();
+  } catch (const IoError& e) {
+    std::fprintf(stderr, "fleet_serverd: final boundary not persisted: %s\n", e.what());
+    return 1;
+  }
   const sim::FleetServerStats stats = server.stats();
   std::printf("fleet_serverd: drained at round %zu (accepted %llu, retried %llu, "
-              "lost %llu, late %llu, departures %llu, quarantined %zu)\n",
+              "lost %llu, late %llu, departures %llu, quarantined %zu, "
+              "failed ring writes %zu)\n",
               server.round(), static_cast<unsigned long long>(stats.uploads_accepted),
               static_cast<unsigned long long>(stats.uploads_retried),
               static_cast<unsigned long long>(stats.uploads_lost),
               static_cast<unsigned long long>(stats.late_uploads_merged),
               static_cast<unsigned long long>(stats.departures),
-              stats.snapshots_quarantined);
+              stats.snapshots_quarantined, stats.snapshots_failed);
 
   if (!out_path.empty()) {
     if (server.global() == nullptr) {

@@ -53,22 +53,16 @@ std::uint32_t crc32_accumulate(std::uint32_t crc,
   return crc;
 }
 
-/// Section checksum for a container of the given format version. From v3 on
-/// the CRC is seeded with the version word itself, so the (otherwise
-/// unprotected) version field cannot be flipped to another in-window value
-/// without every section check failing: a v3 file misread as v2 verifies
-/// with the plain payload CRC and mismatches, and vice versa. v1/v2 files
-/// keep their original plain-payload checksum, which is what preserves
-/// read-back compatibility.
+/// Section checksum for a container of the given format version: the CRC
+/// is seeded with the version word itself, so the (otherwise unprotected)
+/// version field cannot be flipped to another in-window value without every
+/// section check failing - a v4 file misread as v3 fails its CRCs, and vice
+/// versa.
 std::uint32_t section_crc(std::uint32_t version, std::span<const std::uint8_t> payload) noexcept {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  if (version >= 3) {
-    const std::array<std::uint8_t, 4> seed{
-        static_cast<std::uint8_t>(version), static_cast<std::uint8_t>(version >> 8),
-        static_cast<std::uint8_t>(version >> 16), static_cast<std::uint8_t>(version >> 24)};
-    crc = crc32_accumulate(crc, seed);
-  }
-  return crc32_accumulate(crc, payload) ^ 0xFFFFFFFFu;
+  const std::array<std::uint8_t, 4> seed{
+      static_cast<std::uint8_t>(version), static_cast<std::uint8_t>(version >> 8),
+      static_cast<std::uint8_t>(version >> 16), static_cast<std::uint8_t>(version >> 24)};
+  return crc32_accumulate(crc32_accumulate(0xFFFFFFFFu, seed), payload) ^ 0xFFFFFFFFu;
 }
 
 }  // namespace

@@ -25,15 +25,15 @@
 // slicing-by-8 table CRC (eight bytes per step, same polynomial and values
 // as the bytewise form), and SnapshotWriter::write_file streams the header
 // and each section straight to the file instead of assembling the container
-// a second time. None of this changes a byte:
-// FleetResumeGolden.RingEntryBytesArePinned holds ring entries and upload
-// blobs to fixed digests.
+// a second time. FleetResumeGolden.RingEntryBytesArePinned holds ring
+// entries and upload blobs to fixed digests, so no writer change moves a
+// byte unnoticed; the pins move only with a kSnapshotVersion bump.
 //
 // Version policy (documented in ROADMAP.md, "Snapshot format & fault
 // tolerance"): writers always emit kSnapshotVersion; readers refuse
-// anything newer ("refuse-forward") and read back at most one version
-// (kSnapshotVersionMin), so a rolling fleet upgrade can always restore the
-// previous release's checkpoints.
+// anything newer ("refuse-forward") and read back exactly one version
+// (kSnapshotVersionMin = kSnapshotVersion - 1), so a rolling fleet upgrade
+// can always restore the previous release's checkpoints.
 #pragma once
 
 #include <bit>
@@ -192,21 +192,19 @@ class ByteReader {
 };
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x4e585353;  // "NXSS"
-/// Version 3 (delta-upload era): fleet snapshots may carry an additional
-/// `sync_state` section: four cumulative upload-wire counters (full/delta
-/// upload counts and bytes) behind an always-empty placeholder list left by
-/// the retired shard tier - see sim/fleet.hpp. Version 2 (fleet-server era) added the optional
-/// `server_state` section (device leases, deadline clock, pending late
-/// uploads). The container framing itself is unchanged across all three
-/// versions: older files simply lack the newer sections and decode through
-/// the same path with those fields defaulted.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
-/// Oldest container version the reader still accepts. The nominal policy is
-/// read-back-one (a rolling fleet upgrade can always restore the previous
-/// release's checkpoints), but because every addition since v1 has been an
-/// optional section, the window is kept at 1: refusing v1 would cost
-/// compatibility without retiring any decode path.
-inline constexpr std::uint32_t kSnapshotVersionMin = 1;
+/// Version 4: a fleet-server ring entry stores each warm-start table once
+/// and every device upload as a delta against the one it trained from (or in
+/// full when it has none), and the retired shard tier's placeholder bytes
+/// are gone - see sim/fleet.hpp. Version 3 wrote every upload in full and
+/// carried the placeholders; its decode path stays. The container framing
+/// is the same in both: magic, version, then named sections whose CRCs are
+/// seeded with the version word.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
+/// Oldest container version the reader still accepts: read back one
+/// version, so a rolling fleet upgrade can restore the previous release's
+/// ring. Versions 1 and 2 (and their defaults for absent sections) are
+/// refused as outside the window.
+inline constexpr std::uint32_t kSnapshotVersionMin = 3;
 
 /// Assembles a sectioned snapshot. Sections are written in call order;
 /// names must be unique and are the reader's lookup keys.

@@ -192,6 +192,9 @@ class QTable {
   // The delta encoder walks `next`'s rows in storage order and looks each
   // key up in the base, then sorts only the changed rows.
   friend std::optional<QTableDelta> try_make_delta(const QTable& base, const QTable& next);
+  // Applying a delta reserves the rows it adds up front, so a rebuilt table
+  // is sized exactly rather than doubled by its appends.
+  friend QTable apply_delta(const QTable& base, const QTableDelta& delta);
 
   static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
   /// An index slot that holds no row.

@@ -21,7 +21,7 @@ namespace {
 }  // namespace
 
 void QTableDelta::serialize(ByteWriter& out) const {
-  out.reserve(40 + changes.size() * (20 + 4 * action_count));
+  out.reserve(serialized_size());
   out.u64(static_cast<std::uint64_t>(action_count));
   out.f64(default_q);
   out.u64(base_states);
@@ -142,6 +142,9 @@ QTable apply_delta(const QTable& base, const QTableDelta& delta) {
     throw SerializeError("Q-table delta rejected: Q rows do not match the change count");
   }
   QTable out = base;
+  std::size_t added = 0;
+  for (const QTableDelta::Change& c : delta.changes) added += base.contains(c.key) ? 0 : 1;
+  if (added > 0) out.reserve_rows(base.state_count() + added);
   for (std::size_t i = 0; i < delta.changes.size(); ++i) {
     const QTableDelta::Change& c = delta.changes[i];
     const std::uint64_t visits =

@@ -60,6 +60,10 @@ struct QTableDelta {
   /// Canonical binary encoding (sorted changes -> equal deltas give equal
   /// bytes). Same ByteWriter conventions as QTable::serialize.
   void serialize(ByteWriter& out) const;
+  /// Bytes serialize() appends.
+  [[nodiscard]] std::size_t serialized_size() const noexcept {
+    return 40 + changes.size() * (20 + 4 * action_count);
+  }
   /// Throws SerializeError on truncation or structurally impossible values.
   [[nodiscard]] static QTableDelta deserialize(ByteReader& in);
 };

@@ -1,5 +1,6 @@
 #include "sim/fleet.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
@@ -19,9 +20,6 @@ constexpr const char* kStateSection = "fleet_state";
 constexpr const char* kServerSection = "server_state";
 constexpr const char* kSyncSection = "sync_state";
 
-/// A device slot's last-upload round when it has no upload yet.
-constexpr std::uint64_t kNeverUploaded = ~std::uint64_t{0};
-
 void write_optional_table(ByteWriter& out, const std::optional<rl::QTable>& table) {
   out.boolean(table.has_value());
   if (table.has_value()) table->serialize(out);
@@ -32,21 +30,154 @@ std::optional<rl::QTable> read_optional_table(ByteReader& in) {
   return rl::QTable::deserialize(in);
 }
 
+// --- version 4: held tables as a delta against a warm base, or in full ------
+
+constexpr std::uint8_t kStoredFull = 0;
+constexpr std::uint8_t kStoredDelta = 1;
+/// The smallest serialized table (its 32-byte header) and delta (40 bytes).
+constexpr std::size_t kMinTableBytes = 32;
+constexpr std::size_t kMinDeltaBytes = 40;
+
+std::size_t held_table_bytes(const rl::QTable& table, const std::optional<RingDelta>& ring) {
+  return 1 + (ring.has_value() ? 8 + ring->delta.serialized_size() : table.serialized_size());
+}
+
+void write_held_table(ByteWriter& out, const rl::QTable& table,
+                      const std::optional<RingDelta>& ring) {
+  if (!ring.has_value()) {
+    out.u8(kStoredFull);
+    table.serialize(out);
+    return;
+  }
+  out.u8(kStoredDelta);
+  out.u64(static_cast<std::uint64_t>(ring->base_round));
+  ring->delta.serialize(out);
+}
+
+/// Reads what write_held_table wrote, rebuilding a delta-stored table
+/// against its base in `bases` (sorted by round).
+HeldTable read_held_table(ByteReader& in, const std::vector<WarmBase>& bases) {
+  const std::uint8_t tag = in.u8();
+  if (tag == kStoredFull) return HeldTable{rl::QTable::deserialize(in), std::nullopt};
+  if (tag != kStoredDelta) in.fail("corrupt fleet snapshot: table tag " + std::to_string(tag));
+  const std::uint64_t base_round = in.u64();
+  const auto base = std::lower_bound(
+      bases.begin(), bases.end(), base_round,
+      [](const WarmBase& b, std::uint64_t round) { return b.round < round; });
+  if (base == bases.end() || base->round != base_round) {
+    in.fail("corrupt fleet snapshot: a delta against the warm base of round " +
+            std::to_string(base_round) + ", which the entry does not hold");
+  }
+  RingDelta ring{base->round, rl::QTableDelta::deserialize(in)};
+  rl::QTable table = rl::apply_delta(base->table, ring.delta);
+  return HeldTable{std::move(table), std::move(ring)};
+}
+
+FleetSnapshot::ServerCounters read_server_counters(ByteReader& in) {
+  FleetSnapshot::ServerCounters c;
+  c.rounds_served = in.u64();
+  c.uploads_accepted = in.u64();
+  c.uploads_retried = in.u64();
+  c.uploads_lost = in.u64();
+  c.late_uploads_merged = in.u64();
+  c.departures = in.u64();
+  return c;
+}
+
+std::vector<DeviceLease> read_leases(ByteReader& in) {
+  // A lease is an active flag and a rejoin round (9 bytes).
+  const std::size_t count =
+      in.bounded_count(in.u32(), 9, "corrupt fleet snapshot: lease count");
+  std::vector<DeviceLease> leases(count);
+  for (DeviceLease& lease : leases) {
+    lease.active = in.boolean();
+    lease.rejoin_round = static_cast<std::size_t>(in.u64());
+  }
+  return leases;
+}
+
+/// The four wire counters that end the "sync_state" payload.
+FleetSnapshot::SyncState read_sync_counters(ByteReader& sync) {
+  FleetSnapshot::SyncState out;
+  out.upload_bytes_full = sync.u64();
+  out.upload_bytes_delta = sync.u64();
+  out.uploads_full = sync.u64();
+  out.uploads_delta = sync.u64();
+  if (!sync.done()) sync.fail("trailing bytes after the sync state payload");
+  return out;
+}
+
+/// Format version 3: every table in full, behind the retired shard tier's
+/// placeholders (two zero counters, a shard-table flag and a last-upload
+/// round per device, an empty delta-base list in "sync_state").
+FleetSnapshot read_version_3(const SnapshotReader& snapshot) {
+  ByteReader in = snapshot.section(kStateSection);
+  FleetSnapshot out;
+  out.next_round = static_cast<std::size_t>(in.u64());
+  out.total_decisions = in.u64();
+  out.last_round_mean_reward = in.f64();
+  in.skip(16);  // retired shard-tier counters
+  // Every slot takes at least 10 bytes (two flags and a round).
+  const std::size_t slots =
+      in.bounded_count(in.u32(), 10, "corrupt fleet snapshot: device count");
+  if (slots == 0) in.fail("corrupt fleet snapshot: no devices");
+  out.uploads.reserve(slots);
+  for (std::size_t d = 0; d < slots; ++d) {
+    if (in.boolean()) in.fail("holds a shard table; shard-tier checkpoints are not supported");
+    if (in.boolean()) {
+      const std::size_t upload_round = static_cast<std::size_t>(in.u64());
+      out.uploads.push_back(FleetUpload{rl::QTable::deserialize(in), upload_round, {}});
+    } else {
+      out.uploads.push_back(std::nullopt);
+    }
+    in.skip(8);  // last-upload round, implied by the upload itself
+  }
+  out.last_aggregate = read_optional_table(in);
+  if (!in.done()) in.fail("trailing bytes after the fleet state payload");
+
+  ByteReader server = snapshot.section(kServerSection);
+  out.server_clock_us = server.i64();
+  out.leases = read_leases(server);
+  // A pending upload holds at least its 28-byte header and a table.
+  const std::size_t pending = server.bounded_count(server.u32(), 28 + kMinTableBytes,
+                                                   "corrupt fleet snapshot: pending-upload count");
+  out.pending_uploads.reserve(pending);
+  for (std::size_t i = 0; i < pending; ++i) {
+    const std::size_t device = static_cast<std::size_t>(server.u64());
+    const std::size_t trained_round = static_cast<std::size_t>(server.u64());
+    const std::int64_t arrival_us = server.i64();
+    const std::uint32_t attempts_used = server.u32();
+    out.pending_uploads.push_back(PendingUpload{device, trained_round, arrival_us,
+                                                attempts_used, rl::QTable::deserialize(server),
+                                                {}});
+  }
+  out.server_counters = read_server_counters(server);
+  if (!server.done()) server.fail("trailing bytes after the server state payload");
+
+  ByteReader sync = snapshot.section(kSyncSection);
+  if (sync.u32() != 0) sync.fail("holds shard delta bases; shard-tier checkpoints are not supported");
+  out.sync = read_sync_counters(sync);
+  return out;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_upload(const rl::QTable& table, const rl::QTable* delta_base,
                                         bool* went_delta) {
+  std::optional<rl::QTableDelta> delta;
+  if (delta_base != nullptr) delta = rl::try_make_delta(*delta_base, table);
+  if (went_delta != nullptr) *went_delta = delta.has_value();
+  return encode_prepared_upload(table, delta.has_value() ? &*delta : nullptr);
+}
+
+std::vector<std::uint8_t> encode_prepared_upload(const rl::QTable& table,
+                                                 const rl::QTableDelta* delta) {
   SnapshotWriter wire;
-  bool as_delta = false;
-  if (delta_base != nullptr) {
-    const std::optional<rl::QTableDelta> delta = rl::try_make_delta(*delta_base, table);
-    if (delta.has_value()) {
-      delta->serialize(wire.section("delta"));
-      as_delta = true;
-    }
+  if (delta != nullptr) {
+    delta->serialize(wire.section("delta"));
+  } else {
+    table.serialize(wire.section("upload"));
   }
-  if (!as_delta) table.serialize(wire.section("upload"));
-  if (went_delta != nullptr) *went_delta = as_delta;
   return wire.bytes();
 }
 
@@ -129,16 +260,16 @@ void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapsh
   const auto table_bytes = [](const std::optional<rl::QTable>& t) {
     return 1 + (t.has_value() ? t->serialized_size() : 0);
   };
-  // The header fields and the device count, then the aggregate.
-  std::size_t state_bytes = 44 + table_bytes(snapshot.last_aggregate);
+  // The header fields, the aggregate, the base and device counts.
+  std::size_t state_bytes = 24 + table_bytes(snapshot.last_aggregate) + 8;
+  for (const WarmBase& base : snapshot.warm_bases) state_bytes += 8 + base.table.serialized_size();
   for (const std::optional<FleetUpload>& upload : snapshot.uploads) {
-    // Two flags and the last-upload round; an upload adds its round and table.
-    state_bytes += 10 + (upload.has_value() ? 8 + upload->table.serialized_size() : 0);
+    state_bytes += 1 + (upload.has_value() ? 8 + held_table_bytes(upload->table, upload->ring) : 0);
   }
   // The clock, lease and pending counts and six counters; 9 bytes a lease.
   std::size_t server_bytes = 64 + 9 * snapshot.leases.size();
   for (const PendingUpload& pending : snapshot.pending_uploads) {
-    server_bytes += 28 + pending.table.serialized_size();
+    server_bytes += 28 + held_table_bytes(pending.table, pending.ring);
   }
 
   ByteWriter& state = out.section(kStateSection);
@@ -146,24 +277,20 @@ void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapsh
   state.u64(static_cast<std::uint64_t>(snapshot.next_round));
   state.u64(snapshot.total_decisions);
   state.f64(snapshot.last_round_mean_reward);
-  state.u64(0);  // retired shard tier: dropped device-rounds
-  state.u64(0);  // retired shard tier: rejected uploads
+  write_optional_table(state, snapshot.last_aggregate);
+  state.u32(static_cast<std::uint32_t>(snapshot.warm_bases.size()));
+  for (const WarmBase& base : snapshot.warm_bases) {
+    state.u64(static_cast<std::uint64_t>(base.round));
+    base.table.serialize(state);
+  }
   state.u32(static_cast<std::uint32_t>(snapshot.uploads.size()));
   for (const std::optional<FleetUpload>& upload : snapshot.uploads) {
-    state.boolean(false);  // retired shard tier: the slot's shard table
     state.boolean(upload.has_value());
-    if (upload.has_value()) {
-      state.u64(static_cast<std::uint64_t>(upload->round));
-      upload->table.serialize(state);
-    }
-    state.u64(upload.has_value() ? static_cast<std::uint64_t>(upload->round)
-                                 : kNeverUploaded);
+    if (!upload.has_value()) continue;
+    state.u64(static_cast<std::uint64_t>(upload->round));
+    write_held_table(state, upload->table, upload->ring);
   }
-  write_optional_table(state, snapshot.last_aggregate);
 
-  // Version-2 extension: the server's lease / deadline / pending-upload
-  // state. A separate section keeps the version-1 "fleet_state" layout
-  // byte-stable.
   ByteWriter& server = out.section(kServerSection);
   server.reserve(server_bytes);
   server.i64(snapshot.server_clock_us);
@@ -178,7 +305,7 @@ void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapsh
     server.u64(static_cast<std::uint64_t>(pending.trained_round));
     server.i64(pending.arrival_us);
     server.u32(pending.attempts_used);
-    pending.table.serialize(server);
+    write_held_table(server, pending.table, pending.ring);
   }
   const FleetSnapshot::ServerCounters& c = snapshot.server_counters;
   server.u64(c.rounds_served);
@@ -188,10 +315,7 @@ void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapsh
   server.u64(c.late_uploads_merged);
   server.u64(c.departures);
 
-  // Version-3 extension: the cumulative upload-wire counters, again in a
-  // section of their own so pre-v3 files simply decode without it.
   ByteWriter& sync = out.section(kSyncSection);
-  sync.u32(0);  // retired shard tier: per-shard delta bases
   sync.u64(snapshot.sync.upload_bytes_full);
   sync.u64(snapshot.sync.upload_bytes_delta);
   sync.u64(snapshot.sync.uploads_full);
@@ -199,71 +323,67 @@ void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapsh
 }
 
 FleetSnapshot read_fleet_state_sections(const SnapshotReader& snapshot) {
+  if (snapshot.version() == 3) return read_version_3(snapshot);
   ByteReader in = snapshot.section(kStateSection);
   FleetSnapshot out;
   out.next_round = static_cast<std::size_t>(in.u64());
   out.total_decisions = in.u64();
   out.last_round_mean_reward = in.f64();
-  in.skip(16);  // retired shard-tier counters
-  // Every slot takes at least 10 bytes (two flags and a round).
-  const std::size_t slots =
-      in.bounded_count(in.u32(), 10, "corrupt fleet snapshot: device count");
-  if (slots == 0) in.fail("corrupt fleet snapshot: no devices");
-  out.uploads.reserve(slots);
-  for (std::size_t d = 0; d < slots; ++d) {
-    if (in.boolean()) in.fail("holds a shard table; shard-tier checkpoints are not supported");
-    if (in.boolean()) {
-      const std::size_t upload_round = static_cast<std::size_t>(in.u64());
-      out.uploads.push_back(FleetUpload{rl::QTable::deserialize(in), upload_round});
-    } else {
-      out.uploads.push_back(std::nullopt);
-    }
-    in.skip(8);  // last-upload round, implied by the upload itself
-  }
   out.last_aggregate = read_optional_table(in);
+  // A base is its round and a table.
+  const std::size_t bases =
+      in.bounded_count(in.u32(), 8 + kMinTableBytes, "corrupt fleet snapshot: warm-base count");
+  out.warm_bases.reserve(bases);
+  for (std::size_t i = 0; i < bases; ++i) {
+    const std::uint64_t round = in.u64();
+    if (i > 0 && round <= out.warm_bases.back().round) {
+      in.fail("corrupt fleet snapshot: warm base of round " + std::to_string(round) +
+              " is a duplicate or out of order");
+    }
+    if (round >= out.next_round) {
+      in.fail("corrupt fleet snapshot: a warm base from round " + std::to_string(round) +
+              " at boundary " + std::to_string(out.next_round));
+    }
+    out.warm_bases.push_back(WarmBase{static_cast<std::size_t>(round), rl::QTable::deserialize(in)});
+  }
+  // Every slot takes at least its flag byte. The slots grow as they are
+  // read, not to the count up front: an empty slot is one byte on disk but
+  // a few hundred in memory, so a damaged count must not size the vector.
+  const std::size_t slots = in.bounded_count(in.u32(), 1, "corrupt fleet snapshot: device count");
+  if (slots == 0) in.fail("corrupt fleet snapshot: no devices");
+  for (std::size_t d = 0; d < slots; ++d) {
+    if (!in.boolean()) {
+      out.uploads.emplace_back();
+      continue;
+    }
+    const auto round = static_cast<std::size_t>(in.u64());
+    HeldTable held = read_held_table(in, out.warm_bases);
+    out.uploads.push_back(FleetUpload{std::move(held.table), round, std::move(held.ring)});
+  }
   if (!in.done()) in.fail("trailing bytes after the fleet state payload");
 
   ByteReader server = snapshot.section(kServerSection);
   out.server_clock_us = server.i64();
-  // A lease is an active flag and a rejoin round (9 bytes).
-  const std::size_t leases =
-      server.bounded_count(server.u32(), 9, "corrupt fleet snapshot: lease count");
-  out.leases.reserve(leases);
-  for (std::size_t d = 0; d < leases; ++d) {
-    DeviceLease lease;
-    lease.active = server.boolean();
-    lease.rejoin_round = static_cast<std::size_t>(server.u64());
-    out.leases.push_back(lease);
-  }
-  // A pending upload holds at least its 28-byte header.
-  const std::size_t pending =
-      server.bounded_count(server.u32(), 28, "corrupt fleet snapshot: pending-upload count");
+  out.leases = read_leases(server);
+  // A pending upload holds its 28-byte header, a tag and at least a delta.
+  const std::size_t pending = server.bounded_count(
+      server.u32(), 29 + std::min(kMinTableBytes, 8 + kMinDeltaBytes),
+      "corrupt fleet snapshot: pending-upload count");
   out.pending_uploads.reserve(pending);
   for (std::size_t i = 0; i < pending; ++i) {
-    const std::size_t device = static_cast<std::size_t>(server.u64());
-    const std::size_t trained_round = static_cast<std::size_t>(server.u64());
+    const auto device = static_cast<std::size_t>(server.u64());
+    const auto trained_round = static_cast<std::size_t>(server.u64());
     const std::int64_t arrival_us = server.i64();
     const std::uint32_t attempts_used = server.u32();
-    out.pending_uploads.push_back(PendingUpload{device, trained_round, arrival_us,
-                                                attempts_used, rl::QTable::deserialize(server)});
+    HeldTable held = read_held_table(server, out.warm_bases);
+    out.pending_uploads.push_back(PendingUpload{device, trained_round, arrival_us, attempts_used,
+                                                std::move(held.table), std::move(held.ring)});
   }
-  FleetSnapshot::ServerCounters& c = out.server_counters;
-  c.rounds_served = server.u64();
-  c.uploads_accepted = server.u64();
-  c.uploads_retried = server.u64();
-  c.uploads_lost = server.u64();
-  c.late_uploads_merged = server.u64();
-  c.departures = server.u64();
+  out.server_counters = read_server_counters(server);
   if (!server.done()) server.fail("trailing bytes after the server state payload");
 
-  if (!snapshot.has(kSyncSection)) return out;  // pre-v3 file: counters zero
   ByteReader sync = snapshot.section(kSyncSection);
-  if (sync.u32() != 0) sync.fail("holds shard delta bases; shard-tier checkpoints are not supported");
-  out.sync.upload_bytes_full = sync.u64();
-  out.sync.upload_bytes_delta = sync.u64();
-  out.sync.uploads_full = sync.u64();
-  out.sync.uploads_delta = sync.u64();
-  if (!sync.done()) sync.fail("trailing bytes after the sync state payload");
+  out.sync = read_sync_counters(sync);
   return out;
 }
 

@@ -9,7 +9,10 @@
 //
 //   * FleetSnapshot and its section codec - everything a restarted server
 //     needs to resume bit-identically, written through the common snapshot
-//     container (magic, version, per-section CRC32) into the server's ring;
+//     container (magic, version, per-section CRC32) into the server's ring.
+//     A ring entry (format version 4) stores each warm-start table once and
+//     every device upload as a delta against the one it trained from, so it
+//     costs what changed rather than a full table per device;
 //   * read_snapshot_quarantining - the ring's loader, which moves a damaged
 //     entry aside so a restart never re-reads the same damage;
 //   * the upload wire codec - every device upload travels as CRC-guarded
@@ -26,19 +29,48 @@
 #include "common/serialize.hpp"
 #include "core/next_config.hpp"
 #include "rl/qtable.hpp"
+#include "rl/qtable_delta.hpp"
 
 namespace nextgov::sim {
+
+/// How a ring entry stores a table the server holds: as `delta` against the
+/// warm base of round `base_round` (FleetSnapshot::warm_bases). A held
+/// table without one is stored in full.
+struct RingDelta {
+  std::size_t base_round{0};
+  rl::QTableDelta delta;
+};
+
+/// A table the server holds - a trainee's result, a standing or pending
+/// upload - with the form a ring entry stores it in: nullopt stores it in
+/// full.
+struct HeldTable {
+  rl::QTable table;
+  std::optional<RingDelta> ring;
+};
+
+/// A warm-start table the ring keeps: strip_visit_mass of the global
+/// aggregate at the start of `round`, the table every device that trained
+/// in that round started from.
+struct WarmBase {
+  std::size_t round{0};
+  rl::QTable table;
+};
 
 /// One device's last accepted upload as the server holds it.
 struct FleetUpload {
   rl::QTable table;
   std::size_t round{0};  ///< round whose training produced the table
+  /// The table as a ring entry stores it; nullopt stores it in full (a
+  /// cold-start table, one restored from a version-3 entry, or one that
+  /// rl::try_make_delta refused).
+  std::optional<RingDelta> ring;
 };
 
-/// One device's lease as the fleet server tracks it (snapshot container
-/// version 2). A device holds its lease by heartbeating; when heartbeats
-/// stop mid-round the lease expires, the server discards the device's
-/// in-flight round, and the device re-registers at `rejoin_round`.
+/// One device's lease as the fleet server tracks it. A device holds its
+/// lease by heartbeating; when heartbeats stop mid-round the lease expires,
+/// the server discards the device's in-flight round, and the device
+/// re-registers at `rejoin_round`.
 struct DeviceLease {
   bool active{true};
   std::size_t rejoin_round{0};  ///< first round a departed device re-registers
@@ -53,6 +85,7 @@ struct PendingUpload {
   std::int64_t arrival_us{0};      ///< absolute simulated arrival time of the next attempt
   std::uint32_t attempts_used{0};  ///< upload attempts already spent on this table
   rl::QTable table;
+  std::optional<RingDelta> ring;  ///< as in FleetUpload
 };
 
 /// The complete persistent state of a fleet server at a round boundary -
@@ -60,14 +93,18 @@ struct PendingUpload {
 /// FleetServer keeps its live state in this form, so a ring write
 /// serializes it in place and a restore adopts a decoded one whole.
 ///
-/// On disk it spans three sections: "fleet_state" (round cursor, counters,
-/// per-device uploads, the global aggregate), "server_state" (format
-/// version 2: clock, leases, pending uploads, lifetime counters) and
-/// "sync_state" (version 3: upload-wire counters). The "fleet_state" and
-/// "sync_state" layouts still carry the slots of the retired shard tier -
-/// two zero counters, an empty shard-table flag per device, a per-device
-/// last-upload round and an empty delta-base list - so an entry written
-/// today is byte-identical to one written before the tier went away.
+/// On disk (format version 4) it spans three sections:
+///   "fleet_state"  - round cursor, decision count, last mean reward, the
+///                    global aggregate (in full), the warm bases (each in
+///                    full, keyed by round) and each device's standing upload;
+///   "server_state" - clock, leases, pending uploads, lifetime counters;
+///   "sync_state"   - the four upload-wire counters.
+/// Every upload, standing or pending, is stored as a tag byte and then
+/// either the full table (tag 0) or its base round and a QTableDelta
+/// against that warm base (tag 1). read_fleet_state_sections rebuilds full
+/// tables with rl::apply_delta, so every user of a decoded snapshot sees
+/// full tables. Version-3 entries (every upload in full, behind the retired
+/// shard tier's placeholder bytes) still decode, with no warm bases.
 struct FleetSnapshot {
   std::size_t next_round{0};  ///< first round the resumed server executes
   std::uint64_t total_decisions{0};
@@ -75,8 +112,12 @@ struct FleetSnapshot {
   /// Per device: its last accepted upload (the staleness merge input).
   std::vector<std::optional<FleetUpload>> uploads;
   std::optional<rl::QTable> last_aggregate;
+  /// The bases the uploads' ring deltas name, in increasing round order.
+  /// FleetServer keeps exactly the ones some standing or pending upload
+  /// still references.
+  std::vector<WarmBase> warm_bases;
 
-  // --- "server_state" section (container version 2) ------------------------
+  // --- "server_state" section ----------------------------------------------
   struct ServerCounters {
     std::uint64_t rounds_served{0};
     std::uint64_t uploads_accepted{0};
@@ -90,10 +131,9 @@ struct FleetSnapshot {
   std::int64_t server_clock_us{0};             ///< simulated clock at the boundary
   ServerCounters server_counters;
 
-  // --- "sync_state" section (container version 3) --------------------------
-  // Cumulative upload-wire counters. Absent in version-1/2 files, which
-  // decode with zeros. The server's delta base is the round's warm table,
-  // recomputed from last_aggregate on restore, so no base is persisted.
+  // --- "sync_state" section ------------------------------------------------
+  // Cumulative upload-wire counters. The wire's delta base is the round's
+  // warm table, recomputed from last_aggregate at the start of every round.
   struct SyncState {
     std::uint64_t upload_bytes_full{0};
     std::uint64_t upload_bytes_delta{0};
@@ -111,10 +151,13 @@ void encode_next_config(const core::NextConfig& config, ByteWriter& out);
 /// `snapshot` into `out`.
 void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapshot);
 
-/// Decodes what write_fleet_state_sections() wrote. A container without a
-/// "sync_state" section (format versions 1 and 2) decodes with zero wire
-/// counters. Shard-tier state that only the retired fixed-round trainer
-/// wrote (a shard table, a delta base) is refused with SerializeError.
+/// Decodes what write_fleet_state_sections() wrote, in format version 4 or
+/// 3. Throws SerializeError on damage the CRCs cannot see: a missing
+/// section, a count the bytes cannot hold, trailing bytes, a delta that
+/// names a base the entry does not hold or that does not apply to it, a
+/// duplicate base round, or a base from a round the boundary has not
+/// reached. In a version-3 entry, shard-tier state that only the retired
+/// fixed-round trainer wrote (a shard table, a delta base) is refused too.
 [[nodiscard]] FleetSnapshot read_fleet_state_sections(const SnapshotReader& in);
 
 /// Reads and fully validates the snapshot container at `path`. On a
@@ -154,6 +197,12 @@ bool quarantine_snapshot(const std::string& path, const std::string& reason);
 [[nodiscard]] std::vector<std::uint8_t> encode_upload(const rl::QTable& table,
                                                       const rl::QTable* delta_base,
                                                       bool* went_delta = nullptr);
+
+/// encode_upload with the delta already made: `*delta` when given, else the
+/// full table. With `delta` = try_make_delta(base, table) the bytes equal
+/// encode_upload(table, &base), without making the delta a second time.
+[[nodiscard]] std::vector<std::uint8_t> encode_prepared_upload(const rl::QTable& table,
+                                                               const rl::QTableDelta* delta);
 
 /// Decodes upload wire bytes produced by encode_upload. When the blob is a
 /// delta, `delta_base` must be the same base the sender encoded against;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <tuple>
 #include <utility>
 
@@ -76,16 +77,38 @@ bool later(const Event& a, const Event& b) {
          std::tie(b.t_us, b.kind, b.device, b.trained_round, b.attempt);
 }
 
+/// Drops the warm bases that no standing or pending upload's ring delta
+/// names any more.
+void drop_unreferenced_bases(FleetSnapshot& state) {
+  const auto referenced = [&](std::size_t round) {
+    for (const auto& u : state.uploads) {
+      if (u.has_value() && u->ring.has_value() && u->ring->base_round == round) return true;
+    }
+    for (const PendingUpload& p : state.pending_uploads) {
+      if (p.ring.has_value() && p.ring->base_round == round) return true;
+    }
+    return false;
+  };
+  std::erase_if(state.warm_bases, [&](const WarmBase& b) { return !referenced(b.round); });
+}
+
 // --- ring restore ----------------------------------------------------------
 
-/// Throws SerializeError unless `snap` is a state a server of `devices`
-/// devices can resume: one lease and one upload slot per device, every
-/// pending upload addressed to a real device, and no table from a round
-/// the boundary has not reached (its staleness would wrap around).
-void check_resumable(const FleetSnapshot& snap, std::size_t devices) {
+/// Throws SerializeError unless `snap` is a state a server with `options`
+/// can resume: a round whose close still fits the simulated clock's int64
+/// microseconds, one lease and one upload slot per device, every pending
+/// upload addressed to a real device, and no table from a round the
+/// boundary has not reached (its staleness would wrap around).
+void check_resumable(const FleetSnapshot& snap, const FleetServerOptions& options) {
   const auto fail = [](const std::string& why) {
     throw SerializeError("fleet snapshot does not fit the server: " + why);
   };
+  const std::size_t devices = options.devices;
+  const auto rounds_in_clock = static_cast<std::uint64_t>(
+      std::numeric_limits<std::int64_t>::max() / options.round_deadline.us());
+  if (snap.next_round >= rounds_in_clock) {
+    fail("round " + std::to_string(snap.next_round) + " lies past the simulated clock");
+  }
   if (snap.leases.size() != devices || snap.uploads.size() != devices) {
     fail(std::to_string(snap.leases.size()) + " leases / " +
          std::to_string(snap.uploads.size()) + " upload slots for " +
@@ -219,6 +242,7 @@ FleetServerStats FleetServer::stats() const noexcept {
                           .uploads_delta = state_.sync.uploads_delta,
                           .rejoins = rejoins_,
                           .snapshots_written = snapshots_written_,
+                          .snapshots_failed = snapshots_failed_,
                           .snapshots_quarantined = snapshots_quarantined_};
 }
 
@@ -275,7 +299,7 @@ void FleetServer::restore_from_ring() {
     std::optional<FleetSnapshot> snap;
     try {
       snap = read_fleet_state_sections(*reader);
-      check_resumable(*snap, options_.devices);
+      check_resumable(*snap, options_);
     } catch (const SerializeError& e) {
       // The container passed its CRCs but its state does not decode, or
       // does not fit this server: as unusable as a CRC failure, and
@@ -320,7 +344,7 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   //    result could never be uploaded, and a pure-function fleet has no
   //    half-trained state to leak).
   std::vector<Event> heap;
-  std::vector<rl::QTable> arena;
+  std::vector<HeldTable> arena;
   std::vector<std::size_t> trainees;
   std::vector<std::int64_t> first_attempt_us(options_.devices, 0);
   for (std::size_t d = 0; d < options_.devices; ++d) {
@@ -358,8 +382,13 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   //    simulated time - one homogeneous plan through execute(), warm-started
   //    from the global aggregate (visit mass stripped so historical
   //    experience is counted once, via the aggregate, not once per device).
-  std::optional<rl::QTable> warm;
-  if (state_.last_aggregate.has_value()) warm = strip_visit_mass(*state_.last_aggregate);
+  //    The warm table joins the ring's bases as this round's; it stays there
+  //    while some upload trained from it is held.
+  const rl::QTable* warm = nullptr;
+  if (state_.last_aggregate.has_value()) {
+    state_.warm_bases.push_back(WarmBase{r, strip_visit_mass(*state_.last_aggregate)});
+    warm = &state_.warm_bases.back().table;
+  }
   TrainingPlan plan;
   for (const std::size_t d : trainees) {
     TrainingOptions cell;
@@ -367,7 +396,7 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
     cell.episode_length = options_.episode_length;
     cell.seed = derive_seed(derive_seed(options_.base_seed, d), r);
     cell.ambient = options_.ambient;
-    cell.initial_table = warm.has_value() ? &*warm : nullptr;
+    cell.initial_table = warm;
     plan.add(app_factory_, "device_" + std::to_string(d), options_.next_config, cell);
   }
   // exec_ may fan the plan out across worker threads - bit-identical
@@ -377,7 +406,15 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     reward_sum += results[i].final_mean_reward;
     state_.total_decisions += results[i].decisions;
-    arena.push_back(std::move(results[i].table));
+    // The table's ring form, made once here: the wire sends the same delta
+    // and every ring entry that holds the table reuses it. A server with
+    // neither a ring nor delta uploads has no use for it.
+    HeldTable held{std::move(results[i].table), std::nullopt};
+    if (warm != nullptr && (options_.snapshot_ring > 0 || options_.delta_uploads)) {
+      std::optional<rl::QTableDelta> delta = rl::try_make_delta(*warm, held.table);
+      if (delta.has_value()) held.ring = RingDelta{r, std::move(*delta)};
+    }
+    arena.push_back(std::move(held));
     heap.push_back(Event{first_attempt_us[trainees[i]], Event::kUploadArrival,
                          trainees[i], r, 0, arena.size() - 1});
   }
@@ -388,7 +425,7 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   // persisted arrival times and attempt counters, so a restarted server
   // replays exactly the same arrivals.
   for (PendingUpload& p : state_.pending_uploads) {
-    arena.push_back(std::move(p.table));
+    arena.push_back(HeldTable{std::move(p.table), std::move(p.ring)});
     heap.push_back(Event{p.arrival_us, Event::kUploadArrival, p.device, p.trained_round,
                          p.attempts_used, arena.size() - 1});
   }
@@ -431,14 +468,16 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
     // and the device retries with exponential backoff + jitter. With
     // delta_uploads on, a same-round upload deltas against the round's warm
     // table (the base every trainee started from, which the server still
-    // holds); carried uploads from earlier rounds always travel full. The
-    // decoded table is bit-identical to the sender's on either path, so the
-    // choice only shows in the byte counters.
+    // holds) - the delta made once when training returned it; carried
+    // uploads from earlier rounds always travel full. The decoded table is
+    // bit-identical to the sender's on either path, so the choice only
+    // shows in the byte counters.
+    HeldTable& held = arena[ev.table];
     const rl::QTable* base =
-        options_.delta_uploads && ev.trained_round == r && warm.has_value() ? &*warm
-                                                                            : nullptr;
-    bool went_delta = false;
-    std::vector<std::uint8_t> blob = encode_upload(arena[ev.table], base, &went_delta);
+        options_.delta_uploads && ev.trained_round == r ? warm : nullptr;
+    const bool went_delta = base != nullptr && held.ring.has_value();
+    std::vector<std::uint8_t> blob =
+        encode_prepared_upload(held.table, went_delta ? &held.ring->delta : nullptr);
     if (went_delta) {
       state_.sync.upload_bytes_delta += blob.size();
       ++state_.sync.uploads_delta;
@@ -483,7 +522,7 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
     // is redundant, not a regression).
     std::optional<FleetUpload>& standing = state_.uploads[ev.device];
     if (!standing.has_value() || standing->round < ev.trained_round) {
-      standing = FleetUpload{std::move(*decoded), ev.trained_round};
+      standing = FleetUpload{std::move(*decoded), ev.trained_round, std::move(held.ring)};
       ++counters.uploads_accepted;
       ++accepted_this_round;
       if (ev.trained_round < r) {
@@ -500,8 +539,10 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   //    dropped, and never allowed to stall this round's close.
   for (Event& ev : heap) {
     NEXTGOV_ASSERT(ev.kind == Event::kUploadArrival);  // expiries resolve in-round
-    state_.pending_uploads.push_back(PendingUpload{ev.device, ev.trained_round, ev.t_us, ev.attempt,
-                                     std::move(arena[ev.table])});
+    HeldTable& held = arena[ev.table];
+    state_.pending_uploads.push_back(PendingUpload{ev.device, ev.trained_round, ev.t_us,
+                                                   ev.attempt, std::move(held.table),
+                                                   std::move(held.ring)});
   }
   std::sort(state_.pending_uploads.begin(), state_.pending_uploads.end(), [](const PendingUpload& a,
                                                  const PendingUpload& b) {
@@ -527,12 +568,21 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   }
   rs.global_states = state_.last_aggregate.has_value() ? state_.last_aggregate->state_count() : 0;
   state_.last_round_mean_reward = rs.mean_reward;
+  drop_unreferenced_bases(state_);
 
   // 7. Round boundary: advance the clock, rotate the snapshot ring, report.
   state_.server_clock_us = round_close;
   state_.next_round = r + 1;
   ++counters.rounds_served;
-  write_ring_snapshot();
+  // A boundary that fails to land (a full disk, an I/O error) is skipped,
+  // not fatal: the server keeps serving and the ring keeps its older
+  // boundaries, which a restart resumes from.
+  try {
+    write_ring_snapshot();
+  } catch (const IoError& e) {
+    ++snapshots_failed_;
+    NEXTGOV_LOG(kWarn) << "fleet_server: round " << r << " boundary not persisted: " << e.what();
+  }
   rs.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
           .count();

@@ -49,9 +49,15 @@
 //     uploads + clock + counters) to
 //     `<snapshot_prefix>.<round mod snapshot_ring>`, keeping the last K
 //     boundaries. The server keeps that state as one FleetSnapshot member
-//     and serializes it in place, so a boundary costs one pass over the
-//     tables into the section buffers and one streamed file write - no
-//     deep copy of the tables and no second copy of the container.
+//     and serializes it in place. Each upload is held with its ring form,
+//     made once when training returns the table: a delta against the warm
+//     table it trained from (the one the wire's delta upload already
+//     carries), which the state keeps as a warm base for as long as some
+//     standing or pending upload names it. So an entry holds the global,
+//     a few warm bases and one small delta per upload, not a full table
+//     per device. A boundary whose write fails (IoError) is logged,
+//     counted in snapshots_failed and skipped; the ring keeps its older
+//     boundaries and the server keeps serving.
 //     Startup scans the ring, quarantines entries that fail CRC or do not
 //     decode into a state this server can resume (renamed to
 //     `<path>.corrupt` via quarantine_snapshot) and restores from the
@@ -216,7 +222,7 @@ struct FleetServerStats {
   std::uint64_t late_uploads_merged{0};
   std::uint64_t departures{0};
   std::uint64_t total_decisions{0};
-  // --- upload wire accounting (persisted via the v3 "sync_state" section;
+  // --- upload wire accounting (persisted via the "sync_state" section;
   // counts every attempt put on the wire, including ones later damaged) ---
   std::uint64_t upload_bytes_full{0};
   std::uint64_t upload_bytes_delta{0};
@@ -225,6 +231,9 @@ struct FleetServerStats {
   // --- per-process (not persisted) ---
   std::uint64_t rejoins{0};
   std::size_t snapshots_written{0};
+  /// Round boundaries whose ring write failed (an IoError: a full disk, a
+  /// failed rename). run_round logs and skips the slot and keeps serving.
+  std::size_t snapshots_failed{0};
   /// Corrupt ring entries skipped at restore (renamed to `<path>.corrupt`
   /// unless the rename itself failed, which is logged).
   std::size_t snapshots_quarantined{0};
@@ -251,11 +260,15 @@ class FleetServer {
 
   /// Executes one full round (train, event loop to the deadline, merge,
   /// ring snapshot) and advances the simulated clock to the next boundary.
+  /// A ring write that fails does not fail the round: the slot is skipped,
+  /// logged and counted in FleetServerStats::snapshots_failed.
   void run_round(const FleetServerProgressFn& progress = {});
   void run_rounds(std::size_t n, const FleetServerProgressFn& progress = {});
 
   /// Persists the current round boundary to the ring (no-op without a
   /// configured ring). Idempotent; called by the daemon on SIGINT/SIGTERM.
+  /// Unlike run_round it throws the write's IoError, so a shutdown whose
+  /// final boundary did not land is reported.
   void drain();
 
   /// Next round to execute (== rounds completed since round 0).
@@ -283,13 +296,15 @@ class FleetServer {
 
   /// Everything a ring entry persists, in the form it is written in: the
   /// round cursor and clock, leases, each device's last accepted upload
-  /// (the staleness merge input), pending uploads, the global aggregate and
-  /// the persisted counters. write_ring_snapshot serializes it in place; a
+  /// (the staleness merge input) and pending uploads with their ring
+  /// deltas, the warm bases those deltas name, the global aggregate and the
+  /// persisted counters. write_ring_snapshot serializes it in place; a
   /// restore adopts a decoded one whole.
   FleetSnapshot state_;
   // Per-process counters, restarted at zero by a resume.
   std::uint64_t rejoins_{0};
   std::size_t snapshots_written_{0};
+  std::size_t snapshots_failed_{0};
   std::size_t snapshots_quarantined_{0};
   bool restored_{false};
 };

@@ -1,15 +1,8 @@
 #include "soc/sensors.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace nextgov::soc {
-
-Celsius quantize_temperature(Celsius t) noexcept {
-  return Celsius{std::round(t.value() * 10.0) / 10.0};
-}
-
-Watts quantize_power(Watts p) noexcept { return Watts{std::round(p.value() * 1000.0) / 1000.0}; }
 
 Celsius virtual_device_temperature(Celsius battery, Celsius skin, Celsius big, Celsius little,
                                    Celsius gpu) noexcept {

@@ -13,15 +13,36 @@
 // 1 mW (fuel-gauge granularity).
 #pragma once
 
+#include <cmath>
+#include <cstdint>
+
 #include "common/units.hpp"
 
 namespace nextgov::soc {
 
+/// std::round, bit for bit (half-way cases away from zero, -0.0 kept),
+/// without the libm call: the engine quantizes seven readings a step. For
+/// |x| < 2^52 the truncation through int64_t is exact, so is the remainder
+/// x - t, and comparing it with +-0.5 rounds exactly; copysign restores the
+/// sign of a result that rounds to zero. Larger magnitudes (already
+/// integers), infinities and NaN go to std::round.
+[[nodiscard]] inline double round_half_away(double x) noexcept {
+  if (!(std::fabs(x) < 0x1p52)) return std::round(x);
+  const double t = static_cast<double>(static_cast<std::int64_t>(x));
+  const double rem = x - t;
+  const double r = rem >= 0.5 ? t + 1.0 : rem <= -0.5 ? t - 1.0 : t;
+  return std::copysign(r, x);
+}
+
 /// Quantizes a temperature to the sensor granularity (0.1 degrees C).
-[[nodiscard]] Celsius quantize_temperature(Celsius t) noexcept;
+[[nodiscard]] inline Celsius quantize_temperature(Celsius t) noexcept {
+  return Celsius{round_half_away(t.value() * 10.0) / 10.0};
+}
 
 /// Quantizes a power reading to 1 mW.
-[[nodiscard]] Watts quantize_power(Watts p) noexcept;
+[[nodiscard]] inline Watts quantize_power(Watts p) noexcept {
+  return Watts{round_half_away(p.value() * 1000.0) / 1000.0};
+}
 
 /// The device-level virtual sensor replacement formula.
 [[nodiscard]] Celsius virtual_device_temperature(Celsius battery, Celsius skin, Celsius big,

@@ -178,10 +178,9 @@ std::vector<std::uint8_t> two_section_snapshot() {
 }
 
 /// Synthesizes a genuine old-version container from a current one: rewrites
-/// the version field and re-stamps every section CRC with the plain payload
-/// checksum pre-v3 writers used (from v3 on the section CRC is seeded with
-/// the version word, so merely poking the version byte would - by design -
-/// fail every CRC).
+/// the version field and re-stamps every section CRC with the checksum that
+/// version's writer used, seeded with its version word (so merely poking
+/// the version byte would - by design - fail every CRC).
 std::vector<std::uint8_t> as_version(std::vector<std::uint8_t> bytes, std::uint32_t version) {
   bytes[4] = static_cast<std::uint8_t>(version);
   bytes[5] = static_cast<std::uint8_t>(version >> 8);
@@ -195,8 +194,10 @@ std::vector<std::uint8_t> as_version(std::vector<std::uint8_t> bytes, std::uint3
     const std::uint64_t size = in.u64();
     const std::size_t crc_pos = in.pos();
     (void)in.u32();
-    const std::uint32_t crc =
-        crc32(std::span<const std::uint8_t>{bytes.data() + in.pos(), size});
+    ByteWriter seeded;
+    seeded.u32(version);
+    seeded.bytes(std::span<const std::uint8_t>{bytes.data() + in.pos(), size});
+    const std::uint32_t crc = crc32(seeded.data());
     bytes[crc_pos] = static_cast<std::uint8_t>(crc);
     bytes[crc_pos + 1] = static_cast<std::uint8_t>(crc >> 8);
     bytes[crc_pos + 2] = static_cast<std::uint8_t>(crc >> 16);
@@ -250,10 +251,10 @@ TEST(SnapshotContainer, FutureVersionIsRefused) {
 }
 
 TEST(SnapshotContainer, PreviousVersionsAreStillReadable) {
-  // Back-compat window: version-1 (pre fleet-server) and version-2 (pre
-  // delta-upload) snapshots must keep decoding after the version-3 bump.
-  // The framing is identical across the window; only the section-CRC
-  // seeding differs, which as_version() reproduces.
+  // Back-compat window: version-3 snapshots (every fleet upload in full)
+  // must keep decoding after the version-4 bump. The framing is identical
+  // across the window; only the version word seeding the section CRCs
+  // differs, which as_version() reproduces.
   for (std::uint32_t v = kSnapshotVersionMin; v < kSnapshotVersion; ++v) {
     SCOPED_TRACE(v);
     const SnapshotReader snap{as_version(two_section_snapshot(), v), "test"};
@@ -265,9 +266,9 @@ TEST(SnapshotContainer, PreviousVersionsAreStillReadable) {
 }
 
 TEST(SnapshotContainer, InWindowVersionFlipTripsTheSeededCrc) {
-  // The version word itself is outside any checksum, so from v3 on it seeds
-  // every section CRC: corrupting a v3 container's version down to a still-
-  // accepted v2 must fail the CRC check instead of silently decoding under
+  // The version word itself is outside any checksum, so it seeds every
+  // section CRC: corrupting a v4 container's version down to a still-
+  // accepted v3 must fail the CRC check instead of silently decoding under
   // the wrong version's rules.
   std::vector<std::uint8_t> bytes = two_section_snapshot();
   bytes[4] = static_cast<std::uint8_t>(kSnapshotVersion - 1);

@@ -11,9 +11,12 @@
 // entries themselves as canonical bytes: RingEntryBytesArePinned holds a
 // churning delta-upload fleet's ring slots and upload blobs to fixed sizes
 // and digests, so no writer change moves a persisted or wire byte unnoticed.
+// VersionThreeRingResumesBitIdentically resumes from the checked-in ring
+// of the last version-3 writer (tests/data/fleet_ring_v3/).
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -218,8 +221,8 @@ std::uint64_t fnv1a64(const Bytes& bytes) {
 TEST(FleetResumeGolden, RingEntryBytesArePinned) {
   // The churning fleet (departures, stragglers, damaged uploads) with delta
   // uploads on: every ring slot, a full upload blob and a delta upload blob
-  // keep the exact sizes and digests the version-3 writer has always
-  // produced. Re-pin only together with a kSnapshotVersion bump.
+  // keep the exact sizes and digests the version-4 writer produced. Re-pin
+  // only together with a kSnapshotVersion bump.
   FleetServerOptions options = golden_server(ring_prefix("pinned"));
   options.delta_uploads = true;
   FleetServer server{workload::AppId::kFacebook, options, {.workers = 2}};
@@ -231,9 +234,9 @@ TEST(FleetResumeGolden, RingEntryBytesArePinned) {
     std::size_t size;
     std::uint64_t fnv;
   };
-  const Pin ring[] = {{103471, 0x34fd6d034fea7c68ULL},
-                      {117859, 0xa767af3290aabe28ULL},
-                      {67463, 0xae99dd6c8b9fb9e3ULL}};
+  const Pin ring[] = {{70880, 0xa9b55b7ea7b8c063ULL},
+                      {79035, 0x268eb73485dcbf34ULL},
+                      {47080, 0x3ea5437f88a9be9fULL}};
   for (std::size_t slot = 0; slot < options.snapshot_ring; ++slot) {
     SCOPED_TRACE("ring slot " + std::to_string(slot));
     const std::vector<char> bytes =
@@ -249,7 +252,7 @@ TEST(FleetResumeGolden, RingEntryBytesArePinned) {
   const rl::QTable& global = *server.global();
   const std::vector<std::uint8_t> full = encode_upload(global, nullptr);
   EXPECT_EQ(full.size(), 29858u);
-  EXPECT_EQ(fnv1a64(full), 0x9dd239e3fbdace12ULL) << std::hex << fnv1a64(full);
+  EXPECT_EQ(fnv1a64(full), 0xfd5aa8de6009b6c7ULL) << std::hex << fnv1a64(full);
 
   const rl::QTable base = strip_visit_mass(global);
   rl::QTable next = base;
@@ -267,8 +270,47 @@ TEST(FleetResumeGolden, RingEntryBytesArePinned) {
   const std::vector<std::uint8_t> delta = encode_upload(next, &base, &went_delta);
   ASSERT_TRUE(went_delta);
   EXPECT_EQ(delta.size(), 6233u);
-  EXPECT_EQ(fnv1a64(delta), 0x264162b64c4fc7f2ULL) << std::hex << fnv1a64(delta);
+  EXPECT_EQ(fnv1a64(delta), 0xfc3d839fdeafc70aULL) << std::hex << fnv1a64(delta);
   EXPECT_TRUE(decode_upload(delta, &base, "pinned delta") == next);
+}
+
+TEST(FleetResumeGolden, VersionThreeRingResumesBitIdentically) {
+  // The ring the last version-3 writer left after two rounds of
+  // `example_fleet_serverd --rounds 2` (whose options are golden_server()'s;
+  // see tests/data/fleet_ring_v3/README.md). A version-4 server restores its
+  // round-2 boundary, stores the restored uploads in full (their warm bases
+  // are unknown), and finishes round 5 on the same global table as a server
+  // that never stopped. A second restart from the version-4 entries it
+  // wrote lands on the same bytes.
+  constexpr std::size_t kFinalRound = 5;
+  const FleetServerOptions reference_options = golden_server(ring_prefix("v3_ref"));
+  FleetServer reference{workload::AppId::kFacebook, reference_options, {.workers = 2}};
+  reference.run_rounds(kFinalRound);
+  ASSERT_NE(reference.global(), nullptr);
+  const std::vector<std::uint8_t> want = canonical_bytes(*reference.global());
+
+  const FleetServerOptions options = golden_server(ring_prefix("v3_fixture"));
+  for (const char* slot : {"1", "2"}) {
+    std::filesystem::copy_file(std::string{NEXTGOV_TEST_DATA_DIR} + "/fleet_ring_v3/ring." + slot,
+                               options.snapshot_prefix + "." + slot);
+  }
+  ASSERT_EQ(SnapshotReader::from_file(options.snapshot_prefix + ".2").version(), 3u);
+  {
+    FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 2}};
+    ASSERT_TRUE(resumed.restored());
+    ASSERT_EQ(resumed.round(), 2u);
+    EXPECT_EQ(resumed.stats().snapshots_quarantined, 0u);
+    resumed.run_rounds(2);
+  }  // killed at the round-4 boundary, its ring now written by version 4
+  ASSERT_EQ(SnapshotReader::from_file(options.snapshot_prefix + ".1").version(), 4u);
+  FleetServer again{workload::AppId::kFacebook, options, {.workers = 2}};
+  ASSERT_TRUE(again.restored());
+  ASSERT_EQ(again.round(), 4u);
+  again.run_rounds(kFinalRound - 4);
+  ASSERT_NE(again.global(), nullptr);
+  EXPECT_EQ(canonical_bytes(*again.global()), want);
+  EXPECT_EQ(again.stats().uploads_accepted, reference.stats().uploads_accepted);
+  EXPECT_EQ(again.stats().total_decisions, reference.stats().total_decisions);
 }
 
 }  // namespace

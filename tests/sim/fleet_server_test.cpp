@@ -2,12 +2,16 @@
 // validation, determinism across worker counts under churn, straggler
 // carry-over, retry/loss accounting, lease departure bookkeeping, and the
 // snapshot ring (rotation, corrupt-entry quarantine + fallback, options
-// identity, cold start). The kill -9 bit-identity contract itself lives in
+// identity, cold start, the write-failure policy, the warm bases a version-4
+// entry holds). The kill -9 bit-identity contract itself lives in
 // tests/sim/fleet_server_golden_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -309,7 +313,7 @@ TEST(FleetServerRing, UndecodableSlotIsQuarantinedAndOlderOneRestores) {
     FleetSnapshot snap = good;
     snap.next_round = 2;
     snap.pending_uploads.push_back(
-        PendingUpload{options.devices + 5, 0, 0, 0, good.uploads[0]->table});
+        PendingUpload{options.devices + 5, 0, 0, 0, good.uploads[0]->table, {}});
     write_ring_entry(stray_pending, options, snap);
   }
   const std::string future_upload = prefix + ".0";
@@ -333,6 +337,30 @@ TEST(FleetServerRing, UndecodableSlotIsQuarantinedAndOlderOneRestores) {
   resumed.run_rounds(2);
   ASSERT_NE(resumed.global(), nullptr);
   EXPECT_EQ(canonical_bytes(*resumed.global()), canonical_bytes(*straight.global()));
+}
+
+TEST(FleetServerRing, RoundCursorPastTheClockIsQuarantined) {
+  // A round cursor that decodes but whose round start lies past the
+  // simulated clock's int64 microseconds would overflow the round's time
+  // arithmetic: the entry cannot be resumed, so it is quarantined like any
+  // other such entry and the server starts cold.
+  const std::string prefix = ring_prefix("far_round");
+  FleetServerOptions options = small_server();
+  options.snapshot_ring = 1;
+  options.snapshot_prefix = prefix;
+  {
+    FleetServer server{workload::AppId::kFacebook, options, {.workers = 2}};
+    server.run_rounds(1);
+  }
+  FleetSnapshot snap = read_fleet_state_sections(SnapshotReader::from_file(prefix + ".0"));
+  snap.next_round = std::size_t{1} << 62;
+  write_ring_entry(prefix + ".0", options, snap);
+  FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 2}};
+  EXPECT_FALSE(resumed.restored());
+  EXPECT_EQ(resumed.stats().snapshots_quarantined, 1u);
+  EXPECT_TRUE(std::filesystem::exists(prefix + ".0.corrupt"));
+  resumed.run_round();
+  EXPECT_EQ(resumed.round(), 1u);
 }
 
 TEST(FleetServerRing, DifferentOptionsRefuseToResume) {
@@ -374,6 +402,105 @@ TEST(FleetServerRing, DrainWritesTheCurrentBoundary) {
   FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 2}};
   EXPECT_TRUE(resumed.restored());
   EXPECT_EQ(resumed.round(), 1u);
+}
+
+TEST(FleetServerRing, FailedRingWriteIsSkippedAndServingContinues) {
+  // The ring's write-failure policy. `<prefix>.2.tmp` is a symlink to
+  // /dev/full, so the round-2 boundary's write fails with ENOSPC: the round
+  // still completes, the slot is skipped and counted, and drain() - the
+  // shutdown path - throws the same failure. A restart resumes from the
+  // newest boundary that was fully written and rewrites the ring and the
+  // global table byte for byte as a server that never failed.
+  const std::string prefix = ring_prefix("full_disk");
+  FleetServerOptions options = small_server();
+  options.churn.straggle_rate = 0.4;
+  options.delta_uploads = true;
+  options.snapshot_ring = 3;
+  options.snapshot_prefix = prefix;
+  FleetServerOptions straight_options = options;
+  straight_options.snapshot_prefix = ring_prefix("full_disk_ref");
+  FleetServer straight{workload::AppId::kFacebook, straight_options, {.workers = 2}};
+  straight.run_rounds(4);
+  ASSERT_NE(straight.global(), nullptr);
+
+  std::filesystem::create_symlink("/dev/full", prefix + ".2.tmp");
+  {
+    FleetServer server{workload::AppId::kFacebook, options, {.workers = 2}};
+    server.run_rounds(2);
+    EXPECT_EQ(server.round(), 2u);
+    EXPECT_EQ(server.stats().snapshots_written, 1u);
+    EXPECT_EQ(server.stats().snapshots_failed, 1u);
+    EXPECT_TRUE(std::filesystem::exists(prefix + ".1"));
+    EXPECT_FALSE(std::filesystem::exists(prefix + ".2"));
+    EXPECT_THROW(server.drain(), IoError);
+  }
+  std::filesystem::remove(prefix + ".2.tmp");
+
+  FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 2}};
+  ASSERT_TRUE(resumed.restored());
+  EXPECT_EQ(resumed.round(), 1u);
+  resumed.run_rounds(3);
+  EXPECT_EQ(resumed.stats().snapshots_failed, 0u);
+  ASSERT_NE(resumed.global(), nullptr);
+  EXPECT_EQ(canonical_bytes(*resumed.global()), canonical_bytes(*straight.global()));
+  const auto read_all = [](const std::string& path) {
+    std::ifstream in{path, std::ios::binary};
+    return std::vector<char>{std::istreambuf_iterator<char>{in}, {}};
+  };
+  for (std::size_t slot = 0; slot < options.snapshot_ring; ++slot) {
+    SCOPED_TRACE("ring slot " + std::to_string(slot));
+    const std::vector<char> want =
+        read_all(straight_options.snapshot_prefix + "." + std::to_string(slot));
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(read_all(prefix + "." + std::to_string(slot)), want);
+  }
+}
+
+TEST(FleetServerRing, EntriesHoldExactlyTheWarmBasesTheirDeltasName) {
+  // Format version 4: an upload trained from a warm table is stored as a
+  // delta against it, and the entry holds exactly the warm bases that some
+  // standing or pending upload's delta names - each once, dropped when its
+  // last reference goes. Uploads from the cold first round have no base
+  // and are stored in full.
+  const std::string prefix = ring_prefix("bases");
+  FleetServerOptions options = small_server();
+  options.devices = 4;
+  options.churn.depart_rate = 0.2;
+  options.churn.straggle_rate = 0.4;
+  options.churn.rejoin_after_rounds = 1;
+  options.snapshot_ring = 1;
+  options.snapshot_prefix = prefix;
+  FleetServer server{workload::AppId::kFacebook, options, {.workers = 2}};
+  std::size_t delta_stored = 0;
+  std::size_t pending_seen = 0;
+  for (std::size_t r = 1; r <= 6; ++r) {
+    SCOPED_TRACE("boundary " + std::to_string(r));
+    server.run_round();
+    const FleetSnapshot snap = read_fleet_state_sections(SnapshotReader::from_file(prefix + ".0"));
+    std::vector<std::size_t> named;
+    const auto check = [&](std::size_t trained_round, const std::optional<RingDelta>& ring) {
+      if (trained_round == 0) {
+        EXPECT_FALSE(ring.has_value());
+        return;
+      }
+      ASSERT_TRUE(ring.has_value());
+      EXPECT_EQ(ring->base_round, trained_round);
+      named.push_back(ring->base_round);
+      ++delta_stored;
+    };
+    for (const auto& u : snap.uploads) {
+      if (u.has_value()) check(u->round, u->ring);
+    }
+    for (const PendingUpload& p : snap.pending_uploads) check(p.trained_round, p.ring);
+    pending_seen += snap.pending_uploads.size();
+    std::sort(named.begin(), named.end());
+    named.erase(std::unique(named.begin(), named.end()), named.end());
+    std::vector<std::size_t> held;
+    for (const WarmBase& b : snap.warm_bases) held.push_back(b.round);
+    EXPECT_EQ(held, named);
+  }
+  EXPECT_GT(delta_stored, 0u);
+  EXPECT_GT(pending_seen, 0u) << "retune: no upload was pending at a boundary";
 }
 
 // --- the retry-backoff overflow fix ----------------------------------------
@@ -515,7 +642,7 @@ TEST(FleetServer, DeltaUploadsMatchFullRunsUnderChurn) {
 }
 
 TEST(FleetServerRing, WireCountersSurviveRestore) {
-  // The cumulative upload-wire counters ride the v3 sync_state section:
+  // The cumulative upload-wire counters ride the sync_state section:
   // a kill -9 resume must keep counting from where the boundary left off
   // rather than resetting to zero.
   const std::string prefix = ring_prefix("wirecount");

@@ -1,6 +1,12 @@
 // Unit tests for sensor quantization and the virtual device sensor.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+
 #include "soc/sensors.hpp"
 
 namespace nextgov::soc {
@@ -22,6 +28,49 @@ TEST(Sensors, QuantizationIsIdempotent) {
   EXPECT_EQ(quantize_temperature(t).value(), t.value());
   const Watts p = quantize_power(Watts{1.2345});
   EXPECT_EQ(quantize_power(p).value(), p.value());
+}
+
+/// round_half_away(x) and std::round(x) as bit patterns (NaNs compare as
+/// NaN-ness, their payload aside).
+void expect_round_matches(double x) {
+  const double got = round_half_away(x);
+  const double want = std::round(x);
+  if (std::isnan(want)) {
+    EXPECT_TRUE(std::isnan(got)) << x;
+    return;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+      << "x = " << x << " (" << std::hexfloat << x << ")";
+}
+
+TEST(Sensors, RoundHalfAwayIsStdRoundBitForBit) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double x :
+       {0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 41.25 * 10.0, 0.49999999999999994,
+        -0.49999999999999994, 0.5000000000000001, 0x1p-1074, -0x1p-1074, 0x1p-1022, -0x1p-1022,
+        0x1p52 - 1.0, -(0x1p52 - 1.0), 0x1p52 - 0.5, -(0x1p52 - 0.5), 0x1p52, 0x1p52 + 1.0,
+        -(0x1p52 + 1.0), 0x1p53 + 2.0, 1e300, -1e300, kInf, -kInf,
+        std::numeric_limits<double>::quiet_NaN(), std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest()}) {
+    expect_round_matches(x);
+  }
+  // Every +-k.5 boundary up to 2^20, and its neighbours on either side.
+  for (std::int64_t k = 0; k < (std::int64_t{1} << 20); ++k) {
+    const double half = static_cast<double>(k) + 0.5;
+    for (const double x : {half, std::nextafter(half, 0.0), std::nextafter(half, 1e9)}) {
+      expect_round_matches(x);
+      expect_round_matches(-x);
+    }
+  }
+  // A million seeded doubles: uniform in the sensors' range, scaled as the
+  // quantizers scale them, and raw bit patterns across every exponent.
+  std::mt19937_64 rng{20200309};
+  std::uniform_real_distribution<double> reading{-50.0, 150.0};
+  for (int i = 0; i < 1'000'000; ++i) {
+    expect_round_matches(reading(rng) * (i % 2 == 0 ? 10.0 : 1000.0));
+    expect_round_matches(std::bit_cast<double>(rng()));
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 TEST(Sensors, VirtualDeviceSensorIsDocumentedWeightedAverage) {
