@@ -100,6 +100,7 @@ int main() {
   }
   std::printf("\nexpected shape: shorter windows thrash (more target changes/min);\n"
               "longer windows lag the 4 s reference. 4 s balances both.\n");
+  csv.close();
   std::printf("series -> %s/abl_frame_window.csv\n\n", out_dir().c_str());
   return 0;
 }

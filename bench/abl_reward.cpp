@@ -75,6 +75,7 @@ int main() {
   }
   std::printf("\nexpected shape: PPDW matches or beats PPW on peak temperature at similar\n"
               "QoS (the thermal term matters); FPS-only leaves power on the table.\n");
+  csv.close();
   std::printf("series -> %s/abl_reward.csv\n\n", out_dir().c_str());
   return 0;
 }

@@ -56,6 +56,7 @@ int main() {
     csv.row({sched.series[i].time_s, sched.series[i].power_w, next.series[i].power_w,
              sched.series[i].temp_big_c, next.series[i].temp_big_c});
   }
+  csv.close();
   std::printf("series -> %s/fig03_session_power_temp.csv\n\n", out_dir().c_str());
   return 0;
 }

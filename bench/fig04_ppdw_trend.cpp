@@ -103,6 +103,7 @@ int main() {
 
   std::printf("\nexpected shape: governed PPDW rises with FPS; worst-case points sit\n"
               "orders of magnitude below the governed series (paper's red markers).\n");
+  csv.close();
   std::printf("series -> %s/fig04_ppdw_trend.csv\n\n", out_dir().c_str());
   return 0;
 }

@@ -164,6 +164,7 @@ int main() {
 
   std::printf("\nexpected shape: both series grow with the quantization level and\n"
               "cloud training stays far below online (compute >> 4 s comm overhead).\n");
+  csv.close();
   std::printf("series -> %s/fig06_training_time.csv\n\n", out_dir().c_str());
   return 0;
 }

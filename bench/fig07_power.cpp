@@ -73,6 +73,7 @@ int main() {
 
   std::printf("\nexpected shape: Next saves on every app, most on the games; Int. QoS PM\n"
               "saves meaningfully less than Next on the games (paper: 41%%/22%% gap).\n");
+  csv.close();
   std::printf("series -> %s/fig07_power.csv\n\n", out_dir().c_str());
   return 0;
 }

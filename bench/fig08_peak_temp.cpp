@@ -80,6 +80,7 @@ int main() {
   print_vs_paper("Next device peak reduction", 21.21, max_dev_red, "%");
   print_vs_paper("IntQos big-CPU peak reduction", 22.80, max_iq_big_red, "%");
   print_vs_paper("IntQos device peak reduction", 3.51, max_iq_dev_red, "%");
+  csv.close();
   std::printf("series -> %s/fig08_peak_temp.csv\n\n", out_dir().c_str());
   return 0;
 }

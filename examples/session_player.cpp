@@ -158,7 +158,12 @@ int main(int argc, char** argv) {
   if (!csv_path.empty()) {
     sim::Recorder rec;
     for (const auto& s : r.series) rec.add(s);
-    rec.save_csv(csv_path);
+    try {
+      rec.save_csv(csv_path);
+    } catch (const IoError& e) {
+      std::fprintf(stderr, "session_player: %s\n", e.what());
+      return 1;
+    }
     std::printf("  series -> %s (%zu samples)\n", csv_path.c_str(), r.series.size());
   }
   return 0;

@@ -7,7 +7,7 @@
 namespace nextgov {
 
 CsvWriter::CsvWriter(const std::string& path, std::vector<std::string> header)
-    : out_(path), columns_(header.size()) {
+    : path_(path), out_(path), columns_(header.size()) {
   if (!out_) throw IoError("cannot open CSV file for writing: " + path);
   require(!header.empty(), "CSV header must have at least one column");
   for (std::size_t i = 0; i < header.size(); ++i) {
@@ -39,6 +39,11 @@ void CsvWriter::row_strings(const std::vector<std::string>& cells) {
   }
   out_ << '\n';
   ++rows_;
+}
+
+void CsvWriter::close() {
+  out_.close();
+  if (!out_) throw IoError("short write to CSV file: " + path_);
 }
 
 std::string CsvWriter::escape(std::string_view cell) {

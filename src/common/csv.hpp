@@ -25,6 +25,11 @@ class CsvWriter {
   /// Appends a mixed row of preformatted cells (quoted as needed).
   void row_strings(const std::vector<std::string>& cells);
 
+  /// Flushes and closes the file. Throws IoError naming the path when any
+  /// write did not reach it (a full disk, /dev/full): without this call a
+  /// short write goes unnoticed.
+  void close();
+
   /// Number of data rows written so far (excluding the header).
   [[nodiscard]] std::size_t rows_written() const noexcept { return rows_; }
 
@@ -32,6 +37,7 @@ class CsvWriter {
   [[nodiscard]] static std::string escape(std::string_view cell);
 
  private:
+  std::string path_;
   std::ofstream out_;
   std::size_t columns_;
   std::size_t rows_{0};

@@ -1,32 +1,11 @@
 #include "common/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 
 namespace nextgov {
 
-namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO";
-    case LogLevel::kWarn: return "WARN";
-    case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff: return "OFF";
-  }
-  return "?";
-}
-}  // namespace
-
-void set_log_level(LogLevel level) noexcept { g_level.store(static_cast<int>(level)); }
-
-LogLevel log_level() noexcept { return static_cast<LogLevel>(g_level.load()); }
-
-void log_message(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < g_level.load()) return;
-  std::fprintf(stderr, "[nextgov %s] %s\n", level_name(level), message.c_str());
+void log_warning(const std::string& message) {
+  std::fprintf(stderr, "[nextgov WARN] %s\n", message.c_str());
 }
 
 }  // namespace nextgov

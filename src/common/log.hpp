@@ -1,9 +1,8 @@
-// log.hpp - leveled stderr logger.
+// log.hpp - stderr warnings.
 //
 // The simulator is a library; it must not spam stdout (that belongs to the
-// bench tables). Diagnostics go to stderr behind a process-wide level that
-// examples/benches set explicitly. Intentionally tiny - no sinks, no
-// formatting DSL.
+// bench tables). Warnings go to stderr. Intentionally tiny - one level, no
+// sinks, no formatting DSL.
 #pragma once
 
 #include <sstream>
@@ -11,35 +10,28 @@
 
 namespace nextgov {
 
-enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Sets the process-wide minimum level (default: kWarn).
-void set_log_level(LogLevel level) noexcept;
-[[nodiscard]] LogLevel log_level() noexcept;
-
-/// Emits `message` to stderr when `level` passes the filter.
-void log_message(LogLevel level, const std::string& message);
+/// Emits `message` to stderr as a warning.
+void log_warning(const std::string& message);
 
 namespace detail {
-class LogLine {
+class WarningLine {
  public:
-  explicit LogLine(LogLevel level) : level_{level} {}
-  LogLine(const LogLine&) = delete;
-  LogLine& operator=(const LogLine&) = delete;
-  ~LogLine() { log_message(level_, stream_.str()); }
+  WarningLine() = default;
+  WarningLine(const WarningLine&) = delete;
+  WarningLine& operator=(const WarningLine&) = delete;
+  ~WarningLine() { log_warning(stream_.str()); }
   template <typename T>
-  LogLine& operator<<(const T& v) {
+  WarningLine& operator<<(const T& v) {
     stream_ << v;
     return *this;
   }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 }  // namespace detail
 
-/// Usage: NEXTGOV_LOG(kInfo) << "trained " << n << " episodes";
-#define NEXTGOV_LOG(level) ::nextgov::detail::LogLine(::nextgov::LogLevel::level)
+/// Usage: NEXTGOV_WARN << "corrupt snapshot '" << path << "'";
+#define NEXTGOV_WARN ::nextgov::detail::WarningLine()
 
 }  // namespace nextgov

@@ -65,14 +65,6 @@ double Rng::normal(double mean, double stddev) noexcept { return mean + stddev *
 
 double Rng::lognormal(double mu, double sigma) noexcept { return std::exp(normal(mu, sigma)); }
 
-double Rng::exponential(double mean) noexcept {
-  double u = 0.0;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -mean * std::log(u);
-}
-
 Rng Rng::fork(std::uint64_t salt) noexcept {
   SplitMix64 sm{next_u64() ^ (salt * 0x9e3779b97f4a7c15ULL + 0x632be59bd9b4e019ULL)};
   return Rng{sm.next()};

@@ -54,8 +54,6 @@ class Rng {
   double normal(double mean, double stddev) noexcept;
   /// Log-normal parameterized by the mean and sigma of the underlying normal.
   double lognormal(double mu, double sigma) noexcept;
-  /// Exponential with the given mean (= 1/lambda).
-  double exponential(double mean) noexcept;
 
   /// Derives an independent child stream (seed mixed with `salt`), letting
   /// each subsystem own a stream without cross-coupling consumption order.

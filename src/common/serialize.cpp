@@ -67,10 +67,6 @@ std::uint32_t section_crc(std::uint32_t version, std::span<const std::uint8_t> p
 
 }  // namespace
 
-std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept {
-  return crc32_accumulate(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
-}
-
 // --- ByteWriter -------------------------------------------------------------
 
 void ByteWriter::str(std::string_view s) {
@@ -126,14 +122,6 @@ std::size_t ByteReader::bounded_count(std::uint64_t count, std::size_t item_byte
 std::uint8_t ByteReader::u8() {
   need(1);
   return data_[pos_++];
-}
-
-std::uint16_t ByteReader::u16() {
-  need(2);
-  const std::uint16_t v = static_cast<std::uint16_t>(
-      static_cast<std::uint32_t>(data_[pos_]) | static_cast<std::uint32_t>(data_[pos_ + 1]) << 8);
-  pos_ += 2;
-  return v;
 }
 
 std::uint32_t ByteReader::u32() {

@@ -10,7 +10,8 @@
 //     bit-identically on another;
 //   * SnapshotWriter/SnapshotReader wrap payloads in a sectioned container:
 //     magic + format version + named sections, each with a length and a
-//     CRC32 over its payload. The reader validates all of it up front and
+//     CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) over the version
+//     word and its payload. The reader validates all of it up front and
 //     throws SerializeError with a descriptive message on bad magic,
 //     unsupported version, truncation or checksum mismatch - a damaged
 //     snapshot is always a reported error, never UB or a silent partial
@@ -21,8 +22,8 @@
 // appends each fixed-width field with one sized write and a row of floats
 // with one bulk write (f32s), a table encoder grows the buffer once for all
 // its rows and fills them in place (append + store_le), an encoder that
-// knows its size reserves it exactly up front (reserve), crc32 is a
-// slicing-by-8 table CRC (eight bytes per step, same polynomial and values
+// knows its size reserves it exactly up front (reserve), the section CRC is
+// a slicing-by-8 table CRC (eight bytes per step, same polynomial and values
 // as the bytewise form), and SnapshotWriter::write_file streams the header
 // and each section straight to the file instead of assembling the container
 // a second time. FleetResumeGolden.RingEntryBytesArePinned holds ring
@@ -69,11 +70,6 @@ class SerializeError : public IoError {
   Kind kind_;
 };
 
-/// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant): crc32 of
-/// "123456789" is 0xCBF43926. Detects all single-byte corruptions and any
-/// truncation the length fields miss.
-[[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept;
-
 /// Writes `v`'s little-endian bytes at `at` and returns the byte after them:
 /// the in-place form of ByteWriter's fixed-width fields, for encoders that
 /// fill a region from ByteWriter::append.
@@ -103,7 +99,6 @@ inline std::uint8_t* store_f32s(std::uint8_t* at, std::span<const float> values)
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { put_le(v); }
   void u32(std::uint32_t v) { put_le(v); }
   void u64(std::uint64_t v) { put_le(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
@@ -154,7 +149,6 @@ class ByteReader {
       : data_{data}, context_{std::move(context)} {}
 
   [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint16_t u16();
   [[nodiscard]] std::uint32_t u32();
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }

@@ -1,9 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/error.hpp"
 
 namespace nextgov {
 
@@ -11,50 +8,11 @@ void RunningStats::add(double x) noexcept {
   ++n_;
   if (n_ == 1) {
     mean_ = min_ = max_ = x;
-    m2_ = 0.0;
     return;
   }
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-}
-
-double RunningStats::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double percentile(std::span<const double> values, double p) {
-  require(!values.empty(), "percentile of empty sample");
-  require(p >= 0.0 && p <= 100.0, "percentile p must be in [0,100]");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 double mean_of(std::span<const double> values) noexcept {
@@ -62,16 +20,6 @@ double mean_of(std::span<const double> values) noexcept {
   double sum = 0.0;
   for (double v : values) sum += v;
   return sum / static_cast<double>(values.size());
-}
-
-double max_of(std::span<const double> values) noexcept {
-  double m = 0.0;
-  bool first = true;
-  for (double v : values) {
-    m = first ? v : std::max(m, v);
-    first = false;
-  }
-  return m;
 }
 
 }  // namespace nextgov

@@ -1,18 +1,15 @@
 // stats.hpp - streaming statistics used throughout the evaluation harness.
 //
-// RunningStats is a single-pass Welford accumulator (mean, variance, min,
-// max) used for per-session summaries (average power, peak temperature, mean
-// FPS). Percentile/summary helpers operate on collected series for the
-// figure benches.
+// RunningStats is a single-pass accumulator (mean, min, max) used for
+// per-session summaries (average power, peak temperature, mean FPS).
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace nextgov {
 
-/// Welford's online algorithm; numerically stable for long sessions.
+/// Welford's running mean; numerically stable for long sessions.
 class RunningStats {
  public:
   void add(double x) noexcept;
@@ -21,33 +18,18 @@ class RunningStats {
   [[nodiscard]] bool empty() const noexcept { return n_ == 0; }
   /// Mean of the observed samples; 0 when empty.
   [[nodiscard]] double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
-  /// Unbiased sample variance; 0 for fewer than two samples.
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return n_ > 0 ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return n_ > 0 ? max_ : 0.0; }
   [[nodiscard]] double sum() const noexcept { return mean_ * static_cast<double>(n_); }
 
-  /// Pools another accumulator into this one (parallel Welford merge).
-  void merge(const RunningStats& other) noexcept;
-
  private:
   std::size_t n_{0};
   double mean_{0.0};
-  double m2_{0.0};
   double min_{0.0};
   double max_{0.0};
 };
 
-/// Linear-interpolated percentile of an unsorted sample (p in [0,100]).
-/// Copies and sorts; intended for end-of-session reporting, not hot paths.
-[[nodiscard]] double percentile(std::span<const double> values, double p);
-
 /// Arithmetic mean of a span; 0 when empty.
 [[nodiscard]] double mean_of(std::span<const double> values) noexcept;
-
-/// Maximum of a span; 0 when empty (temperatures are positive in Celsius
-/// for all scenarios we model, so 0 is a safe sentinel).
-[[nodiscard]] double max_of(std::span<const double> values) noexcept;
 
 }  // namespace nextgov

@@ -37,8 +37,6 @@ void NextAgent::set_q_table(rl::QTable table) {
   table_ = std::move(table);
 }
 
-void NextAgent::load_q_table(const std::string& path) { set_q_table(rl::QTable::load(path)); }
-
 void NextAgent::on_sample(const governors::Observation& obs) { window_.add_sample(obs.fps); }
 
 double NextAgent::reward(const governors::Observation& obs, int target_fps) const noexcept {

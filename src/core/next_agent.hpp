@@ -66,7 +66,6 @@ class NextAgent final : public governors::MetaGovernor {
   void set_q_table(rl::QTable table);
   [[nodiscard]] const rl::QTable& q_table() const noexcept { return table_; }
   void save_q_table(const std::string& path) const { table_.save(path); }
-  void load_q_table(const std::string& path);
 
   // --- introspection / evaluation hooks ---
   [[nodiscard]] int current_target_fps() const { return window_.target_fps(); }

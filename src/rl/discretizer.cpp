@@ -1,7 +1,6 @@
 #include "rl/discretizer.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/error.hpp"
@@ -21,39 +20,12 @@ std::size_t LinearBins::bin(double value) const noexcept {
   return std::min(b, bins_ - 1);
 }
 
-double LinearBins::center(std::size_t bin_index) const noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(bins_);
-  const double idx = static_cast<double>(std::min(bin_index, bins_ - 1));
-  return lo_ + (idx + 0.5) * width;
-}
-
-std::size_t MixedRadixPacker::add_field(std::size_t cardinality) {
+void MixedRadixPacker::add_field(std::size_t cardinality) {
   require(cardinality > 0, "field cardinality must be positive");
   const std::uint64_t card64 = cardinality;
   require(total_ <= std::numeric_limits<std::uint64_t>::max() / card64,
           "state space exceeds 64 bits");
-  cards_.push_back(cardinality);
   total_ *= card64;
-  return cards_.size() - 1;
-}
-
-StateKey MixedRadixPacker::encode(const std::vector<std::size_t>& fields) const {
-  require(fields.size() == cards_.size(), "field count mismatch in encode");
-  StateKey key = 0;
-  for (std::size_t i = cards_.size(); i-- > 0;) {
-    NEXTGOV_ASSERT(fields[i] < cards_[i]);
-    key = key * cards_[i] + fields[i];
-  }
-  return key;
-}
-
-std::vector<std::size_t> MixedRadixPacker::decode(StateKey key) const {
-  std::vector<std::size_t> fields(cards_.size(), 0);
-  for (std::size_t i = 0; i < cards_.size(); ++i) {
-    fields[i] = static_cast<std::size_t>(key % cards_[i]);
-    key /= cards_[i];
-  }
-  return fields;
 }
 
 }  // namespace nextgov::rl

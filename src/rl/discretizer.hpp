@@ -4,11 +4,12 @@
 // training time" - the number of FPS quantization levels is the central
 // training-time knob (Fig. 6; 30 levels were found best). LinearBins
 // quantizes a continuous signal into equal-width bins; MixedRadixPacker
-// packs several bounded fields into one 64-bit StateKey without collisions.
+// sizes the state space of several bounded fields packed into one 64-bit
+// StateKey, and refuses layouts that would not fit.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "rl/qtable.hpp"
 
@@ -21,8 +22,6 @@ class LinearBins {
   LinearBins(double lo, double hi, std::size_t bins);
 
   [[nodiscard]] std::size_t bin(double value) const noexcept;
-  /// Representative (bin center) value for a bin index.
-  [[nodiscard]] double center(std::size_t bin_index) const noexcept;
   [[nodiscard]] std::size_t count() const noexcept { return bins_; }
 
  private:
@@ -31,24 +30,17 @@ class LinearBins {
   std::size_t bins_;
 };
 
-/// Packs fields f0..fn-1 with cardinalities c0..cn-1 into
-/// key = f0 + c0*(f1 + c1*(f2 + ...)). Construction fails if the product of
-/// cardinalities overflows 64 bits.
+/// The layout key = f0 + c0*(f1 + c1*(f2 + ...)) of fields f0..fn-1 with
+/// cardinalities c0..cn-1: add_field fails if the product of cardinalities
+/// overflows 64 bits.
 class MixedRadixPacker {
  public:
-  /// Declares the next field; returns its position.
-  std::size_t add_field(std::size_t cardinality);
+  /// Declares the next field.
+  void add_field(std::size_t cardinality);
 
-  [[nodiscard]] std::size_t field_count() const noexcept { return cards_.size(); }
   [[nodiscard]] std::uint64_t state_space_size() const noexcept { return total_; }
 
-  /// Encodes one value per declared field (each < its cardinality).
-  [[nodiscard]] StateKey encode(const std::vector<std::size_t>& fields) const;
-  /// Decodes back into field values (inverse of encode).
-  [[nodiscard]] std::vector<std::size_t> decode(StateKey key) const;
-
  private:
-  std::vector<std::size_t> cards_;
   std::uint64_t total_{1};
 };
 

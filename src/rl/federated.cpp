@@ -10,8 +10,8 @@ namespace nextgov::rl {
 
 namespace {
 
-/// Shared FedAvg core: visit-weighted averaging with an extra per-table
-/// weight multiplier (1.0 for every table = the plain merge).
+/// FedAvg core: visit-weighted averaging with an extra per-table weight
+/// multiplier (1.0 for every table = the plain merge).
 QTable merge_impl(std::span<const QTable* const> tables,
                   std::span<const double> table_weight) {
   require(!tables.empty(), "merge_q_tables needs at least one table");
@@ -84,11 +84,6 @@ QTable merge_impl(std::span<const QTable* const> tables,
 }
 
 }  // namespace
-
-QTable merge_q_tables(std::span<const QTable* const> tables) {
-  const std::vector<double> unit(tables.size(), 1.0);
-  return merge_impl(tables, unit);
-}
 
 QTable merge_q_tables(std::span<const QTable* const> tables, std::span<const double> staleness,
                       const StalenessMergePolicy& policy) {

@@ -4,10 +4,10 @@
 // proposes aggregating their training in the cloud (federated learning) and
 // pushing merged action-values back. Three pieces:
 //
-//   merge_q_tables  - visit-weighted federated averaging of per-device
-//                     Q-tables (FedAvg applied to tabular action-values),
-//                     plus a staleness-weighted variant for fleets whose
-//                     shards upload at different cadences;
+//   merge_q_tables  - staleness- and visit-weighted federated averaging of
+//                     per-device Q-tables (FedAvg applied to tabular
+//                     action-values) for fleets whose devices upload at
+//                     different cadences;
 //   StalenessMergePolicy - how fast an upload's weight decays with its age;
 //   CloudTimingModel- converts a measured host-side training wall time into
 //                     the end-to-end "cloud training time" the device
@@ -26,15 +26,10 @@
 
 namespace nextgov::rl {
 
-/// Visit-weighted average of several Q-tables (all must share the action
-/// count). States unknown to a device contribute weight 0 for that device.
-/// With a single table this is the identity.
-[[nodiscard]] QTable merge_q_tables(std::span<const QTable* const> tables);
-
 /// Exponential staleness decay for asynchronous federated aggregation: an
 /// upload that is `staleness` merge rounds old keeps
 /// 2^(-staleness / half_life_rounds) of its visit weight. Staleness 0 is
-/// full weight, so an all-fresh merge equals plain merge_q_tables().
+/// full weight.
 struct StalenessMergePolicy {
   double half_life_rounds{2.0};
 
@@ -43,12 +38,15 @@ struct StalenessMergePolicy {
   }
 };
 
-/// Staleness-weighted variant: `staleness[i]` is how many merge rounds ago
-/// table i was uploaded (>= 0). Each table's per-entry visit weights - and
-/// the visit counts it contributes to the merged table - are scaled by
-/// policy.weight(staleness[i]), so shards that phone home rarely pull the
-/// aggregate less than fresh ones, but their exclusive states still
-/// survive the merge (weight decays, never reaches zero).
+/// Visit-weighted average of several Q-tables (all must share the action
+/// count); states unknown to a device contribute weight 0 for that device,
+/// and with a single fresh table this is the identity. `staleness[i]` is
+/// how many merge rounds ago table i was uploaded (>= 0). Each table's
+/// per-entry visit weights - and the visit counts it contributes to the
+/// merged table - are scaled by policy.weight(staleness[i]), so devices
+/// that phone home rarely pull the aggregate less than fresh ones, but
+/// their exclusive states still survive the merge (weight decays, never
+/// reaches zero).
 [[nodiscard]] QTable merge_q_tables(std::span<const QTable* const> tables,
                                     std::span<const double> staleness,
                                     const StalenessMergePolicy& policy = {});

@@ -25,12 +25,4 @@ double QLearning::update(QTable& table, StateKey s, std::size_t a, double reward
   return td;
 }
 
-double QLearning::update_terminal(QTable& table, StateKey s, std::size_t a, double reward) {
-  const double old_q = table.q(s, a);
-  const double td = reward - old_q;
-  table.set_q(s, a, old_q + effective_alpha(table, s) * td);
-  table.record_visit(s);
-  return td;
-}
-
 }  // namespace nextgov::rl

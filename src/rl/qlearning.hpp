@@ -30,9 +30,6 @@ class QLearning {
   /// (r + gamma*maxQ(s') - Q(s,a)).
   double update(QTable& table, StateKey s, std::size_t a, double reward, StateKey s_next);
 
-  /// Terminal variant (no bootstrap from a successor state).
-  double update_terminal(QTable& table, StateKey s, std::size_t a, double reward);
-
   [[nodiscard]] const QLearningParams& params() const noexcept { return params_; }
 
   /// Visit-decayed learning rate currently applicable to state `s`.

@@ -186,9 +186,6 @@ class QTable {
   }
 
  private:
-  // The quantized wire decoder (rl/qtable_delta.hpp) restores total_visits
-  // from its header instead of re-summing entries, matching deserialize().
-  friend QTable deserialize_quantized(ByteReader& in);
   // The delta encoder walks `next`'s rows in storage order and looks each
   // key up in the base, then sorts only the changed rows.
   friend std::optional<QTableDelta> try_make_delta(const QTable& base, const QTable& next);

@@ -1,4 +1,4 @@
-// qtable_delta.hpp - sparse Q-table wire encodings for fleet sync.
+// qtable_delta.hpp - sparse Q-table wire encoding for fleet sync.
 //
 // A device that re-uploads its whole Q-table every round resends mostly
 // unchanged bytes: between two syncs a session touches only the states it
@@ -11,12 +11,6 @@
 // fleet trajectory is unchanged (pinned by the delta-vs-full equivalence
 // tests). The encoding travels inside the same CRC-guarded snapshot
 // container as full uploads, so corruption detection is identical.
-//
-// WireQuant is the opt-in lossy sibling: full-table encodings whose value
-// lanes are narrowed to IEEE half floats (f16) or per-state affine 8-bit
-// codes (q8). Keys, visit counts and tried masks stay exact; only Q values
-// lose precision, which the abl_quantization bench measures (size vs
-// deployed reward/power) rather than bit-gates.
 #pragma once
 
 #include <cstdint>
@@ -80,26 +74,5 @@ struct QTableDelta {
 /// next)) == next bit-exactly (operator== and serialized bytes). Throws
 /// SerializeError when the delta's base guards do not match `base`.
 [[nodiscard]] QTable apply_delta(const QTable& base, const QTableDelta& delta);
-
-/// Value-lane precision of a quantized full-table wire encoding.
-enum class WireQuant : std::uint8_t {
-  kF32 = 0,  ///< exact: round-trips bit-identically (same lanes as serialize)
-  kF16 = 1,  ///< IEEE half, round-to-nearest-even: 2 bytes/value
-  kQ8 = 2,   ///< per-state affine min/max + 1-byte codes
-};
-
-/// f32 -> IEEE 754 half bits, round-to-nearest-even, with the usual
-/// overflow-to-inf / subnormal / NaN handling.
-[[nodiscard]] std::uint16_t f32_to_f16(float v) noexcept;
-/// IEEE 754 half bits -> f32 (exact: every f16 value is representable).
-[[nodiscard]] float f16_to_f32(std::uint16_t h) noexcept;
-
-/// Full-table wire encoding with `quant` value lanes. Keys, visit counts,
-/// tried masks and the header stay exact for every mode.
-void serialize_quantized(const QTable& table, WireQuant quant, ByteWriter& out);
-/// Decodes any serialize_quantized() stream (the mode tag travels in the
-/// payload). kF32 round-trips bit-identically; kF16/kQ8 reconstruct the
-/// dequantized values.
-[[nodiscard]] QTable deserialize_quantized(ByteReader& in);
 
 }  // namespace nextgov::rl

@@ -116,12 +116,6 @@ SessionResult run_session(AppFactory app_factory, std::string app_name,
   return summarize(*engine, std::move(app_name), std::string{to_string(config.governor)});
 }
 
-SessionResult run_app_session(workload::AppId app, const ExperimentConfig& config) {
-  return run_session(
-      [app](std::uint64_t seed) { return workload::make_app(app, seed); },
-      std::string{workload::to_string(app)}, config);
-}
-
 TrainingResult train_next_on(AppFactory app_factory, const core::NextConfig& config,
                              const TrainingOptions& options) {
   require(static_cast<bool>(app_factory), "train_next_on needs an app factory");

@@ -75,10 +75,8 @@ using AppFactory = std::function<std::unique_ptr<workload::App>(std::uint64_t se
 [[nodiscard]] std::unique_ptr<Engine> make_engine(AppFactory app_factory,
                                                   const ExperimentConfig& config);
 
-/// Runs a full session of `app` under `config` and summarizes it.
-[[nodiscard]] SessionResult run_app_session(workload::AppId app, const ExperimentConfig& config);
-
-/// Same for an arbitrary app factory (e.g. the Fig. 1 multi-app session).
+/// Runs a full session of the factory's app under `config` and summarizes
+/// it.
 [[nodiscard]] SessionResult run_session(AppFactory app_factory, std::string app_name,
                                         const ExperimentConfig& config);
 

@@ -191,10 +191,14 @@ rl::QTable decode_upload(std::vector<std::uint8_t> blob, const rl::QTable* delta
                            "to apply it to");
     }
     ByteReader payload = decoded.section("delta");
-    return rl::apply_delta(*delta_base, rl::QTableDelta::deserialize(payload));
+    const rl::QTableDelta delta = rl::QTableDelta::deserialize(payload);
+    if (!payload.done()) payload.fail("trailing bytes after the delta payload");
+    return rl::apply_delta(*delta_base, delta);
   }
   ByteReader payload = decoded.section("upload");
-  return rl::QTable::deserialize(payload);
+  rl::QTable table = rl::QTable::deserialize(payload);
+  if (!payload.done()) payload.fail("trailing bytes after the upload payload");
+  return table;
 }
 
 rl::QTable strip_visit_mass(const rl::QTable& table) {
@@ -390,11 +394,11 @@ FleetSnapshot read_fleet_state_sections(const SnapshotReader& snapshot) {
 bool quarantine_snapshot(const std::string& path, const std::string& reason) {
   const std::string quarantined = path + ".corrupt";
   if (std::rename(path.c_str(), quarantined.c_str()) == 0) {
-    NEXTGOV_LOG(kWarn) << "quarantined corrupt snapshot '" << path << "' -> '" << quarantined
+    NEXTGOV_WARN << "quarantined corrupt snapshot '" << path << "' -> '" << quarantined
                        << "': " << reason;
     return true;
   }
-  NEXTGOV_LOG(kWarn) << "corrupt snapshot '" << path
+  NEXTGOV_WARN << "corrupt snapshot '" << path
                      << "' could not be quarantined (rename failed): " << reason;
   return false;
 }

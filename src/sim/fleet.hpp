@@ -207,7 +207,7 @@ bool quarantine_snapshot(const std::string& path, const std::string& reason);
 /// Decodes upload wire bytes produced by encode_upload. When the blob is a
 /// delta, `delta_base` must be the same base the sender encoded against;
 /// a missing or mismatched base throws SerializeError, exactly like any
-/// damaged blob.
+/// damaged blob (trailing bytes after the payload included).
 [[nodiscard]] rl::QTable decode_upload(std::vector<std::uint8_t> blob,
                                        const rl::QTable* delta_base,
                                        const std::string& label);

@@ -459,8 +459,6 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
       }
       ++counters.departures;
       ++rs.departures;
-      NEXTGOV_LOG(kInfo) << "fleet_server: device " << ev.device
-                         << " lease expired at t=" << ev.t_us << "us (round " << r << ")";
       continue;
     }
     // Upload arrival: the table travels as CRC-guarded snapshot bytes; a
@@ -581,7 +579,7 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
     write_ring_snapshot();
   } catch (const IoError& e) {
     ++snapshots_failed_;
-    NEXTGOV_LOG(kWarn) << "fleet_server: round " << r << " boundary not persisted: " << e.what();
+    NEXTGOV_WARN << "fleet_server: round " << r << " boundary not persisted: " << e.what();
   }
   rs.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)

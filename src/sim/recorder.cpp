@@ -26,6 +26,7 @@ void Recorder::save_csv(const std::string& path) const {
              s.cap_big_mhz, s.cap_little_mhz, s.cap_gpu_mhz, s.power_w, s.temp_big_c,
              s.temp_little_c, s.temp_gpu_c, s.temp_device_c, s.temp_skin_c, s.ppdw});
   }
+  csv.close();
 }
 
 }  // namespace nextgov::sim

@@ -82,21 +82,6 @@ void RunPlan::add(AppFactory factory, std::string name, const ExperimentConfig& 
   sessions_.push_back(SessionSpec{std::move(name), std::move(factory), config});
 }
 
-void RunPlan::add_grid(std::span<const workload::AppId> apps,
-                       std::span<const GovernorKind> governors,
-                       std::span<const std::uint64_t> seeds, const ExperimentConfig& base) {
-  for (const workload::AppId app : apps) {
-    for (const GovernorKind governor : governors) {
-      for (const std::uint64_t seed : seeds) {
-        ExperimentConfig config = base;
-        config.governor = governor;
-        config.seed = seed;
-        add(app, config);
-      }
-    }
-  }
-}
-
 void TrainingPlan::add(workload::AppId app, const core::NextConfig& config,
                        const TrainingOptions& options) {
   add([app](std::uint64_t seed) { return workload::make_app(app, seed); },
@@ -107,16 +92,6 @@ void TrainingPlan::add(AppFactory factory, std::string name, const core::NextCon
                        const TrainingOptions& options) {
   require(static_cast<bool>(factory), "TrainingPlan::add needs an app factory");
   cells_.push_back(TrainingSpec{std::move(name), std::move(factory), config, options});
-}
-
-void TrainingPlan::add_seed_sweep(workload::AppId app, const core::NextConfig& config,
-                                  const TrainingOptions& base, std::size_t count,
-                                  std::uint64_t base_seed) {
-  for (std::size_t i = 0; i < count; ++i) {
-    TrainingOptions options = base;
-    options.seed = derive_seed(base_seed, i);
-    add(app, config, options);
-  }
 }
 
 // --- execution ---------------------------------------------------------------

@@ -59,22 +59,13 @@ struct SessionSpec {
   ExperimentConfig config;
 };
 
-/// Declarative batch of sessions. Build with add()/add_grid(), run with
-/// execute().
+/// Declarative batch of sessions. Build with add(), run with execute().
 class RunPlan {
  public:
   /// Adds one session for a catalog app.
   void add(workload::AppId app, const ExperimentConfig& config);
   /// Adds one session for an arbitrary app factory.
   void add(AppFactory factory, std::string name, const ExperimentConfig& config);
-
-  /// Cross product: one session per (app, governor, seed), each starting
-  /// from `base` with the governor and seed substituted. Suits homogeneous
-  /// sweeps; sweeps needing per-cell config (e.g. a trained table per
-  /// governor, as in the Fig. 7/8 benches) build their plans with add().
-  void add_grid(std::span<const workload::AppId> apps,
-                std::span<const GovernorKind> governors,
-                std::span<const std::uint64_t> seeds, const ExperimentConfig& base);
 
   [[nodiscard]] std::size_t size() const noexcept { return sessions_.size(); }
   [[nodiscard]] bool empty() const noexcept { return sessions_.empty(); }
@@ -93,10 +84,9 @@ struct TrainingSpec {
 };
 
 /// Declarative batch of (app x NextConfig x seed x budget) training cells,
-/// mirroring RunPlan. Build with add()/add_seed_sweep(), run with
-/// execute(). The figure benches route *all* their agent training through
-/// this (one agent per cell trains concurrently instead of serializing the
-/// sweep).
+/// mirroring RunPlan. Build with add(), run with execute(). The figure
+/// benches route *all* their agent training through this (one agent per
+/// cell trains concurrently instead of serializing the sweep).
 class TrainingPlan {
  public:
   /// Adds one training cell for a catalog app.
@@ -105,12 +95,6 @@ class TrainingPlan {
   /// Adds one training cell for an arbitrary app factory.
   void add(AppFactory factory, std::string name, const core::NextConfig& config,
            const TrainingOptions& options);
-
-  /// `count` cells of `base` whose seeds are derive_seed(base_seed, i) -
-  /// the repo's one documented seed-derivation scheme for sweeps.
-  void add_seed_sweep(workload::AppId app, const core::NextConfig& config,
-                      const TrainingOptions& base, std::size_t count,
-                      std::uint64_t base_seed);
 
   [[nodiscard]] std::size_t size() const noexcept { return cells_.size(); }
   [[nodiscard]] bool empty() const noexcept { return cells_.empty(); }
@@ -155,9 +139,10 @@ struct ExecOptions {
 // --- the entry point -------------------------------------------------------
 
 /// Executes every session of `plan` and returns results in plan order. A
-/// ScenarioMatrix runs as execute(matrix.to_run_plan(governor)). Each
-/// session gets its own engine, run with Engine::run; the sessions are
-/// spread over the worker pool (run_indexed_tasks).
+/// ScenarioMatrix runs as append_cells(plan, matrix.expand(), governor)
+/// and then execute(plan). Each session gets its own engine, run with
+/// Engine::run; the sessions are spread over the worker pool
+/// (run_indexed_tasks).
 [[nodiscard]] std::vector<SessionResult> execute(const RunPlan& plan,
                                                  const ExecOptions& options = {});
 
@@ -169,10 +154,9 @@ struct ExecOptions {
 [[nodiscard]] std::vector<TrainingResult> execute(const TrainingPlan& plan,
                                                   const ExecOptions& options = {});
 
-/// Stateless SplitMix64-style seed derivation for grid sweeps: gives every
-/// (base, index) pair an independent, reproducible stream. Used by
-/// add_grid()/add_seed_sweep() callers that want per-cell seeds from one
-/// base seed.
+/// Stateless SplitMix64-style seed derivation for sweeps: gives every
+/// (base, index) pair an independent, reproducible stream - the repo's one
+/// documented scheme for per-cell seeds from one base seed.
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) noexcept;
 
 // --- perfbench compatibility shim: begin ------------------------------------

@@ -72,8 +72,7 @@ std::unique_ptr<workload::App> make_scenario_app(const ScenarioSpec& spec, std::
     // the plain catalog app.
     app = make_phased(spec.segments.front().app, spec.user_override, seed);
   } else {
-    // Mirrors SessionApp's own per-segment seed expansion so a scenario
-    // without a user override equals SessionApp(segments, seed).
+    // Each segment's app draws its own seed from one SplitMix64 stream.
     SplitMix64 seeder{seed};
     std::vector<std::unique_ptr<workload::PhasedApp>> apps;
     apps.reserve(spec.segments.size());
@@ -330,10 +329,6 @@ ScenarioMatrix& ScenarioMatrix::add(ScenarioSpec spec) {
   return *this;
 }
 
-ScenarioMatrix& ScenarioMatrix::add(std::string_view library_name) {
-  return add(scenario(library_name));
-}
-
 ScenarioMatrix& ScenarioMatrix::ambients(std::vector<double> celsius) {
   ambients_ = std::move(celsius);
   return *this;
@@ -345,16 +340,10 @@ ScenarioMatrix& ScenarioMatrix::refresh_rates(std::vector<double> hz) {
   return *this;
 }
 
-ScenarioMatrix& ScenarioMatrix::seeds(std::size_t count) {
-  require(count >= 1, "matrix needs at least one seed per cell");
-  seeds_ = count;
-  return *this;
-}
-
 std::size_t ScenarioMatrix::size() const noexcept {
   const std::size_t a = std::max<std::size_t>(1, ambients_.size());
   const std::size_t r = std::max<std::size_t>(1, refresh_rates_.size());
-  return scenarios_.size() * a * r * seeds_;
+  return scenarios_.size() * a * r;
 }
 
 std::vector<ScenarioCell> ScenarioMatrix::expand() const {
@@ -366,40 +355,22 @@ std::vector<ScenarioCell> ScenarioMatrix::expand() const {
     const ScenarioSpec& base = scenarios_[si];
     for (std::size_t ai = 0; ai < ambient_count; ++ai) {
       for (std::size_t ri = 0; ri < refresh_count; ++ri) {
-        for (std::size_t ki = 0; ki < seeds_; ++ki) {
-          ScenarioCell cell;
-          cell.spec = base;
-          cell.scenario_index = si;
-          cell.ambient_index = ai;
-          cell.refresh_index = ri;
-          cell.seed_index = ki;
-          if (!ambients_.empty()) cell.spec.ambient = Celsius{ambients_[ai]};
-          if (!refresh_rates_.empty()) cell.spec.refresh_hz = refresh_rates_[ri];
-          if (ki > 0) cell.spec.base_seed = derive_seed(base.base_seed, ki);
-          cell.spec.name = base.name + "@" + format_axis_value(cell.spec.ambient.value()) +
-                           "C@" + format_axis_value(cell.spec.refresh_hz) + "Hz#s" +
-                           std::to_string(ki);
-          cells.push_back(std::move(cell));
-        }
+        ScenarioCell cell;
+        cell.spec = base;
+        cell.scenario_index = si;
+        cell.ambient_index = ai;
+        cell.refresh_index = ri;
+        if (!ambients_.empty()) cell.spec.ambient = Celsius{ambients_[ai]};
+        if (!refresh_rates_.empty()) cell.spec.refresh_hz = refresh_rates_[ri];
+        // "#s0" names the cell's one seed, keeping the labels (bench JSON
+        // keys) the seed-indexed form they have always had.
+        cell.spec.name = base.name + "@" + format_axis_value(cell.spec.ambient.value()) +
+                         "C@" + format_axis_value(cell.spec.refresh_hz) + "Hz#s0";
+        cells.push_back(std::move(cell));
       }
     }
   }
   return cells;
-}
-
-std::size_t ScenarioMatrix::append_to(RunPlan& plan, GovernorKind governor) const {
-  return append_cells(plan, expand(), governor);
-}
-
-RunPlan ScenarioMatrix::to_run_plan(GovernorKind governor) const {
-  RunPlan plan;
-  append_to(plan, governor);
-  return plan;
-}
-
-std::size_t ScenarioMatrix::append_to(TrainingPlan& plan, const core::NextConfig& config,
-                                      const TrainingOptions& base) const {
-  return append_cells(plan, expand(), config, base);
 }
 
 std::size_t append_cells(RunPlan& plan, std::span<const ScenarioCell> cells,
@@ -407,16 +378,6 @@ std::size_t append_cells(RunPlan& plan, std::span<const ScenarioCell> cells,
   for (const auto& cell : cells) {
     plan.add(cell.spec.app_factory(), cell.spec.name,
              cell.spec.experiment_config(governor));
-  }
-  return cells.size();
-}
-
-std::size_t append_cells(TrainingPlan& plan, std::span<const ScenarioCell> cells,
-                         const core::NextConfig& config, const TrainingOptions& base) {
-  for (const auto& cell : cells) {
-    plan.add(cell.spec.app_factory(), cell.spec.name,
-             adapt_next_config(config, cell.spec.refresh_hz, cell.spec.ambient),
-             cell.spec.training_options(base));
   }
   return cells.size();
 }

@@ -7,13 +7,12 @@
 // points, not at one. A ScenarioSpec names one complete operating point:
 // the workload (single app or a multi-app interleaving with optional
 // user-model override and background-load bursts), the panel refresh rate,
-// the ambient temperature, the session duration and the seed policy.
+// the ambient temperature, the session duration and the seed.
 //
-// ScenarioMatrix cross-products scenarios with ambient / refresh / seed
-// axes and expands directly into the existing RunPlan / TrainingPlan, so a
-// whole matrix runs through execute(matrix.to_run_plan(governor), ...)
-// bit-identically to serial execution (each cell is a pure function of its
-// resolved spec).
+// ScenarioMatrix cross-products scenarios with ambient / refresh axes and
+// expands into cells that append_cells() adds to a RunPlan, so a whole
+// matrix runs through execute() bit-identically to serial execution (each
+// cell is a pure function of its resolved spec).
 //
 // A curated library of named scenarios (scenario_names() / scenario())
 // is the single source of truth for every bench and test session setup;
@@ -60,8 +59,7 @@ struct ScenarioSpec {
   std::vector<ScenarioSegment> segments;  ///< >= 1; single entry = one app
   double refresh_hz{60.0};
   Celsius ambient{Celsius{21.0}};
-  /// Default seed; matrix seed axes derive per-cell seeds from it (index 0
-  /// is base_seed itself, index i > 0 is derive_seed(base_seed, i)).
+  /// Default seed of the scenario's sessions and training runs.
   std::uint64_t base_seed{1};
   /// Zero = sum of the segment durations.
   SimTime duration{SimTime::zero()};
@@ -121,63 +119,40 @@ struct ScenarioSpec {
 
 // --- the matrix ------------------------------------------------------------
 
-/// One expanded cell: the fully resolved spec (ambient / refresh / seed
+/// One expanded cell: the fully resolved spec (ambient / refresh
 /// substituted, name suffixed with the axis values) plus its coordinates.
 struct ScenarioCell {
   ScenarioSpec spec;
   std::size_t scenario_index{0};
   std::size_t ambient_index{0};
   std::size_t refresh_index{0};
-  std::size_t seed_index{0};
 };
 
-/// Cross product of scenarios x ambients x refresh rates x seeds. Axes
-/// left unset keep each scenario's own value (a one-point axis). Expansion
-/// is deterministic: the same matrix always yields the same cells in the
-/// same order, regardless of worker counts downstream.
+/// Cross product of scenarios x ambients x refresh rates. Axes left unset
+/// keep each scenario's own value (a one-point axis). Expansion is
+/// deterministic: the same matrix always yields the same cells in the same
+/// order, regardless of worker counts downstream.
 class ScenarioMatrix {
  public:
   ScenarioMatrix& add(ScenarioSpec spec);
-  ScenarioMatrix& add(std::string_view library_name);
   ScenarioMatrix& ambients(std::vector<double> celsius);
   ScenarioMatrix& refresh_rates(std::vector<double> hz);
-  /// `count` seeds per (scenario, ambient, refresh) point; see
-  /// ScenarioSpec::base_seed for the derivation.
-  ScenarioMatrix& seeds(std::size_t count);
 
   [[nodiscard]] std::size_t scenario_count() const noexcept { return scenarios_.size(); }
   /// Number of cells expand() will produce.
   [[nodiscard]] std::size_t size() const noexcept;
   [[nodiscard]] std::vector<ScenarioCell> expand() const;
 
-  /// Appends one session per cell to `plan` (cell order), all under
-  /// `governor`. Returns the number of cells appended. Callers that also
-  /// need the cell labels should expand() once and use append_cells(), so
-  /// labels and plan rows stay aligned by construction.
-  std::size_t append_to(RunPlan& plan, GovernorKind governor) const;
-  [[nodiscard]] RunPlan to_run_plan(GovernorKind governor) const;
-
-  /// Appends one training cell per expanded cell: `config` adapted to the
-  /// cell's panel/ambient, `base` options with seed/ambient/refresh
-  /// substituted. Returns the number of cells appended.
-  std::size_t append_to(TrainingPlan& plan, const core::NextConfig& config,
-                        const TrainingOptions& base) const;
-
  private:
   std::vector<ScenarioSpec> scenarios_;
   std::vector<double> ambients_;
   std::vector<double> refresh_rates_;
-  std::size_t seeds_{1};
 };
 
-/// Appends one session per already-expanded cell to `plan` under
-/// `governor` (cell order). ScenarioMatrix::append_to/to_run_plan are thin
-/// wrappers; use this directly when the cells are also consumed for labels.
+/// Appends one session per expanded cell to `plan` under `governor` (cell
+/// order), and returns the number appended. Expand once and use the same
+/// cells for labels, so labels and plan rows stay aligned by construction.
 std::size_t append_cells(RunPlan& plan, std::span<const ScenarioCell> cells,
                          GovernorKind governor);
-
-/// Training counterpart of the RunPlan append_cells().
-std::size_t append_cells(TrainingPlan& plan, std::span<const ScenarioCell> cells,
-                         const core::NextConfig& config, const TrainingOptions& base);
 
 }  // namespace nextgov::sim

@@ -6,15 +6,6 @@
 
 namespace nextgov::soc {
 
-std::string_view to_string(ClusterKind kind) noexcept {
-  switch (kind) {
-    case ClusterKind::kBigCpu: return "big";
-    case ClusterKind::kLittleCpu: return "LITTLE";
-    case ClusterKind::kGpu: return "GPU";
-  }
-  return "?";
-}
-
 Cluster::Cluster(ClusterKind kind, std::string name, std::size_t core_count, OppTable opps,
                  ClusterPowerParams power_params)
     : kind_{kind},
@@ -47,18 +38,6 @@ void Cluster::set_max_cap_index(std::size_t i) noexcept {
   max_cap_ = std::min(i, opps_.size() - 1);
   max_cap_ = std::max(max_cap_, min_cap_);
   if (index_ > max_cap_) index_ = max_cap_;
-}
-
-bool Cluster::cap_step_up() noexcept {
-  if (max_cap_ + 1 >= opps_.size()) return false;
-  set_max_cap_index(max_cap_ + 1);
-  return true;
-}
-
-bool Cluster::cap_step_down() noexcept {
-  if (max_cap_ == min_cap_) return false;
-  set_max_cap_index(max_cap_ - 1);
-  return true;
 }
 
 void Cluster::reset_caps() noexcept {

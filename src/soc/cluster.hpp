@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/units.hpp"
@@ -20,8 +19,6 @@ namespace nextgov::soc {
 
 /// Which kind of processing elements the cluster holds.
 enum class ClusterKind { kBigCpu, kLittleCpu, kGpu };
-
-[[nodiscard]] std::string_view to_string(ClusterKind kind) noexcept;
 
 /// Electrical/physical constants of one cluster (see DESIGN.md "power in
 /// watts"): dynamic power = c_eff_total * V^2 * f * util, leakage =
@@ -61,10 +58,6 @@ class Cluster {
   /// Sets the maxfreq cap; pulls the operating point down when it now
   /// exceeds the cap (exactly what writing scaling_max_freq does on Linux).
   void set_max_cap_index(std::size_t i) noexcept;
-  /// Moves the cap one OPP up/down (the Next agent's action semantics);
-  /// saturates at the table ends. Returns true when the cap moved.
-  bool cap_step_up() noexcept;
-  bool cap_step_down() noexcept;
   /// Restores caps to the full OPP range.
   void reset_caps() noexcept;
 

@@ -28,22 +28,6 @@ std::size_t OppTable::ceil_index(KiloHertz f) const noexcept {
   return points_.size() - 1;
 }
 
-std::size_t OppTable::floor_index(KiloHertz f) const noexcept {
-  if (points_.front().frequency >= f) return 0;
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    if (points_[i].frequency <= f) best = i;
-  }
-  return best;
-}
-
-std::size_t OppTable::index_of(KiloHertz f) const {
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    if (points_[i].frequency == f) return i;
-  }
-  throw ConfigError("frequency not present in OPP table: " + std::to_string(f.value()) + " kHz");
-}
-
 OppTable OppTable::from_mhz_descending(std::span<const double> mhz_desc, Volts v_min,
                                        Volts v_max) {
   require(!mhz_desc.empty(), "OPP list must not be empty");

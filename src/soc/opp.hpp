@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/units.hpp"
@@ -40,11 +39,6 @@ class OppTable {
   /// Index of the lowest OPP whose frequency is >= `f`; size()-1 when `f`
   /// exceeds the highest frequency (the governor saturates at fmax).
   [[nodiscard]] std::size_t ceil_index(KiloHertz f) const noexcept;
-  /// Index of the highest OPP whose frequency is <= `f`; 0 when `f` is below
-  /// the lowest frequency.
-  [[nodiscard]] std::size_t floor_index(KiloHertz f) const noexcept;
-  /// Exact-match index; throws ConfigError when `f` is not in the table.
-  [[nodiscard]] std::size_t index_of(KiloHertz f) const;
 
   /// Builds a table from MHz values in *descending* order (the order data
   /// sheets and the paper list them in) and an affine voltage ramp from

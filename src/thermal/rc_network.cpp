@@ -44,12 +44,10 @@ RcTopology::RcTopology(std::vector<RcNodeSpec> nodes, std::vector<RcEdgeSpec> ed
   std::vector<double> g_total(n, 0.0);
   inv_cap_.resize(n);
   g_ambient_.resize(n);
-  total_g_ambient_ = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     g_total[i] = nodes_[i].g_ambient;
     inv_cap_[i] = 1.0 / nodes_[i].capacity;
     g_ambient_[i] = nodes_[i].g_ambient;
-    total_g_ambient_ += nodes_[i].g_ambient;
   }
   for (const auto& e : edges_) {
     g_total[e.a] += e.g;
@@ -63,28 +61,11 @@ RcTopology::RcTopology(std::vector<RcNodeSpec> nodes, std::vector<RcEdgeSpec> ed
     if (g_total[i] > 0.0) worst = std::min(worst, nodes_[i].capacity / g_total[i]);
   }
   max_stable_dt_s_ = 0.5 * worst;
-
-  // Pristine dense system for steady_state(): A has the conductance
-  // Laplacian plus the ambient diagonal. Built once per topology; solves
-  // copy it into scratch before eliminating.
-  dense_a_.assign(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) dense_a_[i * n + i] = nodes_[i].g_ambient;
-  for (const auto& e : edges_) {
-    dense_a_[e.a * n + e.a] += e.g;
-    dense_a_[e.b * n + e.b] += e.g;
-    dense_a_[e.a * n + e.b] -= e.g;
-    dense_a_[e.b * n + e.a] -= e.g;
-  }
 }
 
 std::shared_ptr<const RcTopology> RcTopology::make(std::vector<RcNodeSpec> nodes,
                                                    std::vector<RcEdgeSpec> edges) {
   return std::make_shared<const RcTopology>(std::move(nodes), std::move(edges));
-}
-
-const RcNodeSpec& RcTopology::node(NodeId id) const {
-  require(id < nodes_.size(), "unknown node id");
-  return nodes_[id];
 }
 
 std::size_t RcTopology::substeps_for(double total_s) const noexcept {
@@ -102,11 +83,6 @@ RcNetwork::RcNetwork(std::shared_ptr<const RcTopology> topology, Celsius ambient
   flux_.assign(topo_->node_count(), 0.0);
 }
 
-const std::string& RcNetwork::node_name(NodeId id) const {
-  require(id < node_count(), "unknown node id");
-  return topo_->node(id).name;
-}
-
 Celsius RcNetwork::temperature(NodeId id) const {
   require(id < node_count(), "unknown node id");
   return Celsius{temp_[id]};
@@ -115,11 +91,6 @@ Celsius RcNetwork::temperature(NodeId id) const {
 void RcNetwork::set_power(NodeId id, Watts p) {
   require(id < node_count(), "unknown node id");
   power_[id] = p.value();
-}
-
-Watts RcNetwork::power(NodeId id) const {
-  require(id < node_count(), "unknown node id");
-  return Watts{power_[id]};
 }
 
 void RcNetwork::euler_substep(double dt_s) noexcept {
@@ -161,56 +132,6 @@ void RcNetwork::step(SimTime dt) {
 
 void RcNetwork::set_all_temperatures(Celsius t) noexcept {
   std::fill(temp_.begin(), temp_.end(), t.value());
-}
-
-std::vector<Celsius> RcNetwork::steady_state() const {
-  // Solve A * T = b where A is the cached pristine system and
-  // b = P + G_amb * T_amb.
-  const std::size_t n = node_count();
-  require(n > 0, "steady_state of empty network");
-  require(topo_->total_g_ambient() > 0.0,
-          "network has no path to ambient; no steady state exists");
-
-  // Elimination scribbles on the matrix; keep the topology's original.
-  const std::span<const double> dense = topo_->dense_system();
-  ss_a_.assign(dense.begin(), dense.end());
-  ss_b_.resize(n);
-  const std::span<const double> g_amb = topo_->g_ambient();
-  for (std::size_t i = 0; i < n; ++i) {
-    ss_b_[i] = power_[i] + g_amb[i] * ambient_.value();
-  }
-  auto& a = ss_a_;
-  auto& b = ss_b_;
-
-  // Gaussian elimination with partial pivoting; n <= ~10 in practice.
-  for (std::size_t col = 0; col < n; ++col) {
-    std::size_t pivot = col;
-    for (std::size_t r = col + 1; r < n; ++r) {
-      if (std::fabs(a[r * n + col]) > std::fabs(a[pivot * n + col])) pivot = r;
-    }
-    require(std::fabs(a[pivot * n + col]) > 1e-12,
-            "singular thermal system (disconnected node without ambient path)");
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(a[col * n + c], a[pivot * n + c]);
-      std::swap(b[col], b[pivot]);
-    }
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = a[r * n + col] / a[col * n + col];
-      if (factor == 0.0) continue;
-      for (std::size_t c = col; c < n; ++c) a[r * n + c] -= factor * a[col * n + c];
-      b[r] -= factor * b[col];
-    }
-  }
-  ss_t_.assign(n, 0.0);
-  for (std::size_t ri = n; ri-- > 0;) {
-    double sum = b[ri];
-    for (std::size_t c = ri + 1; c < n; ++c) sum -= a[ri * n + c] * ss_t_[c];
-    ss_t_[ri] = sum / a[ri * n + ri];
-  }
-  std::vector<Celsius> out;
-  out.reserve(n);
-  for (double v : ss_t_) out.emplace_back(v);
-  return out;
 }
 
 }  // namespace nextgov::thermal

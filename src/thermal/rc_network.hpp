@@ -13,16 +13,13 @@
 //
 //   * RcTopology is the immutable solver structure - the per-node CSR
 //     neighbor layout with edge conductances, the per-node capacitance
-//     inverses, the explicit-Euler stability bound and the pristine dense
-//     steady-state system. It is shared ref-counted
-//     (std::shared_ptr<const RcTopology>) across every session simulating
-//     the same device, so fleet-scale sweeps build the CSR exactly once.
+//     inverses and the explicit-Euler stability bound. It is shared
+//     ref-counted (std::shared_ptr<const RcTopology>) across every session
+//     simulating the same device, so fleet-scale sweeps build the CSR
+//     exactly once.
 //   * RcNetwork is a thin per-session state view over a topology: node
 //     temperatures, injected powers, the ambient boundary and the cached
 //     sub-step count for the engine's fixed step.
-//
-// steady_state() solves the linear system directly (Gaussian elimination,
-// networks are tiny) and is used for calibration and property tests.
 #pragma once
 
 #include <cstddef>
@@ -68,7 +65,6 @@ class RcTopology {
                                                               std::vector<RcEdgeSpec> edges);
 
   [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
-  [[nodiscard]] const RcNodeSpec& node(NodeId id) const;
   [[nodiscard]] const std::vector<RcNodeSpec>& nodes() const noexcept { return nodes_; }
   [[nodiscard]] const std::vector<RcEdgeSpec>& edges() const noexcept { return edges_; }
 
@@ -79,16 +75,11 @@ class RcTopology {
   [[nodiscard]] std::span<const double> nbr_g() const noexcept { return nbr_g_; }
   [[nodiscard]] std::span<const double> inv_cap() const noexcept { return inv_cap_; }
   [[nodiscard]] std::span<const double> g_ambient() const noexcept { return g_ambient_; }
-  [[nodiscard]] double total_g_ambient() const noexcept { return total_g_ambient_; }
 
   /// Largest stable explicit-Euler step [s] (half the per-node bound).
   [[nodiscard]] double max_stable_dt_seconds() const noexcept { return max_stable_dt_s_; }
   /// Sub-steps needed to advance `total_s` seconds stably.
   [[nodiscard]] std::size_t substeps_for(double total_s) const noexcept;
-
-  /// Pristine dense steady-state system (row-major n x n): conductance
-  /// Laplacian plus the ambient diagonal. Solvers copy before eliminating.
-  [[nodiscard]] std::span<const double> dense_system() const noexcept { return dense_a_; }
 
  private:
   std::vector<RcNodeSpec> nodes_;
@@ -99,9 +90,7 @@ class RcTopology {
   std::vector<double> nbr_g_;
   std::vector<double> inv_cap_;
   std::vector<double> g_ambient_;
-  double total_g_ambient_{0.0};
   double max_stable_dt_s_{0.0};
-  std::vector<double> dense_a_;
 };
 
 /// Per-session RC network state over a shared RcTopology.
@@ -112,25 +101,18 @@ class RcNetwork {
   RcNetwork(std::shared_ptr<const RcTopology> topology, Celsius ambient);
 
   [[nodiscard]] std::size_t node_count() const noexcept { return temp_.size(); }
-  [[nodiscard]] const std::string& node_name(NodeId id) const;
   [[nodiscard]] Celsius temperature(NodeId id) const;
   [[nodiscard]] Celsius ambient() const noexcept { return ambient_; }
   void set_ambient(Celsius t) noexcept { ambient_ = t; }
 
   /// Sets the heat injected into `id` for the next step(s) [W].
   void set_power(NodeId id, Watts p);
-  [[nodiscard]] Watts power(NodeId id) const;
 
   /// Advances the network by `dt`, sub-stepping as needed for stability.
   void step(SimTime dt);
 
   /// Forces all node temperatures to `t` (session reset).
   void set_all_temperatures(Celsius t) noexcept;
-
-  /// Solves for the equilibrium temperatures under the current power inputs
-  /// (does not modify the transient state). Throws ConfigError when the
-  /// network has no path to ambient (no equilibrium exists).
-  [[nodiscard]] std::vector<Celsius> steady_state() const;
 
   /// Largest stable explicit-Euler step for the topology [s].
   [[nodiscard]] double max_stable_dt_seconds() const noexcept {
@@ -160,10 +142,6 @@ class RcNetwork {
   double cached_dt_sub_s_{0.0};
 
   std::vector<double> flux_;  // scratch: net heat into each node [W]
-  // Scratch for steady_state() so repeated solves don't allocate.
-  mutable std::vector<double> ss_a_;
-  mutable std::vector<double> ss_b_;
-  mutable std::vector<double> ss_t_;
 };
 
 }  // namespace nextgov::thermal

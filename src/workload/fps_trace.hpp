@@ -1,13 +1,11 @@
 // fps_trace.hpp - recorded frame-rate sample traces.
 //
-// The frame-window ablation and the offline/cloud trainer both consume the
-// *same interaction stream* a live session produced. An FpsTrace is the
-// sequence of 25 ms frame-rate samples (exactly what the Next agent's frame
-// window sees); it can be saved/loaded as CSV so experiments are replayable
-// without re-simulating.
+// The frame-window ablation consumes the *same interaction stream* a live
+// session produced. An FpsTrace is the sequence of 25 ms frame-rate samples
+// (exactly what the Next agent's frame window sees), so experiments replay
+// it without re-simulating.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/sim_time.hpp"
@@ -27,11 +25,6 @@ class FpsTrace {
   [[nodiscard]] const std::vector<FpsSample>& samples() const noexcept { return samples_; }
   [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
   [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
-
-  /// Writes "time_s,fps" rows. Throws IoError on failure.
-  void save_csv(const std::string& path) const;
-  /// Parses a file produced by save_csv. Throws IoError on failure.
-  [[nodiscard]] static FpsTrace load_csv(const std::string& path);
 
  private:
   std::vector<FpsSample> samples_;

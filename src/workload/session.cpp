@@ -4,18 +4,6 @@
 
 namespace nextgov::workload {
 
-SessionApp::SessionApp(std::vector<SessionSegment> segments, std::uint64_t seed)
-    : segments_{std::move(segments)}, segment_end_{SimTime::zero()} {
-  require(!segments_.empty(), "session needs at least one segment");
-  SplitMix64 seeder{seed};
-  apps_.reserve(segments_.size());
-  for (const auto& seg : segments_) {
-    require(seg.duration.us() > 0, "session segment duration must be positive");
-    apps_.push_back(make_app(seg.app, seeder.next()));
-  }
-  segment_end_ = segments_.front().duration;
-}
-
 SessionApp::SessionApp(std::vector<SessionSegment> segments,
                        std::vector<std::unique_ptr<PhasedApp>> apps)
     : segments_{std::move(segments)}, apps_{std::move(apps)}, segment_end_{SimTime::zero()} {
@@ -49,22 +37,5 @@ render::FrameJob SessionApp::begin_frame(SimTime now) {
 BackgroundLoad SessionApp::background() const { return apps_[current_]->background(); }
 
 std::string_view SessionApp::phase_name() const { return apps_[current_]->phase_name(); }
-
-std::string_view SessionApp::current_app_name() const { return apps_[current_]->name(); }
-
-SimTime SessionApp::total_duration() const noexcept {
-  SimTime total = SimTime::zero();
-  for (const auto& seg : segments_) total += seg.duration;
-  return total;
-}
-
-std::unique_ptr<SessionApp> make_fig1_session(std::uint64_t seed) {
-  std::vector<SessionSegment> segs{
-      {AppId::kHome, SimTime::from_seconds(30.0)},
-      {AppId::kFacebook, SimTime::from_seconds(120.0)},
-      {AppId::kSpotify, SimTime::from_seconds(130.0)},
-  };
-  return std::make_unique<SessionApp>(std::move(segs), seed);
-}
 
 }  // namespace nextgov::workload

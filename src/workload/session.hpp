@@ -4,7 +4,8 @@
 // home screen, then Facebook, then Spotify. SessionApp chains apps with
 // fixed segment durations; switching to the next app re-enters that app's
 // initial (splash/loading) phase, modelling the launch cost the paper
-// discusses (FPS collapses while CPU load peaks).
+// discusses (FPS collapses while CPU load peaks). The scenario library
+// (sim/scenario.hpp, e.g. "fig1_session") builds every multi-app session.
 #pragma once
 
 #include <memory>
@@ -22,12 +23,9 @@ struct SessionSegment {
 
 class SessionApp final : public App {
  public:
-  SessionApp(std::vector<SessionSegment> segments, std::uint64_t seed);
-
   /// Builds a session from pre-constructed apps, one per segment, in
-  /// segment order. For callers that customize the per-app AppSpec before
-  /// instantiation (the scenario library's user-model overrides); the plain
-  /// constructor covers catalog apps.
+  /// segment order, so callers can customize each app's AppSpec before
+  /// instantiation (the scenario library's user-model overrides).
   SessionApp(std::vector<SessionSegment> segments,
              std::vector<std::unique_ptr<PhasedApp>> apps);
 
@@ -38,10 +36,6 @@ class SessionApp final : public App {
   [[nodiscard]] std::string_view name() const override { return "session"; }
   [[nodiscard]] std::string_view phase_name() const override;
 
-  /// Name of the app active at the current time (for trace annotation).
-  [[nodiscard]] std::string_view current_app_name() const;
-  [[nodiscard]] SimTime total_duration() const noexcept;
-
  private:
   void maybe_advance(SimTime now);
 
@@ -50,9 +44,5 @@ class SessionApp final : public App {
   std::size_t current_{0};
   SimTime segment_end_;
 };
-
-/// The Fig. 1 / Fig. 3 session: home (30 s) -> Facebook (120 s) ->
-/// Spotify (130 s), ~280 s total like the paper's time axis.
-[[nodiscard]] std::unique_ptr<SessionApp> make_fig1_session(std::uint64_t seed);
 
 }  // namespace nextgov::workload

@@ -19,20 +19,10 @@ void UserModel::schedule_next(SimTime from) {
 
 void UserModel::update(SimTime now) {
   if (!scheduled_) schedule_next(now);
-  const double elapsed = (now - last_update_).seconds();
-  if (elapsed > 0.0) {
-    total_time_s_ += elapsed;
-    if (engaged_) engaged_time_s_ += elapsed;
-    last_update_ = now;
-  }
   while (now >= next_switch_) {
     engaged_ = !engaged_;
     schedule_next(next_switch_);
   }
-}
-
-double UserModel::engaged_fraction() const noexcept {
-  return total_time_s_ > 0.0 ? engaged_time_s_ / total_time_s_ : 0.0;
 }
 
 }  // namespace nextgov::workload

@@ -36,9 +36,6 @@ class UserModel {
 
   [[nodiscard]] bool engaged() const noexcept { return engaged_; }
 
-  /// Fraction of elapsed time spent engaged (diagnostics).
-  [[nodiscard]] double engaged_fraction() const noexcept;
-
  private:
   void schedule_next(SimTime from);
 
@@ -47,9 +44,6 @@ class UserModel {
   bool engaged_;
   SimTime next_switch_{SimTime::zero()};
   bool scheduled_{false};
-  double engaged_time_s_{0.0};
-  double total_time_s_{0.0};
-  SimTime last_update_{SimTime::zero()};
 };
 
 }  // namespace nextgov::workload

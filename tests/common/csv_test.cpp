@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
@@ -41,6 +42,26 @@ TEST_F(CsvTest, StringRowsAreEscaped) {
     csv.row_strings({"a,b", "say \"hi\""});
   }
   EXPECT_EQ(read_all(path_), "app,note\nfacebook,plain\n\"a,b\",\"say \"\"hi\"\"\"\n");
+}
+
+TEST_F(CsvTest, ShortWriteThrowsIoError) {
+  // /dev/full opens and buffers, then fails every write that reaches it:
+  // close() must report the lost rows, naming the file.
+  CsvWriter csv{"/dev/full", {"time_s", "fps"}};
+  for (int i = 0; i < 100; ++i) csv.row({static_cast<double>(i), 60.0});
+  try {
+    csv.close();
+    ADD_FAILURE() << "close() on /dev/full did not throw";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string{e.what()}.find("/dev/full"), std::string::npos) << e.what();
+  }
+}
+
+TEST_F(CsvTest, CloseAfterFullWriteSucceeds) {
+  CsvWriter csv{path_, {"time_s", "fps"}};
+  csv.row({1.0, 60.0});
+  csv.close();
+  EXPECT_EQ(read_all(path_), "time_s,fps\n1,60\n");
 }
 
 TEST_F(CsvTest, ThrowsOnUnopenablePath) {

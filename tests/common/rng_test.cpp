@@ -84,14 +84,6 @@ TEST(Rng, LognormalIsPositive) {
   for (int i = 0; i < 10'000; ++i) EXPECT_GT(rng.lognormal(0.0, 1.0), 0.0);
 }
 
-TEST(Rng, ExponentialMeanMatches) {
-  Rng rng{29};
-  const int n = 200'000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(5.0);
-  EXPECT_NEAR(sum / n, 5.0, 0.1);
-}
-
 TEST(Rng, ForkedStreamsAreIndependentOfParentConsumption) {
   // The fork draws once from the parent, but two forks with different salts
   // from identically-seeded parents must match.

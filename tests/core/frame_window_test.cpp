@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/mode.hpp"
 #include "common/rng.hpp"
 #include "core/frame_window.hpp"
+#include "oracles/mode.hpp"
 
 namespace nextgov::core {
 namespace {
@@ -93,7 +93,7 @@ TEST(FrameWindow, FullFlagTracksCapacity) {
 }
 
 TEST(FrameWindow, TargetMatchesModeOracleOnRandomStreams) {
-  // common/mode is the from-scratch definition of the paper's target FPS;
+  // oracles/mode.hpp is the from-scratch definition of the paper's target FPS;
   // the window maintains the same mode incrementally. After every sample
   // the two must agree over the window's contents, on streams built to hit
   // the edge cases: ties (a small palette of repeated rates), zeros,
@@ -116,7 +116,7 @@ TEST(FrameWindow, TargetMatchesModeOracleOnRandomStreams) {
         contents.push_back(fps);
         if (contents.size() > w.capacity()) contents.pop_front();
         const std::vector<double> window{contents.begin(), contents.end()};
-        ASSERT_EQ(w.target_fps(), mode_of_rounded(window, FrameWindow::kMaxFps))
+        ASSERT_EQ(w.target_fps(), test::mode_of_rounded(window, FrameWindow::kMaxFps))
             << "after sample " << i << " (" << fps << " fps)";
       }
     }

@@ -150,7 +150,7 @@ TEST(NextAgent, QTablePersistenceRoundTrip) {
   agent->save_q_table(path);
 
   auto fresh = make_next_agent(soc, NextConfig{}, 2);
-  fresh->load_q_table(path);
+  fresh->set_q_table(rl::QTable::load(path));
   EXPECT_EQ(fresh->q_table().state_count(), agent->q_table().state_count());
   std::remove(path.c_str());
 }

@@ -3,6 +3,7 @@
 // will reproduce the paper's ordering.
 #include <gtest/gtest.h>
 
+#include "run_app.hpp"
 #include "sim/experiment.hpp"
 
 namespace nextgov::sim {
@@ -18,7 +19,7 @@ SessionResult eval_next(workload::AppId app, SimTime duration, std::uint64_t see
   cfg.duration = duration;
   cfg.seed = seed;
   cfg.trained_table = &tr.table;
-  return run_app_session(app, cfg);
+  return test::run_app(app, cfg);
 }
 
 SessionResult eval_governor(workload::AppId app, GovernorKind kind, SimTime duration,
@@ -27,7 +28,7 @@ SessionResult eval_governor(workload::AppId app, GovernorKind kind, SimTime dura
   cfg.governor = kind;
   cfg.duration = duration;
   cfg.seed = seed;
-  return run_app_session(app, cfg);
+  return test::run_app(app, cfg);
 }
 
 TEST(NextVsBaselines, NextSavesPowerOnAGameWithoutWreckingQoS) {

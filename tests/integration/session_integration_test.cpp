@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "common/stats.hpp"
+#include "run_app.hpp"
 #include "sim/experiment.hpp"
-#include "workload/session.hpp"
+#include "sim/scenario.hpp"
 
 namespace nextgov::sim {
 namespace {
@@ -15,7 +16,7 @@ TEST(SessionIntegration, SpotifyShowsHighFrequencyAtNearZeroFps) {
   // motivating waste.
   ExperimentConfig cfg;
   cfg.duration = SimTime::from_seconds(120.0);
-  const SessionResult r = run_app_session(workload::AppId::kSpotify, cfg);
+  const SessionResult r = test::run_app(workload::AppId::kSpotify, cfg);
   int wasteful_samples = 0;
   for (const auto& s : r.series) {
     if (s.fps <= 5.0 && s.f_big_mhz >= 1500.0) ++wasteful_samples;
@@ -29,7 +30,7 @@ TEST(SessionIntegration, FacebookAlternatesBurstsAndIdle) {
   ExperimentConfig cfg;
   cfg.duration = SimTime::from_seconds(150.0);
   cfg.seed = 3;
-  const SessionResult r = run_app_session(workload::AppId::kFacebook, cfg);
+  const SessionResult r = test::run_app(workload::AppId::kFacebook, cfg);
   int high = 0;
   int idle = 0;
   for (const auto& s : r.series) {
@@ -43,7 +44,7 @@ TEST(SessionIntegration, FacebookAlternatesBurstsAndIdle) {
 TEST(SessionIntegration, YoutubeHoldsVideoCadence) {
   ExperimentConfig cfg;
   cfg.duration = SimTime::from_seconds(120.0);
-  const SessionResult r = run_app_session(workload::AppId::kYoutube, cfg);
+  const SessionResult r = test::run_app(workload::AppId::kYoutube, cfg);
   int at_30 = 0;
   for (const auto& s : r.series) {
     if (s.fps >= 25.0 && s.fps <= 35.0) ++at_30;
@@ -54,7 +55,7 @@ TEST(SessionIntegration, YoutubeHoldsVideoCadence) {
 TEST(SessionIntegration, GamesRunHotAndFast) {
   ExperimentConfig cfg;
   cfg.duration = SimTime::from_seconds(300.0);
-  const SessionResult r = run_app_session(workload::AppId::kLineage, cfg);
+  const SessionResult r = test::run_app(workload::AppId::kLineage, cfg);
   EXPECT_GT(r.avg_fps, 45.0);
   EXPECT_GT(r.avg_power_w, 5.0);
   EXPECT_GT(r.peak_temp_big_c, 65.0);
@@ -64,9 +65,7 @@ TEST(SessionIntegration, GamesRunHotAndFast) {
 TEST(SessionIntegration, Fig1SessionVisitsAllThreeAppSignatures) {
   ExperimentConfig cfg;
   cfg.duration = SimTime::from_seconds(280.0);
-  const SessionResult r = run_session(
-      [](std::uint64_t seed) { return workload::make_fig1_session(seed); }, "fig1session",
-      cfg);
+  const SessionResult r = run_session(scenario("fig1_session").app_factory(), "fig1session", cfg);
   // Segment-wise FPS character: home (bursty), facebook (mixed),
   // spotify (near zero).
   RunningStats home_fps;
@@ -83,7 +82,7 @@ TEST(SessionIntegration, DevicePowerAlwaysWithinPhysicalEnvelope) {
   for (auto app : workload::all_apps()) {
     ExperimentConfig cfg;
     cfg.duration = SimTime::from_seconds(60.0);
-    const SessionResult r = run_app_session(app, cfg);
+    const SessionResult r = test::run_app(app, cfg);
     EXPECT_GT(r.avg_power_w, 1.0) << workload::to_string(app);
     EXPECT_LT(r.peak_power_w, 13.0) << workload::to_string(app);
     EXPECT_GE(r.avg_temp_big_c, 20.0) << workload::to_string(app);

@@ -5,6 +5,7 @@
 #include <array>
 
 #include "rl/federated.hpp"
+#include "run_app.hpp"
 #include "sim/experiment.hpp"
 
 namespace nextgov::sim {
@@ -49,7 +50,8 @@ TEST(Training, FederatedMergeOfTwoDevicesCoversMoreStates) {
   const TrainingResult a = train_next(workload::AppId::kFacebook, core::NextConfig{}, a_opts);
   const TrainingResult b = train_next(workload::AppId::kFacebook, core::NextConfig{}, b_opts);
   const std::array<const rl::QTable*, 2> tables{&a.table, &b.table};
-  const rl::QTable merged = rl::merge_q_tables(tables);
+  const std::array<double, 2> fresh{0.0, 0.0};
+  const rl::QTable merged = rl::merge_q_tables(tables, fresh);
   EXPECT_GE(merged.state_count(), a.table.state_count());
   EXPECT_GE(merged.state_count(), b.table.state_count());
   EXPECT_EQ(merged.total_visits(), a.table.total_visits() + b.table.total_visits());
@@ -59,7 +61,7 @@ TEST(Training, FederatedMergeOfTwoDevicesCoversMoreStates) {
   cfg.governor = GovernorKind::kNext;
   cfg.duration = SimTime::from_seconds(30.0);
   cfg.trained_table = &merged;
-  const SessionResult r = run_app_session(workload::AppId::kFacebook, cfg);
+  const SessionResult r = test::run_app(workload::AppId::kFacebook, cfg);
   EXPECT_GT(r.avg_power_w, 0.5);
 }
 
@@ -69,12 +71,12 @@ TEST(Training, AgentPowerOverheadIsSmall) {
   // schedutil sessions with and without the agent-overhead utilization.
   ExperimentConfig base;
   base.duration = SimTime::from_seconds(60.0);
-  const SessionResult stock = run_app_session(workload::AppId::kFacebook, base);
+  const SessionResult stock = test::run_app(workload::AppId::kFacebook, base);
 
   ExperimentConfig with_agent = base;
   with_agent.governor = GovernorKind::kNext;  // untrained, exploring caps at max
   with_agent.next_mode = core::AgentMode::kDeployed;
-  const SessionResult agent = run_app_session(workload::AppId::kFacebook, with_agent);
+  const SessionResult agent = test::run_app(workload::AppId::kFacebook, with_agent);
   EXPECT_LT(agent.avg_power_w, stock.avg_power_w * 1.06);
 }
 

@@ -1,4 +1,4 @@
-// Unit tests for the mode operation at the heart of the frame window
+// Unit tests for the mode oracle of the frame window's target FPS
 // (Section IV-A: target FPS = mode of 160 frame-rate samples).
 #include <gtest/gtest.h>
 
@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/mode.hpp"
+#include "oracles/mode.hpp"
 
-namespace nextgov {
+namespace nextgov::test {
 namespace {
 
 TEST(Mode, EmptySampleIsZero) {
@@ -26,7 +26,7 @@ TEST(Mode, PicksMostFrequent) {
 }
 
 TEST(Mode, TieBreaksTowardLargerValue) {
-  // QoS must not be under-provisioned on ties (see mode.hpp).
+  // QoS must not be under-provisioned on ties (see oracles/mode.hpp).
   const std::array<int, 4> v{30, 30, 60, 60};
   EXPECT_EQ(mode_of(v), 60);
 }
@@ -64,4 +64,4 @@ TEST(Mode, RoundedVariantOnUniformSample) {
 }
 
 }  // namespace
-}  // namespace nextgov
+}  // namespace nextgov::test

@@ -1,9 +1,6 @@
 // Unit + property tests for binning and state packing.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <vector>
-
 #include "common/error.hpp"
 #include "rl/discretizer.hpp"
 
@@ -26,60 +23,10 @@ TEST(LinearBins, ClampsOutOfRange) {
   EXPECT_EQ(bins.bin(500.0), 7u);
 }
 
-TEST(LinearBins, CentersAreMonotoneAndInsideRange) {
-  const LinearBins bins{0.0, 12.0, 8};
-  double prev = -1.0;
-  for (std::size_t i = 0; i < bins.count(); ++i) {
-    const double c = bins.center(i);
-    EXPECT_GT(c, prev);
-    EXPECT_GT(c, 0.0);
-    EXPECT_LT(c, 12.0);
-    prev = c;
-  }
-}
-
-TEST(LinearBins, CenterRoundTripsThroughBin) {
-  const LinearBins bins{0.0, 60.0, 30};
-  for (std::size_t i = 0; i < bins.count(); ++i) EXPECT_EQ(bins.bin(bins.center(i)), i);
-}
-
 TEST(LinearBins, Validation) {
   EXPECT_THROW(LinearBins(0.0, 1.0, 0), ConfigError);
   EXPECT_THROW(LinearBins(1.0, 1.0, 4), ConfigError);
   EXPECT_THROW(LinearBins(2.0, 1.0, 4), ConfigError);
-}
-
-TEST(MixedRadixPacker, EncodeDecodeRoundTrip) {
-  MixedRadixPacker packer;
-  packer.add_field(18);  // big OPPs
-  packer.add_field(10);  // LITTLE OPPs
-  packer.add_field(6);   // GPU OPPs
-  packer.add_field(30);  // FPS levels
-  EXPECT_EQ(packer.state_space_size(), 18u * 10u * 6u * 30u);
-  const std::vector<std::size_t> fields{17, 9, 5, 29};
-  const StateKey key = packer.encode(fields);
-  EXPECT_EQ(packer.decode(key), fields);
-  EXPECT_EQ(key, packer.state_space_size() - 1);  // max fields -> max key
-}
-
-TEST(MixedRadixPacker, DistinctFieldsGiveDistinctKeys) {
-  MixedRadixPacker packer;
-  packer.add_field(4);
-  packer.add_field(3);
-  std::vector<StateKey> keys;
-  for (std::size_t a = 0; a < 4; ++a) {
-    for (std::size_t b = 0; b < 3; ++b) keys.push_back(packer.encode({a, b}));
-  }
-  std::sort(keys.begin(), keys.end());
-  EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
-  EXPECT_EQ(keys.front(), 0u);
-  EXPECT_EQ(keys.back(), 11u);
-}
-
-TEST(MixedRadixPacker, RejectsFieldCountMismatch) {
-  MixedRadixPacker packer;
-  packer.add_field(4);
-  EXPECT_THROW((void)packer.encode({1, 2}), ConfigError);
 }
 
 TEST(MixedRadixPacker, RejectsOverflowAndZeroCardinality) {

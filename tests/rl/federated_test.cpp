@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -9,6 +10,12 @@
 
 namespace nextgov::rl {
 namespace {
+
+/// A merge of uploads that are all fresh (staleness 0, full weight).
+QTable merge_fresh(std::span<const QTable* const> tables) {
+  const std::vector<double> fresh(tables.size(), 0.0);
+  return merge_q_tables(tables, fresh);
+}
 
 /// The tried mask of state `s`; 0 when the table does not hold it.
 std::uint32_t tried_of(const QTable& t, StateKey s) {
@@ -25,7 +32,7 @@ TEST(Federated, SingleTableIsIdentityOnTriedEntries) {
   t.set_q(1, 2, -0.25);
   t.record_visit(1);
   const std::array<const QTable*, 1> tables{&t};
-  const QTable merged = merge_q_tables(tables);
+  const QTable merged = merge_fresh(tables);
   EXPECT_FLOAT_EQ(static_cast<float>(merged.q(1, 0)), 0.5f);
   EXPECT_FLOAT_EQ(static_cast<float>(merged.q(1, 2)), -0.25f);
   EXPECT_EQ(merged.visits(1), 1u);
@@ -40,7 +47,7 @@ TEST(Federated, VisitWeightedAverage) {
   // b has 0 recorded visits -> weight 1.
   b.set_q(5, 1, 0.5);
   const std::array<const QTable*, 2> tables{&a, &b};
-  const QTable merged = merge_q_tables(tables);
+  const QTable merged = merge_fresh(tables);
   EXPECT_NEAR(merged.q(5, 0), 10.0 / 11.0, 1e-5);
   // Action 1 was tried only by b.
   EXPECT_NEAR(merged.q(5, 1), 0.5, 1e-6);
@@ -52,7 +59,7 @@ TEST(Federated, DisjointStatesUnionize) {
   QTable b{2};
   b.set_q(2, 1, 0.7);
   const std::array<const QTable*, 2> tables{&a, &b};
-  const QTable merged = merge_q_tables(tables);
+  const QTable merged = merge_fresh(tables);
   EXPECT_EQ(merged.state_count(), 2u);
   EXPECT_FLOAT_EQ(static_cast<float>(merged.q(1, 0)), 0.4f);
   EXPECT_FLOAT_EQ(static_cast<float>(merged.q(2, 1)), 0.7f);
@@ -64,7 +71,7 @@ TEST(Federated, UntriedOptimisticEntriesDoNotPolluteMerge) {
   QTable b{2, 5.0};
   b.set_q(1, 0, 0.5);
   const std::array<const QTable*, 2> tables{&a, &b};
-  const QTable merged = merge_q_tables(tables);
+  const QTable merged = merge_fresh(tables);
   EXPECT_NEAR(merged.q(1, 0), 0.4, 1e-6);
   // Action 1 untried everywhere: merged entry keeps the merged-table
   // default (0), not the devices' optimism, and stays untried.
@@ -76,34 +83,35 @@ TEST(Federated, MismatchedActionCountsRejected) {
   QTable a{2};
   QTable b{3};
   const std::array<const QTable*, 2> tables{&a, &b};
-  EXPECT_THROW((void)merge_q_tables(tables), ConfigError);
+  EXPECT_THROW((void)merge_fresh(tables), ConfigError);
 }
 
 TEST(Federated, EmptyInputRejected) {
-  EXPECT_THROW((void)merge_q_tables({}), ConfigError);
+  EXPECT_THROW((void)merge_fresh({}), ConfigError);
 }
 
 TEST(Federated, NullTableRejected) {
   QTable a{2};
   const std::array<const QTable*, 2> tables{&a, nullptr};
-  EXPECT_THROW((void)merge_q_tables(tables), ConfigError);
+  EXPECT_THROW((void)merge_fresh(tables), ConfigError);
 }
 
 TEST(FederatedStaleness, ZeroStalenessMatchesPlainMerge) {
+  // Staleness 0 is full weight: the merge is the plain visit-weighted
+  // average, (visits + 1) per table.
   QTable a{2};
   a.set_q(5, 0, 1.0);
-  for (int i = 0; i < 9; ++i) a.record_visit(5);
+  for (int i = 0; i < 9; ++i) a.record_visit(5);  // weight 10
   QTable b{2};
-  b.set_q(5, 0, 0.0);
+  b.set_q(5, 0, 0.0);  // weight 1
   b.set_q(7, 1, 0.25);
   const std::array<const QTable*, 2> tables{&a, &b};
   const std::array<double, 2> fresh{0.0, 0.0};
-  const QTable plain = merge_q_tables(tables);
-  const QTable weighted = merge_q_tables(tables, fresh);
-  EXPECT_EQ(weighted.state_count(), plain.state_count());
-  EXPECT_DOUBLE_EQ(weighted.q(5, 0), plain.q(5, 0));
-  EXPECT_DOUBLE_EQ(weighted.q(7, 1), plain.q(7, 1));
-  EXPECT_EQ(weighted.total_visits(), plain.total_visits());
+  const QTable merged = merge_q_tables(tables, fresh);
+  EXPECT_EQ(merged.state_count(), 2u);
+  EXPECT_FLOAT_EQ(static_cast<float>(merged.q(5, 0)), static_cast<float>(10.0 / 11.0));
+  EXPECT_FLOAT_EQ(static_cast<float>(merged.q(7, 1)), 0.25f);
+  EXPECT_EQ(merged.total_visits(), 9u);
 }
 
 TEST(FederatedStaleness, StaleTableIsDownweighted) {
@@ -164,7 +172,6 @@ TEST(FederatedStaleness, RejectsBadInputs) {
 
 TEST(FederatedMerge, EmptySpanIsRejected) {
   const std::vector<const QTable*> none;
-  EXPECT_THROW((void)merge_q_tables(none), ConfigError);
   const std::vector<double> no_staleness;
   EXPECT_THROW((void)merge_q_tables(none, no_staleness), ConfigError);
 }
@@ -176,7 +183,7 @@ TEST(FederatedMerge, SingleTableMergesToItself) {
   t.set_q(20, 1, -0.1);
   t.add_visits(10, 5);
   const std::array<const QTable*, 1> one{&t};
-  const QTable merged = merge_q_tables(one);
+  const QTable merged = merge_fresh(one);
   // Values and visit mass survive unchanged; untried entries stay untried
   // (the merged table materializes them at its own default 0.0, which is
   // also what a single-table merge of a default-q table produces).
@@ -199,7 +206,7 @@ TEST(FederatedMerge, ZeroVisitTablesStillContribute) {
   a.set_q(1, 0, 0.0);
   b.set_q(1, 0, 1.0);
   const std::array<const QTable*, 2> tables{&a, &b};
-  const QTable merged = merge_q_tables(tables);
+  const QTable merged = merge_fresh(tables);
   EXPECT_FLOAT_EQ(static_cast<float>(merged.q(1, 0)), 0.5f);
   EXPECT_EQ(merged.visits(1), 0u);  // no real visit mass was ever recorded
 }

@@ -31,9 +31,13 @@ TEST(QLearning, SingleUpdateMatchesEquation3) {
 }
 
 TEST(QLearning, TerminalUpdateOmitsBootstrap) {
+  // An update into an absorbing state whose row is pinned at 0 (the
+  // corridor goal below) bootstraps nothing: the TD error is r - Q(s, a).
   QTable t{2};
+  t.set_q(9, 0, 0.0);
+  t.set_q(9, 1, 0.0);
   QLearning learner{{.alpha = 0.5, .gamma = 0.9, .alpha_min = 0.5, .visit_decay = 0.0}};
-  const double td = learner.update_terminal(t, 0, 1, 1.0);
+  const double td = learner.update(t, 0, 1, 1.0, 9);
   EXPECT_DOUBLE_EQ(td, 1.0);
   EXPECT_NEAR(t.q(0, 1), 0.5, 1e-6);
 }
@@ -64,6 +68,15 @@ TEST(QLearning, UpdatesRecordVisits) {
   EXPECT_EQ(t.visits(7), 2u);
 }
 
+/// A corridor table whose goal state is absorbing: its row is pinned at 0
+/// and never updated, so an update into the goal bootstraps nothing.
+QTable corridor_table(std::size_t goal) {
+  QTable t{2, 1.5};
+  t.set_q(goal, 0, 0.0);
+  t.set_q(goal, 1, 0.0);
+  return t;
+}
+
 // A 5-state corridor MDP: states 0..4, actions {left, right}; reward 1 at
 // reaching state 4 (terminal), 0 otherwise. Q-learning with exploration
 // must find the optimal policy (always right) and the correct value
@@ -72,7 +85,7 @@ TEST(QLearning, SolvesCorridorMdp) {
   constexpr std::size_t kGoal = 4;
   // Optimistic init: with zero init and greedy ties resolving to "left",
   // reaching the goal is a gambler's-ruin event epsilon alone rarely wins.
-  QTable t{2, 1.5};
+  QTable t = corridor_table(kGoal);
   QLearning learner{{.alpha = 0.2, .gamma = 0.9, .alpha_min = 0.05, .visit_decay = 0.01}};
   EpsilonGreedyPolicy policy{{0.3, 0.05, 5000}};
   Rng rng{7};
@@ -81,11 +94,7 @@ TEST(QLearning, SolvesCorridorMdp) {
     for (int step = 0; step < 50 && s != kGoal; ++step) {
       const std::size_t a = policy.select(t, s, rng);
       const std::size_t s_next = (a == 1) ? s + 1 : (s > 0 ? s - 1 : 0);
-      if (s_next == kGoal) {
-        (void)learner.update_terminal(t, s, a, 1.0);
-      } else {
-        (void)learner.update(t, s, a, 0.0, s_next);
-      }
+      (void)learner.update(t, s, a, s_next == kGoal ? 1.0 : 0.0, s_next);
       s = s_next;
     }
   }
@@ -106,7 +115,7 @@ class GammaSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(GammaSweep, CorridorStartValueMatchesTheory) {
   const double gamma = GetParam();
-  QTable t{2, 1.5};  // optimistic init (see SolvesCorridorMdp)
+  QTable t = corridor_table(4);  // optimistic init (see SolvesCorridorMdp)
   QLearning learner{{.alpha = 0.2, .gamma = gamma, .alpha_min = 0.02, .visit_decay = 0.01}};
   EpsilonGreedyPolicy policy{{0.4, 0.05, 4000}};
   Rng rng{11};
@@ -115,11 +124,7 @@ TEST_P(GammaSweep, CorridorStartValueMatchesTheory) {
     for (int step = 0; step < 50 && s != 4; ++step) {
       const std::size_t a = policy.select(t, s, rng);
       const std::size_t s_next = (a == 1) ? s + 1 : (s > 0 ? s - 1 : 0);
-      if (s_next == 4) {
-        (void)learner.update_terminal(t, s, a, 1.0);
-      } else {
-        (void)learner.update(t, s, a, 0.0, s_next);
-      }
+      (void)learner.update(t, s, a, s_next == 4 ? 1.0 : 0.0, s_next);
       s = s_next;
     }
   }

@@ -1,10 +1,8 @@
-// Tests for the sparse fleet-sync wire encodings (rl/qtable_delta.hpp):
-// delta encode/apply bit-exactness, base-guard rejection, canonical delta
-// bytes, and the quantized full-table formats (f16/q8 value lanes).
+// Tests for the sparse fleet-sync wire encoding (rl/qtable_delta.hpp):
+// delta encode/apply bit-exactness, base-guard rejection and canonical delta
+// bytes.
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cmath>
 #include <random>
 #include <string>
 
@@ -189,157 +187,6 @@ TEST(QTableDelta, DeserializeRejectsCorruptStreams) {
     EXPECT_NE(what.find("change count 1048576"), std::string::npos) << what;
     EXPECT_EQ(what.find("truncated"), std::string::npos) << what;
   }
-}
-
-// --- f16 ---------------------------------------------------------------------
-
-TEST(WireQuantF16, KnownConversionVectors) {
-  EXPECT_EQ(f32_to_f16(0.0f), 0x0000u);
-  EXPECT_EQ(f32_to_f16(-0.0f), 0x8000u);
-  EXPECT_EQ(f32_to_f16(1.0f), 0x3c00u);
-  EXPECT_EQ(f32_to_f16(-2.5f), 0xc100u);
-  EXPECT_EQ(f32_to_f16(65504.0f), 0x7bffu);   // largest finite half
-  EXPECT_EQ(f32_to_f16(65520.0f), 0x7c00u);   // rounds to +inf
-  EXPECT_EQ(f32_to_f16(1e30f), 0x7c00u);      // overflow -> +inf
-  EXPECT_EQ(f32_to_f16(5.9604645e-8f), 0x0001u);  // smallest subnormal
-  // Exactly half the smallest subnormal: ties-to-even rounds to zero.
-  EXPECT_EQ(f32_to_f16(2.9802322e-8f), 0x0000u);
-  EXPECT_EQ(f32_to_f16(1.0f + 1.0f / 1024.0f), 0x3c01u);
-  // Ties-to-even on the mantissa: 1 + 2^-11 sits exactly between 0x3c00
-  // and 0x3c01 and must round to the even code.
-  EXPECT_EQ(f32_to_f16(1.0f + 1.0f / 2048.0f), 0x3c00u);
-  EXPECT_EQ(f32_to_f16(1.0f + 3.0f / 2048.0f), 0x3c02u);
-  const std::uint16_t nan = f32_to_f16(std::bit_cast<float>(0x7fc00000u));
-  EXPECT_EQ(nan & 0x7c00u, 0x7c00u);
-  EXPECT_NE(nan & 0x03ffu, 0u);
-}
-
-TEST(WireQuantF16, EveryHalfValueRoundTripsThroughF32) {
-  // f32 holds every f16 exactly, so decode->encode must be the identity for
-  // all 65536 bit patterns except NaNs (payloads are canonicalized).
-  for (std::uint32_t h = 0; h <= 0xffffu; ++h) {
-    const std::uint16_t half = static_cast<std::uint16_t>(h);
-    const bool is_nan = (half & 0x7c00u) == 0x7c00u && (half & 0x03ffu) != 0;
-    if (is_nan) continue;
-    EXPECT_EQ(f32_to_f16(f16_to_f32(half)), half) << "half bits 0x" << std::hex << h;
-  }
-}
-
-// --- quantized table wire ----------------------------------------------------
-
-TEST(WireQuant, F32ModeRoundTripsBitIdentically) {
-  const QTable t = sample_table(12, 70);
-  ByteWriter w;
-  serialize_quantized(t, WireQuant::kF32, w);
-  ByteReader in{w.data(), "wire"};
-  const QTable back = deserialize_quantized(in);
-  EXPECT_TRUE(in.done());
-  EXPECT_TRUE(back == t);
-  EXPECT_EQ(canonical_bytes(back), canonical_bytes(t));
-}
-
-TEST(WireQuant, LossyModesPreserveStructureAndBoundError) {
-  const QTable t = sample_table(13, 70);
-  for (const WireQuant quant : {WireQuant::kF16, WireQuant::kQ8}) {
-    SCOPED_TRACE(static_cast<int>(quant));
-    ByteWriter w;
-    serialize_quantized(t, quant, w);
-    ByteReader in{w.data(), "wire"};
-    const QTable back = deserialize_quantized(in);
-    EXPECT_TRUE(in.done());
-    // Keys, visits and tried masks are exact in every mode.
-    EXPECT_EQ(back.state_count(), t.state_count());
-    EXPECT_EQ(back.total_visits(), t.total_visits());
-    QTable::KeyOrderCursor walk{back};
-    t.for_each_entry([&](const QTable::EntryView& e) {
-      ASSERT_FALSE(walk.done());
-      const QTable::EntryView b = walk.entry();
-      walk.next();
-      ASSERT_EQ(b.key(), e.key());
-      EXPECT_EQ(b.visits(), e.visits());
-      EXPECT_EQ(b.tried(), e.tried());
-      for (std::size_t a = 0; a < t.action_count(); ++a) {
-        // Values are in [-5, 5] with a 10.0 default; q8's worst case is
-        // half a code step of the 15-unit range, f16's is far smaller.
-        EXPECT_NEAR(back.q(e.key(), a), static_cast<double>(e.q(a)),
-                    quant == WireQuant::kF16 ? 0.01 : 0.05);
-      }
-    });
-  }
-}
-
-TEST(WireQuant, NarrowerModesShrinkTheWire) {
-  // q8 pays an 8-byte min/max header per state, so it only beats f16 when
-  // the action space is wider than 8 lanes; use 16 to pin the ordering.
-  const QTable t = sample_table(14, 200, 16);
-  ByteWriter f32w;
-  ByteWriter f16w;
-  ByteWriter q8w;
-  serialize_quantized(t, WireQuant::kF32, f32w);
-  serialize_quantized(t, WireQuant::kF16, f16w);
-  serialize_quantized(t, WireQuant::kQ8, q8w);
-  EXPECT_LT(f16w.size(), f32w.size());
-  EXPECT_LT(q8w.size(), f16w.size());
-}
-
-TEST(WireQuant, RejectsUnknownTagAndDuplicateKeys) {
-  ByteWriter w;
-  w.u8(9);
-  ByteReader in{w.data(), "wire"};
-  EXPECT_THROW((void)deserialize_quantized(in), SerializeError);
-
-  ByteWriter dup;
-  dup.u8(0);       // kF32
-  dup.u64(1);      // actions
-  dup.f64(0.0);    // default_q
-  dup.u64(0);      // total visits
-  dup.u64(2);      // two states...
-  for (int i = 0; i < 2; ++i) {
-    dup.u64(42);   // ...with the same key
-    dup.u64(0);
-    dup.u32(0);
-    dup.f32(0.0f);
-  }
-  ByteReader in2{dup.data(), "wire"};
-  EXPECT_THROW((void)deserialize_quantized(in2), SerializeError);
-
-  // Headers claiming 2^20 states of 27 actions are refused from the count
-  // alone in every mode, before anything is allocated for those states.
-  for (const WireQuant quant : {WireQuant::kF32, WireQuant::kF16, WireQuant::kQ8}) {
-    ByteWriter hostile;
-    hostile.u8(static_cast<std::uint8_t>(quant));
-    hostile.u64(27);        // actions
-    hostile.f64(0.0);       // default_q
-    hostile.u64(0);         // total visits
-    hostile.u64(1u << 20);  // states
-    ByteReader in3{hostile.data(), "wire"};
-    try {
-      (void)deserialize_quantized(in3);
-      ADD_FAILURE() << "hostile state count accepted";
-    } catch (const SerializeError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("state count 1048576"), std::string::npos) << what;
-      EXPECT_EQ(what.find("truncated"), std::string::npos) << what;
-    }
-  }
-}
-
-TEST(WireQuant, F32ModeStaysExactPastTableGrowth) {
-  // Same contract as F32ModeRoundTripsBitIdentically, but on a table large
-  // enough that both ends of the codec cross the open-addressing growth
-  // threshold (the small-table version once passed while grown tables
-  // scrambled their rows in grow()'s rehash copy).
-  QTable t{16, 25.0};
-  for (StateKey s = 1; s <= 9000; ++s) {
-    t.set_q(s * 0x9e3779b97f4a7c15ull, s % 16, 0.25 * static_cast<double>(s % 1000));
-    t.add_visits(s * 0x9e3779b97f4a7c15ull, s % 3);
-  }
-  ASSERT_EQ(t.state_count(), 9000u);
-  ByteWriter w;
-  serialize_quantized(t, WireQuant::kF32, w);
-  ByteReader in{w.data(), "wire"};
-  EXPECT_TRUE(deserialize_quantized(in) == t);
-  EXPECT_TRUE(in.done());
 }
 
 }  // namespace

@@ -278,8 +278,9 @@ TEST(FederatedMergeOracle, KWayMergeEqualsHashMapAccumulator) {
     EXPECT_TRUE(merged == oracle);
     EXPECT_EQ(bytes_of(merged), bytes_of(oracle));
 
+    const std::vector<double> fresh(tables.size(), 0.0);
     const std::vector<double> unit(tables.size(), 1.0);
-    EXPECT_TRUE(merge_q_tables(tables) == hash_map_merge(tables, unit));
+    EXPECT_TRUE(merge_q_tables(tables, fresh) == hash_map_merge(tables, unit));
   }
 }
 

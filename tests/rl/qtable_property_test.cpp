@@ -246,7 +246,8 @@ TEST(QTableProperty, MergeMatchesReferenceMath) {
     }
 
     const QTable* tables[] = {&a, &b};
-    const QTable merged = merge_q_tables(tables);
+    const double fresh[] = {0.0, 0.0};
+    const QTable merged = merge_q_tables(tables, fresh);
 
     // Reference FedAvg, replicating rl/federated.cpp's accumulation order.
     RefTable expected{actions, 0.0};

@@ -1,7 +1,9 @@
 // Unit tests for the experiment harness.
 #include <gtest/gtest.h>
 
+#include "run_app.hpp"
 #include "sim/experiment.hpp"
+#include "sim/scenario.hpp"
 
 namespace nextgov::sim {
 namespace {
@@ -15,7 +17,7 @@ TEST(Experiment, GovernorNames) {
 TEST(Experiment, SessionResultFieldsArePopulated) {
   ExperimentConfig cfg;
   cfg.duration = SimTime::from_seconds(20.0);
-  const SessionResult r = run_app_session(workload::AppId::kFacebook, cfg);
+  const SessionResult r = test::run_app(workload::AppId::kFacebook, cfg);
   EXPECT_EQ(r.app, "facebook");
   EXPECT_EQ(r.governor, "schedutil");
   EXPECT_DOUBLE_EQ(r.duration_s, 20.0);
@@ -30,8 +32,8 @@ TEST(Experiment, SameSeedReproducesExactly) {
   ExperimentConfig cfg;
   cfg.duration = SimTime::from_seconds(15.0);
   cfg.seed = 5;
-  const SessionResult a = run_app_session(workload::AppId::kSpotify, cfg);
-  const SessionResult b = run_app_session(workload::AppId::kSpotify, cfg);
+  const SessionResult a = test::run_app(workload::AppId::kSpotify, cfg);
+  const SessionResult b = test::run_app(workload::AppId::kSpotify, cfg);
   EXPECT_DOUBLE_EQ(a.avg_power_w, b.avg_power_w);
   EXPECT_EQ(a.frames_presented, b.frames_presented);
 }
@@ -39,8 +41,7 @@ TEST(Experiment, SameSeedReproducesExactly) {
 TEST(Experiment, CustomFactorySessionsWork) {
   ExperimentConfig cfg;
   cfg.duration = SimTime::from_seconds(10.0);
-  const SessionResult r = run_session(
-      [](std::uint64_t seed) { return workload::make_fig1_session(seed); }, "fig1", cfg);
+  const SessionResult r = run_session(scenario("fig1_session").app_factory(), "fig1", cfg);
   EXPECT_EQ(r.app, "fig1");
 }
 
@@ -65,7 +66,7 @@ TEST(Experiment, TrainedTableDeploysGreedily) {
   cfg.governor = GovernorKind::kNext;
   cfg.duration = SimTime::from_seconds(20.0);
   cfg.trained_table = &tr.table;
-  const SessionResult r = run_app_session(workload::AppId::kFacebook, cfg);
+  const SessionResult r = test::run_app(workload::AppId::kFacebook, cfg);
   EXPECT_EQ(r.governor, "next");
   EXPECT_GT(r.avg_power_w, 0.5);
 }

@@ -206,7 +206,7 @@ TEST(FleetResumeGolden, SnapshotFileBytesAreDeterministic) {
 }
 
 /// FNV-1a, 64-bit: a digest computed here rather than with the library's
-/// crc32, so the pins below hold the writer to bytes no library change can
+/// CRC, so the pins below hold the writer to bytes no library change can
 /// redefine.
 template <typename Bytes>
 std::uint64_t fnv1a64(const Bytes& bytes) {

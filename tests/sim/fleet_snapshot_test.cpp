@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "oracles/crc32.hpp"
 #include "sim/fleet_server.hpp"
 #include "temp_path.hpp"
 
@@ -92,7 +93,7 @@ std::vector<std::uint8_t> container(
     seeded.bytes(payload);
     out.str(name);
     out.u64(payload.size());
-    out.u32(crc32(seeded.data()));
+    out.u32(test::crc32(seeded.data()));
     out.bytes(payload);
   }
   return out.take();

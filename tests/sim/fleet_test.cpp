@@ -17,6 +17,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "run_app.hpp"
 #include "sim/fleet_server.hpp"
 #include "temp_path.hpp"
 
@@ -66,7 +67,9 @@ TEST(Fleet, CalmServerIsSynchronousFedAvg) {
   const std::vector<TrainingResult> devices = execute(plan, {.workers = 2});
   std::vector<const rl::QTable*> tables;
   for (const TrainingResult& r : devices) tables.push_back(&r.table);
-  EXPECT_EQ(canonical_bytes(*server.global()), canonical_bytes(rl::merge_q_tables(tables)));
+  const std::vector<double> fresh(tables.size(), 0.0);
+  EXPECT_EQ(canonical_bytes(*server.global()),
+            canonical_bytes(rl::merge_q_tables(tables, fresh)));
   EXPECT_EQ(server.stats().uploads_accepted, options.devices);
 }
 
@@ -204,7 +207,7 @@ TEST(Fleet, GlobalTableIsDeployable) {
   cfg.duration = SimTime::from_seconds(20.0);
   cfg.seed = 999;
   cfg.trained_table = server.global();
-  const SessionResult session = run_app_session(workload::AppId::kFacebook, cfg);
+  const SessionResult session = test::run_app(workload::AppId::kFacebook, cfg);
   EXPECT_GT(session.avg_power_w, 0.1);
   EXPECT_GT(session.avg_fps, 0.0);
 }

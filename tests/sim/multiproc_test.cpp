@@ -14,9 +14,9 @@
 namespace nextgov::sim {
 namespace {
 
-/// 4 scenarios x 3 seeds = 12 cells, trimmed to 20 s sessions so the full
-/// matrix stays test-suite cheap. How the plan splits across workers, not
-/// session length, is under test.
+/// 4 scenarios x 3 ambients = 12 cells, trimmed to 20 s sessions so the
+/// full matrix stays test-suite cheap. How the plan splits across workers,
+/// not session length, is under test.
 ScenarioMatrix short_matrix() {
   ScenarioMatrix matrix;
   for (const char* name :
@@ -25,8 +25,15 @@ ScenarioMatrix short_matrix() {
     spec.duration = SimTime::from_seconds(20.0);
     matrix.add(std::move(spec));
   }
-  matrix.seeds(3);
+  matrix.ambients({15.0, 25.0, 35.0});
   return matrix;
+}
+
+/// Every cell of `matrix` under schedutil, in cell order.
+RunPlan schedutil_plan(const ScenarioMatrix& matrix) {
+  RunPlan plan;
+  append_cells(plan, matrix.expand(), GovernorKind::kSchedutil);
+  return plan;
 }
 
 /// The serial reference path.
@@ -44,7 +51,7 @@ void expect_all_bit_identical(const std::vector<SessionResult>& expected,
 }
 
 TEST(Multiproc, MatrixBitIdenticalAcrossProcessCounts) {
-  const RunPlan plan = short_matrix().to_run_plan(GovernorKind::kSchedutil);
+  const RunPlan plan = schedutil_plan(short_matrix());
   ASSERT_GE(plan.size(), 12u);
   const std::vector<SessionResult> reference = execute(plan, kSerial);
 
@@ -52,15 +59,6 @@ TEST(Multiproc, MatrixBitIdenticalAcrossProcessCounts) {
     SCOPED_TRACE(workers);
     expect_all_bit_identical(reference, execute(plan, in_workers(workers)));
   }
-}
-
-TEST(Multiproc, ScenarioMatrixRunConvenience) {
-  const ScenarioMatrix matrix = short_matrix();
-  const std::vector<SessionResult> direct =
-      execute(matrix.to_run_plan(GovernorKind::kSchedutil), kSerial);
-  const std::vector<SessionResult> swept =
-      execute(matrix.to_run_plan(GovernorKind::kSchedutil), in_workers(2));
-  expect_all_bit_identical(direct, swept);
 }
 
 TEST(Multiproc, EmptyPlanYieldsEmptyResults) {
@@ -72,8 +70,8 @@ TEST(Multiproc, MoreProcessesThanCellsClampsToCells) {
   ScenarioSpec spec = scenario("fig1_session");
   spec.duration = SimTime::from_seconds(20.0);
   ScenarioMatrix matrix;
-  matrix.add(std::move(spec)).seeds(2);  // 2 cells
-  const RunPlan plan = matrix.to_run_plan(GovernorKind::kSchedutil);
+  matrix.add(std::move(spec)).ambients({21.0, 35.0});  // 2 cells
+  const RunPlan plan = schedutil_plan(matrix);
   EXPECT_EQ(resolve_workers(8, plan.size()), plan.size());
   const std::vector<SessionResult> reference = execute(plan, kSerial);
   expect_all_bit_identical(reference, execute(plan, in_workers(8)));

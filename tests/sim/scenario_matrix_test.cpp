@@ -19,8 +19,8 @@ namespace nextgov::sim {
 namespace {
 
 /// The canonical small matrix used by the execution tests: 2 scenarios x
-/// 3 ambients x 2 refresh rates x 1 seed = 12 cells, shortened so the
-/// whole matrix stays test-sized.
+/// 3 ambients x 2 refresh rates = 12 cells, shortened so the whole matrix
+/// stays test-sized.
 ScenarioMatrix small_matrix() {
   ScenarioSpec fig1 = scenario("fig1_session");
   fig1.duration = SimTime::from_seconds(20.0);
@@ -32,6 +32,13 @@ ScenarioMatrix small_matrix() {
       .ambients({15.0, 25.0, 35.0})
       .refresh_rates({60.0, 90.0});
   return matrix;
+}
+
+/// Every cell of `matrix` under `governor`, in cell order.
+RunPlan plan_of(const ScenarioMatrix& matrix, GovernorKind governor) {
+  RunPlan plan;
+  append_cells(plan, matrix.expand(), governor);
+  return plan;
 }
 
 TEST(ScenarioLibrary, LookupKnownAndUnknownNames) {
@@ -86,18 +93,16 @@ TEST(ScenarioSpecTest, ExperimentConfigCarriesOperatingPoint) {
 
 TEST(ScenarioMatrixTest, SizeMatchesAxisProduct) {
   EXPECT_EQ(small_matrix().size(), 12u);
-  ScenarioMatrix seeded = small_matrix();
-  seeded.seeds(3);
-  EXPECT_EQ(seeded.size(), 36u);
+  EXPECT_EQ(small_matrix().expand().size(), 12u);
   // Unset axes keep each scenario's own value: one point, not zero.
   ScenarioMatrix bare;
-  bare.add("fig1_session");
+  bare.add(scenario("fig1_session"));
   EXPECT_EQ(bare.size(), 1u);
+  EXPECT_EQ(bare.expand().size(), 1u);
 }
 
 TEST(ScenarioMatrixTest, ExpansionIsDeterministicAndSeedStable) {
-  ScenarioMatrix matrix = small_matrix();
-  matrix.seeds(2);
+  const ScenarioMatrix matrix = small_matrix();
   const auto a = matrix.expand();
   const auto b = matrix.expand();
   ASSERT_EQ(a.size(), matrix.size());
@@ -112,17 +117,11 @@ TEST(ScenarioMatrixTest, ExpansionIsDeterministicAndSeedStable) {
   }
   // Labels are unique (JSON keys, golden table keys).
   EXPECT_EQ(labels.size(), a.size());
-  // Seed policy: index 0 keeps the scenario's base seed, index i derives.
+  // Seed policy: every cell keeps its scenario's base seed.
+  const std::uint64_t base_seeds[] = {scenario("fig1_session").base_seed,
+                                      scenario("spotify_bursty").base_seed};
   for (const auto& cell : a) {
-    if (cell.seed_index == 0) {
-      EXPECT_TRUE(cell.spec.base_seed == scenario("fig1_session").base_seed ||
-                  cell.spec.base_seed == scenario("spotify_bursty").base_seed);
-    } else {
-      EXPECT_TRUE(cell.spec.base_seed ==
-                      derive_seed(scenario("fig1_session").base_seed, cell.seed_index) ||
-                  cell.spec.base_seed ==
-                      derive_seed(scenario("spotify_bursty").base_seed, cell.seed_index));
-    }
+    EXPECT_EQ(cell.spec.base_seed, base_seeds[cell.scenario_index]) << cell.spec.name;
   }
 }
 
@@ -131,7 +130,7 @@ TEST(ScenarioMatrixTest, RunPlanBitIdenticalAcrossWorkerCounts) {
   // bit-identical between serial execution and the worker pool (and
   // between different pool sizes).
   const ScenarioMatrix matrix = small_matrix();
-  const RunPlan plan = matrix.to_run_plan(GovernorKind::kSchedutil);
+  const RunPlan plan = plan_of(matrix, GovernorKind::kSchedutil);
   ASSERT_GE(plan.size(), 12u);
   const auto serial = execute(plan, {.workers = 1});
   const auto pooled4 = execute(plan, {.workers = 4});
@@ -145,24 +144,24 @@ TEST(ScenarioMatrixTest, RunPlanBitIdenticalAcrossWorkerCounts) {
 }
 
 TEST(ScenarioMatrixTest, TrainingPlanExpansionSubstitutesOperatingPoint) {
+  // An expanded cell's training options and adapted NextConfig carry the
+  // cell's operating point, and keep the budget of the base options.
   ScenarioMatrix matrix;
-  matrix.add("fig1_session").ambients({15.0, 35.0}).refresh_rates({60.0, 120.0}).seeds(2);
-  TrainingPlan plan;
+  matrix.add(scenario("fig1_session")).ambients({15.0, 35.0}).refresh_rates({60.0, 120.0});
   TrainingOptions base;
   base.max_duration = SimTime::from_seconds(120.0);
-  const std::size_t added = matrix.append_to(plan, core::NextConfig{}, base);
-  EXPECT_EQ(added, 8u);
-  ASSERT_EQ(plan.size(), 8u);
   const auto cells = matrix.expand();
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const TrainingSpec& t = plan.cells()[i];
-    EXPECT_EQ(t.name, cells[i].spec.name);
-    EXPECT_EQ(t.options.seed, cells[i].spec.base_seed);
-    EXPECT_DOUBLE_EQ(t.options.ambient.value(), cells[i].spec.ambient.value());
-    EXPECT_DOUBLE_EQ(t.options.refresh_hz, cells[i].spec.refresh_hz);
-    EXPECT_DOUBLE_EQ(t.options.max_duration.seconds(), 120.0);
-    EXPECT_GE(t.config.ppdw_bounds.fps_max, cells[i].spec.refresh_hz);
-    EXPECT_DOUBLE_EQ(t.config.ppdw_bounds.ambient.value(), cells[i].spec.ambient.value());
+  ASSERT_EQ(cells.size(), 4u);
+  for (const ScenarioCell& cell : cells) {
+    const TrainingOptions options = cell.spec.training_options(base);
+    const core::NextConfig config =
+        adapt_next_config(core::NextConfig{}, cell.spec.refresh_hz, cell.spec.ambient);
+    EXPECT_EQ(options.seed, cell.spec.base_seed);
+    EXPECT_DOUBLE_EQ(options.ambient.value(), cell.spec.ambient.value());
+    EXPECT_DOUBLE_EQ(options.refresh_hz, cell.spec.refresh_hz);
+    EXPECT_DOUBLE_EQ(options.max_duration.seconds(), 120.0);
+    EXPECT_GE(config.ppdw_bounds.fps_max, cell.spec.refresh_hz);
+    EXPECT_DOUBLE_EQ(config.ppdw_bounds.ambient.value(), cell.spec.ambient.value());
   }
 }
 
@@ -174,7 +173,7 @@ TEST(ScenarioPropertyTest, HigherAmbientNeverLowersPeakTemperature) {
   spec.duration = SimTime::from_seconds(60.0);
   ScenarioMatrix matrix;
   matrix.add(std::move(spec)).ambients({15.0, 21.0, 25.0, 30.0, 35.0});
-  const auto results = execute(matrix.to_run_plan(GovernorKind::kSchedutil));
+  const auto results = execute(plan_of(matrix, GovernorKind::kSchedutil));
   ASSERT_EQ(results.size(), 5u);
   for (std::size_t i = 1; i < results.size(); ++i) {
     EXPECT_GE(results[i].peak_temp_big_c, results[i - 1].peak_temp_big_c)

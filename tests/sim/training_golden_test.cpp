@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/serialize.hpp"
+#include "oracles/crc32.hpp"
 #include "sim/runner.hpp"
 
 namespace nextgov::sim {
@@ -56,7 +57,7 @@ TrainingFingerprint fingerprint(std::string_view cell, const TrainingResult& r) 
   ByteWriter table;
   r.table.serialize(table);
   return TrainingFingerprint{cell,
-                             crc32(table.data()),
+                             test::crc32(table.data()),
                              table.size(),
                              r.decisions,
                              r.converged,

@@ -31,15 +31,6 @@ TEST(TrainingPlan, BuildsCellsInOrder) {
   EXPECT_EQ(plan.cells()[1].options.seed, 2u);
 }
 
-TEST(TrainingPlan, SeedSweepUsesDerivedSeeds) {
-  TrainingPlan plan;
-  plan.add_seed_sweep(workload::AppId::kPubg, core::NextConfig{}, short_training(0), 3, 99);
-  ASSERT_EQ(plan.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(plan.cells()[i].options.seed, derive_seed(99, i));
-  }
-}
-
 TEST(TrainingPlan, AddRejectsNullFactory) {
   TrainingPlan plan;
   EXPECT_THROW(plan.add(AppFactory{}, "broken", core::NextConfig{}, short_training(1)),

@@ -2,6 +2,7 @@
 // session under every governor kind and produces physically sane numbers.
 #include <gtest/gtest.h>
 
+#include "run_app.hpp"
 #include "sim/experiment.hpp"
 
 namespace nextgov::sim {
@@ -15,7 +16,7 @@ TEST(Smoke, ShortSessionUnderEveryGovernor) {
     config.governor = kind;
     config.duration = SimTime::from_seconds(10.0);
     config.seed = 42;
-    const SessionResult r = run_app_session(workload::AppId::kFacebook, config);
+    const SessionResult r = test::run_app(workload::AppId::kFacebook, config);
     EXPECT_GT(r.avg_power_w, 0.5) << to_string(kind);
     EXPECT_LT(r.avg_power_w, 15.0) << to_string(kind);
     EXPECT_GE(r.avg_temp_big_c, 20.0) << to_string(kind);

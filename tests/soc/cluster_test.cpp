@@ -48,12 +48,17 @@ TEST(Cluster, LoweringCapPullsOperatingPointDown) {
 }
 
 TEST(Cluster, CapStepsSaturateAtTableEnds) {
+  // The Next agent steps caps up and down through set_max_cap_index;
+  // requests past either end of the table saturate.
   Cluster c = make_big();
-  EXPECT_FALSE(c.cap_step_up());  // already at the top
-  for (int i = 0; i < 40; ++i) c.cap_step_down();
+  c.set_max_cap_index(c.max_cap_index() + 1);
+  EXPECT_EQ(c.max_cap_index(), 17u);  // already at the top
+  c.set_max_cap_index(40);
+  EXPECT_EQ(c.max_cap_index(), 17u);
+  c.set_max_cap_index(0);
   EXPECT_EQ(c.max_cap_index(), 0u);
-  EXPECT_FALSE(c.cap_step_down());
-  EXPECT_TRUE(c.cap_step_up());
+  EXPECT_EQ(c.freq_index(), 0u);
+  c.set_max_cap_index(c.max_cap_index() + 1);
   EXPECT_EQ(c.max_cap_index(), 1u);
 }
 
@@ -83,12 +88,6 @@ TEST(Cluster, RejectsInvalidConstruction) {
   EXPECT_THROW(Cluster(ClusterKind::kBigCpu, "x", 4, exynos9810_big_opps(),
                        ClusterPowerParams{1e-9, -0.1, 0.01}),
                ConfigError);
-}
-
-TEST(ClusterKind, Names) {
-  EXPECT_EQ(to_string(ClusterKind::kBigCpu), "big");
-  EXPECT_EQ(to_string(ClusterKind::kLittleCpu), "LITTLE");
-  EXPECT_EQ(to_string(ClusterKind::kGpu), "GPU");
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
-// Calibration tests for the Note 9 thermal network (ranges from DESIGN.md).
+// Calibration tests for the Note 9 thermal network (ranges from DESIGN.md);
+// equilibria come from the direct solve of oracles/rc_steady_state.hpp.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "oracles/rc_steady_state.hpp"
 #include "thermal/note9_model.hpp"
 
 namespace nextgov::thermal {
@@ -9,20 +13,21 @@ namespace {
 TEST(Note9Thermal, HasSixNamedNodes) {
   auto model = make_note9_thermal(Celsius{21.0});
   EXPECT_EQ(model.network.node_count(), 6u);
-  EXPECT_EQ(model.network.node_name(model.nodes.big), "big");
-  EXPECT_EQ(model.network.node_name(model.nodes.skin), "skin");
-  EXPECT_EQ(model.network.node_name(model.nodes.battery), "battery");
+  EXPECT_EQ(model.network.topology()->nodes()[model.nodes.big].name, "big");
+  EXPECT_EQ(model.network.topology()->nodes()[model.nodes.skin].name, "skin");
+  EXPECT_EQ(model.network.topology()->nodes()[model.nodes.battery].name, "battery");
 }
 
 TEST(Note9Thermal, IdleSteadyStateIsMildlyWarm) {
   // ~1.3 W device floor: big junction should settle around 27-35 C.
   auto model = make_note9_thermal(Celsius{21.0});
-  model.network.set_power(model.nodes.big, Watts{0.10});
-  model.network.set_power(model.nodes.little, Watts{0.05});
-  model.network.set_power(model.nodes.gpu, Watts{0.05});
-  model.network.set_power(model.nodes.skin, Watts{1.0});
-  model.network.set_power(model.nodes.soc_board, Watts{0.35});
-  const auto ss = model.network.steady_state();
+  std::vector<double> power(model.network.node_count(), 0.0);
+  power[model.nodes.big] = 0.10;
+  power[model.nodes.little] = 0.05;
+  power[model.nodes.gpu] = 0.05;
+  power[model.nodes.skin] = 1.0;
+  power[model.nodes.soc_board] = 0.35;
+  const auto ss = test::steady_state(*model.network.topology(), power, model.network.ambient());
   EXPECT_GT(ss[model.nodes.big].value(), 24.0);
   EXPECT_LT(ss[model.nodes.big].value(), 36.0);
 }
@@ -30,12 +35,13 @@ TEST(Note9Thermal, IdleSteadyStateIsMildlyWarm) {
 TEST(Note9Thermal, SustainedGameLoadPushesBigInto70to95Band) {
   // Heavy game under schedutil: big ~2.6 W, GPU ~2.2 W, LITTLE ~0.5 W.
   auto model = make_note9_thermal(Celsius{21.0});
-  model.network.set_power(model.nodes.big, Watts{2.6});
-  model.network.set_power(model.nodes.little, Watts{0.5});
-  model.network.set_power(model.nodes.gpu, Watts{2.2});
-  model.network.set_power(model.nodes.skin, Watts{1.0});
-  model.network.set_power(model.nodes.soc_board, Watts{0.35});
-  const auto ss = model.network.steady_state();
+  std::vector<double> power(model.network.node_count(), 0.0);
+  power[model.nodes.big] = 2.6;
+  power[model.nodes.little] = 0.5;
+  power[model.nodes.gpu] = 2.2;
+  power[model.nodes.skin] = 1.0;
+  power[model.nodes.soc_board] = 0.35;
+  const auto ss = test::steady_state(*model.network.topology(), power, model.network.ambient());
   EXPECT_GT(ss[model.nodes.big].value(), 70.0);
   EXPECT_LT(ss[model.nodes.big].value(), 100.0);
   // Skin must stay far below the junction (it is what the user touches).
@@ -57,9 +63,10 @@ TEST(Note9Thermal, JunctionsRespondInSecondsSkinInMinutes) {
 
 TEST(Note9Thermal, BigIsTheHotspotUnderCpuLoad) {
   auto model = make_note9_thermal(Celsius{21.0});
-  model.network.set_power(model.nodes.big, Watts{2.0});
-  model.network.set_power(model.nodes.gpu, Watts{0.5});
-  const auto ss = model.network.steady_state();
+  std::vector<double> power(model.network.node_count(), 0.0);
+  power[model.nodes.big] = 2.0;
+  power[model.nodes.gpu] = 0.5;
+  const auto ss = test::steady_state(*model.network.topology(), power, model.network.ambient());
   EXPECT_GT(ss[model.nodes.big].value(), ss[model.nodes.gpu].value());
   EXPECT_GT(ss[model.nodes.big].value(), ss[model.nodes.little].value());
   EXPECT_GT(ss[model.nodes.big].value(), ss[model.nodes.skin].value());

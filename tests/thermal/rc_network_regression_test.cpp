@@ -7,6 +7,7 @@
 #include <cmath>
 #include <vector>
 
+#include "oracles/rc_steady_state.hpp"
 #include "thermal/rc_network.hpp"
 
 namespace nextgov::thermal {
@@ -143,21 +144,22 @@ TEST(RcNetworkRegression, Note9ShapedTopologyMatchesReferenceEulerWithin1e9) {
 }
 
 TEST(RcNetworkRegression, SteadyStateMatchesTransientAfterTopologyMutation) {
-  // Each topology precomputes its own dense steady-state system: a topology
-  // grown from another one's specs must solve to the grown equilibrium,
-  // not to the one its source network already solved.
+  // Each topology precomputes its own solver layout: a topology grown from
+  // another one's specs must settle to the grown equilibrium, not to the
+  // one its source network settles to.
   const NodeId a = 0;
   const NodeId b = 1;
   RcNetwork small{RcTopology::make({{"a", 1.0, 0.5}}, {}), Celsius{21.0}};
-  small.set_power(a, Watts{1.0});
-  const auto ss1 = small.steady_state();
+  const double small_power[] = {1.0};
+  const auto ss1 = test::steady_state(*small.topology(), small_power, small.ambient());
   EXPECT_NEAR(ss1[a].value(), 21.0 + 2.0, 1e-9);
 
   std::vector<RcNodeSpec> nodes = small.topology()->nodes();
   nodes.push_back(RcNodeSpec{"b", 2.0, 0.5});
   RcNetwork net{RcTopology::make(std::move(nodes), {{a, b, 1.0}}), Celsius{21.0}};
   net.set_power(a, Watts{1.0});
-  const auto ss2 = net.steady_state();
+  const double power[] = {1.0, 0.0};
+  const auto ss2 = test::steady_state(*net.topology(), power, net.ambient());
   // New equilibrium: solve the 2x2 system by hand.
   //   a: 1 + 0.5*(21-Ta) + 1*(Tb-Ta) = 0 ; b: 0.5*(21-Tb) + 1*(Ta-Tb) = 0
   EXPECT_NEAR(ss2[b].value(), (0.5 * 21.0 + ss2[a].value()) / 1.5, 1e-9);

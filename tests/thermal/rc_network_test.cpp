@@ -1,10 +1,12 @@
-// Unit + property tests for the RC thermal network solver.
+// Unit + property tests for the RC thermal network solver, checked against
+// the direct equilibrium solve of oracles/rc_steady_state.hpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "common/error.hpp"
+#include "oracles/rc_steady_state.hpp"
 #include "thermal/rc_network.hpp"
 
 namespace nextgov::thermal {
@@ -22,16 +24,6 @@ TEST(RcNetwork, NodesStartAtAmbient) {
   const RcNetwork net = make_network(Celsius{21.0}, {{"n", 1.0, 0.5}});
   const NodeId n = 0;
   EXPECT_DOUBLE_EQ(net.temperature(n).value(), 21.0);
-  EXPECT_EQ(net.node_name(n), "n");
-}
-
-TEST(RcNetwork, SingleNodeSteadyStateIsOhmsLaw) {
-  // T = T_amb + P / G.
-  RcNetwork net = make_network(Celsius{21.0}, {{"n", 2.0, 0.5}});
-  const NodeId n = 0;
-  net.set_power(n, Watts{3.0});
-  const auto ss = net.steady_state();
-  EXPECT_NEAR(ss[n].value(), 21.0 + 3.0 / 0.5, 1e-9);
 }
 
 TEST(RcNetwork, TransientConvergesToSteadyState) {
@@ -39,7 +31,8 @@ TEST(RcNetwork, TransientConvergesToSteadyState) {
   const NodeId a = 0;
   const NodeId b = 1;
   net.set_power(a, Watts{2.0});
-  const auto ss = net.steady_state();
+  const double power[] = {2.0, 0.0};
+  const auto ss = test::steady_state(*net.topology(), power, net.ambient());
   for (int i = 0; i < 600; ++i) net.step(SimTime::from_seconds(1.0));
   EXPECT_NEAR(net.temperature(a).value(), ss[a].value(), 0.05);
   EXPECT_NEAR(net.temperature(b).value(), ss[b].value(), 0.05);
@@ -81,7 +74,8 @@ TEST(RcNetwork, HeatFlowsFromHotToCold) {
 }
 
 TEST(RcNetwork, SuperpositionHoldsAtSteadyState) {
-  // The system is linear: ss(P1 + P2) = ss(P1) + ss(P2) - ss(0).
+  // The system is linear: T(P1 + P2) = T(P1) + T(P2) - T(0), and forward
+  // Euler keeps it linear, so the settled states superpose too.
   const auto build = [] {
     return make_network(Celsius{21.0}, {{"a", 1.0, 0.0}, {"b", 2.0, 0.4}}, {{0, 1, 0.2}});
   };
@@ -92,11 +86,12 @@ TEST(RcNetwork, SuperpositionHoldsAtSteadyState) {
   auto net12 = build();
   net12.set_power(0, Watts{1.5});
   net12.set_power(1, Watts{0.7});
-  const auto s1 = net1.steady_state();
-  const auto s2 = net2.steady_state();
-  const auto s12 = net12.steady_state();
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_NEAR(s12[i].value(), s1[i].value() + s2[i].value() - 21.0, 1e-9);
+  for (RcNetwork* net : {&net1, &net2, &net12}) {
+    for (int i = 0; i < 600; ++i) net->step(SimTime::from_seconds(1.0));
+  }
+  for (NodeId i = 0; i < 2; ++i) {
+    EXPECT_NEAR(net12.temperature(i).value(),
+                net1.temperature(i).value() + net2.temperature(i).value() - 21.0, 1e-9);
   }
 }
 
@@ -107,13 +102,6 @@ TEST(RcNetwork, LargeStepIsStableViaSubstepping) {
   net.step(SimTime::from_seconds(10.0));  // step >> tau
   EXPECT_NEAR(net.temperature(n).value(), 21.5, 1e-6);
   EXPECT_FALSE(std::isnan(net.temperature(n).value()));
-}
-
-TEST(RcNetwork, SteadyStateRequiresAmbientPath) {
-  RcNetwork net = make_network(Celsius{21.0}, {{"a", 1.0, 0.0}, {"b", 1.0, 0.0}}, {{0, 1, 0.5}});
-  const NodeId a = 0;
-  net.set_power(a, Watts{1.0});
-  EXPECT_THROW(net.steady_state(), ConfigError);
 }
 
 TEST(RcNetwork, RejectsInvalidTopology) {
@@ -137,12 +125,13 @@ TEST(RcNetwork, SetAllTemperaturesForcesState) {
 }
 
 TEST(RcNetwork, AmbientChangeShiftsEquilibrium) {
+  // T = T_amb + P / G once the transient (tau = C/G = 2 s) has died out.
   RcNetwork net = make_network(Celsius{21.0}, {{"a", 1.0, 0.5}});
   const NodeId a = 0;
   net.set_power(a, Watts{1.0});
   net.set_ambient(Celsius{35.0});
-  const auto ss = net.steady_state();
-  EXPECT_NEAR(ss[a].value(), 35.0 + 2.0, 1e-9);
+  for (int i = 0; i < 100; ++i) net.step(SimTime::from_seconds(1.0));
+  EXPECT_NEAR(net.temperature(a).value(), 35.0 + 2.0, 1e-9);
 }
 
 TEST(RcTopologySharing, TopologyValidatesSpecs) {

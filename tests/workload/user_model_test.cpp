@@ -53,9 +53,15 @@ TEST(UserModel, EngagedFractionTracksDwellRatio) {
   p.engaged_mean_s = 8.0;
   p.passive_mean_s = 2.0;
   UserModel m{p, Rng{11}};
-  for (int i = 0; i <= 60000; ++i) m.update(SimTime::from_ms(i * 50));
+  // Updates every 50 ms, so the share of engaged updates is the share of
+  // time spent engaged.
+  int engaged = 0;
+  for (int i = 0; i < 60000; ++i) {
+    m.update(SimTime::from_ms(i * 50));
+    engaged += m.engaged() ? 1 : 0;
+  }
   // Expected engaged fraction ~ 8/10 = 0.8 over a 50 min horizon.
-  EXPECT_NEAR(m.engaged_fraction(), 0.8, 0.08);
+  EXPECT_NEAR(engaged / 60000.0, 0.8, 0.08);
 }
 
 TEST(UserModel, GameLikeParametersStayMostlyEngaged) {
@@ -63,8 +69,12 @@ TEST(UserModel, GameLikeParametersStayMostlyEngaged) {
   p.engaged_mean_s = 40.0;
   p.passive_mean_s = 2.0;
   UserModel m{p, Rng{13}};
-  for (int i = 0; i <= 30000; ++i) m.update(SimTime::from_ms(i * 100));
-  EXPECT_GT(m.engaged_fraction(), 0.85);
+  int engaged = 0;
+  for (int i = 0; i < 30000; ++i) {
+    m.update(SimTime::from_ms(i * 100));
+    engaged += m.engaged() ? 1 : 0;
+  }
+  EXPECT_GT(engaged / 30000.0, 0.85);
 }
 
 }  // namespace
