@@ -28,7 +28,6 @@ void CsvWriter::row(std::initializer_list<double> values) {
     first = false;
   }
   out_ << '\n';
-  ++rows_;
 }
 
 void CsvWriter::row_strings(const std::vector<std::string>& cells) {
@@ -38,7 +37,6 @@ void CsvWriter::row_strings(const std::vector<std::string>& cells) {
     out_ << escape(cells[i]);
   }
   out_ << '\n';
-  ++rows_;
 }
 
 void CsvWriter::close() {

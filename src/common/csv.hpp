@@ -30,9 +30,6 @@ class CsvWriter {
   /// short write goes unnoticed.
   void close();
 
-  /// Number of data rows written so far (excluding the header).
-  [[nodiscard]] std::size_t rows_written() const noexcept { return rows_; }
-
   /// Formats one cell, quoting per RFC 4180 when it contains , " or newline.
   [[nodiscard]] static std::string escape(std::string_view cell);
 
@@ -40,7 +37,6 @@ class CsvWriter {
   std::string path_;
   std::ofstream out_;
   std::size_t columns_;
-  std::size_t rows_{0};
 };
 
 }  // namespace nextgov

@@ -36,11 +36,6 @@ inline void require(bool cond, const char* what,
   if (!cond) [[unlikely]] require_fail(what, loc);
 }
 
-inline void require(bool cond, const std::string& what,
-                    std::source_location loc = std::source_location::current()) {
-  if (!cond) [[unlikely]] require_fail(what.c_str(), loc);
-}
-
 [[noreturn]] void assert_fail(const char* expr, const char* file, int line);
 
 }  // namespace nextgov

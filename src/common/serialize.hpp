@@ -103,14 +103,12 @@ class ByteWriter {
   void u64(std::uint64_t v) { put_le(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   /// IEEE-754 bit pattern, bit-exact round trip.
-  void f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
-  /// IEEE-754 bit pattern, bit-exact round trip.
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   /// Length-prefixed (u32) UTF-8 bytes.
   void str(std::string_view s);
   void bytes(std::span<const std::uint8_t> data);
-  /// The same bytes as f32() on each value in turn, in one append.
+  /// Each value's IEEE-754 bit pattern (bit-exact round trip), in one append.
   void f32s(std::span<const float> values);
 
   /// Appends `n` bytes for the caller to fill in place (with store_le): an
@@ -172,7 +170,6 @@ class ByteReader {
   [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
   [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }
-  [[nodiscard]] const std::string& context() const noexcept { return context_; }
 
   /// Throws SerializeError("<context>: <what>").
   [[noreturn]] void fail(const std::string& what) const;

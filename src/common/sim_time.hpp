@@ -18,7 +18,6 @@ class SimTime {
   constexpr SimTime() noexcept = default;
   constexpr explicit SimTime(std::int64_t microseconds) noexcept : us_{microseconds} {}
 
-  [[nodiscard]] static constexpr SimTime from_us(std::int64_t us) noexcept { return SimTime{us}; }
   [[nodiscard]] static constexpr SimTime from_ms(std::int64_t ms) noexcept {
     return SimTime{ms * 1000};
   }
@@ -28,7 +27,6 @@ class SimTime {
   [[nodiscard]] static constexpr SimTime zero() noexcept { return SimTime{0}; }
 
   [[nodiscard]] constexpr std::int64_t us() const noexcept { return us_; }
-  [[nodiscard]] constexpr double ms() const noexcept { return static_cast<double>(us_) / 1e3; }
   [[nodiscard]] constexpr double seconds() const noexcept {
     return static_cast<double>(us_) / 1e6;
   }
@@ -40,41 +38,15 @@ class SimTime {
   friend constexpr SimTime operator-(SimTime a, SimTime b) noexcept {
     return SimTime{a.us_ - b.us_};
   }
-  friend constexpr SimTime operator*(SimTime a, std::int64_t k) noexcept {
-    return SimTime{a.us_ * k};
-  }
   /// Integer division: how many whole periods of `b` fit in `a`.
   friend constexpr std::int64_t operator/(SimTime a, SimTime b) noexcept { return a.us_ / b.us_; }
-  friend constexpr SimTime operator%(SimTime a, SimTime b) noexcept {
-    return SimTime{a.us_ % b.us_};
-  }
   constexpr SimTime& operator+=(SimTime o) noexcept {
     us_ += o.us_;
     return *this;
   }
 
-  /// True at every whole multiple of `period` (used for periodic callbacks).
-  [[nodiscard]] constexpr bool is_multiple_of(SimTime period) const noexcept {
-    return period.us_ > 0 && us_ % period.us_ == 0;
-  }
-
  private:
   std::int64_t us_{0};
 };
-
-namespace literals {
-constexpr SimTime operator""_us(unsigned long long v) {
-  return SimTime{static_cast<std::int64_t>(v)};
-}
-constexpr SimTime operator""_ms(unsigned long long v) {
-  return SimTime::from_ms(static_cast<std::int64_t>(v));
-}
-constexpr SimTime operator""_s(unsigned long long v) {
-  return SimTime::from_seconds(static_cast<double>(v));
-}
-constexpr SimTime operator""_s(long double v) {
-  return SimTime::from_seconds(static_cast<double>(v));
-}
-}  // namespace literals
 
 }  // namespace nextgov

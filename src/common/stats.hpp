@@ -14,13 +14,10 @@ class RunningStats {
  public:
   void add(double x) noexcept;
 
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] bool empty() const noexcept { return n_ == 0; }
   /// Mean of the observed samples; 0 when empty.
   [[nodiscard]] double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
   [[nodiscard]] double min() const noexcept { return n_ > 0 ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return n_ > 0 ? max_ : 0.0; }
-  [[nodiscard]] double sum() const noexcept { return mean_ * static_cast<double>(n_); }
 
  private:
   std::size_t n_{0};

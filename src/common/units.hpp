@@ -14,7 +14,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <functional>
 
 namespace nextgov {
 
@@ -76,37 +75,22 @@ class KiloHertz : public Quantity<KiloHertz> {
   [[nodiscard]] static constexpr KiloHertz from_mhz(double mhz) noexcept {
     return KiloHertz{mhz * 1e3};
   }
-  [[nodiscard]] static constexpr KiloHertz from_ghz(double ghz) noexcept {
-    return KiloHertz{ghz * 1e6};
-  }
 };
 
 /// Electrical power in watts (device- or cluster-level).
 class Watts : public Quantity<Watts> {
  public:
   using Quantity::Quantity;
-  [[nodiscard]] constexpr double milliwatts() const noexcept { return value() * 1e3; }
-  [[nodiscard]] static constexpr Watts from_milliwatts(double mw) noexcept {
-    return Watts{mw / 1e3};
-  }
 };
 
 /// Temperature in degrees Celsius (the paper reports degrees C throughout).
 class Celsius : public Quantity<Celsius> {
  public:
   using Quantity::Quantity;
-  [[nodiscard]] constexpr double kelvin() const noexcept { return value() + 273.15; }
 };
 
 /// Supply voltage in volts.
 class Volts : public Quantity<Volts> {
- public:
-  using Quantity::Quantity;
-  [[nodiscard]] constexpr double millivolts() const noexcept { return value() * 1e3; }
-};
-
-/// Energy in joules; accumulating power over sim steps.
-class Joules : public Quantity<Joules> {
  public:
   using Quantity::Quantity;
 };
@@ -121,28 +105,4 @@ class Fps : public Quantity<Fps> {
   }
 };
 
-/// Convenience literals: 650_mhz, 2.5_w, 21.0_celsius ...
-namespace literals {
-constexpr KiloHertz operator""_khz(long double v) { return KiloHertz{static_cast<double>(v)}; }
-constexpr KiloHertz operator""_khz(unsigned long long v) { return KiloHertz{static_cast<double>(v)}; }
-constexpr KiloHertz operator""_mhz(long double v) { return KiloHertz::from_mhz(static_cast<double>(v)); }
-constexpr KiloHertz operator""_mhz(unsigned long long v) { return KiloHertz::from_mhz(static_cast<double>(v)); }
-constexpr KiloHertz operator""_ghz(long double v) { return KiloHertz::from_ghz(static_cast<double>(v)); }
-constexpr Watts operator""_w(long double v) { return Watts{static_cast<double>(v)}; }
-constexpr Watts operator""_w(unsigned long long v) { return Watts{static_cast<double>(v)}; }
-constexpr Watts operator""_mw(long double v) { return Watts::from_milliwatts(static_cast<double>(v)); }
-constexpr Celsius operator""_celsius(long double v) { return Celsius{static_cast<double>(v)}; }
-constexpr Celsius operator""_celsius(unsigned long long v) { return Celsius{static_cast<double>(v)}; }
-constexpr Volts operator""_v(long double v) { return Volts{static_cast<double>(v)}; }
-constexpr Fps operator""_fps(long double v) { return Fps{static_cast<double>(v)}; }
-constexpr Fps operator""_fps(unsigned long long v) { return Fps{static_cast<double>(v)}; }
-}  // namespace literals
-
 }  // namespace nextgov
-
-template <>
-struct std::hash<nextgov::KiloHertz> {
-  size_t operator()(const nextgov::KiloHertz& k) const noexcept {
-    return std::hash<double>{}(k.value());
-  }
-};

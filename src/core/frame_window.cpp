@@ -16,8 +16,7 @@ std::size_t window_capacity(SimTime sample_period, SimTime window) {
 }  // namespace
 
 FrameWindow::FrameWindow(SimTime sample_period, SimTime window)
-    : sample_period_{sample_period},
-      samples_{window_capacity(sample_period, window)},
+    : samples_{window_capacity(sample_period, window)},
       counts_(kMaxFps + 1, 0) {}
 
 void FrameWindow::add_sample(Fps fps) {

@@ -38,15 +38,11 @@ class FrameWindow {
   /// samples have been collected.
   [[nodiscard]] int target_fps() const;
 
-  [[nodiscard]] std::size_t sample_count() const noexcept { return samples_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return samples_.capacity(); }
   [[nodiscard]] bool full() const noexcept { return samples_.full(); }
-  [[nodiscard]] SimTime sample_period() const noexcept { return sample_period_; }
 
   void clear() noexcept;
 
  private:
-  SimTime sample_period_;
   RingBuffer<int> samples_;
   std::vector<int> counts_;      ///< histogram over [0, kMaxFps]
   mutable int mode_{0};          ///< cached mode (largest value on ties)

@@ -103,12 +103,10 @@ void NextAgent::control(const governors::Observation& obs, soc::Soc& soc) {
     // The reward for the previous action is judged by what it led to: the
     // observation we are looking at now.
     const double r = reward(obs, target);
-    last_reward_ = r;
     reward_sum_ += r;
     learner_.update(table_, *prev_state_, prev_action_, r, state);
   } else if (mode_ == AgentMode::kDeployed) {
-    last_reward_ = reward(obs, target);
-    reward_sum_ += last_reward_;
+    reward_sum_ += reward(obs, target);
   }
   // Deployment fallback for never-trained states: "do nothing" (index 2 on
   // cluster 0) - an untrained corner must not push caps around.

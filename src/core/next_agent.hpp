@@ -60,19 +60,15 @@ class NextAgent final : public governors::MetaGovernor {
 
   // --- mode & persistence ---
   void set_mode(AgentMode mode) noexcept { mode_ = mode; }
-  [[nodiscard]] AgentMode mode() const noexcept { return mode_; }
   /// Installs a previously trained table (e.g. loaded from disk or merged
   /// by the federated trainer).
   void set_q_table(rl::QTable table);
   [[nodiscard]] const rl::QTable& q_table() const noexcept { return table_; }
-  void save_q_table(const std::string& path) const { table_.save(path); }
 
   // --- introspection / evaluation hooks ---
   [[nodiscard]] int current_target_fps() const { return window_.target_fps(); }
-  [[nodiscard]] const NextConfig& config() const noexcept { return config_; }
   [[nodiscard]] const NextStateEncoder& encoder() const noexcept { return encoder_; }
   [[nodiscard]] std::uint64_t decisions() const noexcept { return decisions_; }
-  [[nodiscard]] double last_reward() const noexcept { return last_reward_; }
   [[nodiscard]] double mean_reward() const noexcept;
 
   /// The reward function, exposed for tests and the ablation benches.
@@ -95,7 +91,6 @@ class NextAgent final : public governors::MetaGovernor {
 
   std::uint64_t decisions_{0};
   double reward_sum_{0.0};
-  double last_reward_{0.0};
 };
 
 /// Convenience: builds an agent sized for `soc`'s cluster layout.

@@ -46,11 +46,7 @@ class NextStateEncoder {
  public:
   NextStateEncoder(const NextConfig& config, std::vector<std::size_t> opp_counts);
 
-  [[nodiscard]] std::size_t cluster_count() const noexcept { return opp_counts_.size(); }
   [[nodiscard]] std::size_t action_count() const noexcept { return opp_counts_.size() * 3; }
-  [[nodiscard]] std::uint64_t state_space_size() const noexcept {
-    return packer_.state_space_size();
-  }
 
   /// Encodes the observation + the frame window's target FPS.
   [[nodiscard]] rl::StateKey encode(const governors::Observation& obs, int target_fps) const;

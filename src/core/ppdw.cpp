@@ -25,7 +25,11 @@ double ppdw_score(double ppdw_value, double ref) noexcept {
 }
 
 double clamp_to_bounds(double ppdw_value, const PpdwBounds& bounds) noexcept {
-  return std::clamp(ppdw_value, bounds.worst(), bounds.best());
+  // Not std::clamp: at an ambient at or above temp_least, best() < worst(),
+  // which breaks clamp's precondition. This is what GCC's clamp computes, so
+  // such bounds clamp every value to best(). The zero reward that gives at
+  // hot ambients is a fidelity question (ROADMAP item 8).
+  return std::min(std::max(ppdw_value, bounds.worst()), bounds.best());
 }
 
 }  // namespace nextgov::core

@@ -22,7 +22,6 @@ void IntQosGovernor::reset() {
   // costs ~12 ms; keeps early decisions sane until RLS converges.
   theta_ = {4.0e-3, 3.5e-3, 1.0e-3};  // seconds per (1/GHz), and offset
   p_ = {1e2, 0, 0, 0, 1e2, 0, 0, 0, 1e2};
-  samples_ = 0;
 }
 
 void IntQosGovernor::rls_update(const std::array<double, 3>& x, double y) noexcept {
@@ -51,7 +50,6 @@ void IntQosGovernor::rls_update(const std::array<double, 3>& x, double y) noexce
   theta_[0] = std::max(theta_[0], 0.0);
   theta_[1] = std::max(theta_[1], 0.0);
   theta_[2] = std::max(theta_[2], 0.0);
-  ++samples_;
 }
 
 double IntQosGovernor::predict_frame_time(double f_cpu_ghz, double f_gpu_ghz) const noexcept {

@@ -54,7 +54,6 @@ class IntQosGovernor final : public MetaGovernor {
   bool fps_avg_init_{false};
   std::array<double, 3> theta_{};       ///< [a, b, c]
   std::array<double, 9> p_;             ///< RLS covariance, row-major 3x3
-  std::size_t samples_{0};
 };
 
 }  // namespace nextgov::governors

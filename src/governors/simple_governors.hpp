@@ -1,4 +1,4 @@
-// simple_governors.hpp - trivial baselines and test fixtures.
+// simple_governors.hpp - trivial baseline governors.
 //
 // performance / powersave pin every cluster at its cap ends; they bound the
 // achievable envelope (and provide PPDW_best / PPDW_worst operating points
@@ -38,14 +38,6 @@ class OndemandGovernor final : public FreqGovernor {
  private:
   double up_threshold_;
   SimTime period_;
-};
-
-/// Meta-governor that never touches the caps: the stock configuration.
-class NoMetaGovernor final : public MetaGovernor {
- public:
-  [[nodiscard]] SimTime period() const override { return SimTime::from_ms(1000); }
-  void control(const Observation&, soc::Soc&) override {}
-  [[nodiscard]] std::string_view name() const override { return "none"; }
 };
 
 }  // namespace nextgov::governors

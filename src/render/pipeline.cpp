@@ -110,13 +110,11 @@ PipelineStepResult RenderPipeline::step(SimTime now, SimTime dt, double f_cpu_hz
       // that merely started mid-interval (video cadence) is not a drop.
       if (completed_ > 0) {
         --completed_;
-        ++presented_total_;
         ++result.frames_presented;
         fps_counter_.on_present(SimTime{static_cast<std::int64_t>(cursor_us)});
       } else {
         const double oldest = oldest_inflight_start_us();
         if (oldest >= 0.0 && cursor_us - oldest > vsync_period_us_ + 1e-6) {
-          ++dropped_total_;
           ++result.frames_dropped;
           drop_counter_.on_present(SimTime{static_cast<std::int64_t>(cursor_us)});
         }

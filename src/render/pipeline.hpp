@@ -50,11 +50,6 @@ class RenderPipeline {
   PipelineStepResult step(SimTime now, SimTime dt, double f_cpu_hz, double f_gpu_hz,
                           FrameSource& source);
 
-  /// Total flips with new content since construction.
-  [[nodiscard]] std::int64_t frames_presented() const noexcept { return presented_total_; }
-  /// Total missed VSyncs while work was pending.
-  [[nodiscard]] std::int64_t frames_dropped() const noexcept { return dropped_total_; }
-
   /// Instantaneous frame rate over a trailing 1 s window.
   [[nodiscard]] Fps current_fps(SimTime now) const { return fps_counter_.fps(now); }
 
@@ -62,12 +57,6 @@ class RenderPipeline {
   /// "lag or stutter" QoS signal of Section I).
   [[nodiscard]] double current_drop_rate(SimTime now) const {
     return drop_counter_.fps(now).value();
-  }
-
-  /// True when any stage holds an in-flight frame.
-  [[nodiscard]] bool busy() const noexcept {
-    return cpu_job_.has_value() || handoff_.has_value() || gpu_job_.has_value() ||
-           completed_ > 0;
   }
 
   void reset(SimTime now) noexcept;
@@ -94,8 +83,6 @@ class RenderPipeline {
 
   SlidingFpsCounter fps_counter_;
   SlidingFpsCounter drop_counter_;
-  std::int64_t presented_total_{0};
-  std::int64_t dropped_total_{0};
 
   /// Remembers the GPU cost of the frame currently in the CPU stage.
   double pending_gpu_cycles_{0.0};

@@ -38,8 +38,6 @@ class MixedRadixPacker {
   /// Declares the next field.
   void add_field(std::size_t cardinality);
 
-  [[nodiscard]] std::uint64_t state_space_size() const noexcept { return total_; }
-
  private:
   std::uint64_t total_{1};
 };

@@ -28,15 +28,6 @@ class EpsilonGreedyPolicy {
   /// Picks an action for `state`; advances the decay step counter.
   [[nodiscard]] std::size_t select(const QTable& table, StateKey state, Rng& rng);
 
-  /// Greedy selection without exploration or counter advance.
-  [[nodiscard]] std::size_t select_greedy(const QTable& table, StateKey state) const noexcept {
-    return table.best_action(state);
-  }
-
-  [[nodiscard]] double current_epsilon() const noexcept { return schedule_.at(step_); }
-  [[nodiscard]] std::uint64_t steps_taken() const noexcept { return step_; }
-  void reset() noexcept { step_ = 0; }
-
  private:
   EpsilonSchedule schedule_;
   std::uint64_t step_{0};

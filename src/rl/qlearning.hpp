@@ -30,8 +30,6 @@ class QLearning {
   /// (r + gamma*maxQ(s') - Q(s,a)).
   double update(QTable& table, StateKey s, std::size_t a, double reward, StateKey s_next);
 
-  [[nodiscard]] const QLearningParams& params() const noexcept { return params_; }
-
   /// Visit-decayed learning rate currently applicable to state `s`.
   [[nodiscard]] double effective_alpha(const QTable& table, StateKey s) const noexcept;
 

@@ -103,26 +103,12 @@ class Engine {
   [[nodiscard]] core::NextAgent* next_agent() noexcept { return next_agent_; }
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
-  [[nodiscard]] soc::Soc& soc() noexcept { return soc_; }
-  [[nodiscard]] const soc::Soc& soc() const noexcept { return soc_; }
-  [[nodiscard]] workload::App& app() noexcept { return *app_; }
   [[nodiscard]] governors::MetaGovernor* meta() noexcept { return meta_gov_.get(); }
-  [[nodiscard]] const thermal::RcNetwork& thermal() const noexcept { return thermal_.network; }
-  /// Mutable network access for drivers that run the thermal phase
-  /// themselves.
+  /// Network access for drivers that run the thermal phase themselves.
   [[nodiscard]] thermal::RcNetwork& thermal() noexcept { return thermal_.network; }
   [[nodiscard]] const render::RenderPipeline& pipeline() const noexcept { return pipeline_; }
   [[nodiscard]] const Recorder& recorder() const noexcept { return recorder_; }
-  [[nodiscard]] Recorder& recorder() noexcept { return recorder_; }
   [[nodiscard]] const EngineTotals& totals() const noexcept { return totals_; }
-  /// The observation as the governor stack last saw it. The sensor block
-  /// (temperatures, power) is refreshed every step; the FPS window queries
-  /// and per-cluster DVFS snapshot are only refreshed on steps where a
-  /// consumer (governor, meta sample, throttle evaluation, recorder) fires,
-  /// so between those ticks they can lag by up to one governor period.
-  /// External drivers that need the exact instantaneous FPS stream should
-  /// query pipeline().current_fps(now()) directly.
-  [[nodiscard]] const governors::Observation& observation() const noexcept { return obs_; }
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
 
   /// Mean FPS over the whole run (presented frames / elapsed time).
@@ -134,7 +120,7 @@ class Engine {
 
  private:
   /// `force` refreshes every block regardless of consumer deadlines (used
-  /// at construction and session reset so observation() never shows a
+  /// at construction and session reset so the observation never shows a
   /// previous session's values).
   void rebuild_observation(bool force = false);
   /// True when any observation consumer (governor, meta sample, throttle

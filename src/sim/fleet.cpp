@@ -162,11 +162,9 @@ FleetSnapshot read_version_3(const SnapshotReader& snapshot) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_upload(const rl::QTable& table, const rl::QTable* delta_base,
-                                        bool* went_delta) {
+std::vector<std::uint8_t> encode_upload(const rl::QTable& table, const rl::QTable* delta_base) {
   std::optional<rl::QTableDelta> delta;
   if (delta_base != nullptr) delta = rl::try_make_delta(*delta_base, table);
-  if (went_delta != nullptr) *went_delta = delta.has_value();
   return encode_prepared_upload(table, delta.has_value() ? &*delta : nullptr);
 }
 

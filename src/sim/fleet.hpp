@@ -192,11 +192,10 @@ bool quarantine_snapshot(const std::string& path, const std::string& reason);
 
 /// Encodes `table` as upload wire bytes: a delta against `*delta_base` when
 /// a base is given and the delta can replay bit-exactly (see
-/// rl::try_make_delta), else the full table. `*went_delta` (optional)
-/// reports which path was taken.
+/// rl::try_make_delta), else the full table. The blob's section ("delta"
+/// or "upload") says which path was taken.
 [[nodiscard]] std::vector<std::uint8_t> encode_upload(const rl::QTable& table,
-                                                      const rl::QTable* delta_base,
-                                                      bool* went_delta = nullptr);
+                                                      const rl::QTable* delta_base);
 
 /// encode_upload with the delta already made: `*delta` when given, else the
 /// full table. With `delta` = try_make_delta(base, table) the bytes equal

@@ -162,8 +162,7 @@ struct FleetServerOptions {
 /// default round deadlines - any retry pushed further out than that is
 /// carried across rounds just the same, so capping here costs nothing
 /// observable while keeping the delay arithmetic overflow-free for *any*
-/// configured retry_backoff (a large backoff shifted by the attempt count
-/// used to be signed-overflow UB; see retry_delay_us).
+/// configured retry_backoff (see retry_delay_us).
 inline constexpr SimTime kMaxUploadRetryDelay = SimTime::from_seconds(3600.0);
 
 /// Simulated delay before upload attempt `attempt + 1` after attempt
@@ -172,9 +171,6 @@ inline constexpr SimTime kMaxUploadRetryDelay = SimTime::from_seconds(3600.0);
 /// reduced modulo the *clamped* base backoff - so the result is positive,
 /// at most 2 * kMaxUploadRetryDelay.us(), and no intermediate value can
 /// overflow regardless of how large retry_backoff was configured.
-/// (The pre-fix code computed `retry_backoff.us() << min(attempt, 20)`,
-/// which is UB for backoffs above ~2.9 hours; pinned by
-/// FleetServerBackoff.* in tests/sim/fleet_server_test.cpp.)
 [[nodiscard]] std::int64_t retry_delay_us(SimTime retry_backoff, std::uint32_t attempt,
                                           std::uint64_t jitter_draw) noexcept;
 
@@ -273,8 +269,6 @@ class FleetServer {
 
   /// Next round to execute (== rounds completed since round 0).
   [[nodiscard]] std::size_t round() const noexcept { return state_.next_round; }
-  /// Simulated clock, at a round boundary between run_round() calls.
-  [[nodiscard]] SimTime now() const noexcept { return SimTime::from_us(state_.server_clock_us); }
   /// Current global aggregate; nullptr before the first accepted upload.
   [[nodiscard]] const rl::QTable* global() const noexcept {
     return state_.last_aggregate.has_value() ? &*state_.last_aggregate : nullptr;

@@ -39,8 +39,6 @@ class Recorder {
   [[nodiscard]] SimTime period() const noexcept { return period_; }
   void add(const Sample& sample) { samples_.push_back(sample); }
   [[nodiscard]] const std::vector<Sample>& samples() const noexcept { return samples_; }
-  [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
-  void clear() noexcept { samples_.clear(); }
 
   /// Extracts one column as a vector (for stats helpers).
   [[nodiscard]] std::vector<double> column(double Sample::* field) const;

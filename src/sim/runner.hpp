@@ -68,7 +68,6 @@ class RunPlan {
   void add(AppFactory factory, std::string name, const ExperimentConfig& config);
 
   [[nodiscard]] std::size_t size() const noexcept { return sessions_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return sessions_.empty(); }
   [[nodiscard]] const std::vector<SessionSpec>& sessions() const noexcept { return sessions_; }
 
  private:

@@ -138,7 +138,6 @@ class ScenarioMatrix {
   ScenarioMatrix& ambients(std::vector<double> celsius);
   ScenarioMatrix& refresh_rates(std::vector<double> hz);
 
-  [[nodiscard]] std::size_t scenario_count() const noexcept { return scenarios_.size(); }
   /// Number of cells expand() will produce.
   [[nodiscard]] std::size_t size() const noexcept;
   [[nodiscard]] std::vector<ScenarioCell> expand() const;

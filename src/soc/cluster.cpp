@@ -6,10 +6,9 @@
 
 namespace nextgov::soc {
 
-Cluster::Cluster(ClusterKind kind, std::string name, std::size_t core_count, OppTable opps,
+Cluster::Cluster(ClusterKind kind, std::size_t core_count, OppTable opps,
                  ClusterPowerParams power_params)
     : kind_{kind},
-      name_{std::move(name)},
       cores_{core_count},
       opps_{std::move(opps)},
       power_{power_params},

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/units.hpp"
@@ -31,11 +30,10 @@ struct ClusterPowerParams {
 
 class Cluster {
  public:
-  Cluster(ClusterKind kind, std::string name, std::size_t core_count, OppTable opps,
+  Cluster(ClusterKind kind, std::size_t core_count, OppTable opps,
           ClusterPowerParams power_params);
 
   [[nodiscard]] ClusterKind kind() const noexcept { return kind_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::size_t core_count() const noexcept { return cores_; }
   [[nodiscard]] const OppTable& opps() const noexcept { return opps_; }
   [[nodiscard]] const ClusterPowerParams& power_params() const noexcept { return power_; }
@@ -43,7 +41,6 @@ class Cluster {
   /// --- operating point -----------------------------------------------
   [[nodiscard]] std::size_t freq_index() const noexcept { return index_; }
   [[nodiscard]] KiloHertz frequency() const noexcept { return opps_[index_].frequency; }
-  [[nodiscard]] Volts voltage() const noexcept { return opps_[index_].voltage; }
   /// Requests operating index `i`; the result is clamped into the cap range.
   void set_freq_index(std::size_t i) noexcept;
   /// Requests the lowest OPP >= `f` (governor semantics), clamped to caps.
@@ -61,12 +58,6 @@ class Cluster {
   /// Restores caps to the full OPP range.
   void reset_caps() noexcept;
 
-  /// Relative single-PE speed vs the highest OPP (for capacity-invariant
-  /// utilization calculations).
-  [[nodiscard]] double relative_speed() const noexcept {
-    return frequency() / opps_.highest().frequency;
-  }
-
   /// --- precomputed power coefficients ---------------------------------
   /// The power model evaluates every 1 ms step for every cluster, so the
   /// OPP-dependent parts are tabled at construction:
@@ -80,7 +71,6 @@ class Cluster {
 
  private:
   ClusterKind kind_;
-  std::string name_;
   std::size_t cores_;
   OppTable opps_;
   ClusterPowerParams power_;

@@ -32,7 +32,6 @@ class OppTable {
 
   [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
   [[nodiscard]] const OppPoint& operator[](std::size_t i) const noexcept { return points_[i]; }
-  [[nodiscard]] const OppPoint& lowest() const noexcept { return points_.front(); }
   [[nodiscard]] const OppPoint& highest() const noexcept { return points_.back(); }
   [[nodiscard]] std::span<const OppPoint> points() const noexcept { return points_; }
 

@@ -25,9 +25,8 @@ struct ClusterIndex {
 
 class Soc {
  public:
-  Soc(std::string name, std::vector<Cluster> clusters, DevicePowerParams device_power);
+  Soc(std::vector<Cluster> clusters, DevicePowerParams device_power);
 
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::size_t cluster_count() const noexcept { return clusters_.size(); }
   [[nodiscard]] Cluster& cluster(std::size_t i) noexcept {
     NEXTGOV_ASSERT(i < clusters_.size());
@@ -43,11 +42,6 @@ class Soc {
   [[nodiscard]] Cluster& big() noexcept { return clusters_[ClusterIndex::kBig]; }
   [[nodiscard]] Cluster& little() noexcept { return clusters_[ClusterIndex::kLittle]; }
   [[nodiscard]] Cluster& gpu() noexcept { return clusters_[ClusterIndex::kGpu]; }
-  [[nodiscard]] const Cluster& big() const noexcept { return clusters_[ClusterIndex::kBig]; }
-  [[nodiscard]] const Cluster& little() const noexcept {
-    return clusters_[ClusterIndex::kLittle];
-  }
-  [[nodiscard]] const Cluster& gpu() const noexcept { return clusters_[ClusterIndex::kGpu]; }
 
   [[nodiscard]] const DevicePowerParams& device_power() const noexcept { return device_power_; }
 
@@ -56,7 +50,6 @@ class Soc {
   void reset() noexcept;
 
  private:
-  std::string name_;
   std::vector<Cluster> clusters_;
   DevicePowerParams device_power_;
 };

@@ -76,9 +76,8 @@ class RcTopology {
   [[nodiscard]] std::span<const double> inv_cap() const noexcept { return inv_cap_; }
   [[nodiscard]] std::span<const double> g_ambient() const noexcept { return g_ambient_; }
 
-  /// Largest stable explicit-Euler step [s] (half the per-node bound).
-  [[nodiscard]] double max_stable_dt_seconds() const noexcept { return max_stable_dt_s_; }
-  /// Sub-steps needed to advance `total_s` seconds stably.
+  /// Sub-steps needed to advance `total_s` seconds stably: steps of at most
+  /// half the per-node explicit-Euler bound.
   [[nodiscard]] std::size_t substeps_for(double total_s) const noexcept;
 
  private:
@@ -102,8 +101,6 @@ class RcNetwork {
 
   [[nodiscard]] std::size_t node_count() const noexcept { return temp_.size(); }
   [[nodiscard]] Celsius temperature(NodeId id) const;
-  [[nodiscard]] Celsius ambient() const noexcept { return ambient_; }
-  void set_ambient(Celsius t) noexcept { ambient_ = t; }
 
   /// Sets the heat injected into `id` for the next step(s) [W].
   void set_power(NodeId id, Watts p);
@@ -113,16 +110,6 @@ class RcNetwork {
 
   /// Forces all node temperatures to `t` (session reset).
   void set_all_temperatures(Celsius t) noexcept;
-
-  /// Largest stable explicit-Euler step for the topology [s].
-  [[nodiscard]] double max_stable_dt_seconds() const noexcept {
-    return topo_->max_stable_dt_seconds();
-  }
-
-  /// The topology this session's state lives on.
-  [[nodiscard]] const std::shared_ptr<const RcTopology>& topology() const noexcept {
-    return topo_;
-  }
 
   /// Node temperatures in node order (the engine's observation reads).
   [[nodiscard]] std::span<const double> temperatures_raw() const noexcept { return temp_; }

@@ -24,7 +24,6 @@ class FpsTrace {
   void add(SimTime t, double fps) { samples_.push_back({t, fps}); }
   [[nodiscard]] const std::vector<FpsSample>& samples() const noexcept { return samples_; }
   [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
 
  private:
   std::vector<FpsSample> samples_;

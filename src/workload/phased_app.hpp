@@ -70,10 +70,6 @@ class PhasedApp final : public App {
   [[nodiscard]] std::string_view name() const override { return spec_.name; }
   [[nodiscard]] std::string_view phase_name() const override;
 
-  [[nodiscard]] const AppSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] std::size_t phase_index() const noexcept { return phase_; }
-  [[nodiscard]] const UserModel& user() const noexcept { return user_; }
-
  private:
   void enter_phase(std::size_t index, SimTime now);
   [[nodiscard]] std::size_t pick_next_phase();

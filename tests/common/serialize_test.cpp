@@ -6,6 +6,7 @@
 // descriptive SerializeError, never UB or a silent partial load.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -27,7 +28,7 @@ TEST(ByteCodec, PrimitivesRoundTrip) {
   w.u32(0xdeadbeefu);
   w.u64(0x0123456789abcdefULL);
   w.i64(-42);
-  w.f32(3.25f);
+  w.f32s(std::array{3.25f});
   w.f64(-0.1);
   w.boolean(true);
   w.boolean(false);

@@ -10,7 +10,6 @@ namespace {
 
 TEST(RunningStats, EmptyIsSafe) {
   RunningStats s;
-  EXPECT_TRUE(s.empty());
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   EXPECT_DOUBLE_EQ(s.min(), 0.0);
   EXPECT_DOUBLE_EQ(s.max(), 0.0);
@@ -30,7 +29,6 @@ TEST(RunningStats, KnownSample) {
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
 TEST(SpanHelpers, MeanAndMax) {

@@ -8,6 +8,7 @@
 
 #include "core/next_agent.hpp"
 #include "soc/soc.hpp"
+#include "literals.hpp"
 #include "temp_path.hpp"
 
 namespace nextgov::core {
@@ -147,7 +148,7 @@ TEST(NextAgent, QTablePersistenceRoundTrip) {
     auto obs = obs_for(soc, 30.0 + (i % 3), 3.0, 45.0, 30.0);
     agent->control(obs, soc);
   }
-  agent->save_q_table(path);
+  agent->q_table().save(path);
 
   auto fresh = make_next_agent(soc, NextConfig{}, 2);
   fresh->set_q_table(rl::QTable::load(path));

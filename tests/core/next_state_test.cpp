@@ -40,7 +40,6 @@ TEST(Actions, PaperNineActionLayout) {
 TEST(Encoder, ActionCountIsThreePerCluster) {
   const NextStateEncoder enc{NextConfig{}, {18, 10, 6}};
   EXPECT_EQ(enc.action_count(), 9u);
-  EXPECT_EQ(enc.cluster_count(), 3u);
   const NextStateEncoder enc2{NextConfig{}, {18, 10, 6, 12}};
   EXPECT_EQ(enc2.action_count(), 12u);  // generalizes to m clusters
 }
@@ -51,7 +50,12 @@ TEST(Encoder, StateSpaceMatchesConfiguredCardinalities) {
   cfg.power_bins = 8;
   cfg.temp_bins = 8;
   const NextStateEncoder enc{cfg, {18, 10, 6}};
-  EXPECT_EQ(enc.state_space_size(), 18ull * 10 * 6 * 30 * 30 * 8 * 8 * 8);
+  // Every field at its lowest level packs to key 0, every field at its
+  // highest to the last key of the 18*10*6 freqs x 30 fps x 30 target x
+  // 8 power x 8x8 temps space.
+  EXPECT_EQ(enc.encode(make_obs(0, 0, 0, 0.0, 0.0, 0.0, 0.0), 0), 0u);
+  EXPECT_EQ(enc.encode(make_obs(17, 9, 5, 500.0, 99.0, 200.0, 200.0), 500),
+            18ull * 10 * 6 * 30 * 30 * 8 * 8 * 8 - 1);
 }
 
 TEST(Encoder, DistinctObservationsGetDistinctKeys) {

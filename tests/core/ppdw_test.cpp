@@ -60,6 +60,16 @@ TEST(PpdwBounds, Equation2OrderingHoldsForRealisticOperatingPoints) {
   }
 }
 
+TEST(PpdwBounds, HotAmbientInvertsTheBoundsAndClampsToBest) {
+  // Above temp_least (29 C) best() < worst(): every value clamps to best().
+  PpdwBounds b;
+  b.ambient = Celsius{35.0};
+  ASSERT_LT(b.best(), b.worst());
+  for (const double v : {-1.0, 0.0, b.best(), b.worst(), 1.0, 100.0}) {
+    EXPECT_EQ(clamp_to_bounds(v, b), b.best()) << v;
+  }
+}
+
 TEST(PpdwScore, MonotoneSaturatingSquash) {
   EXPECT_DOUBLE_EQ(ppdw_score(0.0, 0.3), 0.0);
   EXPECT_DOUBLE_EQ(ppdw_score(0.3, 0.3), 0.5);  // ref is the half-way point

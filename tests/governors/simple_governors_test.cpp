@@ -77,12 +77,5 @@ TEST(Ondemand, ValidatesParameters) {
   EXPECT_THROW(OndemandGovernor(0.8, SimTime::zero()), ConfigError);
 }
 
-TEST(NoMeta, LeavesCapsAlone) {
-  soc::Soc soc = soc::make_exynos9810();
-  NoMetaGovernor gov;
-  gov.control(obs_with_busy(soc, 1.0), soc);
-  for (const auto& c : soc.clusters()) EXPECT_EQ(c.max_cap_index(), c.opps().size() - 1);
-}
-
 }  // namespace
 }  // namespace nextgov::governors

@@ -234,9 +234,8 @@ TEST(FleetFaults, CorruptedUploadsAreRejectedNotAbsorbed) {
   const rl::QTable warm = train(&base);
   for (const rl::QTable* delta_base : {static_cast<const rl::QTable*>(nullptr), &base}) {
     const rl::QTable& table = delta_base == nullptr ? cold : warm;
-    bool went_delta = false;
-    const std::vector<std::uint8_t> blob = encode_upload(table, delta_base, &went_delta);
-    ASSERT_EQ(went_delta, delta_base != nullptr);
+    const std::vector<std::uint8_t> blob = encode_upload(table, delta_base);
+    ASSERT_EQ(SnapshotReader(blob, "test").has("delta"), delta_base != nullptr);
     for (const std::uint8_t mask : {std::uint8_t{0x01}, std::uint8_t{0x80}, std::uint8_t{0xFF}}) {
       std::size_t absorbed = 0;
       for (std::size_t i = 0; i < blob.size(); ++i) {

@@ -10,6 +10,7 @@
 #include "sim/engine.hpp"
 #include "workload/apps.hpp"
 #include "workload/phased_app.hpp"
+#include "literals.hpp"
 
 namespace nextgov::sim {
 namespace {

@@ -3,6 +3,7 @@
 
 #include "common/error.hpp"
 #include "render/fps_counter.hpp"
+#include "literals.hpp"
 
 namespace nextgov::render {
 namespace {
@@ -32,7 +33,7 @@ TEST(FpsCounter, EvictsOldPresents) {
 TEST(FpsCounter, SteadySixtyHzReadsSixty) {
   SlidingFpsCounter c;
   // Present every 16.667 ms for 2 seconds.
-  for (int i = 1; i <= 120; ++i) c.on_present(SimTime::from_us(i * 16'667));
+  for (int i = 1; i <= 120; ++i) c.on_present(SimTime{i * 16'667});
   EXPECT_NEAR(c.fps(2_s).value(), 60.0, 1.0);
 }
 

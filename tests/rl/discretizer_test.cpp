@@ -38,16 +38,11 @@ TEST(MixedRadixPacker, RejectsOverflowAndZeroCardinality) {
 
 TEST(MixedRadixPacker, PaperStateSpaceFitsIn64Bits) {
   // 18*10*6 freqs x 30 fps x 30 target x 8 power x 8x8 temps ~ 5e8 states.
+  // (Encoder.StateSpaceMatchesConfiguredCardinalities pins the product.)
   MixedRadixPacker packer;
-  packer.add_field(18);
-  packer.add_field(10);
-  packer.add_field(6);
-  packer.add_field(30);
-  packer.add_field(30);
-  packer.add_field(8);
-  packer.add_field(8);
-  packer.add_field(8);
-  EXPECT_EQ(packer.state_space_size(), 18ull * 10 * 6 * 30 * 30 * 8 * 8 * 8);
+  for (const std::size_t cardinality : {18, 10, 6, 30, 30, 8, 8, 8}) {
+    EXPECT_NO_THROW(packer.add_field(cardinality));
+  }
 }
 
 }  // namespace

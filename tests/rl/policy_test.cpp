@@ -31,7 +31,10 @@ TEST(Policy, GreedySelectionFollowsTable) {
   QTable t{4};
   t.set_q(1, 2, 1.0);
   EpsilonGreedyPolicy policy{{0.0, 0.0, 1}};
-  EXPECT_EQ(policy.select_greedy(t, 1), 2u);
+  Rng rng{4};
+  EXPECT_EQ(policy.select(t, 1, rng), 2u);
+  t.set_q(1, 0, 2.0);
+  EXPECT_EQ(policy.select(t, 1, rng), 0u);
 }
 
 TEST(Policy, ZeroEpsilonAlwaysExploits) {
@@ -53,26 +56,34 @@ TEST(Policy, FullEpsilonExploresUniformly) {
 }
 
 TEST(Policy, StepCounterAdvancesOnlyOnExploringSelect) {
+  // Epsilon 1 -> 0 over two selections: each select() advances the counter
+  // by exactly one, so the second selection still explores (epsilon 0.5)
+  // and the third never does.
   QTable t{2};
-  EpsilonGreedyPolicy policy{{0.5, 0.1, 100}};
-  Rng rng{3};
-  EXPECT_EQ(policy.steps_taken(), 0u);
-  (void)policy.select(t, 0, rng);
-  (void)policy.select(t, 0, rng);
-  EXPECT_EQ(policy.steps_taken(), 2u);
-  (void)policy.select_greedy(t, 0);
-  EXPECT_EQ(policy.steps_taken(), 2u);
-  policy.reset();
-  EXPECT_EQ(policy.steps_taken(), 0u);
+  t.set_q(0, 1, 1.0);
+  int explored_second = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    EpsilonGreedyPolicy policy{{1.0, 0.0, 2}};
+    Rng rng{seed};
+    (void)policy.select(t, 0, rng);
+    if (policy.select(t, 0, rng) != 1u) ++explored_second;
+    EXPECT_EQ(policy.select(t, 0, rng), 1u) << "seed " << seed;
+  }
+  EXPECT_GT(explored_second, 0);
 }
 
 TEST(Policy, EpsilonDecaysAcrossSelections) {
+  // Epsilon 0.8 at first, 0 after 1000 selections: early picks stray from
+  // the greedy action, later ones never do.
   QTable t{2};
+  t.set_q(0, 1, 1.0);
   EpsilonGreedyPolicy policy{{0.8, 0.0, 1000}};
   Rng rng{5};
-  EXPECT_DOUBLE_EQ(policy.current_epsilon(), 0.8);
-  for (int i = 0; i < 1000; ++i) (void)policy.select(t, 0, rng);
-  EXPECT_DOUBLE_EQ(policy.current_epsilon(), 0.0);
+  int strays = 0;
+  for (int i = 0; i < 100; ++i) strays += policy.select(t, 0, rng) != 1u ? 1 : 0;
+  EXPECT_NEAR(strays, 40, 15);
+  for (int i = 100; i < 1000; ++i) (void)policy.select(t, 0, rng);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(policy.select(t, 0, rng), 1u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -170,8 +171,7 @@ TEST(QTableLayout, DeserializeRejectsDuplicateKeysInAnyOrder) {
       w.u64(k);
       w.u64(0);
       w.u32(0);
-      w.f32(0.5f);
-      w.f32(0.25f);
+      w.f32s(std::array{0.5f, 0.25f});
     }
     return w.data();
   };

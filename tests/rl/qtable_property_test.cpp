@@ -76,7 +76,7 @@ struct RefTable {
       out.u64(key);
       out.u64(e.visits);
       out.u32(e.tried);
-      for (const float q : e.q) out.f32(q);
+      out.f32s(e.q);
     }
   }
 };

@@ -10,6 +10,7 @@
 #include "sim/experiment.hpp"
 #include "sim/scenario.hpp"
 #include "workload/apps.hpp"
+#include "literals.hpp"
 
 namespace nextgov::sim {
 namespace {
@@ -51,19 +52,21 @@ TEST(Engine, EnergyEqualsMeanPowerTimesTime) {
 TEST(Engine, SensorsAreQuantized) {
   auto e = make_test_engine(workload::AppId::kFacebook, 1);
   e->run(5_s);
-  const auto& s = e->observation().sensors;
-  EXPECT_NEAR(s.big.value() * 10.0, std::round(s.big.value() * 10.0), 1e-9);
-  EXPECT_NEAR(s.power.value() * 1000.0, std::round(s.power.value() * 1000.0), 1e-9);
+  // The recorder copies the sensor block the governors see.
+  const Sample& s = e->recorder().samples().back();
+  EXPECT_NEAR(s.temp_big_c * 10.0, std::round(s.temp_big_c * 10.0), 1e-9);
+  EXPECT_NEAR(s.power_w * 1000.0, std::round(s.power_w * 1000.0), 1e-9);
 }
 
 TEST(Engine, TemperaturesStartAtAmbientAndRise) {
   EngineConfig cfg;
   cfg.ambient = Celsius{21.0};
   auto e = make_test_engine(workload::AppId::kLineage, 1, cfg);
-  EXPECT_NEAR(e->observation().sensors.big.value(), 21.0, 0.2);
   e->run(60_s);
-  EXPECT_GT(e->observation().sensors.big.value(), 35.0);
-  EXPECT_GT(e->observation().sensors.device.value(), 22.0);
+  const std::vector<Sample>& samples = e->recorder().samples();
+  EXPECT_NEAR(samples.front().temp_big_c, 21.0, 0.2);
+  EXPECT_GT(samples.back().temp_big_c, 35.0);
+  EXPECT_GT(samples.back().temp_device_c, 22.0);
 }
 
 TEST(Engine, DeterministicForIdenticalSeeds) {
@@ -121,11 +124,12 @@ TEST(Engine, ThrottleDisabledAllowsHigherPeaks) {
 TEST(Engine, ResetSessionRestoresColdState) {
   auto e = make_test_engine(workload::AppId::kLineage, 1);
   e->run(60_s);
-  ASSERT_GT(e->observation().sensors.big.value(), 30.0);
+  ASSERT_GT(e->totals().temp_big_c.max(), 30.0);
   e->reset_session(workload::make_app(workload::AppId::kLineage, 2));
-  EXPECT_NEAR(e->observation().sensors.big.value(), 21.0, 0.2);
   EXPECT_EQ(e->totals().frames_presented, 0);
   EXPECT_DOUBLE_EQ(e->totals().energy_j, 0.0);
+  e->step();
+  EXPECT_NEAR(e->totals().temp_big_c.max(), 21.0, 0.2);
 }
 
 TEST(Engine, PowersaveUsesLessEnergyThanPerformance) {

@@ -93,7 +93,6 @@ TEST(FleetServer, CalmFleetReachesFullQuorumEveryRound) {
   }
   ASSERT_NE(server.global(), nullptr);
   EXPECT_EQ(server.round(), 2u);
-  EXPECT_EQ(server.now().us(), 2 * small_server().round_deadline.us());
   EXPECT_EQ(server.stats().uploads_accepted, 6u);
   EXPECT_GT(server.stats().total_decisions, 0u);
 }

@@ -226,13 +226,15 @@ TEST(Fleet, UploadWireCodecRoundTripsBothPaths) {
   next.set_q(99, 0, 3.5);
   next.record_visit(99);
 
-  bool went_delta = false;
-  const std::vector<std::uint8_t> full = encode_upload(next, nullptr, &went_delta);
-  EXPECT_FALSE(went_delta);
+  const auto is_delta = [](const std::vector<std::uint8_t>& blob) {
+    return SnapshotReader{blob, "test"}.has("delta");
+  };
+  const std::vector<std::uint8_t> full = encode_upload(next, nullptr);
+  EXPECT_FALSE(is_delta(full));
   EXPECT_TRUE(decode_upload(full, nullptr, "test") == next);
 
-  const std::vector<std::uint8_t> delta = encode_upload(next, &base, &went_delta);
-  EXPECT_TRUE(went_delta);
+  const std::vector<std::uint8_t> delta = encode_upload(next, &base);
+  EXPECT_TRUE(is_delta(delta));
   EXPECT_LT(delta.size(), full.size());  // only the touched states travel
   EXPECT_TRUE(decode_upload(delta, &base, "test") == next);
 
@@ -246,8 +248,8 @@ TEST(Fleet, UploadWireCodecRoundTripsBothPaths) {
   // A base that is not a subset of the table falls back to the full wire.
   rl::QTable unrelated{4, 2.5};
   unrelated.set_q(12345, 0, 1.0);
-  const std::vector<std::uint8_t> fallback = encode_upload(next, &unrelated, &went_delta);
-  EXPECT_FALSE(went_delta);
+  const std::vector<std::uint8_t> fallback = encode_upload(next, &unrelated);
+  EXPECT_FALSE(is_delta(fallback));
   EXPECT_TRUE(decode_upload(fallback, nullptr, "test") == next);
 }
 

@@ -58,12 +58,5 @@ TEST(Recorder, CsvHasHeaderAndAllRows) {
   std::remove(path.c_str());
 }
 
-TEST(Recorder, ClearEmpties) {
-  Recorder rec;
-  rec.add(Sample{});
-  rec.clear();
-  EXPECT_TRUE(rec.empty());
-}
-
 }  // namespace
 }  // namespace nextgov::sim

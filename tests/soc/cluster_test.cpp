@@ -4,6 +4,7 @@
 #include "common/error.hpp"
 #include "soc/cluster.hpp"
 #include "soc/opp.hpp"
+#include "literals.hpp"
 
 namespace nextgov::soc {
 namespace {
@@ -11,7 +12,7 @@ namespace {
 using namespace nextgov::literals;
 
 Cluster make_big() {
-  return Cluster{ClusterKind::kBigCpu, "big", 4, exynos9810_big_opps(),
+  return Cluster{ClusterKind::kBigCpu, 4, exynos9810_big_opps(),
                  ClusterPowerParams{1.7e-9, 0.5, 0.018}};
 }
 
@@ -72,20 +73,21 @@ TEST(Cluster, ResetCapsRestoresFullRange) {
 
 TEST(Cluster, RelativeSpeedIsFractionOfMax) {
   Cluster c = make_big();
+  // Tabled as its reciprocal, f_max / f.
   c.request_frequency(KiloHertz::from_mhz(2704));
-  EXPECT_DOUBLE_EQ(c.relative_speed(), 1.0);
+  EXPECT_DOUBLE_EQ(c.inv_relative_speed(), 1.0);
   c.set_freq_index(0);
-  EXPECT_NEAR(c.relative_speed(), 650.0 / 2704.0, 1e-12);
+  EXPECT_NEAR(c.inv_relative_speed(), 2704.0 / 650.0, 1e-12);
 }
 
 TEST(Cluster, RejectsInvalidConstruction) {
-  EXPECT_THROW(Cluster(ClusterKind::kBigCpu, "x", 0, exynos9810_big_opps(),
+  EXPECT_THROW(Cluster(ClusterKind::kBigCpu, 0, exynos9810_big_opps(),
                        ClusterPowerParams{1e-9, 0.1, 0.01}),
                ConfigError);
-  EXPECT_THROW(Cluster(ClusterKind::kBigCpu, "x", 4, exynos9810_big_opps(),
+  EXPECT_THROW(Cluster(ClusterKind::kBigCpu, 4, exynos9810_big_opps(),
                        ClusterPowerParams{0.0, 0.1, 0.01}),
                ConfigError);
-  EXPECT_THROW(Cluster(ClusterKind::kBigCpu, "x", 4, exynos9810_big_opps(),
+  EXPECT_THROW(Cluster(ClusterKind::kBigCpu, 4, exynos9810_big_opps(),
                        ClusterPowerParams{1e-9, -0.1, 0.01}),
                ConfigError);
 }

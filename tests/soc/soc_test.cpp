@@ -1,6 +1,8 @@
 // Unit tests for the SoC aggregate and the Exynos 9810 factory.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "soc/soc.hpp"
 
@@ -8,7 +10,7 @@ namespace nextgov::soc {
 namespace {
 
 TEST(Soc, Exynos9810HasThreePaperClusters) {
-  const Soc soc = make_exynos9810();
+  Soc soc = make_exynos9810();
   ASSERT_EQ(soc.cluster_count(), 3u);
   EXPECT_EQ(soc.big().kind(), ClusterKind::kBigCpu);
   EXPECT_EQ(soc.big().core_count(), 4u);
@@ -40,11 +42,11 @@ TEST(Soc, ResetRestoresIdleState) {
 }
 
 TEST(Soc, RequiresAtLeastOneCluster) {
-  EXPECT_THROW(Soc("empty", {}, DevicePowerParams{}), ConfigError);
+  EXPECT_THROW(Soc(std::vector<Cluster>{}, DevicePowerParams{}), ConfigError);
 }
 
 TEST(Soc, DevicePowerFloorIsPositive) {
-  const Soc soc = make_exynos9810();
+  Soc soc = make_exynos9810();
   EXPECT_GT(soc.device_power().display.value(), 0.0);
   EXPECT_GT(soc.device_power().rest_of_device.value(), 0.0);
 }

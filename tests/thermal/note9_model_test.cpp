@@ -13,9 +13,9 @@ namespace {
 TEST(Note9Thermal, HasSixNamedNodes) {
   auto model = make_note9_thermal(Celsius{21.0});
   EXPECT_EQ(model.network.node_count(), 6u);
-  EXPECT_EQ(model.network.topology()->nodes()[model.nodes.big].name, "big");
-  EXPECT_EQ(model.network.topology()->nodes()[model.nodes.skin].name, "skin");
-  EXPECT_EQ(model.network.topology()->nodes()[model.nodes.battery].name, "battery");
+  EXPECT_EQ(note9_topology()->nodes()[model.nodes.big].name, "big");
+  EXPECT_EQ(note9_topology()->nodes()[model.nodes.skin].name, "skin");
+  EXPECT_EQ(note9_topology()->nodes()[model.nodes.battery].name, "battery");
 }
 
 TEST(Note9Thermal, IdleSteadyStateIsMildlyWarm) {
@@ -27,7 +27,7 @@ TEST(Note9Thermal, IdleSteadyStateIsMildlyWarm) {
   power[model.nodes.gpu] = 0.05;
   power[model.nodes.skin] = 1.0;
   power[model.nodes.soc_board] = 0.35;
-  const auto ss = test::steady_state(*model.network.topology(), power, model.network.ambient());
+  const auto ss = test::steady_state(*note9_topology(), power, Celsius{21.0});
   EXPECT_GT(ss[model.nodes.big].value(), 24.0);
   EXPECT_LT(ss[model.nodes.big].value(), 36.0);
 }
@@ -41,7 +41,7 @@ TEST(Note9Thermal, SustainedGameLoadPushesBigInto70to95Band) {
   power[model.nodes.gpu] = 2.2;
   power[model.nodes.skin] = 1.0;
   power[model.nodes.soc_board] = 0.35;
-  const auto ss = test::steady_state(*model.network.topology(), power, model.network.ambient());
+  const auto ss = test::steady_state(*note9_topology(), power, Celsius{21.0});
   EXPECT_GT(ss[model.nodes.big].value(), 70.0);
   EXPECT_LT(ss[model.nodes.big].value(), 100.0);
   // Skin must stay far below the junction (it is what the user touches).
@@ -66,7 +66,7 @@ TEST(Note9Thermal, BigIsTheHotspotUnderCpuLoad) {
   std::vector<double> power(model.network.node_count(), 0.0);
   power[model.nodes.big] = 2.0;
   power[model.nodes.gpu] = 0.5;
-  const auto ss = test::steady_state(*model.network.topology(), power, model.network.ambient());
+  const auto ss = test::steady_state(*note9_topology(), power, Celsius{21.0});
   EXPECT_GT(ss[model.nodes.big].value(), ss[model.nodes.gpu].value());
   EXPECT_GT(ss[model.nodes.big].value(), ss[model.nodes.little].value());
   EXPECT_GT(ss[model.nodes.big].value(), ss[model.nodes.skin].value());
@@ -74,7 +74,6 @@ TEST(Note9Thermal, BigIsTheHotspotUnderCpuLoad) {
 
 TEST(Note9Thermal, AmbientParameterPropagates) {
   auto cold = make_note9_thermal(Celsius{10.0});
-  EXPECT_DOUBLE_EQ(cold.network.ambient().value(), 10.0);
   EXPECT_DOUBLE_EQ(cold.network.temperature(cold.nodes.big).value(), 10.0);
 }
 

@@ -149,17 +149,18 @@ TEST(RcNetworkRegression, SteadyStateMatchesTransientAfterTopologyMutation) {
   // one its source network settles to.
   const NodeId a = 0;
   const NodeId b = 1;
-  RcNetwork small{RcTopology::make({{"a", 1.0, 0.5}}, {}), Celsius{21.0}};
+  const auto small = RcTopology::make({{"a", 1.0, 0.5}}, {});
   const double small_power[] = {1.0};
-  const auto ss1 = test::steady_state(*small.topology(), small_power, small.ambient());
+  const auto ss1 = test::steady_state(*small, small_power, Celsius{21.0});
   EXPECT_NEAR(ss1[a].value(), 21.0 + 2.0, 1e-9);
 
-  std::vector<RcNodeSpec> nodes = small.topology()->nodes();
+  std::vector<RcNodeSpec> nodes = small->nodes();
   nodes.push_back(RcNodeSpec{"b", 2.0, 0.5});
-  RcNetwork net{RcTopology::make(std::move(nodes), {{a, b, 1.0}}), Celsius{21.0}};
+  const auto grown = RcTopology::make(std::move(nodes), {{a, b, 1.0}});
+  RcNetwork net{grown, Celsius{21.0}};
   net.set_power(a, Watts{1.0});
   const double power[] = {1.0, 0.0};
-  const auto ss2 = test::steady_state(*net.topology(), power, net.ambient());
+  const auto ss2 = test::steady_state(*grown, power, Celsius{21.0});
   // New equilibrium: solve the 2x2 system by hand.
   //   a: 1 + 0.5*(21-Ta) + 1*(Tb-Ta) = 0 ; b: 0.5*(21-Tb) + 1*(Ta-Tb) = 0
   EXPECT_NEAR(ss2[b].value(), (0.5 * 21.0 + ss2[a].value()) / 1.5, 1e-9);

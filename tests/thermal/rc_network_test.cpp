@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "literals.hpp"
 #include "oracles/rc_steady_state.hpp"
 #include "thermal/rc_network.hpp"
 
@@ -27,12 +28,13 @@ TEST(RcNetwork, NodesStartAtAmbient) {
 }
 
 TEST(RcNetwork, TransientConvergesToSteadyState) {
-  RcNetwork net = make_network(Celsius{21.0}, {{"a", 1.0, 0.0}, {"b", 5.0, 0.4}}, {{0, 1, 0.3}});
+  const auto topology = RcTopology::make({{"a", 1.0, 0.0}, {"b", 5.0, 0.4}}, {{0, 1, 0.3}});
+  RcNetwork net{topology, Celsius{21.0}};
   const NodeId a = 0;
   const NodeId b = 1;
   net.set_power(a, Watts{2.0});
   const double power[] = {2.0, 0.0};
-  const auto ss = test::steady_state(*net.topology(), power, net.ambient());
+  const auto ss = test::steady_state(*topology, power, Celsius{21.0});
   for (int i = 0; i < 600; ++i) net.step(SimTime::from_seconds(1.0));
   EXPECT_NEAR(net.temperature(a).value(), ss[a].value(), 0.05);
   EXPECT_NEAR(net.temperature(b).value(), ss[b].value(), 0.05);
@@ -126,10 +128,11 @@ TEST(RcNetwork, SetAllTemperaturesForcesState) {
 
 TEST(RcNetwork, AmbientChangeShiftsEquilibrium) {
   // T = T_amb + P / G once the transient (tau = C/G = 2 s) has died out.
-  RcNetwork net = make_network(Celsius{21.0}, {{"a", 1.0, 0.5}});
+  // A network built at 35 C ambient but started at 21 C settles against 35.
+  RcNetwork net = make_network(Celsius{35.0}, {{"a", 1.0, 0.5}});
   const NodeId a = 0;
+  net.set_all_temperatures(Celsius{21.0});
   net.set_power(a, Watts{1.0});
-  net.set_ambient(Celsius{35.0});
   for (int i = 0; i < 100; ++i) net.step(SimTime::from_seconds(1.0));
   EXPECT_NEAR(net.temperature(a).value(), 35.0 + 2.0, 1e-9);
 }

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "workload/apps.hpp"
+#include "literals.hpp"
 
 namespace nextgov::workload {
 namespace {

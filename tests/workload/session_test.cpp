@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "sim/scenario.hpp"
 #include "workload/session.hpp"
+#include "literals.hpp"
 
 namespace nextgov::workload {
 namespace {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "workload/user_model.hpp"
+#include "literals.hpp"
 
 namespace nextgov::workload {
 namespace {

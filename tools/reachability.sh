@@ -1,21 +1,29 @@
 #!/usr/bin/env bash
-# Link-time reachability gate: every out-of-line library function must be
-# reached by at least one production binary (a bench, an example or
-# perfbench), or be listed in tools/reachability.allow with a reason.
+# Link-time reachability gate: every library function, out-of-line or
+# header-inline, must be reached by at least one production binary (a bench,
+# an example or perfbench), or be listed in tools/reachability.allow with a
+# reason.
 #
 #   tools/reachability.sh [build-dir]      (default: build-reachability)
 #
 # Method:
-#   1. Build the library, every bench and example, and perfbench at
-#      -O0 -ffunction-sections -fdata-sections, so nothing is inlined away
-#      and every function sits in a section of its own.
-#   2. Link each production binary from its own objects plus *all* library
+#   1. Build the library objects at -O0 -ffunction-sections -fdata-sections
+#      -fkeep-inline-functions, so nothing is inlined away, every function
+#      sits in a section of its own, and every inline function a library
+#      header or source defines is emitted too; one more object includes
+#      every src/ header, for headers no library source includes. Build the
+#      objects of every bench and example, and of perfbench, with the same
+#      flags minus -fkeep-inline-functions (their inline standard-library
+#      code would reference libstdc++-internal symbols).
+#   2. Defined: the nextgov:: function symbols (nm T or W) of the library
+#      objects.
+#   3. Link each production binary from its own objects plus *all* library
 #      objects (not the archive, which would only pull what is referenced)
-#      with --gc-sections --print-gc-sections.
-#   3. Intersect the .text sections of library objects that every link
-#      discarded.
-#   4. Keep only strong (nm type T) symbols, so inline and template COMDAT
-#      copies drop out, and demangle.
+#      with --gc-sections. Reached: the nextgov:: symbols any link keeps.
+#   4. Unreached = defined - reached, demangled, less the special members
+#      the compiler generates (implicit constructors, destructors and
+#      assignments, which nobody can delete): those are told apart by
+#      DW_AT_artificial in the library's debug info.
 #
 # Prints every unreached function, marking the allowlisted ones. Exits 1 on
 # an unreached function that is not allowlisted, and on a stale allowlist
@@ -29,6 +37,9 @@ root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 allow="$root/tools/reachability.allow"
 out=$(realpath -m "${1:-$root/build-reachability}")
 flags="-O0 -ffunction-sections -fdata-sections"
+# The nextgov:: functions among mangled names: N, cv- and ref-qualifiers,
+# then the namespace.
+nextgov_fn='^_ZN[KVRO]*7nextgov'
 
 # Runs a build step with its output in `log`, shown only when it fails.
 quiet() {
@@ -41,22 +52,37 @@ quiet() {
   fi
 }
 
+# The object files of `build` whose ninja paths match the extended regex.
+objects() {
+  ninja -C "$1" -t targets all | sed -nE "s#^($2):.*#\\1#p"
+}
+
 mkdir -p "$out"
 : > "$out/build.log"
+quiet "$out/build.log" cmake -S "$root" -B "$out/lib" -G Ninja -DCMAKE_BUILD_TYPE=None \
+  -DCMAKE_CXX_FLAGS="$flags -g -fkeep-inline-functions" -DNEXTGOV_BUILD_TESTS=OFF \
+  -DNEXTGOV_BUILD_BENCH=OFF -DNEXTGOV_BUILD_EXAMPLES=OFF
+quiet "$out/build.log" ninja -C "$out/lib" nextgov
+(cd "$root/src" && find . -name '*.hpp' | sort | sed 's|^\./\(.*\)|#include "\1"|') \
+  > "$out/headers.cpp"
+# shellcheck disable=SC2086
+quiet "$out/build.log" ${CXX:-g++} -std=c++20 $flags -g -fkeep-inline-functions \
+  -I "$root/src" -c "$out/headers.cpp" -o "$out/headers.o"
 quiet "$out/build.log" cmake -S "$root" -B "$out/main" -G Ninja -DCMAKE_BUILD_TYPE=None \
   -DCMAKE_CXX_FLAGS="$flags" -DNEXTGOV_BUILD_TESTS=OFF
-quiet "$out/build.log" ninja -C "$out/main"
+main_objs=$(objects "$out/main" 'CMakeFiles/[^/]+\.dir/(bench|examples)/[^:/]+\.o')
 quiet "$out/build.log" cmake -S "$root/perfbench" -B "$out/perfbench" -G Ninja \
   -DCMAKE_BUILD_TYPE=None -DCMAKE_CXX_FLAGS="$flags"
-# Only perfbench's own objects: the library objects come from the main build.
-pb_objs=$(ninja -C "$out/perfbench" -t targets all |
-  sed -nE 's#^(CMakeFiles/perfbench(_helpers)?\.dir/[^:]*\.o):.*#\1#p')
+# Only perfbench's own objects: the library objects come from the library build.
+pb_objs=$(objects "$out/perfbench" 'CMakeFiles/perfbench(_helpers)?\.dir/[^:]*\.o')
+# shellcheck disable=SC2086
+quiet "$out/build.log" ninja -C "$out/main" $main_objs
 # shellcheck disable=SC2086
 quiet "$out/build.log" ninja -C "$out/perfbench" $pb_objs
 
-mapfile -t lib_objs < <(find "$out/main/CMakeFiles/nextgov.dir" -name '*.o' | sort)
+mapfile -t lib_objs < <(find "$out/lib/CMakeFiles/nextgov.dir" "$out/headers.o" -name '*.o' | sort)
 if [ "${#lib_objs[@]}" -eq 0 ]; then
-  echo "reachability: no library objects under $out/main" >&2
+  echo "reachability: no library objects under $out/lib" >&2
   exit 1
 fi
 
@@ -76,6 +102,7 @@ binaries+=("perfbench|$(printf "$out/perfbench/%s " $pb_objs)|")
 
 work="$out/links"
 rm -rf "$work" && mkdir -p "$work"
+: > "$work/reached.mangled"
 n=0
 for entry in "${binaries[@]}"; do
   IFS='|' read -r name objs extra <<< "$entry"
@@ -86,34 +113,33 @@ for entry in "${binaries[@]}"; do
     fi
   done
   # shellcheck disable=SC2086
-  ${CXX:-g++} $objs "${lib_objs[@]}" -pthread $extra \
-    -Wl,--gc-sections,--print-gc-sections -o "$work/$name" 2> "$work/$name.gc"
-  # "removing unused section '.text.<sym>' in file '<lib object>'"
-  sed -nE "s#.*removing unused section '\.text\.([^']+)' in file '([^']+)'.*#\2 \1#p" \
-    "$work/$name.gc" | { grep -F "$out/main/CMakeFiles/nextgov.dir/" || true; } |
-    sort -u > "$work/$name.dropped"
+  ${CXX:-g++} $objs "${lib_objs[@]}" -pthread $extra -Wl,--gc-sections -o "$work/$name"
+  nm "$work/$name" | awk '{ print $NF }' | { grep -E "$nextgov_fn" || true; } \
+    >> "$work/reached.mangled"
   n=$((n + 1))
 done
 
-# Sections every link dropped.
-files=("$work"/*.dropped)
-cp "${files[0]}" "$work/common"
-for f in "${files[@]:1}"; do
-  comm -12 "$work/common" "$f" > "$work/common.next"
-  mv "$work/common.next" "$work/common"
-done
-
-# Strong definitions only, demangled.
-: > "$work/unreached.mangled"
-: > "$work/defined.mangled"
+# Compiler-generated special members: the library's DW_AT_artificial
+# subprograms. Mangled names demangle to one name for every constructor and
+# destructor variant (complete, base, deleting, and the unified name the
+# debug info uses), so the sets are compared demangled.
 for obj in "${lib_objs[@]}"; do
-  nm "$obj" | awk '$2 == "T" { print $3 }' | sort -u > "$work/strong"
-  cat "$work/strong" >> "$work/defined.mangled"
-  awk -v o="$obj" '$1 == o { print $2 }' "$work/common" | sort -u |
-    comm -12 - "$work/strong" >> "$work/unreached.mangled"
-done
-c++filt < "$work/unreached.mangled" | sort -u > "$work/unreached"
-c++filt < "$work/defined.mangled" | sort -u > "$work/defined"
+  objdump --dwarf=info "$obj" 2> /dev/null | awk '
+    function flush() { if (isfn && artificial && linkage != "") print linkage }
+    /^ <[0-9a-f]+><[0-9a-f]+>: Abbrev Number/ {
+      flush(); isfn = ($NF == "(DW_TAG_subprogram)"); artificial = 0; linkage = ""; next
+    }
+    /DW_AT_artificial/ { artificial = 1 }
+    /DW_AT_linkage_name/ { linkage = $NF }
+    END { flush() }'
+done | c++filt | sort -u > "$work/generated"
+
+for obj in "${lib_objs[@]}"; do
+  nm "$obj" | awk '$2 == "T" || $2 == "W" { print $3 }'
+done | { grep -E "$nextgov_fn" || true; } | c++filt | sort -u |
+  comm -23 - "$work/generated" > "$work/defined"
+c++filt < "$work/reached.mangled" | sort -u > "$work/reached"
+comm -23 "$work/defined" "$work/reached" > "$work/unreached"
 
 # Allowlist: "<demangled name>  # <reason>"; blank lines and lines starting
 # with # are ignored.
@@ -129,7 +155,8 @@ while IFS= read -r fn; do
     status=1
   fi
 done < "$work/unreached"
-echo "$(wc -l < "$work/unreached") unreached, $(comm -12 "$work/unreached" "$work/allowed" | wc -l) allowlisted"
+echo "$(wc -l < "$work/unreached") unreached of $(wc -l < "$work/defined") defined," \
+  "$(comm -12 "$work/unreached" "$work/allowed" | wc -l) allowlisted"
 
 while IFS= read -r fn; do
   status=1
