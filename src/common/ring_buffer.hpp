@@ -25,21 +25,15 @@ class RingBuffer {
     if (size_ < buf_.size()) ++size_;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] bool full() const noexcept { return size_ == buf_.size(); }
 
-  /// Element `i` counted from the oldest (0) to the newest (size()-1).
+  /// Element `i` counted from the oldest (0) to the newest.
   [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
     NEXTGOV_ASSERT(i < size_);
     return buf_[(head_ + buf_.size() - size_ + i) % buf_.size()];
   }
 
-  [[nodiscard]] const T& newest() const noexcept {
-    NEXTGOV_ASSERT(size_ > 0);
-    return (*this)[size_ - 1];
-  }
   [[nodiscard]] const T& oldest() const noexcept {
     NEXTGOV_ASSERT(size_ > 0);
     return (*this)[0];
@@ -48,14 +42,6 @@ class RingBuffer {
   void clear() noexcept {
     size_ = 0;
     head_ = 0;
-  }
-
-  /// Copies contents oldest-first (for mode/stat computations).
-  [[nodiscard]] std::vector<T> to_vector() const {
-    std::vector<T> out;
-    out.reserve(size_);
-    for (std::size_t i = 0; i < size_; ++i) out.push_back((*this)[i]);
-    return out;
   }
 
  private:

@@ -120,22 +120,30 @@ void Engine::rebuild_observation(bool force) {
     }
     obs_.fps = pipeline_.current_fps(now_);
     obs_.drop_rate = pipeline_.current_drop_rate(now_);
+    obs_.sensors.power = soc::quantize_power(device_power_);
   }
 
+  // The running totals read the temperatures every step; a sensor reading
+  // moves only every few hundred steps, so the device sensor is recomputed
+  // only when one of its inputs was re-quantized.
   const auto& nodes = thermal_.nodes;
-  const Celsius t_big = soc::quantize_temperature(Celsius{node_temp(nodes.big)});
-  const Celsius t_little = soc::quantize_temperature(Celsius{node_temp(nodes.little)});
-  const Celsius t_gpu = soc::quantize_temperature(Celsius{node_temp(nodes.gpu)});
-  const Celsius t_batt = soc::quantize_temperature(Celsius{node_temp(nodes.battery)});
-  const Celsius t_skin = soc::quantize_temperature(Celsius{node_temp(nodes.skin)});
-  obs_.sensors.big = t_big;
-  obs_.sensors.little = t_little;
-  obs_.sensors.gpu = t_gpu;
-  obs_.sensors.battery = t_batt;
-  obs_.sensors.skin = t_skin;
-  obs_.sensors.device =
-      soc::quantize_temperature(soc::virtual_device_temperature(t_batt, t_skin, t_big, t_little, t_gpu));
-  obs_.sensors.power = soc::quantize_power(device_power_);
+  auto& [big, little, gpu, battery, skin] = temp_sensors_;
+  bool requantized = force;
+  requantized |= big.read(node_temp(nodes.big));
+  requantized |= little.read(node_temp(nodes.little));
+  requantized |= gpu.read(node_temp(nodes.gpu));
+  requantized |= battery.read(node_temp(nodes.battery));
+  requantized |= skin.read(node_temp(nodes.skin));
+  if (requantized) {
+    auto& s = obs_.sensors;
+    s.big = big.reading();
+    s.little = little.reading();
+    s.gpu = gpu.reading();
+    s.battery = battery.reading();
+    s.skin = skin.reading();
+    s.device = soc::quantize_temperature(
+        soc::virtual_device_temperature(s.battery, s.skin, s.big, s.little, s.gpu));
+  }
 }
 
 void Engine::record_if_due() {

@@ -21,6 +21,7 @@
 #include "governors/governor.hpp"
 #include "render/pipeline.hpp"
 #include "sim/recorder.hpp"
+#include "soc/sensors.hpp"
 #include "soc/soc.hpp"
 #include "thermal/note9_model.hpp"
 #include "workload/app.hpp"
@@ -124,10 +125,10 @@ class Engine {
   /// previous session's values).
   void rebuild_observation(bool force = false);
   /// True when any observation consumer (governor, meta sample, throttle
-  /// evaluation, recorder) fires at the current time. The expensive parts
-  /// of the observation (FPS window queries, per-cluster DVFS snapshot) are
-  /// only refreshed on those steps; the thermal/power sensor block is
-  /// rebuilt every step because the running totals consume it.
+  /// evaluation, recorder) fires at the current time. The FPS window
+  /// queries, the per-cluster DVFS snapshot and the power sensor are only
+  /// refreshed on those steps; the temperature sensors are read every step
+  /// because the running totals consume them.
   [[nodiscard]] bool observation_consumer_due() const noexcept;
   void update_loads(const render::PipelineStepResult& pr);
   void apply_thermal_throttle();
@@ -166,6 +167,8 @@ class Engine {
   std::vector<soc::ClusterLoad> loads_;
   Watts device_power_{Watts{0.0}};
   governors::Observation obs_;
+  /// big, LITTLE, GPU, battery and skin sensors, in SensorReadings order.
+  std::array<soc::TemperatureSensor, 5> temp_sensors_{};
   Recorder recorder_;
   EngineTotals totals_;
 };

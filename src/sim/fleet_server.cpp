@@ -534,19 +534,17 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
 
   // 5. Straggler deadline: whatever is still in flight carries into the
   //    next round as persisted PendingUploads - merged late rather than
-  //    dropped, and never allowed to stall this round's close.
-  for (Event& ev : heap) {
+  //    dropped, and never allowed to stall this round's close. They are
+  //    carried in arrival order; the events are sorted, not the uploads
+  //    that own their tables.
+  std::sort(heap.begin(), heap.end(), [](const Event& a, const Event& b) { return later(b, a); });
+  for (const Event& ev : heap) {
     NEXTGOV_ASSERT(ev.kind == Event::kUploadArrival);  // expiries resolve in-round
     HeldTable& held = arena[ev.table];
     state_.pending_uploads.push_back(PendingUpload{ev.device, ev.trained_round, ev.t_us,
                                                    ev.attempt, std::move(held.table),
                                                    std::move(held.ring)});
   }
-  std::sort(state_.pending_uploads.begin(), state_.pending_uploads.end(), [](const PendingUpload& a,
-                                                 const PendingUpload& b) {
-    return std::tie(a.arrival_us, a.device, a.trained_round, a.attempts_used) <
-           std::tie(b.arrival_us, b.device, b.trained_round, b.attempts_used);
-  });
   rs.carried_late = state_.pending_uploads.size();
 
   // 6. Graceful degradation merge: the staleness-weighted aggregate of

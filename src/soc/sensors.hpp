@@ -14,23 +14,22 @@
 #pragma once
 
 #include <cmath>
-#include <cstdint>
 
 #include "common/units.hpp"
 
 namespace nextgov::soc {
 
 /// std::round, bit for bit (half-way cases away from zero, -0.0 kept),
-/// without the libm call: the engine quantizes seven readings a step. For
-/// |x| < 2^52 the truncation through int64_t is exact, so is the remainder
-/// x - t, and comparing it with +-0.5 rounds exactly; copysign restores the
-/// sign of a result that rounds to zero. Larger magnitudes (already
-/// integers), infinities and NaN go to std::round.
+/// without the libm call. For |x| < 2^51, adding and subtracting 1.5 * 2^52
+/// rounds to the nearest integer, ties to even; x - r is then exact, so a
+/// tie shows as |x - r| == 0.5 and moves away from zero (exactly: x is a
+/// half-integer). copysign restores the sign of a result that rounds to
+/// zero. Larger magnitudes (already integers or halves), infinities and NaN
+/// go to std::round.
 [[nodiscard]] inline double round_half_away(double x) noexcept {
-  if (!(std::fabs(x) < 0x1p52)) return std::round(x);
-  const double t = static_cast<double>(static_cast<std::int64_t>(x));
-  const double rem = x - t;
-  const double r = rem >= 0.5 ? t + 1.0 : rem <= -0.5 ? t - 1.0 : t;
+  if (!(std::fabs(x) < 0x1p51)) return std::round(x);
+  double r = (x + 0x1.8p52) - 0x1.8p52;
+  if (std::fabs(x - r) == 0.5) [[unlikely]] r = x + std::copysign(0.5, x);
   return std::copysign(r, x);
 }
 
@@ -47,6 +46,30 @@ namespace nextgov::soc {
 /// The device-level virtual sensor replacement formula.
 [[nodiscard]] Celsius virtual_device_temperature(Celsius battery, Celsius skin, Celsius big,
                                                  Celsius little, Celsius gpu) noexcept;
+
+/// One 0.1 C temperature sensor that remembers its last reading. read()
+/// returns quantize_temperature(Celsius{raw}) bit for bit: while 10 * raw
+/// stays strictly within 0.5 of the last rounded value k != 0, it rounds to
+/// k again, and that distance is exact (Sterbenz: |k| >= 1); k == 0 is
+/// never reused because the sign of a zero reading follows the raw value.
+/// A reading changes only every few hundred 1 ms steps, so nearly every
+/// read skips the rounding.
+class TemperatureSensor {
+ public:
+  /// Takes a reading; true when it was re-quantized (it may still be equal).
+  bool read(double raw) noexcept {
+    const double x = raw * 10.0;
+    if (k_ != 0.0 && std::fabs(x - k_) < 0.5) return false;
+    k_ = round_half_away(x);
+    reading_ = quantize_temperature(Celsius{raw});
+    return true;
+  }
+  [[nodiscard]] Celsius reading() const noexcept { return reading_; }
+
+ private:
+  double k_{0.0};  ///< round_half_away(10 * raw) of the last re-quantized read
+  Celsius reading_{0.0};
+};
 
 /// Snapshot of every sensor the agent can read.
 struct SensorReadings {

@@ -80,7 +80,7 @@ RcNetwork::RcNetwork(std::shared_ptr<const RcTopology> topology, Celsius ambient
   require(topo_ != nullptr, "RcNetwork needs a topology");
   temp_.assign(topo_->node_count(), ambient_.value());
   power_.assign(topo_->node_count(), 0.0);
-  flux_.assign(topo_->node_count(), 0.0);
+  next_.assign(topo_->node_count(), 0.0);
 }
 
 Celsius RcNetwork::temperature(NodeId id) const {
@@ -103,19 +103,20 @@ void RcNetwork::euler_substep(double dt_s) noexcept {
   const double* const g_amb = t.g_ambient().data();
   const double* const inv_cap = t.inv_cap().data();
   const double* const power = power_.data();
-  double* const temp = temp_.data();
-  double* const flux = flux_.data();
+  const double* const temp = temp_.data();
+  double* const next = next_.data();
+  // One pass: each node's net heat flux is summed from the previous
+  // temperatures and its update goes straight into the other buffer, which
+  // then becomes the current one.
   for (std::size_t i = 0; i < n; ++i) {
     double f = power[i] + g_amb[i] * (amb - temp[i]);
     const std::uint32_t end = row_ptr[i + 1];
     for (std::uint32_t k = row_ptr[i]; k < end; ++k) {
       f += nbr_g[k] * (temp[nbr_node[k]] - temp[i]);
     }
-    flux[i] = f;
+    next[i] = temp[i] + dt_s * f * inv_cap[i];
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    temp[i] += dt_s * flux[i] * inv_cap[i];
-  }
+  temp_.swap(next_);
 }
 
 void RcNetwork::step(SimTime dt) {

@@ -112,6 +112,7 @@ class RcNetwork {
   void set_all_temperatures(Celsius t) noexcept;
 
   /// Node temperatures in node order (the engine's observation reads).
+  /// Valid until the next step(): each substep swaps two buffers.
   [[nodiscard]] std::span<const double> temperatures_raw() const noexcept { return temp_; }
 
  private:
@@ -128,7 +129,7 @@ class RcNetwork {
   std::size_t cached_substeps_{1};
   double cached_dt_sub_s_{0.0};
 
-  std::vector<double> flux_;  // scratch: net heat into each node [W]
+  std::vector<double> next_;  // the substep's output; swapped with temp_
 };
 
 }  // namespace nextgov::thermal

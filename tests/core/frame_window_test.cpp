@@ -91,6 +91,20 @@ TEST(FrameWindow, ClearEmptiesTheWindow) {
   EXPECT_TRUE(w.full());
 }
 
+TEST(FrameWindow, OldestSampleLeavesFirst) {
+  // A three-sample window: each new sample evicts the oldest one, so the
+  // mode follows the last three samples in arrival order.
+  FrameWindow w{25_ms, SimTime::from_ms(75)};
+  for (const double fps : {60.0, 60.0, 30.0}) w.add_sample(Fps{fps});
+  EXPECT_EQ(w.target_fps(), 60);
+  w.add_sample(Fps{30.0});  // evicts the first 60
+  EXPECT_EQ(w.target_fps(), 30);
+  w.add_sample(Fps{45.0});  // evicts the second 60: {30, 30, 45}
+  EXPECT_EQ(w.target_fps(), 30);
+  w.add_sample(Fps{45.0});  // evicts a 30: {30, 45, 45}
+  EXPECT_EQ(w.target_fps(), 45);
+}
+
 TEST(FrameWindow, Validation) {
   EXPECT_THROW(FrameWindow(SimTime::zero(), 4_s), ConfigError);
   EXPECT_THROW(FrameWindow(25_ms, 1_ms), ConfigError);

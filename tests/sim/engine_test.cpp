@@ -2,13 +2,18 @@
 // determinism.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string_view>
 
 #include "governors/schedutil.hpp"
 #include "governors/simple_governors.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario.hpp"
+#include "soc/sensors.hpp"
+#include "thermal/note9_model.hpp"
 #include "workload/apps.hpp"
 #include "literals.hpp"
 
@@ -56,6 +61,60 @@ TEST(Engine, SensorsAreQuantized) {
   const Sample& s = e->recorder().samples().back();
   EXPECT_NEAR(s.temp_big_c * 10.0, std::round(s.temp_big_c * 10.0), 1e-9);
   EXPECT_NEAR(s.power_w * 1000.0, std::round(s.power_w * 1000.0), 1e-9);
+}
+
+/// A meta governor that only watches: sampled every step, it keeps the
+/// sensor block of the latest observation.
+class SensorTap final : public governors::MetaGovernor {
+ public:
+  [[nodiscard]] SimTime period() const override { return SimTime::from_seconds(1e4); }
+  [[nodiscard]] SimTime sample_period() const override { return 1_ms; }
+  void on_sample(const governors::Observation& obs) override { last = obs.sensors; }
+  void control(const governors::Observation&, soc::Soc&) override {}
+  [[nodiscard]] std::string_view name() const override { return "sensor_tap"; }
+  soc::SensorReadings last{};
+};
+
+std::uint64_t bits(Celsius t) { return std::bit_cast<std::uint64_t>(t.value()); }
+
+TEST(Engine, TemperatureSensorsQuantizeTheRawNodesEveryStep) {
+  // The engine re-quantizes a sensor only when its reading may change and
+  // the device sensor only when an input was re-quantized. Every step's
+  // readings must still equal quantize_temperature of the raw node
+  // temperatures: through 0 C (a sub-zero room warming up), in a cold
+  // room, at the paper's 21 C, and across session resets, which force a
+  // rebuild and drop the temperatures back to ambient.
+  const thermal::Note9Nodes nodes = thermal::make_note9_thermal(Celsius{21.0}).nodes;
+  const auto q = [](double raw) { return soc::quantize_temperature(Celsius{raw}); };
+  for (const double ambient : {-0.4, -15.0, 21.0}) {
+    EngineConfig cfg;
+    cfg.ambient = Celsius{ambient};
+    auto owned_tap = std::make_unique<SensorTap>();
+    const SensorTap& tap = *owned_tap;
+    Engine e{soc::make_exynos9810(), workload::make_app(workload::AppId::kLineage, 1),
+             std::make_unique<governors::SchedutilGovernor>(), std::move(owned_tap), cfg};
+    for (std::uint64_t session = 0; session < 3; ++session) {
+      for (int step = 0; step < 15'000; ++step) {
+        e.step();
+        const auto raw = e.thermal().temperatures_raw();
+        const Celsius big = q(raw[nodes.big]);
+        const Celsius little = q(raw[nodes.little]);
+        const Celsius gpu = q(raw[nodes.gpu]);
+        const Celsius battery = q(raw[nodes.battery]);
+        const Celsius skin = q(raw[nodes.skin]);
+        const Celsius device = soc::quantize_temperature(
+            soc::virtual_device_temperature(battery, skin, big, little, gpu));
+        const soc::SensorReadings& s = tap.last;
+        ASSERT_EQ(bits(s.big), bits(big)) << ambient << " C, session " << session << ", " << step;
+        ASSERT_EQ(bits(s.little), bits(little)) << ambient << " C, step " << step;
+        ASSERT_EQ(bits(s.gpu), bits(gpu)) << ambient << " C, step " << step;
+        ASSERT_EQ(bits(s.battery), bits(battery)) << ambient << " C, step " << step;
+        ASSERT_EQ(bits(s.skin), bits(skin)) << ambient << " C, step " << step;
+        ASSERT_EQ(bits(s.device), bits(device)) << ambient << " C, step " << step;
+      }
+      e.reset_session(workload::make_app(workload::AppId::kLineage, session + 2));
+    }
+  }
 }
 
 TEST(Engine, TemperaturesStartAtAmbientAndRise) {

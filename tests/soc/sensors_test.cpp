@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <vector>
 
 #include "soc/sensors.hpp"
 
@@ -54,6 +55,17 @@ TEST(Sensors, RoundHalfAwayIsStdRoundBitForBit) {
         std::numeric_limits<double>::lowest()}) {
     expect_round_matches(x);
   }
+  // Around 2^51, where the add-and-subtract rounding hands over to
+  // std::round: the ulp there is 0.5, so every other double is a tie.
+  for (double base : {0x1p51, 0x1p52}) {
+    for (double offset = -4.0; offset <= 4.0; offset += 0.5) {
+      const double x = base + offset;
+      for (const double y : {x, std::nextafter(x, 0.0), std::nextafter(x, kInf)}) {
+        expect_round_matches(y);
+        expect_round_matches(-y);
+      }
+    }
+  }
   // Every +-k.5 boundary up to 2^20, and its neighbours on either side.
   for (std::int64_t k = 0; k < (std::int64_t{1} << 20); ++k) {
     const double half = static_cast<double>(k) + 0.5;
@@ -71,6 +83,59 @@ TEST(Sensors, RoundHalfAwayIsStdRoundBitForBit) {
     expect_round_matches(std::bit_cast<double>(rng()));
     if (::testing::Test::HasFailure()) return;
   }
+}
+
+std::uint64_t bits(Celsius t) { return std::bit_cast<std::uint64_t>(t.value()); }
+
+TEST(TemperatureSensor, ReadingIsQuantizeTemperatureBitForBitOnRandomWalks) {
+  // Raw values whose tenfold is exactly a tie k + 0.5, on both sides of 0.
+  std::vector<double> ties;
+  for (int k = -400; k < 1500; ++k) {
+    const double raw = (k + 0.5) / 10.0;
+    if (raw * 10.0 == k + 0.5) ties.push_back(raw);
+  }
+  ASSERT_GT(ties.size(), 500u);
+
+  std::mt19937_64 rng{20200309};
+  std::uniform_real_distribution<double> start{-30.0, 120.0};
+  std::uniform_real_distribution<double> near_zero{-0.3, 0.3};
+  std::uniform_real_distribution<double> log10_sigma{-5.0, 0.0};
+  std::uniform_real_distribution<double> unit{0.0, 1.0};
+  std::uniform_int_distribution<std::size_t> pick_tie{0, ties.size() - 1};
+  std::size_t reused = 0;
+  std::size_t requantized = 0;
+  for (int walk = 0; walk < 3000; ++walk) {
+    TemperatureSensor sensor;
+    // A third of the walks start near 0 C and drift across it.
+    double raw = walk % 3 == 0 ? near_zero(rng) : start(rng);
+    const double sigma = std::pow(10.0, log10_sigma(rng));
+    const double drift = (unit(rng) - 0.5) * sigma;
+    std::normal_distribution<double> noise{drift, sigma};
+    for (int step = 0; step < 400; ++step) {
+      const double u = unit(rng);
+      if (u < 0.02) {
+        // Onto an exact tie, or one ulp to either side of it.
+        const double tie = ties[pick_tie(rng)];
+        raw = u < 0.01 ? tie : std::nextafter(tie, u < 0.015 ? -1e9 : 1e9);
+      } else if (u < 0.025) {
+        raw = u < 0.0225 ? 0.0 : -0.0;
+      } else {
+        raw += noise(rng);
+      }
+      const Celsius before = sensor.reading();
+      if (sensor.read(raw)) {
+        ++requantized;
+      } else {
+        ++reused;
+        ASSERT_EQ(bits(sensor.reading()), bits(before));
+      }
+      ASSERT_EQ(bits(sensor.reading()), bits(quantize_temperature(Celsius{raw})))
+          << "walk " << walk << ", step " << step << ", raw " << std::hexfloat << raw;
+    }
+  }
+  // Both paths ran many times.
+  EXPECT_GT(reused, 100'000u);
+  EXPECT_GT(requantized, 100'000u);
 }
 
 TEST(Sensors, VirtualDeviceSensorIsDocumentedWeightedAverage) {
