@@ -18,7 +18,8 @@
 namespace nextgov {
 
 /// CRTP base providing ordering, +,-, scalar *,/ for a tagged quantity.
-/// Derived types expose value() in their canonical unit.
+/// Derived types expose value() in their canonical unit, and add what only
+/// they need (Watts' running sums).
 template <typename Derived>
 class Quantity {
  public:
@@ -52,14 +53,6 @@ class Quantity {
   friend constexpr double operator/(const Derived& a, const Derived& b) noexcept {
     return a.value() / b.value();
   }
-  constexpr Derived& operator+=(const Derived& o) noexcept {
-    value_ += o.value();
-    return static_cast<Derived&>(*this);
-  }
-  constexpr Derived& operator-=(const Derived& o) noexcept {
-    value_ -= o.value();
-    return static_cast<Derived&>(*this);
-  }
 
  private:
   double value_{0.0};
@@ -81,6 +74,11 @@ class KiloHertz : public Quantity<KiloHertz> {
 class Watts : public Quantity<Watts> {
  public:
   using Quantity::Quantity;
+  /// Running power sums (a session's energy accumulators).
+  constexpr Watts& operator+=(Watts o) noexcept {
+    *this = *this + o;
+    return *this;
+  }
 };
 
 /// Temperature in degrees Celsius (the paper reports degrees C throughout).

@@ -23,6 +23,7 @@
 #include <span>
 
 #include "rl/qtable.hpp"
+#include "rl/qtable_delta.hpp"
 
 namespace nextgov::rl {
 
@@ -38,15 +39,30 @@ struct StalenessMergePolicy {
   }
 };
 
+/// One merge input: `table`, or, when `delta` is set, the table
+/// apply_delta(*table, *delta) would build, read without building it - the
+/// base's rows with the delta's changes in their place (a change's visits
+/// are the base row's, or 0 for an added state, plus its visit_delta).
+struct MergeInput {
+  const QTable* table{nullptr};
+  const QTableDelta* delta{nullptr};
+};
+
 /// Visit-weighted average of several Q-tables (all must share the action
 /// count); states unknown to a device contribute weight 0 for that device,
 /// and with a single fresh table this is the identity. `staleness[i]` is
-/// how many merge rounds ago table i was uploaded (>= 0). Each table's
+/// how many merge rounds ago input i was uploaded (>= 0). Each input's
 /// per-entry visit weights - and the visit counts it contributes to the
 /// merged table - are scaled by policy.weight(staleness[i]), so devices
 /// that phone home rarely pull the aggregate less than fresh ones, but
 /// their exclusive states still survive the merge (weight decays, never
-/// reaches zero).
+/// reaches zero). A delta input gives the bit-identical result its
+/// apply_delta-built table would, and is refused the same way
+/// (check_delta_applies).
+[[nodiscard]] QTable merge_q_tables(std::span<const MergeInput> inputs,
+                                    std::span<const double> staleness,
+                                    const StalenessMergePolicy& policy = {});
+/// The same merge over full tables.
 [[nodiscard]] QTable merge_q_tables(std::span<const QTable* const> tables,
                                     std::span<const double> staleness,
                                     const StalenessMergePolicy& policy = {});

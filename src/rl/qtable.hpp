@@ -139,6 +139,8 @@ class QTable {
     [[nodiscard]] std::uint64_t visits() const noexcept { return visits_; }
     [[nodiscard]] std::uint32_t tried() const noexcept { return tried_; }
     [[nodiscard]] float q(std::size_t a) const noexcept { return row_[a]; }
+    /// The state's action values, one per action: q(a) is row()[a].
+    [[nodiscard]] const float* row() const noexcept { return row_; }
 
    private:
     friend class QTable;

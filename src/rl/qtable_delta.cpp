@@ -128,7 +128,7 @@ std::optional<QTableDelta> try_make_delta(const QTable& base, const QTable& next
   return d;
 }
 
-QTable apply_delta(const QTable& base, const QTableDelta& delta) {
+void check_delta_applies(const QTable& base, const QTableDelta& delta) {
   if (delta.action_count != base.action_count() ||
       !bits_equal(delta.default_q, base.default_q()) ||
       delta.base_states != base.state_count() ||
@@ -140,6 +140,10 @@ QTable apply_delta(const QTable& base, const QTableDelta& delta) {
   if (delta.q.size() != delta.changes.size() * delta.action_count) {
     throw SerializeError("Q-table delta rejected: Q rows do not match the change count");
   }
+}
+
+QTable apply_delta(const QTable& base, const QTableDelta& delta) {
+  check_delta_applies(base, delta);
   QTable out = base;
   std::size_t added = 0;
   for (const QTableDelta::Change& c : delta.changes) added += base.contains(c.key) ? 0 : 1;

@@ -70,9 +70,15 @@ struct QTableDelta {
 /// where the two tables' rows diverge; only the changed rows are sorted.
 [[nodiscard]] std::optional<QTableDelta> try_make_delta(const QTable& base, const QTable& next);
 
+/// Throws SerializeError unless `delta` applies to `base`: its base-table
+/// guards match `base`, and it holds one Q row per change. apply_delta
+/// checks exactly this before it installs anything; a reader that keeps the
+/// delta instead of rebuilding the table refuses the same inputs with it.
+void check_delta_applies(const QTable& base, const QTableDelta& delta);
+
 /// Reconstructs the sender's table: apply_delta(base, *try_make_delta(base,
 /// next)) == next bit-exactly (operator== and serialized bytes). Throws
-/// SerializeError when the delta's base guards do not match `base`.
+/// SerializeError as check_delta_applies does.
 [[nodiscard]] QTable apply_delta(const QTable& base, const QTableDelta& delta);
 
 }  // namespace nextgov::rl

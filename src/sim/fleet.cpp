@@ -38,15 +38,17 @@ constexpr std::uint8_t kStoredDelta = 1;
 constexpr std::size_t kMinTableBytes = 32;
 constexpr std::size_t kMinDeltaBytes = 40;
 
-std::size_t held_table_bytes(const rl::QTable& table, const std::optional<RingDelta>& ring) {
-  return 1 + (ring.has_value() ? 8 + ring->delta.serialized_size() : table.serialized_size());
+std::size_t held_table_bytes(const HeldTable& held) {
+  const auto* ring = std::get_if<RingDelta>(&held);
+  return 1 + (ring != nullptr ? 8 + ring->delta.serialized_size()
+                              : std::get<rl::QTable>(held).serialized_size());
 }
 
-void write_held_table(ByteWriter& out, const rl::QTable& table,
-                      const std::optional<RingDelta>& ring) {
-  if (!ring.has_value()) {
+void write_held_table(ByteWriter& out, const HeldTable& held) {
+  const auto* ring = std::get_if<RingDelta>(&held);
+  if (ring == nullptr) {
     out.u8(kStoredFull);
-    table.serialize(out);
+    std::get<rl::QTable>(held).serialize(out);
     return;
   }
   out.u8(kStoredDelta);
@@ -54,23 +56,21 @@ void write_held_table(ByteWriter& out, const rl::QTable& table,
   ring->delta.serialize(out);
 }
 
-/// Reads what write_held_table wrote, rebuilding a delta-stored table
-/// against its base in `bases` (sorted by round).
+/// Reads what write_held_table wrote. A delta stays a delta, checked
+/// against its base in `bases` (sorted by round) as apply_delta would.
 HeldTable read_held_table(ByteReader& in, const std::vector<WarmBase>& bases) {
   const std::uint8_t tag = in.u8();
-  if (tag == kStoredFull) return HeldTable{rl::QTable::deserialize(in), std::nullopt};
+  if (tag == kStoredFull) return rl::QTable::deserialize(in);
   if (tag != kStoredDelta) in.fail("corrupt fleet snapshot: table tag " + std::to_string(tag));
   const std::uint64_t base_round = in.u64();
-  const auto base = std::lower_bound(
-      bases.begin(), bases.end(), base_round,
-      [](const WarmBase& b, std::uint64_t round) { return b.round < round; });
-  if (base == bases.end() || base->round != base_round) {
+  const WarmBase* base = find_warm_base(bases, static_cast<std::size_t>(base_round));
+  if (base == nullptr) {
     in.fail("corrupt fleet snapshot: a delta against the warm base of round " +
             std::to_string(base_round) + ", which the entry does not hold");
   }
   RingDelta ring{base->round, rl::QTableDelta::deserialize(in)};
-  rl::QTable table = rl::apply_delta(base->table, ring.delta);
-  return HeldTable{std::move(table), std::move(ring)};
+  rl::check_delta_applies(base->table, ring.delta);
+  return ring;
 }
 
 FleetSnapshot::ServerCounters read_server_counters(ByteReader& in) {
@@ -126,7 +126,7 @@ FleetSnapshot read_version_3(const SnapshotReader& snapshot) {
     if (in.boolean()) in.fail("holds a shard table; shard-tier checkpoints are not supported");
     if (in.boolean()) {
       const std::size_t upload_round = static_cast<std::size_t>(in.u64());
-      out.uploads.push_back(FleetUpload{rl::QTable::deserialize(in), upload_round, {}});
+      out.uploads.push_back(FleetUpload{rl::QTable::deserialize(in), upload_round});
     } else {
       out.uploads.push_back(std::nullopt);
     }
@@ -148,8 +148,7 @@ FleetSnapshot read_version_3(const SnapshotReader& snapshot) {
     const std::int64_t arrival_us = server.i64();
     const std::uint32_t attempts_used = server.u32();
     out.pending_uploads.push_back(PendingUpload{device, trained_round, arrival_us,
-                                                attempts_used, rl::QTable::deserialize(server),
-                                                {}});
+                                                attempts_used, rl::QTable::deserialize(server)});
   }
   out.server_counters = read_server_counters(server);
   if (!server.done()) server.fail("trailing bytes after the server state payload");
@@ -162,25 +161,30 @@ FleetSnapshot read_version_3(const SnapshotReader& snapshot) {
 
 }  // namespace
 
+const WarmBase* find_warm_base(const std::vector<WarmBase>& bases, std::size_t round) noexcept {
+  const auto base =
+      std::lower_bound(bases.begin(), bases.end(), round,
+                       [](const WarmBase& b, std::size_t r) { return b.round < r; });
+  return base != bases.end() && base->round == round ? &*base : nullptr;
+}
+
 std::vector<std::uint8_t> encode_upload(const rl::QTable& table, const rl::QTable* delta_base) {
   std::optional<rl::QTableDelta> delta;
   if (delta_base != nullptr) delta = rl::try_make_delta(*delta_base, table);
-  return encode_prepared_upload(table, delta.has_value() ? &*delta : nullptr);
-}
-
-std::vector<std::uint8_t> encode_prepared_upload(const rl::QTable& table,
-                                                 const rl::QTableDelta* delta) {
+  if (delta.has_value()) return encode_delta_upload(*delta);
   SnapshotWriter wire;
-  if (delta != nullptr) {
-    delta->serialize(wire.section("delta"));
-  } else {
-    table.serialize(wire.section("upload"));
-  }
+  table.serialize(wire.section("upload"));
   return wire.bytes();
 }
 
-rl::QTable decode_upload(std::vector<std::uint8_t> blob, const rl::QTable* delta_base,
-                         const std::string& label) {
+std::vector<std::uint8_t> encode_delta_upload(const rl::QTableDelta& delta) {
+  SnapshotWriter wire;
+  delta.serialize(wire.section("delta"));
+  return wire.bytes();
+}
+
+UploadPayload decode_upload_payload(std::vector<std::uint8_t> blob, const rl::QTable* delta_base,
+                                    const std::string& label) {
   const SnapshotReader decoded{std::move(blob), label};
   if (decoded.has("delta")) {
     if (delta_base == nullptr) {
@@ -189,14 +193,24 @@ rl::QTable decode_upload(std::vector<std::uint8_t> blob, const rl::QTable* delta
                            "to apply it to");
     }
     ByteReader payload = decoded.section("delta");
-    const rl::QTableDelta delta = rl::QTableDelta::deserialize(payload);
+    rl::QTableDelta delta = rl::QTableDelta::deserialize(payload);
     if (!payload.done()) payload.fail("trailing bytes after the delta payload");
-    return rl::apply_delta(*delta_base, delta);
+    rl::check_delta_applies(*delta_base, delta);
+    return delta;
   }
   ByteReader payload = decoded.section("upload");
   rl::QTable table = rl::QTable::deserialize(payload);
   if (!payload.done()) payload.fail("trailing bytes after the upload payload");
   return table;
+}
+
+rl::QTable decode_upload(std::vector<std::uint8_t> blob, const rl::QTable* delta_base,
+                         const std::string& label) {
+  UploadPayload payload = decode_upload_payload(std::move(blob), delta_base, label);
+  if (auto* delta = std::get_if<rl::QTableDelta>(&payload)) {
+    return rl::apply_delta(*delta_base, *delta);
+  }
+  return std::move(std::get<rl::QTable>(payload));
 }
 
 rl::QTable strip_visit_mass(const rl::QTable& table) {
@@ -266,12 +280,12 @@ void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapsh
   std::size_t state_bytes = 24 + table_bytes(snapshot.last_aggregate) + 8;
   for (const WarmBase& base : snapshot.warm_bases) state_bytes += 8 + base.table.serialized_size();
   for (const std::optional<FleetUpload>& upload : snapshot.uploads) {
-    state_bytes += 1 + (upload.has_value() ? 8 + held_table_bytes(upload->table, upload->ring) : 0);
+    state_bytes += 1 + (upload.has_value() ? 8 + held_table_bytes(upload->held) : 0);
   }
   // The clock, lease and pending counts and six counters; 9 bytes a lease.
   std::size_t server_bytes = 64 + 9 * snapshot.leases.size();
   for (const PendingUpload& pending : snapshot.pending_uploads) {
-    server_bytes += 28 + held_table_bytes(pending.table, pending.ring);
+    server_bytes += 28 + held_table_bytes(pending.held);
   }
 
   ByteWriter& state = out.section(kStateSection);
@@ -290,7 +304,7 @@ void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapsh
     state.boolean(upload.has_value());
     if (!upload.has_value()) continue;
     state.u64(static_cast<std::uint64_t>(upload->round));
-    write_held_table(state, upload->table, upload->ring);
+    write_held_table(state, upload->held);
   }
 
   ByteWriter& server = out.section(kServerSection);
@@ -307,7 +321,7 @@ void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapsh
     server.u64(static_cast<std::uint64_t>(pending.trained_round));
     server.i64(pending.arrival_us);
     server.u32(pending.attempts_used);
-    write_held_table(server, pending.table, pending.ring);
+    write_held_table(server, pending.held);
   }
   const FleetSnapshot::ServerCounters& c = snapshot.server_counters;
   server.u64(c.rounds_served);
@@ -359,8 +373,7 @@ FleetSnapshot read_fleet_state_sections(const SnapshotReader& snapshot) {
       continue;
     }
     const auto round = static_cast<std::size_t>(in.u64());
-    HeldTable held = read_held_table(in, out.warm_bases);
-    out.uploads.push_back(FleetUpload{std::move(held.table), round, std::move(held.ring)});
+    out.uploads.push_back(FleetUpload{read_held_table(in, out.warm_bases), round});
   }
   if (!in.done()) in.fail("trailing bytes after the fleet state payload");
 
@@ -377,9 +390,8 @@ FleetSnapshot read_fleet_state_sections(const SnapshotReader& snapshot) {
     const auto trained_round = static_cast<std::size_t>(server.u64());
     const std::int64_t arrival_us = server.i64();
     const std::uint32_t attempts_used = server.u32();
-    HeldTable held = read_held_table(server, out.warm_bases);
     out.pending_uploads.push_back(PendingUpload{device, trained_round, arrival_us, attempts_used,
-                                                std::move(held.table), std::move(held.ring)});
+                                                read_held_table(server, out.warm_bases)});
   }
   out.server_counters = read_server_counters(server);
   if (!server.done()) server.fail("trailing bytes after the server state payload");

@@ -12,7 +12,8 @@
 //     container (magic, version, per-section CRC32) into the server's ring.
 //     A ring entry (format version 4) stores each warm-start table once and
 //     every device upload as a delta against the one it trained from, so it
-//     costs what changed rather than a full table per device;
+//     costs what changed rather than a full table per device - and the
+//     server holds each upload in that same one form (HeldTable);
 //   * read_snapshot_quarantining - the ring's loader, which moves a damaged
 //     entry aside so a restart never re-reads the same damage;
 //   * the upload wire codec - every device upload travels as CRC-guarded
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/serialize.hpp"
@@ -33,21 +35,20 @@
 
 namespace nextgov::sim {
 
-/// How a ring entry stores a table the server holds: as `delta` against the
-/// warm base of round `base_round` (FleetSnapshot::warm_bases). A held
-/// table without one is stored in full.
+/// A table held as `delta` against the warm base of round `base_round`
+/// (FleetSnapshot::warm_bases).
 struct RingDelta {
   std::size_t base_round{0};
   rl::QTableDelta delta;
 };
 
 /// A table the server holds - a trainee's result, a standing or pending
-/// upload - with the form a ring entry stores it in: nullopt stores it in
-/// full.
-struct HeldTable {
-  rl::QTable table;
-  std::optional<RingDelta> ring;
-};
+/// upload - in exactly one form, the one a ring entry stores it in: a delta
+/// against the warm base it trained from, or the full table when it has no
+/// base (a cold-start table, one restored from a version-3 entry, or one
+/// rl::try_make_delta refused). The merge reads a delta over its base
+/// (rl::MergeInput); only a full wire encode rebuilds the table.
+using HeldTable = std::variant<rl::QTable, RingDelta>;
 
 /// A warm-start table the ring keeps: strip_visit_mass of the global
 /// aggregate at the start of `round`, the table every device that trained
@@ -57,14 +58,14 @@ struct WarmBase {
   rl::QTable table;
 };
 
+/// The base of `round` in `bases` (sorted by round), or nullptr.
+[[nodiscard]] const WarmBase* find_warm_base(const std::vector<WarmBase>& bases,
+                                             std::size_t round) noexcept;
+
 /// One device's last accepted upload as the server holds it.
 struct FleetUpload {
-  rl::QTable table;
+  HeldTable held;
   std::size_t round{0};  ///< round whose training produced the table
-  /// The table as a ring entry stores it; nullopt stores it in full (a
-  /// cold-start table, one restored from a version-3 entry, or one that
-  /// rl::try_make_delta refused).
-  std::optional<RingDelta> ring;
 };
 
 /// One device's lease as the fleet server tracks it. A device holds its
@@ -84,8 +85,7 @@ struct PendingUpload {
   std::size_t trained_round{0};    ///< round whose training produced the table
   std::int64_t arrival_us{0};      ///< absolute simulated arrival time of the next attempt
   std::uint32_t attempts_used{0};  ///< upload attempts already spent on this table
-  rl::QTable table;
-  std::optional<RingDelta> ring;  ///< as in FleetUpload
+  HeldTable held;
 };
 
 /// The complete persistent state of a fleet server at a round boundary -
@@ -101,10 +101,12 @@ struct PendingUpload {
 ///   "sync_state"   - the four upload-wire counters.
 /// Every upload, standing or pending, is stored as a tag byte and then
 /// either the full table (tag 0) or its base round and a QTableDelta
-/// against that warm base (tag 1). read_fleet_state_sections rebuilds full
-/// tables with rl::apply_delta, so every user of a decoded snapshot sees
-/// full tables. Version-3 entries (every upload in full, behind the retired
-/// shard tier's placeholder bytes) still decode, with no warm bases.
+/// against that warm base (tag 1). read_fleet_state_sections keeps each
+/// in the form it was stored in - a delta-stored upload decodes to its
+/// HeldTable delta, checked against its base, not to a rebuilt table - so
+/// a decoded snapshot holds about what the entry stores.
+/// Version-3 entries (every upload in full, behind the retired shard
+/// tier's placeholder bytes) still decode, with no warm bases.
 struct FleetSnapshot {
   std::size_t next_round{0};  ///< first round the resumed server executes
   std::uint64_t total_decisions{0};
@@ -197,16 +199,25 @@ bool quarantine_snapshot(const std::string& path, const std::string& reason);
 [[nodiscard]] std::vector<std::uint8_t> encode_upload(const rl::QTable& table,
                                                       const rl::QTable* delta_base);
 
-/// encode_upload with the delta already made: `*delta` when given, else the
-/// full table. With `delta` = try_make_delta(base, table) the bytes equal
-/// encode_upload(table, &base), without making the delta a second time.
-[[nodiscard]] std::vector<std::uint8_t> encode_prepared_upload(const rl::QTable& table,
-                                                               const rl::QTableDelta* delta);
+/// The delta upload of a delta already made: with `delta` =
+/// try_make_delta(base, table) the bytes equal encode_upload(table, &base),
+/// without making the delta a second time.
+[[nodiscard]] std::vector<std::uint8_t> encode_delta_upload(const rl::QTableDelta& delta);
 
-/// Decodes upload wire bytes produced by encode_upload. When the blob is a
-/// delta, `delta_base` must be the same base the sender encoded against;
-/// a missing or mismatched base throws SerializeError, exactly like any
-/// damaged blob (trailing bytes after the payload included).
+/// What upload wire bytes carry: the full table, or a delta.
+using UploadPayload = std::variant<rl::QTable, rl::QTableDelta>;
+
+/// Decodes upload wire bytes produced by encode_upload into what they
+/// carry, without rebuilding a delta. A delta must apply to `delta_base`,
+/// the base the sender encoded against (rl::check_delta_applies); a missing
+/// or mismatched base throws SerializeError, exactly like any damaged blob
+/// (trailing bytes after the payload included).
+[[nodiscard]] UploadPayload decode_upload_payload(std::vector<std::uint8_t> blob,
+                                                  const rl::QTable* delta_base,
+                                                  const std::string& label);
+
+/// decode_upload_payload with a delta rebuilt against `delta_base`: the
+/// sender's table, bit for bit.
 [[nodiscard]] rl::QTable decode_upload(std::vector<std::uint8_t> blob,
                                        const rl::QTable* delta_base,
                                        const std::string& label);

@@ -77,19 +77,34 @@ bool later(const Event& a, const Event& b) {
          std::tie(b.t_us, b.kind, b.device, b.trained_round, b.attempt);
 }
 
-/// Drops the warm bases that no standing or pending upload's ring delta
-/// names any more.
+/// Whether `held` is a delta against the warm base of `round`.
+bool names_base(const HeldTable& held, std::size_t round) {
+  const auto* ring = std::get_if<RingDelta>(&held);
+  return ring != nullptr && ring->base_round == round;
+}
+
+/// Drops the warm bases that no standing or pending upload's delta names
+/// any more.
 void drop_unreferenced_bases(FleetSnapshot& state) {
   const auto referenced = [&](std::size_t round) {
     for (const auto& u : state.uploads) {
-      if (u.has_value() && u->ring.has_value() && u->ring->base_round == round) return true;
+      if (u.has_value() && names_base(u->held, round)) return true;
     }
     for (const PendingUpload& p : state.pending_uploads) {
-      if (p.ring.has_value() && p.ring->base_round == round) return true;
+      if (names_base(p.held, round)) return true;
     }
     return false;
   };
   std::erase_if(state.warm_bases, [&](const WarmBase& b) { return !referenced(b.round); });
+}
+
+/// The warm base a held delta names. Every delta the server holds names a
+/// base it keeps: the reader checks a restored one, and a base is dropped
+/// only after its last delta goes.
+const rl::QTable& base_of(const FleetSnapshot& state, const RingDelta& ring) {
+  const WarmBase* base = find_warm_base(state.warm_bases, ring.base_round);
+  NEXTGOV_ASSERT(base != nullptr);
+  return base->table;
 }
 
 // --- ring restore ----------------------------------------------------------
@@ -382,8 +397,8 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   //    simulated time - one homogeneous plan through execute(), warm-started
   //    from the global aggregate (visit mass stripped so historical
   //    experience is counted once, via the aggregate, not once per device).
-  //    The warm table joins the ring's bases as this round's; it stays there
-  //    while some upload trained from it is held.
+  //    The warm table joins the state's bases as this round's; it stays
+  //    there while some upload held as a delta against it is.
   const rl::QTable* warm = nullptr;
   if (state_.last_aggregate.has_value()) {
     state_.warm_bases.push_back(WarmBase{r, strip_visit_mass(*state_.last_aggregate)});
@@ -406,15 +421,19 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     reward_sum += results[i].final_mean_reward;
     state_.total_decisions += results[i].decisions;
-    // The table's ring form, made once here: the wire sends the same delta
-    // and every ring entry that holds the table reuses it. A server with
-    // neither a ring nor delta uploads has no use for it.
-    HeldTable held{std::move(results[i].table), std::nullopt};
-    if (warm != nullptr && (options_.snapshot_ring > 0 || options_.delta_uploads)) {
-      std::optional<rl::QTableDelta> delta = rl::try_make_delta(*warm, held.table);
-      if (delta.has_value()) held.ring = RingDelta{r, std::move(*delta)};
+    // The table is held from here on as its delta against the warm table
+    // it trained from, made once: the wire's delta upload sends it, every
+    // ring entry stores it and the merge reads it over the base. The full
+    // table is dropped with `table`. Without a base, or when
+    // try_make_delta refuses, the full table is held instead.
+    rl::QTable table = std::move(results[i].table);
+    std::optional<rl::QTableDelta> delta;
+    if (warm != nullptr) delta = rl::try_make_delta(*warm, table);
+    if (delta.has_value()) {
+      arena.emplace_back(RingDelta{r, std::move(*delta)});
+    } else {
+      arena.emplace_back(std::move(table));
     }
-    arena.push_back(std::move(held));
     heap.push_back(Event{first_attempt_us[trainees[i]], Event::kUploadArrival,
                          trainees[i], r, 0, arena.size() - 1});
   }
@@ -425,7 +444,7 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   // persisted arrival times and attempt counters, so a restarted server
   // replays exactly the same arrivals.
   for (PendingUpload& p : state_.pending_uploads) {
-    arena.push_back(HeldTable{std::move(p.table), std::move(p.ring)});
+    arena.push_back(std::move(p.held));
     heap.push_back(Event{p.arrival_us, Event::kUploadArrival, p.device, p.trained_round,
                          p.attempts_used, arena.size() - 1});
   }
@@ -464,18 +483,25 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
     // Upload arrival: the table travels as CRC-guarded snapshot bytes; a
     // seeded per-attempt failure damages them in flight, the decode throws,
     // and the device retries with exponential backoff + jitter. With
-    // delta_uploads on, a same-round upload deltas against the round's warm
-    // table (the base every trainee started from, which the server still
-    // holds) - the delta made once when training returned it; carried
-    // uploads from earlier rounds always travel full. The decoded table is
-    // bit-identical to the sender's on either path, so the choice only
-    // shows in the byte counters.
+    // delta_uploads on, a same-round upload sends its held delta against
+    // the round's warm table (the base every trainee started from, which
+    // the server still holds); carried uploads from earlier rounds always
+    // travel full, rebuilt from their delta for the encode only. The
+    // decoded table is bit-identical to the sender's on either path, so the
+    // choice only shows in the byte counters.
     HeldTable& held = arena[ev.table];
+    const auto* ring = std::get_if<RingDelta>(&held);
     const rl::QTable* base =
         options_.delta_uploads && ev.trained_round == r ? warm : nullptr;
-    const bool went_delta = base != nullptr && held.ring.has_value();
-    std::vector<std::uint8_t> blob =
-        encode_prepared_upload(held.table, went_delta ? &held.ring->delta : nullptr);
+    const bool went_delta = base != nullptr && ring != nullptr;
+    std::vector<std::uint8_t> blob;
+    if (went_delta) {
+      blob = encode_delta_upload(ring->delta);
+    } else if (ring != nullptr) {
+      blob = encode_upload(rl::apply_delta(base_of(state_, *ring), ring->delta), nullptr);
+    } else {
+      blob = encode_upload(std::get<rl::QTable>(held), nullptr);
+    }
     if (went_delta) {
       state_.sync.upload_bytes_delta += blob.size();
       ++state_.sync.uploads_delta;
@@ -490,14 +516,16 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
           attempt_stream(options_.churn.seed, ev.trained_round, ev.device, ev.attempt);
       if (bernoulli(fate, options_.churn.upload_fail_rate)) damage_blob(blob, fate);
     }
-    std::optional<rl::QTable> decoded;
+    // Bytes that decode intact carry exactly the held table, so the server
+    // keeps the form it holds; the decode only tells damage apart.
+    bool intact = true;
     try {
-      decoded = decode_upload(std::move(blob), base,
-                              "upload from device " + std::to_string(ev.device));
+      (void)decode_upload_payload(std::move(blob), base,
+                                  "upload from device " + std::to_string(ev.device));
     } catch (const SerializeError&) {
-      // Damaged in flight: decoded stays empty and the upload retries.
+      intact = false;  // damaged in flight: the upload retries
     }
-    if (!decoded.has_value()) {
+    if (!intact) {
       const std::uint32_t next_attempt = ev.attempt + 1;
       if (next_attempt >= options_.max_upload_attempts) {
         ++counters.uploads_lost;
@@ -520,7 +548,7 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
     // is redundant, not a regression).
     std::optional<FleetUpload>& standing = state_.uploads[ev.device];
     if (!standing.has_value() || standing->round < ev.trained_round) {
-      standing = FleetUpload{std::move(*decoded), ev.trained_round, std::move(held.ring)};
+      standing = FleetUpload{std::move(held), ev.trained_round};
       ++counters.uploads_accepted;
       ++accepted_this_round;
       if (ev.trained_round < r) {
@@ -540,10 +568,8 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   std::sort(heap.begin(), heap.end(), [](const Event& a, const Event& b) { return later(b, a); });
   for (const Event& ev : heap) {
     NEXTGOV_ASSERT(ev.kind == Event::kUploadArrival);  // expiries resolve in-round
-    HeldTable& held = arena[ev.table];
     state_.pending_uploads.push_back(PendingUpload{ev.device, ev.trained_round, ev.t_us,
-                                                   ev.attempt, std::move(held.table),
-                                                   std::move(held.ring)});
+                                                   ev.attempt, std::move(arena[ev.table])});
   }
   rs.carried_late = state_.pending_uploads.size();
 
@@ -551,16 +577,21 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   //    every device's last accepted upload, aged by how many rounds ago it
   //    trained. Departed and straggling devices lean on their older
   //    uploads, exactly as the merge math intends; with no fresh arrivals
-  //    at all the previous aggregate simply carries.
+  //    at all the previous aggregate simply carries. A delta-held upload
+  //    is read over its warm base, never rebuilt.
   if (accepted_this_round > 0) {
-    std::vector<const rl::QTable*> tables;
+    std::vector<rl::MergeInput> inputs;
     std::vector<double> staleness;
     for (const auto& upload : state_.uploads) {
       if (!upload.has_value()) continue;
-      tables.push_back(&upload->table);
+      if (const auto* ring = std::get_if<RingDelta>(&upload->held)) {
+        inputs.push_back(rl::MergeInput{&base_of(state_, *ring), &ring->delta});
+      } else {
+        inputs.push_back(rl::MergeInput{&std::get<rl::QTable>(upload->held)});
+      }
       staleness.push_back(static_cast<double>(r - upload->round));
     }
-    state_.last_aggregate = rl::merge_q_tables(tables, staleness, options_.merge_policy);
+    state_.last_aggregate = rl::merge_q_tables(inputs, staleness, options_.merge_policy);
   }
   rs.global_states = state_.last_aggregate.has_value() ? state_.last_aggregate->state_count() : 0;
   state_.last_round_mean_reward = rs.mean_reward;

@@ -49,13 +49,16 @@
 //     uploads + clock + counters) to
 //     `<snapshot_prefix>.<round mod snapshot_ring>`, keeping the last K
 //     boundaries. The server keeps that state as one FleetSnapshot member
-//     and serializes it in place. Each upload is held with its ring form,
-//     made once when training returns the table: a delta against the warm
-//     table it trained from (the one the wire's delta upload already
-//     carries), which the state keeps as a warm base for as long as some
-//     standing or pending upload names it. So an entry holds the global,
+//     and serializes it in place. Each upload is held in one form, made
+//     once when training returns the table: a delta against the warm table
+//     it trained from (the one the wire's delta upload carries), which the
+//     state keeps as a warm base for as long as some standing or pending
+//     upload names it, or the full table when there is no base. The merge
+//     reads a delta over its base, and only a full wire encode rebuilds
+//     the table. So the server's memory, like an entry, holds the global,
 //     a few warm bases and one small delta per upload, not a full table
-//     per device. A boundary whose write fails (IoError) is logged,
+//     per device, and a restore decodes no more than that. A boundary
+//     whose write fails (IoError) is logged,
 //     counted in snapshots_failed and skipped; the ring keeps its older
 //     boundaries and the server keeps serving.
 //     Startup scans the ring, quarantines entries that fail CRC or do not
@@ -149,11 +152,10 @@ struct FleetServerOptions {
   /// trained encodes a QTableDelta against the round's warm-start table
   /// (strip_visit_mass of the global aggregate - the base the server still
   /// holds), so only the states the device touched travel. Uploads carried
-  /// across a round boundary always go full (their base is gone by the time
-  /// they arrive). The decoded table is bit-identical to the sender's on
-  /// either path, so the trajectory and every golden are unchanged - only
-  /// the byte counters differ. Pure wire strategy, deliberately excluded
-  /// from encode_fleet_server_options.
+  /// across a round boundary always go full. The decoded table is
+  /// bit-identical to the sender's on either path, so the trajectory and
+  /// every golden are unchanged - only the byte counters differ. Pure wire
+  /// strategy, deliberately excluded from encode_fleet_server_options.
   bool delta_uploads{false};
 };
 

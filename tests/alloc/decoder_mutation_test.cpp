@@ -17,6 +17,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "mutation.hpp"
@@ -70,14 +71,14 @@ Sources real_sources(double round_s) {
   const FleetSnapshot snap = read_fleet_state_sections(*out.entry);
   if (snap.last_aggregate.has_value()) out.aggregate = *snap.last_aggregate;
   for (const auto& upload : snap.uploads) {
-    if (!upload.has_value() || !upload->ring.has_value()) continue;
-    for (const WarmBase& base : snap.warm_bases) {
-      if (base.round != upload->ring->base_round) continue;
-      out.upload = upload->table;
-      out.base = base.table;
-      out.delta = upload->ring->delta;
-      return out;
-    }
+    const auto* ring = upload.has_value() ? std::get_if<RingDelta>(&upload->held) : nullptr;
+    if (ring == nullptr) continue;
+    const WarmBase* base = find_warm_base(snap.warm_bases, ring->base_round);
+    if (base == nullptr) continue;
+    out.upload = rl::apply_delta(base->table, ring->delta);
+    out.base = base->table;
+    out.delta = ring->delta;
+    return out;
   }
   ADD_FAILURE() << "retune: no delta-stored upload in the ring entry";
   return out;
@@ -212,8 +213,9 @@ TEST(DecoderMutation, SyncStateSectionRestoresOrIsRefused) {
   const std::string& prefix = options.snapshot_prefix;
   std::mt19937_64 rng{20200314};
   const int mutants = test::mutant_budget();
-  // The decode reads the whole entry, as the ring mutation test's does.
-  test::MutationTally tally{32, 0};
+  // The decode reads the whole entry, as the ring mutation test's does; the
+  // worst of 20,000 mutants allocated 4.7x its size.
+  test::MutationTally tally{8, 0};
   for (int i = 0; i < mutants; ++i) {
     SCOPED_TRACE("mutant " + std::to_string(i));
     std::vector<std::uint8_t> sync = payloads[3];

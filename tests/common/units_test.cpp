@@ -47,7 +47,7 @@ TEST(Units, CompoundAssignment) {
   Watts p{1.0};
   p += Watts{0.5};
   EXPECT_DOUBLE_EQ(p.value(), 1.5);
-  p -= Watts{1.0};
+  p += Watts{-1.0};
   EXPECT_DOUBLE_EQ(p.value(), 0.5);
 }
 

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/error.hpp"
@@ -312,7 +313,7 @@ TEST(FleetServerRing, UndecodableSlotIsQuarantinedAndOlderOneRestores) {
     FleetSnapshot snap = good;
     snap.next_round = 2;
     snap.pending_uploads.push_back(
-        PendingUpload{options.devices + 5, 0, 0, 0, good.uploads[0]->table, {}});
+        PendingUpload{options.devices + 5, 0, 0, 0, good.uploads[0]->held});
     write_ring_entry(stray_pending, options, snap);
   }
   const std::string future_upload = prefix + ".0";
@@ -477,20 +478,21 @@ TEST(FleetServerRing, EntriesHoldExactlyTheWarmBasesTheirDeltasName) {
     server.run_round();
     const FleetSnapshot snap = read_fleet_state_sections(SnapshotReader::from_file(prefix + ".0"));
     std::vector<std::size_t> named;
-    const auto check = [&](std::size_t trained_round, const std::optional<RingDelta>& ring) {
+    const auto check = [&](std::size_t trained_round, const HeldTable& held) {
+      const auto* ring = std::get_if<RingDelta>(&held);
       if (trained_round == 0) {
-        EXPECT_FALSE(ring.has_value());
+        EXPECT_EQ(ring, nullptr);
         return;
       }
-      ASSERT_TRUE(ring.has_value());
+      ASSERT_NE(ring, nullptr);
       EXPECT_EQ(ring->base_round, trained_round);
       named.push_back(ring->base_round);
       ++delta_stored;
     };
     for (const auto& u : snap.uploads) {
-      if (u.has_value()) check(u->round, u->ring);
+      if (u.has_value()) check(u->round, u->held);
     }
-    for (const PendingUpload& p : snap.pending_uploads) check(p.trained_round, p.ring);
+    for (const PendingUpload& p : snap.pending_uploads) check(p.trained_round, p.held);
     pending_seen += snap.pending_uploads.size();
     std::sort(named.begin(), named.end());
     named.erase(std::unique(named.begin(), named.end()), named.end());

@@ -13,6 +13,7 @@
 #include <initializer_list>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "oracles/crc32.hpp"
@@ -38,11 +39,11 @@ FleetSnapshot sample_snapshot() {
   snap.next_round = 3;
   snap.total_decisions = 1234;
   snap.last_round_mean_reward = 0.625;
-  snap.uploads.push_back(FleetUpload{table_with(9, 200, 4), 2, {}});
+  snap.uploads.push_back(FleetUpload{table_with(9, 200, 4), 2});
   snap.uploads.push_back(std::nullopt);
   snap.last_aggregate = table_with(9, 300, 6);
   snap.leases = {DeviceLease{true, 0}, DeviceLease{false, 7}};
-  snap.pending_uploads.push_back(PendingUpload{1, 2, 987654321, 3, table_with(9, 400, 3), {}});
+  snap.pending_uploads.push_back(PendingUpload{1, 2, 987654321, 3, table_with(9, 400, 3)});
   snap.server_clock_us = 123456789;
   snap.server_counters = {10, 20, 30, 40, 50, 60};
   snap.sync = {11111, 2222, 7, 13};
@@ -128,10 +129,10 @@ FleetSnapshot delta_snapshot(const DeltaFixture& f) {
   snap.last_round_mean_reward = 0.5;
   snap.last_aggregate = table_with(9, 300, 3);
   snap.warm_bases.push_back(WarmBase{4, f.base});
-  snap.uploads.push_back(FleetUpload{f.trained, 4, RingDelta{4, f.delta}});
+  snap.uploads.push_back(FleetUpload{RingDelta{4, f.delta}, 4});
   snap.uploads.push_back(std::nullopt);
-  snap.uploads.push_back(FleetUpload{table_with(9, 50, 2), 3, {}});
-  snap.pending_uploads.push_back(PendingUpload{1, 4, 4242, 2, f.trained, RingDelta{4, f.delta}});
+  snap.uploads.push_back(FleetUpload{table_with(9, 50, 2), 3});
+  snap.pending_uploads.push_back(PendingUpload{1, 4, 4242, 2, RingDelta{4, f.delta}});
   return snap;
 }
 
@@ -160,7 +161,8 @@ TEST_F(FleetSnapshotFile, RoundTripsAllState) {
   ASSERT_EQ(back.uploads.size(), 2u);
   ASSERT_TRUE(back.uploads[0].has_value());
   EXPECT_EQ(back.uploads[0]->round, 2u);
-  EXPECT_TRUE(back.uploads[0]->table == snap.uploads[0]->table);
+  EXPECT_TRUE(std::get<rl::QTable>(back.uploads[0]->held) ==
+              std::get<rl::QTable>(snap.uploads[0]->held));
   EXPECT_FALSE(back.uploads[1].has_value());
   ASSERT_TRUE(back.last_aggregate.has_value());
   EXPECT_TRUE(*back.last_aggregate == *snap.last_aggregate);
@@ -193,7 +195,7 @@ TEST_F(FleetSnapshotFile, VersionFourLayoutIsPinnedFieldByField) {
   want.boolean(true);
   want.u64(3);
   want.u8(0);  // stored in full
-  snap.uploads[2]->table.serialize(want);
+  std::get<rl::QTable>(snap.uploads[2]->held).serialize(want);
   ByteWriter want_server;
   want_server.i64(0);
   want_server.u32(0);  // leases
@@ -221,10 +223,11 @@ TEST_F(FleetSnapshotFile, VersionFourLayoutIsPinnedFieldByField) {
   }
 }
 
-TEST_F(FleetSnapshotFile, DeltaStoredUploadsDecodeToFullTables) {
-  // The reader rebuilds every delta-stored table against its base, so a
-  // decoded snapshot holds full tables, and keeps the deltas and bases so
-  // the next write stores them again unchanged.
+TEST_F(FleetSnapshotFile, DeltaStoredUploadsDecodeAsDeltas) {
+  // The reader keeps every delta-stored upload as its delta, checked
+  // against its base but not rebuilt; the table it stands for is
+  // apply_delta over that base - the table earlier readers rebuilt - and
+  // the next write stores the deltas and bases again unchanged.
   const DeltaFixture f = delta_fixture();
   const FleetSnapshot snap = delta_snapshot(f);
   const std::vector<std::uint8_t> bytes = snapshot_bytes(snap);
@@ -232,16 +235,24 @@ TEST_F(FleetSnapshotFile, DeltaStoredUploadsDecodeToFullTables) {
   ASSERT_EQ(back.warm_bases.size(), 1u);
   EXPECT_EQ(back.warm_bases[0].round, 4u);
   EXPECT_TRUE(back.warm_bases[0].table == f.base);
+  const auto delta_of = [&](const HeldTable& held) -> const RingDelta* {
+    const auto* ring = std::get_if<RingDelta>(&held);
+    EXPECT_NE(ring, nullptr) << "rebuilt instead of kept as a delta";
+    return ring;
+  };
   ASSERT_TRUE(back.uploads[0].has_value());
-  EXPECT_TRUE(back.uploads[0]->table == f.trained);
-  ASSERT_TRUE(back.uploads[0]->ring.has_value());
-  EXPECT_EQ(back.uploads[0]->ring->base_round, 4u);
+  const RingDelta* upload = delta_of(back.uploads[0]->held);
+  ASSERT_NE(upload, nullptr);
+  EXPECT_EQ(upload->base_round, 4u);
+  EXPECT_TRUE(rl::apply_delta(f.base, upload->delta) == f.trained);
   ASSERT_TRUE(back.uploads[2].has_value());
-  EXPECT_FALSE(back.uploads[2]->ring.has_value());
-  EXPECT_TRUE(back.uploads[2]->table == snap.uploads[2]->table);
+  EXPECT_TRUE(std::get<rl::QTable>(back.uploads[2]->held) ==
+              std::get<rl::QTable>(snap.uploads[2]->held));
   ASSERT_EQ(back.pending_uploads.size(), 1u);
-  EXPECT_TRUE(back.pending_uploads[0].table == f.trained);
-  EXPECT_TRUE(back.pending_uploads[0].ring.has_value());
+  const RingDelta* pending = delta_of(back.pending_uploads[0].held);
+  ASSERT_NE(pending, nullptr);
+  EXPECT_EQ(pending->base_round, 4u);
+  EXPECT_TRUE(rl::apply_delta(f.base, pending->delta) == f.trained);
   EXPECT_EQ(snapshot_bytes(back), bytes);
 }
 
@@ -258,10 +269,10 @@ TEST_F(FleetSnapshotFile, MalformedDeltaStorageIsRefused) {
         << what;
   };
   FleetSnapshot snap = delta_snapshot(f);
-  snap.uploads[0]->ring->base_round = 2;
+  std::get<RingDelta>(snap.uploads[0]->held).base_round = 2;
   refused(snap, "a delta naming an absent base");
   snap = delta_snapshot(f);
-  snap.pending_uploads[0].ring->base_round = 3;
+  std::get<RingDelta>(snap.pending_uploads[0].held).base_round = 3;
   refused(snap, "a pending delta naming an absent base");
   snap = delta_snapshot(f);
   snap.warm_bases[0].table = table_with(9, 700, 2);
@@ -346,12 +357,10 @@ TEST_F(FleetSnapshotFile, VersionThreeEntryDecodesAndShardStateIsRefused) {
   ASSERT_EQ(back.uploads.size(), 2u);
   ASSERT_TRUE(back.uploads[0].has_value());
   EXPECT_EQ(back.uploads[0]->round, 4u);
-  EXPECT_TRUE(back.uploads[0]->table == upload);
-  EXPECT_FALSE(back.uploads[0]->ring.has_value());
+  EXPECT_TRUE(std::get<rl::QTable>(back.uploads[0]->held) == upload);
   EXPECT_FALSE(back.uploads[1].has_value());
   ASSERT_EQ(back.pending_uploads.size(), 1u);
-  EXPECT_TRUE(back.pending_uploads[0].table == pending);
-  EXPECT_FALSE(back.pending_uploads[0].ring.has_value());
+  EXPECT_TRUE(std::get<rl::QTable>(back.pending_uploads[0].held) == pending);
   EXPECT_EQ(back.server_counters.departures, 6u);
   EXPECT_EQ(back.sync.uploads_delta, 14u);
 
@@ -463,7 +472,8 @@ TEST_F(FleetSnapshotFile, ServerStateRoundTrips) {
   EXPECT_EQ(back.pending_uploads[0].trained_round, 2u);
   EXPECT_EQ(back.pending_uploads[0].arrival_us, 987654321);
   EXPECT_EQ(back.pending_uploads[0].attempts_used, 3u);
-  EXPECT_TRUE(back.pending_uploads[0].table == snap.pending_uploads[0].table);
+  EXPECT_TRUE(std::get<rl::QTable>(back.pending_uploads[0].held) ==
+              std::get<rl::QTable>(snap.pending_uploads[0].held));
   EXPECT_EQ(back.server_clock_us, 123456789);
   EXPECT_EQ(back.server_counters.rounds_served, 10u);
   EXPECT_EQ(back.server_counters.uploads_accepted, 20u);

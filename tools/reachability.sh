@@ -11,10 +11,13 @@
 #      -fkeep-inline-functions, so nothing is inlined away, every function
 #      sits in a section of its own, and every inline function a library
 #      header or source defines is emitted too; one more object includes
-#      every src/ header, for headers no library source includes. Build the
-#      objects of every bench and example, and of perfbench, with the same
-#      flags minus -fkeep-inline-functions (their inline standard-library
-#      code would reference libstdc++-internal symbols).
+#      every src/ header, for headers no library source includes, and
+#      explicitly instantiates each src/ class template at every argument
+#      src/ names it with (`template class RingBuffer<int>;`), which emits
+#      every member, not only the ones something calls. Build the objects
+#      of every bench and example, and of perfbench, with the same flags
+#      minus -fkeep-inline-functions (their inline standard-library code
+#      would reference libstdc++-internal symbols).
 #   2. Defined: the nextgov:: function symbols (nm T or W) of the library
 #      objects.
 #   3. Link each production binary from its own objects plus *all* library
@@ -26,8 +29,14 @@
 #      DW_AT_artificial in the library's debug info.
 #
 # Prints every unreached function, marking the allowlisted ones. Exits 1 on
-# an unreached function that is not allowlisted, and on a stale allowlist
-# entry (a function that is reachable or no longer defined).
+# an unreached function that is not allowlisted, on a stale allowlist entry
+# (a function that is reachable or no longer defined), and on a class
+# template src/ never instantiates.
+#
+# Blind spots: the gate sees functions, not data. A data member that only
+# tests read (RcNodeSpec::name, read only by Note9Thermal.HasSixNamedNodes)
+# or a constant nobody uses passes it. So does a member of a function
+# template, or of a class template instantiated only outside src/.
 #
 # Needs gcc, binutils, c++filt, cmake, ninja and google-benchmark (for
 # tab_overhead).
@@ -57,6 +66,38 @@ objects() {
   ninja -C "$1" -t targets all | sed -nE "s#^($2):.*#\\1#p"
 }
 
+# Explicit instantiations of every class template under `src` (a
+# column-0 `template <typename T>` line followed by `class Name` or `struct
+# Name`), one per argument the sources spell `Name<argument>` with, in the
+# namespace of the template's header.
+instantiations() {
+  local ns name param arg found
+  find "$1" -name '*.hpp' -print0 | xargs -0 awk '
+    FNR == 1 { ns = ""; pending = "" }
+    ns == "" && /^namespace [A-Za-z_:]+ \{/ { ns = $2 }
+    pending != "" && match($0, /^(class|struct) [A-Za-z_][A-Za-z0-9_]*/) {
+      split(substr($0, RSTART, RLENGTH), w, " ")
+      print ns, w[2], pending
+    }
+    { pending = "" }
+    /^template <(typename|class) [A-Za-z_][A-Za-z0-9_]*>$/ {
+      pending = $3
+      sub(/>$/, "", pending)
+    }' | sort -u |
+    while read -r ns name param; do
+      found=0
+      while IFS= read -r arg; do
+        [ "$arg" = "$param" ] && continue
+        echo "namespace $ns { template class $name<$arg>; }"
+        found=1
+      done < <(grep -rhoE "\\b$name<[^<>;]+>" "$1" | sed -E "s/^$name<(.*)>$/\\1/" | sort -u)
+      if [ "$found" -eq 0 ]; then
+        echo "reachability: class template $ns::$name is never instantiated in src/" >&2
+        exit 1
+      fi
+    done
+}
+
 mkdir -p "$out"
 : > "$out/build.log"
 quiet "$out/build.log" cmake -S "$root" -B "$out/lib" -G Ninja -DCMAKE_BUILD_TYPE=None \
@@ -65,6 +106,7 @@ quiet "$out/build.log" cmake -S "$root" -B "$out/lib" -G Ninja -DCMAKE_BUILD_TYP
 quiet "$out/build.log" ninja -C "$out/lib" nextgov
 (cd "$root/src" && find . -name '*.hpp' | sort | sed 's|^\./\(.*\)|#include "\1"|') \
   > "$out/headers.cpp"
+instantiations "$root/src" >> "$out/headers.cpp"
 # shellcheck disable=SC2086
 quiet "$out/build.log" ${CXX:-g++} -std=c++20 $flags -g -fkeep-inline-functions \
   -I "$root/src" -c "$out/headers.cpp" -o "$out/headers.o"
