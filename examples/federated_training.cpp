@@ -10,17 +10,15 @@
 // brand-new device then deploys the global table without any local
 // training.
 //
-//   usage: example_federated_training [devices] [rounds]
-//                                     [--delta-uploads] [--out PATH]
+//   usage: example_federated_training [devices] [rounds] [--out PATH]
 //
 // Defaults stay laptop-friendly (12 devices x 3 rounds x 150 s); the fleet
 // path itself scales to hundreds of devices, e.g.
 //   example_federated_training 200 3
-// --delta-uploads sends each device's upload as a delta against the round's
-// warm-start table (only the states it touched travel) - a pure wire
-// strategy, so the learned tables are byte-identical either way; --out
-// writes the final global table's canonical serialized bytes to PATH,
-// which is how CI cmp-checks that claim (a failed or short write exits 1).
+// Round 0's uploads travel in full; every later upload travels as a delta
+// against the warm-start table its device trained from, so only the states
+// it touched cross the wire. --out writes the final global table's
+// canonical serialized bytes to PATH (a failed or short write exits 1).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,9 +53,7 @@ int main(int argc, char** argv) {
   std::vector<const char*> positional;
   bool flags_ok = true;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--delta-uploads") == 0) {
-      fleet.delta_uploads = true;
-    } else if (std::strcmp(argv[i], "--out") == 0) {
+    if (std::strcmp(argv[i], "--out") == 0) {
       if (i + 1 >= argc) {
         flags_ok = false;
         break;
@@ -73,7 +69,7 @@ int main(int argc, char** argv) {
                        (n_pos < 2 || parse_positive(positional[1], rounds));
   if (!args_ok || n_pos > 2) {
     std::fprintf(stderr,
-                 "usage: %s [devices] [rounds] [--delta-uploads] [--out PATH]\n"
+                 "usage: %s [devices] [rounds] [--out PATH]\n"
                  "       both positive integers (default 12 3)\n",
                  argv[0]);
     return 1;
@@ -106,17 +102,16 @@ int main(int argc, char** argv) {
               global.state_count(), wall_seconds,
               static_cast<double>(fleet.devices * rounds) * fleet.round_duration.seconds(),
               timing.comm_overhead_s);
-  std::printf("upload wire: %llu full (%llu B) + %llu delta (%llu B)%s\n",
+  std::printf("upload wire: %llu full (%llu B) + %llu delta (%llu B)\n",
               static_cast<unsigned long long>(totals.uploads_full),
               static_cast<unsigned long long>(totals.upload_bytes_full),
               static_cast<unsigned long long>(totals.uploads_delta),
-              static_cast<unsigned long long>(totals.upload_bytes_delta),
-              fleet.delta_uploads ? "  [--delta-uploads]" : "");
+              static_cast<unsigned long long>(totals.upload_bytes_delta));
 
   if (!out_path.empty()) {
     // Canonical serialized bytes of the learned global table: two runs that
-    // claim identical training (e.g. full vs delta uploads in CI) can be
-    // compared with a plain `cmp` of these files.
+    // claim identical training can be compared with a plain `cmp` of these
+    // files.
     ByteWriter canonical;
     global.serialize(canonical);
     std::FILE* f = std::fopen(out_path.c_str(), "wb");

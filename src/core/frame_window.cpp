@@ -16,18 +16,21 @@ std::size_t window_capacity(SimTime sample_period, SimTime window) {
 }  // namespace
 
 FrameWindow::FrameWindow(SimTime sample_period, SimTime window)
-    : samples_{window_capacity(sample_period, window)},
-      counts_(kMaxFps + 1, 0) {}
+    : samples_(window_capacity(sample_period, window)), counts_(kMaxFps + 1, 0) {}
 
 void FrameWindow::add_sample(Fps fps) {
   const int value = std::clamp(fps.rounded(), 0, kMaxFps);
-  if (samples_.full()) {
-    const int evicted = samples_.oldest();
-    --counts_[static_cast<std::size_t>(evicted)];
+  int& slot = samples_[next_];
+  if (full_) {
+    --counts_[static_cast<std::size_t>(slot)];
     // Removing a sample of the current mode may dethrone it.
-    if (evicted == mode_) mode_dirty_ = true;
+    if (slot == mode_) mode_dirty_ = true;
   }
-  samples_.push(value);
+  slot = value;
+  if (++next_ == samples_.size()) {
+    next_ = 0;
+    full_ = true;
+  }
   ++counts_[static_cast<std::size_t>(value)];
   if (value > max_value_seen_) max_value_seen_ = value;
   if (!mode_dirty_) {
@@ -39,7 +42,6 @@ void FrameWindow::add_sample(Fps fps) {
 }
 
 int FrameWindow::target_fps() const {
-  if (samples_.empty()) return 0;
   if (mode_dirty_) {
     int best = 0;
     int best_count = 0;
@@ -59,7 +61,8 @@ int FrameWindow::target_fps() const {
 }
 
 void FrameWindow::clear() noexcept {
-  samples_.clear();
+  next_ = 0;
+  full_ = false;
   std::fill(counts_.begin(), counts_.end(), 0);
   mode_ = 0;
   mode_dirty_ = false;

@@ -14,7 +14,6 @@
 
 #include <vector>
 
-#include "common/ring_buffer.hpp"
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
 
@@ -38,12 +37,16 @@ class FrameWindow {
   /// samples have been collected.
   [[nodiscard]] int target_fps() const;
 
-  [[nodiscard]] bool full() const noexcept { return samples_.full(); }
+  [[nodiscard]] bool full() const noexcept { return full_; }
 
   void clear() noexcept;
 
  private:
-  RingBuffer<int> samples_;
+  /// The buffered samples, a circular buffer: `next_` is the slot the next
+  /// sample overwrites, which once the window is full holds the oldest.
+  std::vector<int> samples_;
+  std::size_t next_{0};
+  bool full_{false};
   std::vector<int> counts_;      ///< histogram over [0, kMaxFps]
   mutable int mode_{0};          ///< cached mode (largest value on ties)
   mutable bool mode_dirty_{false};

@@ -47,7 +47,7 @@ struct RingDelta {
 /// against the warm base it trained from, or the full table when it has no
 /// base (a cold-start table, one restored from a version-3 entry, or one
 /// rl::try_make_delta refused). The merge reads a delta over its base
-/// (rl::MergeInput); only a full wire encode rebuilds the table.
+/// (rl::MergeInput), and the wire carries the form held.
 using HeldTable = std::variant<rl::QTable, RingDelta>;
 
 /// A warm-start table the ring keeps: strip_visit_mass of the global
@@ -134,8 +134,8 @@ struct FleetSnapshot {
   ServerCounters server_counters;
 
   // --- "sync_state" section ------------------------------------------------
-  // Cumulative upload-wire counters. The wire's delta base is the round's
-  // warm table, recomputed from last_aggregate at the start of every round.
+  // Cumulative upload-wire counters: a delta upload's base is the warm
+  // base its held delta names.
   struct SyncState {
     std::uint64_t upload_bytes_full{0};
     std::uint64_t upload_bytes_delta{0};
@@ -187,10 +187,11 @@ bool quarantine_snapshot(const std::string& path, const std::string& reason);
 // --- upload wire codec -------------------------------------------------------
 // One CRC-guarded snapshot container per upload, holding either an "upload"
 // section (the full table) or a "delta" section (a QTableDelta against a
-// base both ends hold). decode_upload(encode_upload(t, ...)) == t
-// bit-exactly on both paths, so the wire strategy is invisible to the
-// training trajectory; damaged bytes always surface as SerializeError via
-// the container's CRC/length checks.
+// base both ends hold). FleetServer sends each upload in the form it holds
+// it: a held delta as encode_delta_upload, a held table in full.
+// decode_upload(encode_upload(t, ...)) == t bit-exactly on both paths;
+// damaged bytes always surface as SerializeError via the container's
+// CRC/length checks.
 
 /// Encodes `table` as upload wire bytes: a delta against `*delta_base` when
 /// a base is given and the delta can replay bit-exactly (see

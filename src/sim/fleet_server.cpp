@@ -422,7 +422,7 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
     reward_sum += results[i].final_mean_reward;
     state_.total_decisions += results[i].decisions;
     // The table is held from here on as its delta against the warm table
-    // it trained from, made once: the wire's delta upload sends it, every
+    // it trained from, made once: its wire upload sends it, every
     // ring entry stores it and the merge reads it over the base. The full
     // table is dropped with `table`. Without a base, or when
     // try_make_delta refuses, the full table is held instead.
@@ -480,33 +480,23 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
       ++rs.departures;
       continue;
     }
-    // Upload arrival: the table travels as CRC-guarded snapshot bytes; a
-    // seeded per-attempt failure damages them in flight, the decode throws,
-    // and the device retries with exponential backoff + jitter. With
-    // delta_uploads on, a same-round upload sends its held delta against
-    // the round's warm table (the base every trainee started from, which
-    // the server still holds); carried uploads from earlier rounds always
-    // travel full, rebuilt from their delta for the encode only. The
-    // decoded table is bit-identical to the sender's on either path, so the
-    // choice only shows in the byte counters.
+    // Upload arrival: the table travels as CRC-guarded snapshot bytes, in
+    // the form the server holds it - a delta against its warm base (still
+    // kept, since this upload names it), or the full table. A seeded
+    // per-attempt failure damages the bytes in flight, the decode throws,
+    // and the device retries with exponential backoff + jitter.
     HeldTable& held = arena[ev.table];
     const auto* ring = std::get_if<RingDelta>(&held);
-    const rl::QTable* base =
-        options_.delta_uploads && ev.trained_round == r ? warm : nullptr;
-    const bool went_delta = base != nullptr && ring != nullptr;
+    const rl::QTable* base = nullptr;
     std::vector<std::uint8_t> blob;
-    if (went_delta) {
+    if (ring != nullptr) {
+      base = &base_of(state_, *ring);
       blob = encode_delta_upload(ring->delta);
-    } else if (ring != nullptr) {
-      blob = encode_upload(rl::apply_delta(base_of(state_, *ring), ring->delta), nullptr);
-    } else {
-      blob = encode_upload(std::get<rl::QTable>(held), nullptr);
-    }
-    if (went_delta) {
       state_.sync.upload_bytes_delta += blob.size();
       ++state_.sync.uploads_delta;
       ++rs.delta_uploads;
     } else {
+      blob = encode_upload(std::get<rl::QTable>(held), nullptr);
       state_.sync.upload_bytes_full += blob.size();
       ++state_.sync.uploads_full;
     }

@@ -31,7 +31,9 @@
 //     warm-started from the current global aggregate with visit mass
 //     stripped - see strip_visit_mass);
 //   * uploads - each trained table travels as CRC-guarded snapshot bytes
-//     (encode_upload / decode_upload in sim/fleet.hpp). A failed attempt
+//     (sim/fleet.hpp's wire codec) in the one form the server holds it: a
+//     delta against the warm table it trained from, or the full table when
+//     it has none - whichever round the upload lands in. A failed attempt
 //     (seeded draw; damage is a byte flip or truncation, always caught by
 //     the container's CRC/length checks) retries with bounded exponential
 //     backoff + deterministic jitter, up to max_upload_attempts before the
@@ -51,11 +53,11 @@
 //     boundaries. The server keeps that state as one FleetSnapshot member
 //     and serializes it in place. Each upload is held in one form, made
 //     once when training returns the table: a delta against the warm table
-//     it trained from (the one the wire's delta upload carries), which the
-//     state keeps as a warm base for as long as some standing or pending
-//     upload names it, or the full table when there is no base. The merge
-//     reads a delta over its base, and only a full wire encode rebuilds
-//     the table. So the server's memory, like an entry, holds the global,
+//     it trained from (the one its wire upload carries), which the state
+//     keeps as a warm base for as long as some standing or pending upload
+//     names it, or the full table when there is no base. The merge reads a
+//     delta over its base, and nothing rebuilds the table. So the server's
+//     memory, like an entry, holds the global,
 //     a few warm bases and one small delta per upload, not a full table
 //     per device, and a restore decodes no more than that. A boundary
 //     whose write fails (IoError) is logged,
@@ -148,15 +150,12 @@ struct FleetServerOptions {
   /// `<snapshot_prefix>.<round mod K>`. 0 = no persistence.
   std::size_t snapshot_ring{0};
   std::string snapshot_prefix{};
-  /// Upload wire strategy: when true, a device uploading the round it just
-  /// trained encodes a QTableDelta against the round's warm-start table
-  /// (strip_visit_mass of the global aggregate - the base the server still
-  /// holds), so only the states the device touched travel. Uploads carried
-  /// across a round boundary always go full. The decoded table is
-  /// bit-identical to the sender's on either path, so the trajectory and
-  /// every golden are unchanged - only the byte counters differ. Pure wire
-  /// strategy, deliberately excluded from encode_fleet_server_options.
+
+  // --- perfbench compatibility shim: begin ----------------------------------
+  // perfbench/ sets this retired wire switch. Nothing reads it: every upload
+  // travels in the form the server holds it (see run_round).
   bool delta_uploads{false};
+  // --- perfbench compatibility shim: end ------------------------------------
 };
 
 /// Hard ceiling on one retry's delay (exponential backoff plus jitter,

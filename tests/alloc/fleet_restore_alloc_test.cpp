@@ -30,7 +30,6 @@ TEST(FleetRestoreAllocations, RestorePeakFollowsTheRingEntry) {
   options.episode_length = SimTime::from_seconds(10.0);
   options.churn.depart_rate = 0.05;
   options.churn.straggle_rate = 0.1;
-  options.delta_uploads = true;
   options.snapshot_ring = 3;
   options.snapshot_prefix = test::unique_temp_path("nextgov_restore_alloc");
   FleetServer live{workload::AppId::kFacebook, options, {.workers = 1}};

@@ -48,7 +48,6 @@ inline sim::FleetServerOptions fuzz_server(const std::string& prefix) {
   options.churn.depart_rate = 0.2;
   options.churn.straggle_rate = 0.4;
   options.churn.rejoin_after_rounds = 1;
-  options.delta_uploads = true;
   options.snapshot_ring = 1;
   options.snapshot_prefix = prefix;
   return options;

@@ -123,14 +123,15 @@ TEST(FrameWindow, TargetMatchesModeOracleOnRandomStreams) {
   // the two must agree over the window's contents, on streams built to hit
   // the edge cases: ties (a small palette of repeated rates), zeros,
   // fractions on both sides of .5, negative readings and rates above
-  // kMaxFps - across window lengths that evict often.
+  // kMaxFps - across window lengths that evict often, down to a
+  // one-sample window.
   constexpr double kPalette[] = {0.0, 0.0, 24.0, 30.0, 30.4, 45.5, 59.5, 60.0,
                                  60.0, 90.0, 119.6, -0.4, -7.0, 240.4, 241.0, 300.0};
-  for (const double window_s : {0.1, 0.5, 4.0}) {
+  for (const std::int64_t window_ms : {25, 50, 75, 100, 175, 500, 4000}) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      SCOPED_TRACE(testing::Message() << "window " << window_s << " s, seed " << seed);
+      SCOPED_TRACE(testing::Message() << "window " << window_ms << " ms, seed " << seed);
       Rng rng{seed};
-      FrameWindow w{25_ms, SimTime::from_seconds(window_s)};
+      FrameWindow w{25_ms, SimTime::from_ms(window_ms)};
       const std::size_t capacity = capacity_of(w);
       std::deque<double> contents;
       for (int i = 0; i < 2000; ++i) {

@@ -135,30 +135,25 @@ TEST(FleetServerFaults, DepartedDeviceNeverContributesAPartialTable) {
 TEST(FleetFaults, FaultedRunIsDeterministicAcrossWorkerCounts) {
   // Dropout and upload corruption draw from (round, device, attempt)-keyed
   // streams, so which devices drop and which uploads are lost - and hence
-  // the global table - must not depend on the training pool size, on the
-  // full and on the delta wire alike.
-  FleetServerOptions options = dropout_and_corruption();
-  for (const bool delta : {false, true}) {
-    SCOPED_TRACE(delta ? "delta uploads" : "full uploads");
-    options.delta_uploads = delta;
-    FleetServer serial{workload::AppId::kFacebook, options, {.workers = 1}};
-    FleetServer pooled{workload::AppId::kFacebook, options, {.workers = 4}};
-    serial.run_rounds(3);
-    pooled.run_rounds(3);
-    ASSERT_NE(serial.global(), nullptr);
-    ASSERT_NE(pooled.global(), nullptr);
-    EXPECT_TRUE(*serial.global() == *pooled.global());
-    EXPECT_EQ(serial.stats().total_decisions, pooled.stats().total_decisions);
-    EXPECT_EQ(serial.stats().departures, pooled.stats().departures);
-    EXPECT_EQ(serial.stats().uploads_lost, pooled.stats().uploads_lost);
-    EXPECT_EQ(serial.stats().uploads_accepted, pooled.stats().uploads_accepted);
-    EXPECT_EQ(serial.stats().upload_bytes_full + serial.stats().upload_bytes_delta,
-              pooled.stats().upload_bytes_full + pooled.stats().upload_bytes_delta);
-    // Both faults must actually fire, or this test is vacuously green.
-    EXPECT_GT(serial.stats().departures, 0u);
-    EXPECT_GT(serial.stats().uploads_lost, 0u);
-    EXPECT_EQ(serial.stats().uploads_retried, 0u);
-  }
+  // the global table - must not depend on the training pool size.
+  const FleetServerOptions options = dropout_and_corruption();
+  FleetServer serial{workload::AppId::kFacebook, options, {.workers = 1}};
+  FleetServer pooled{workload::AppId::kFacebook, options, {.workers = 4}};
+  serial.run_rounds(3);
+  pooled.run_rounds(3);
+  ASSERT_NE(serial.global(), nullptr);
+  ASSERT_NE(pooled.global(), nullptr);
+  EXPECT_TRUE(*serial.global() == *pooled.global());
+  EXPECT_EQ(serial.stats().total_decisions, pooled.stats().total_decisions);
+  EXPECT_EQ(serial.stats().departures, pooled.stats().departures);
+  EXPECT_EQ(serial.stats().uploads_lost, pooled.stats().uploads_lost);
+  EXPECT_EQ(serial.stats().uploads_accepted, pooled.stats().uploads_accepted);
+  EXPECT_EQ(serial.stats().upload_bytes_full + serial.stats().upload_bytes_delta,
+            pooled.stats().upload_bytes_full + pooled.stats().upload_bytes_delta);
+  // Both faults must actually fire, or this test is vacuously green.
+  EXPECT_GT(serial.stats().departures, 0u);
+  EXPECT_GT(serial.stats().uploads_lost, 0u);
+  EXPECT_EQ(serial.stats().uploads_retried, 0u);
 }
 
 TEST(FleetFaults, CrashAndResumeComposeWithFaults) {

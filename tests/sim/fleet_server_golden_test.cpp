@@ -9,8 +9,9 @@
 // FleetResumeGolden tests hold a calm fleet (synchronous FedAvg) to the
 // same bar - down to the bytes of every ring entry - and pin the ring
 // entries themselves as canonical bytes: RingEntryBytesArePinned holds a
-// churning delta-upload fleet's ring slots and upload blobs to fixed sizes
-// and digests, so no writer change moves a persisted or wire byte unnoticed.
+// churning fleet's ring slots (section by section) and upload blobs to
+// fixed sizes and digests, so no writer change moves a persisted or wire
+// byte unnoticed.
 // VersionThreeRingResumesBitIdentically resumes from the checked-in ring
 // of the last version-3 writer (tests/data/fleet_ring_v3/).
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/fleet.hpp"
@@ -156,12 +158,11 @@ TEST(FleetResumeGolden, KilledAtRoundKResumesBitIdentically) {
 }
 
 TEST(FleetResumeGolden, EveryCrashPointConvergesOnTheSameBytes) {
-  // Whichever boundary a calm delta-upload fleet dies at, restarting lands
-  // on the same final bytes and the same wire counters: the round loop has
-  // no hidden cross-round state outside the ring, and the delta base is
-  // rebuilt from the restored global.
-  FleetServerOptions reference_options = calm_server(ring_prefix("sweep_ref"));
-  reference_options.delta_uploads = true;
+  // Whichever boundary a calm fleet dies at, restarting lands on the same
+  // final bytes and the same wire counters: the round loop has no hidden
+  // cross-round state outside the ring, and each delta upload's warm base
+  // is restored with it.
+  const FleetServerOptions reference_options = calm_server(ring_prefix("sweep_ref"));
   FleetServer reference{workload::AppId::kFacebook, reference_options, {.workers = 2}};
   reference.run_rounds(kRounds);
   ASSERT_NE(reference.global(), nullptr);
@@ -170,8 +171,7 @@ TEST(FleetResumeGolden, EveryCrashPointConvergesOnTheSameBytes) {
 
   for (std::size_t k = 0; k <= kRounds; ++k) {
     SCOPED_TRACE("killed after round " + std::to_string(k));
-    FleetServerOptions options = calm_server(ring_prefix("sweep" + std::to_string(k)));
-    options.delta_uploads = true;
+    const FleetServerOptions options = calm_server(ring_prefix("sweep" + std::to_string(k)));
     {
       FleetServer doomed{workload::AppId::kFacebook, options, {.workers = 2}};
       doomed.run_rounds(k);
@@ -218,13 +218,25 @@ std::uint64_t fnv1a64(const Bytes& bytes) {
   return h;
 }
 
+/// FNV-1a digest of the payload of section `name` of a ring entry.
+std::uint64_t section_fnv(const SnapshotReader& entry, std::string_view name) {
+  ByteReader payload = entry.section(name);
+  std::vector<std::uint8_t> bytes;
+  while (!payload.done()) bytes.push_back(payload.u8());
+  return fnv1a64(bytes);
+}
+
 TEST(FleetResumeGolden, RingEntryBytesArePinned) {
-  // The churning fleet (departures, stragglers, damaged uploads) with delta
-  // uploads on: every ring slot, a full upload blob and a delta upload blob
-  // keep the exact sizes and digests the version-4 writer produced. Re-pin
-  // only together with a kSnapshotVersion bump.
-  FleetServerOptions options = golden_server(ring_prefix("pinned"));
-  options.delta_uploads = true;
+  // The churning fleet (departures, stragglers, damaged uploads): every ring
+  // slot, a full upload blob and a delta upload blob keep the exact sizes
+  // and digests the version-4 writer produced. Each slot is pinned section
+  // by section - the payload digests of "fleet_server_options",
+  // "fleet_state" and "server_state", the four "sync_state" wire counters as
+  // numbers - and as a whole file. The three state sections (and the upload
+  // blobs) re-pin only together with a kSnapshotVersion bump; the wire
+  // counters and the whole-file digest move whenever the upload wire
+  // changes how many bytes an attempt costs.
+  const FleetServerOptions options = golden_server(ring_prefix("pinned"));
   FleetServer server{workload::AppId::kFacebook, options, {.workers = 2}};
   server.run_rounds(kRounds);
   ASSERT_GT(server.stats().uploads_delta, 0u);
@@ -233,16 +245,40 @@ TEST(FleetResumeGolden, RingEntryBytesArePinned) {
   struct Pin {
     std::size_t size;
     std::uint64_t fnv;
+    std::uint64_t options_fnv;
+    std::uint64_t fleet_fnv;
+    std::uint64_t server_fnv;
+    std::uint64_t upload_bytes_full;
+    std::uint64_t upload_bytes_delta;
+    std::uint64_t uploads_full;
+    std::uint64_t uploads_delta;
   };
-  const Pin ring[] = {{70880, 0xa9b55b7ea7b8c063ULL},
-                      {79035, 0x268eb73485dcbf34ULL},
-                      {47080, 0x3ea5437f88a9be9fULL}};
+  const Pin ring[] = {
+      {70880, 0xe47cde84f1794f6aULL, 0x03c401f537f0bceeULL, 0x3b9a981732155208ULL,
+       0xe647aa0c0317f9aaULL, 14870, 56165, 3, 13},
+      {79035, 0x5b34a2a424a1e7ccULL, 0x03c401f537f0bceeULL, 0x7579a77f47e8d2e7ULL,
+       0xff4d839c710a0229ULL, 14870, 79602, 3, 18},
+      {47080, 0x3ea5437f88a9be9fULL, 0x03c401f537f0bceeULL, 0xa74d8060158b42fcULL,
+       0x34bff44a26542bfbULL, 14870, 22037, 3, 5}};
   for (std::size_t slot = 0; slot < options.snapshot_ring; ++slot) {
     SCOPED_TRACE("ring slot " + std::to_string(slot));
-    const std::vector<char> bytes =
-        read_all(options.snapshot_prefix + "." + std::to_string(slot));
+    const std::string path = options.snapshot_prefix + "." + std::to_string(slot);
+    const std::vector<char> bytes = read_all(path);
     EXPECT_EQ(bytes.size(), ring[slot].size);
     EXPECT_EQ(fnv1a64(bytes), ring[slot].fnv) << std::hex << fnv1a64(bytes);
+    const SnapshotReader entry = SnapshotReader::from_file(path);
+    EXPECT_EQ(section_fnv(entry, "fleet_server_options"), ring[slot].options_fnv)
+        << std::hex << section_fnv(entry, "fleet_server_options");
+    EXPECT_EQ(section_fnv(entry, "fleet_state"), ring[slot].fleet_fnv)
+        << std::hex << section_fnv(entry, "fleet_state");
+    EXPECT_EQ(section_fnv(entry, "server_state"), ring[slot].server_fnv)
+        << std::hex << section_fnv(entry, "server_state");
+    ByteReader sync = entry.section("sync_state");
+    EXPECT_EQ(sync.u64(), ring[slot].upload_bytes_full);
+    EXPECT_EQ(sync.u64(), ring[slot].upload_bytes_delta);
+    EXPECT_EQ(sync.u64(), ring[slot].uploads_full);
+    EXPECT_EQ(sync.u64(), ring[slot].uploads_delta);
+    EXPECT_TRUE(sync.done());
   }
 
   // Upload blobs: the global table in full, and a delta against its

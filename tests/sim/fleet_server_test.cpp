@@ -414,7 +414,6 @@ TEST(FleetServerRing, FailedRingWriteIsSkippedAndServingContinues) {
   const std::string prefix = ring_prefix("full_disk");
   FleetServerOptions options = small_server();
   options.churn.straggle_rate = 0.4;
-  options.delta_uploads = true;
   options.snapshot_ring = 3;
   options.snapshot_prefix = prefix;
   FleetServerOptions straight_options = options;
@@ -596,50 +595,44 @@ TEST(FleetServer, ShardedTrainingBitIdentical) {
   EXPECT_EQ(serial.stats().uploads_accepted, pooled.stats().uploads_accepted);
 }
 
-TEST(FleetServer, DeltaUploadsMatchFullRunsUnderChurn) {
-  // Delta encoding is a wire strategy: against the round's warm table it
-  // must decode back to the sender's exact bytes, so a churning fleet run
-  // with the flag on converges to the same global table and the same
-  // accounting as one with it off.
+TEST(FleetServer, CarriedUploadsTravelAsDeltas) {
+  // Every upload travels in the form the server holds it, whichever round
+  // it lands in. Stragglers carry uploads across deadlines, and every
+  // table trained from a warm base - carried or not - goes as its delta;
+  // only the cold round 0's tables go full. With no departures and no
+  // damaged attempts, each table trained makes exactly one attempt unless
+  // it is still in flight when the run ends.
   FleetServerOptions options = small_server();
   options.devices = 4;
-  options.churn.straggle_rate = 0.3;
-  options.churn.upload_fail_rate = 0.4;
-  FleetServer full{workload::AppId::kFacebook, options, {.workers = 2}};
-  FleetServerOptions delta_options = options;
-  delta_options.delta_uploads = true;
-  FleetServer delta{workload::AppId::kFacebook, delta_options, {.workers = 2}};
-  std::vector<FleetServerRoundStats> delta_rounds;
-  full.run_rounds(3);
-  delta.run_rounds(3, [&](const FleetServerRoundStats& rs) { delta_rounds.push_back(rs); });
+  options.churn.straggle_rate = 0.4;
+  constexpr std::size_t kRounds = 5;
+  FleetServer server{workload::AppId::kFacebook, options, {.workers = 2}};
+  std::vector<FleetServerRoundStats> rounds;
+  server.run_rounds(kRounds, [&](const FleetServerRoundStats& rs) { rounds.push_back(rs); });
+  ASSERT_EQ(rounds.size(), kRounds);
 
-  ASSERT_NE(full.global(), nullptr);
-  ASSERT_NE(delta.global(), nullptr);
-  EXPECT_EQ(canonical_bytes(*full.global()), canonical_bytes(*delta.global()));
-  EXPECT_EQ(full.stats().uploads_accepted, delta.stats().uploads_accepted);
-  EXPECT_EQ(full.stats().uploads_retried, delta.stats().uploads_retried);
-  EXPECT_EQ(full.stats().uploads_lost, delta.stats().uploads_lost);
-  EXPECT_EQ(full.stats().late_uploads_merged, delta.stats().late_uploads_merged);
-  EXPECT_EQ(full.stats().total_decisions, delta.stats().total_decisions);
+  std::size_t carried_warm = 0;  // carried out of a round that had a warm base
+  for (std::size_t r = 1; r + 1 < kRounds; ++r) carried_warm += rounds[r].carried_late;
+  ASSERT_GT(carried_warm, 0u) << "retune: no warm-round upload crossed a deadline";
+  ASSERT_GT(server.stats().late_uploads_merged, 0u);
 
-  // The full run never sent a delta; the delta run did (round 0 has no warm
-  // table yet, so it still sends at least one full upload per device).
-  EXPECT_EQ(full.stats().uploads_delta, 0u);
-  EXPECT_GT(full.stats().uploads_full, 0u);
-  EXPECT_GT(delta.stats().uploads_delta, 0u);
-  EXPECT_GT(delta.stats().uploads_full, 0u);
-  EXPECT_LT(delta.stats().upload_bytes_delta + delta.stats().upload_bytes_full,
-            full.stats().upload_bytes_full);
+  const FleetServerStats totals = server.stats();
+  EXPECT_EQ(rounds[0].delta_uploads, 0u);
+  EXPECT_EQ(totals.uploads_full, rounds[0].training_devices);
+  EXPECT_EQ(totals.uploads_full + totals.uploads_delta,
+            kRounds * options.devices - rounds.back().carried_late);
+  EXPECT_LT(totals.upload_bytes_delta / totals.uploads_delta,
+            totals.upload_bytes_full / totals.uploads_full);
 
   // Per-round stats reconcile with the cumulative counters.
   std::uint64_t bytes = 0;
   std::size_t deltas = 0;
-  for (const auto& rs : delta_rounds) {
+  for (const auto& rs : rounds) {
     bytes += rs.upload_bytes;
     deltas += rs.delta_uploads;
   }
-  EXPECT_EQ(bytes, delta.stats().upload_bytes_delta + delta.stats().upload_bytes_full);
-  EXPECT_EQ(deltas, delta.stats().uploads_delta);
+  EXPECT_EQ(bytes, totals.upload_bytes_delta + totals.upload_bytes_full);
+  EXPECT_EQ(deltas, totals.uploads_delta);
 }
 
 TEST(FleetServerRing, WireCountersSurviveRestore) {
@@ -650,7 +643,6 @@ TEST(FleetServerRing, WireCountersSurviveRestore) {
   FleetServerOptions options = small_server();
   options.snapshot_ring = 2;
   options.snapshot_prefix = prefix;
-  options.delta_uploads = true;
   FleetServerStats before;
   {
     FleetServer server{workload::AppId::kFacebook, options, {.workers = 2}};
@@ -665,19 +657,6 @@ TEST(FleetServerRing, WireCountersSurviveRestore) {
   EXPECT_EQ(resumed.stats().upload_bytes_delta, before.upload_bytes_delta);
   EXPECT_EQ(resumed.stats().uploads_full, before.uploads_full);
   EXPECT_EQ(resumed.stats().uploads_delta, before.uploads_delta);
-}
-
-TEST(FleetServer, DeltaUploadsKnobExcludedFromOptionsIdentity) {
-  // Wire encoding is execution strategy, so a snapshot written with full
-  // uploads must resume with deltas enabled.
-  FleetServerOptions a = small_server();
-  FleetServerOptions b = a;
-  b.delta_uploads = true;
-  ByteWriter wa;
-  ByteWriter wb;
-  encode_fleet_server_options(a, wa);
-  encode_fleet_server_options(b, wb);
-  EXPECT_EQ(wa.data(), wb.data());
 }
 
 TEST(FleetServer, ProcessesKnobExcludedFromOptionsIdentity) {

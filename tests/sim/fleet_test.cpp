@@ -2,9 +2,8 @@
 // synchronous FedAvg over every device every round, determinism across
 // worker counts, the per-round progress callback, up-front option
 // validation, deployability of the global aggregate, the upload wire codec
-// (sim/fleet.hpp) on both its paths, and the delta-upload knob and the
-// ExecOptions as pure execution strategy - including across a ring
-// restore. The "Process" test names predate the thread-only pool (rounds
+// (sim/fleet.hpp) on both its paths, and the ExecOptions as pure execution
+// strategy - including across a ring restore. The "Process" test names predate the thread-only pool (rounds
 // once also trained across forked worker processes); they are kept so test
 // history stays traceable.
 #include <gtest/gtest.h>
@@ -214,8 +213,8 @@ TEST(Fleet, GlobalTableIsDeployable) {
 
 TEST(Fleet, UploadWireCodecRoundTripsBothPaths) {
   // decode_upload(encode_upload(t, ...)) == t bit-exactly on both the full
-  // and the delta path - the invariant that makes the wire strategy
-  // invisible to the training trajectory.
+  // and the delta path - the invariant that lets the server keep the form
+  // it holds instead of the decoded table.
   rl::QTable base{4, 2.5};
   base.set_q(10, 1, 0.5);
   base.record_visit(10);
@@ -251,85 +250,6 @@ TEST(Fleet, UploadWireCodecRoundTripsBothPaths) {
   const std::vector<std::uint8_t> fallback = encode_upload(next, &unrelated);
   EXPECT_FALSE(is_delta(fallback));
   EXPECT_TRUE(decode_upload(fallback, nullptr, "test") == next);
-}
-
-TEST(Fleet, DeltaUploadsAreByteIdenticalToFull) {
-  // The calm fleet's delta-upload contract end to end: with the flag on,
-  // the fleet lands on exactly the full-upload run's global table - across
-  // worker counts - because every decoded upload is
-  // bit-identical to the sender's table. Round 0 has no warm table, so its
-  // uploads go full; every later upload is a delta, and smaller.
-  FleetServerOptions options = calm_fleet();
-  FleetServer full{workload::AppId::kFacebook, options, {.workers = 1}};
-  std::vector<FleetServerRoundStats> full_rounds;
-  full.run_rounds(3, [&](const FleetServerRoundStats& rs) { full_rounds.push_back(rs); });
-  ASSERT_NE(full.global(), nullptr);
-  EXPECT_EQ(full.stats().uploads_delta, 0u);
-  EXPECT_EQ(full.stats().uploads_full, 3 * options.devices);
-
-  options.delta_uploads = true;
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE(workers);
-    FleetServer delta{workload::AppId::kFacebook, options, {.workers = workers}};
-    std::vector<FleetServerRoundStats> rounds;
-    delta.run_rounds(3, [&](const FleetServerRoundStats& rs) { rounds.push_back(rs); });
-    ASSERT_NE(delta.global(), nullptr);
-    EXPECT_EQ(canonical_bytes(*full.global()), canonical_bytes(*delta.global()));
-    EXPECT_EQ(full.stats().total_decisions, delta.stats().total_decisions);
-    EXPECT_EQ(delta.stats().uploads_full, options.devices);
-    EXPECT_EQ(delta.stats().uploads_delta, 2 * options.devices);
-    ASSERT_EQ(rounds.size(), 3u);
-    EXPECT_EQ(rounds[0].delta_uploads, 0u);
-    EXPECT_EQ(rounds[2].delta_uploads, options.devices);
-    EXPECT_LT(rounds[2].upload_bytes, full_rounds[2].upload_bytes);
-  }
-}
-
-TEST(Fleet, DeltaFlagMayFlipAcrossResume) {
-  // The wire strategy is not part of the ring's options identity: a ring
-  // written by a full-upload server resumes under delta_uploads and lands
-  // on the uninterrupted run's exact bytes, since the delta base (the
-  // round's warm table) is recomputed from the restored global.
-  FleetServerOptions options = calm_fleet();
-  FleetServer straight{workload::AppId::kFacebook, options, {.workers = 2}};
-  straight.run_rounds(4);
-  ASSERT_NE(straight.global(), nullptr);
-
-  options.snapshot_ring = 2;
-  options.snapshot_prefix = ring_prefix("delta_resume");
-  {
-    FleetServer doomed{workload::AppId::kFacebook, options, {.workers = 2}};
-    doomed.run_rounds(2);
-  }  // destroyed without drain(): kill -9
-  options.delta_uploads = true;  // flipped relative to the killed server
-  FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 2}};
-  ASSERT_TRUE(resumed.restored());
-  EXPECT_EQ(resumed.round(), 2u);
-  EXPECT_EQ(resumed.stats().uploads_delta, 0u);
-  resumed.run_rounds(2);
-  ASSERT_NE(resumed.global(), nullptr);
-  EXPECT_EQ(canonical_bytes(*straight.global()), canonical_bytes(*resumed.global()));
-  // Rounds 2-3 delta against the restored global, so the resumed half
-  // actually exercises the delta path.
-  EXPECT_EQ(resumed.stats().uploads_delta, 2 * options.devices);
-}
-
-TEST(Fleet, DeltaUploadsKnobExcludedFromOptionsIdentity) {
-  // Pure wire strategy, so flipping it must not change the canonical
-  // options encoding a ring entry pins - while a trajectory input such as
-  // the base seed must.
-  const FleetServerOptions a = calm_fleet();
-  FleetServerOptions b = a;
-  b.delta_uploads = true;
-  ByteWriter wa;
-  ByteWriter wb;
-  encode_fleet_server_options(a, wa);
-  encode_fleet_server_options(b, wb);
-  EXPECT_EQ(wa.data(), wb.data());
-  b.base_seed += 1;
-  ByteWriter wc;
-  encode_fleet_server_options(b, wc);
-  EXPECT_NE(wa.data(), wc.data());
 }
 
 TEST(Fleet, ProcessesKnobExcludedFromOptionsIdentity) {

@@ -13,7 +13,7 @@
 #      header or source defines is emitted too; one more object includes
 #      every src/ header, for headers no library source includes, and
 #      explicitly instantiates each src/ class template at every argument
-#      src/ names it with (`template class RingBuffer<int>;`), which emits
+#      src/ names it with (`template class Quantity<Watts>;`), which emits
 #      every member, not only the ones something calls. Build the objects
 #      of every bench and example, and of perfbench, with the same flags
 #      minus -fkeep-inline-functions (their inline standard-library code
