@@ -401,6 +401,11 @@ FleetSnapshot read_fleet_state_sections(const SnapshotReader& snapshot) {
   return out;
 }
 
+std::size_t read_fleet_round_cursor(const SnapshotReader& in) {
+  ByteReader state = in.section(kStateSection);
+  return static_cast<std::size_t>(state.u64());
+}
+
 bool quarantine_snapshot(const std::string& path, const std::string& reason) {
   const std::string quarantined = path + ".corrupt";
   if (std::rename(path.c_str(), quarantined.c_str()) == 0) {

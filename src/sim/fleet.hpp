@@ -162,6 +162,12 @@ void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapsh
 /// fixed-round trainer wrote (a shard table, a delta base) is refused too.
 [[nodiscard]] FleetSnapshot read_fleet_state_sections(const SnapshotReader& in);
 
+/// The round cursor of a fleet-state entry (FleetSnapshot::next_round, the
+/// first u64 of its "fleet_state" section, in format version 4 and 3),
+/// without decoding the rest. Throws SerializeError when the section is
+/// missing or shorter than 8 bytes.
+[[nodiscard]] std::size_t read_fleet_round_cursor(const SnapshotReader& in);
+
 /// Reads and fully validates the snapshot container at `path`. On a
 /// corruption failure (SerializeError::Kind::kCorrupt: bad magic,
 /// truncation, CRC mismatch) the damaged file goes through

@@ -144,6 +144,307 @@ void check_resumable(const FleetSnapshot& snap, const FleetServerOptions& option
   }
 }
 
+// --- the round's stages ----------------------------------------------------
+//
+// run_round runs these in order. Each takes the server state it reads and
+// changes and reports into the round's stats.
+
+/// Stage 1, re-registration: departed devices whose absence has run its
+/// course take a fresh lease before round r starts.
+void rejoin_devices(FleetSnapshot& state, std::size_t r, FleetServerRoundStats& rs) {
+  for (DeviceLease& lease : state.leases) {
+    if (!lease.active && lease.rejoin_round <= r) {
+      lease = DeviceLease{};
+      ++rs.rejoined;
+    }
+  }
+}
+
+/// What round r's churn draws decide.
+struct RoundDraws {
+  std::vector<std::size_t> trainees;           ///< leased devices that stay, in device order
+  std::vector<std::int64_t> first_attempt_us;  ///< per trainee: its first upload attempt
+  std::vector<Event> expiries;                 ///< the departing devices' lease expiries
+};
+
+/// Stage 2, churn draws. A departing device stops heartbeating at a seeded
+/// instant inside its training window and loses its lease until it
+/// rejoins; the server notices at the last heartbeat + lease_timeout. It
+/// never contributes a partial table - its training cell is simply not
+/// scheduled (the result could never be uploaded, and a pure-function
+/// fleet has no half-trained state to leak). A straggler's first upload
+/// attempt starts late.
+RoundDraws draw_churn(FleetSnapshot& state, const FleetServerOptions& o, std::size_t r,
+                      std::int64_t round_start) {
+  RoundDraws draws;
+  for (std::size_t d = 0; d < o.devices; ++d) {
+    if (!state.leases[d].active) continue;
+    SplitMix64 depart = churn_stream(o.churn.seed, kDepartSalt, r, d);
+    if (bernoulli(depart, o.churn.depart_rate)) {
+      const std::int64_t depart_us =
+          round_start +
+          static_cast<std::int64_t>(depart.next() %
+                                    static_cast<std::uint64_t>(o.round_duration.us()));
+      const std::int64_t last_heartbeat =
+          round_start +
+          ((depart_us - round_start) / o.heartbeat_period.us()) * o.heartbeat_period.us();
+      draws.expiries.push_back(
+          Event{last_heartbeat + o.lease_timeout.us(), Event::kLeaseExpiry, d, r, 0, 0});
+      state.leases[d].active = false;
+      state.leases[d].rejoin_round = r + o.churn.rejoin_after_rounds;
+      continue;
+    }
+    std::int64_t start = round_start + o.round_duration.us();
+    SplitMix64 straggle = churn_stream(o.churn.seed, kStraggleSalt, r, d);
+    if (bernoulli(straggle, o.churn.straggle_rate)) {
+      // At least half a round late: usually past the deadline, so the
+      // table carries into the next round and merges with staleness 1.
+      start += o.round_deadline.us() / 2 +
+               static_cast<std::int64_t>(straggle.next() %
+                                         static_cast<std::uint64_t>(o.round_deadline.us()));
+    }
+    draws.trainees.push_back(d);
+    draws.first_attempt_us.push_back(start + o.upload_latency.us());
+  }
+  return draws;
+}
+
+/// What a round's training leaves: every trainee's table in the one form
+/// the server holds it, in plan order, and what the trainees report.
+struct TrainedRound {
+  std::vector<HeldTable> held;
+  double reward_sum{0.0};  ///< the trainees' final mean rewards, summed in plan order
+  std::uint64_t decisions{0};
+};
+
+/// Stage 3, training: every trainee trains for round_duration of simulated
+/// time - one homogeneous plan, warm-started from the global aggregate
+/// (visit mass stripped so historical experience is counted once, via the
+/// aggregate, not once per device). The warm table joins the state's bases
+/// as round r's; it stays there while some upload held as a delta against
+/// it is. Each trainee's table is turned into the form the server holds it
+/// on the worker thread that trained it, as soon as its cell ends: the
+/// delta against the warm table, or the full table when there is no base
+/// or try_make_delta refuses. Its wire upload sends that form, every ring
+/// entry stores it and the merge reads it (a delta over its base). The
+/// full table goes with its TrainingResult, so at most exec.workers full
+/// tables are alive at once, whatever the fleet size.
+TrainedRound train_round(FleetSnapshot& state, const FleetServerOptions& o,
+                         const AppFactory& app_factory, const ExecOptions& exec, std::size_t r,
+                         const std::vector<std::size_t>& trainees) {
+  const rl::QTable* warm = nullptr;
+  if (state.last_aggregate.has_value()) {
+    state.warm_bases.push_back(WarmBase{r, strip_visit_mass(*state.last_aggregate)});
+    warm = &state.warm_bases.back().table;
+  }
+  TrainingPlan plan;
+  for (const std::size_t d : trainees) {
+    TrainingOptions cell;
+    cell.max_duration = o.round_duration;
+    cell.episode_length = o.episode_length;
+    cell.seed = derive_seed(derive_seed(o.base_seed, d), r);
+    cell.ambient = o.ambient;
+    cell.initial_table = warm;
+    plan.add(app_factory, "device_" + std::to_string(d), o.next_config, cell);
+  }
+  // exec may fan the plan out across worker threads - bit-identical either
+  // way, so snapshots and goldens are oblivious to the choice. Each cell
+  // writes only its own slots; the sums run in plan order once the pool
+  // has drained.
+  std::vector<std::optional<HeldTable>> held(plan.size());
+  std::vector<double> rewards(plan.size());
+  std::vector<std::uint64_t> decisions(plan.size());
+  execute(plan, exec, [&](std::size_t i, TrainingResult&& result) {
+    rewards[i] = result.final_mean_reward;
+    decisions[i] = result.decisions;
+    std::optional<rl::QTableDelta> delta;
+    if (warm != nullptr) delta = rl::try_make_delta(*warm, result.table);
+    if (delta.has_value()) {
+      held[i].emplace(RingDelta{r, std::move(*delta)});
+    } else {
+      held[i].emplace(std::move(result.table));
+    }
+  });
+  TrainedRound out;
+  out.held.reserve(plan.size());
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    out.held.push_back(std::move(*held[i]));
+    out.reward_sum += rewards[i];
+    out.decisions += decisions[i];
+  }
+  return out;
+}
+
+/// A round's traffic: the events still to happen and the held tables their
+/// upload events name by index.
+struct RoundTraffic {
+  std::vector<Event> heap;
+  std::vector<HeldTable> arena;
+};
+
+/// Seeds round r's traffic: the lease expiries, each trainee's first upload
+/// attempt and, with their persisted arrival times and attempt counters, the
+/// uploads pending from earlier rounds (moved out of `state`), so a
+/// restarted server replays exactly the same arrivals.
+RoundTraffic seed_traffic(FleetSnapshot& state, RoundDraws draws, std::vector<HeldTable> trained,
+                          std::size_t r) {
+  RoundTraffic t{std::move(draws.expiries), std::move(trained)};
+  for (std::size_t i = 0; i < draws.trainees.size(); ++i) {
+    t.heap.push_back(
+        Event{draws.first_attempt_us[i], Event::kUploadArrival, draws.trainees[i], r, 0, i});
+  }
+  for (PendingUpload& p : state.pending_uploads) {
+    t.arena.push_back(std::move(p.held));
+    t.heap.push_back(Event{p.arrival_us, Event::kUploadArrival, p.device, p.trained_round,
+                           p.attempts_used, t.arena.size() - 1});
+  }
+  state.pending_uploads.clear();
+  return t;
+}
+
+/// Stage 4, the event loop: processes lease expiries and upload arrivals in
+/// simulated-time order until the straggler deadline `round_close`, and
+/// returns how many uploads it accepted. What is still in flight stays in
+/// `t`.
+std::size_t deliver_uploads(FleetSnapshot& state, const FleetServerOptions& o, std::size_t r,
+                            std::int64_t round_close, RoundTraffic& t,
+                            FleetServerRoundStats& rs) {
+  FleetSnapshot::ServerCounters& counters = state.server_counters;
+  std::vector<Event>& heap = t.heap;
+  std::make_heap(heap.begin(), heap.end(), later);
+  std::size_t accepted = 0;
+  while (!heap.empty() && heap.front().t_us < round_close) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Event ev = heap.back();
+    heap.pop_back();
+    state.server_clock_us = ev.t_us;
+    if (ev.kind == Event::kLeaseExpiry) {
+      // The departed device's in-flight uploads die with its lease.
+      std::size_t dropped = 0;
+      for (const Event& other : heap) {
+        if (other.kind == Event::kUploadArrival && other.device == ev.device) ++dropped;
+      }
+      if (dropped > 0) {
+        heap.erase(std::remove_if(heap.begin(), heap.end(),
+                                  [&](const Event& other) {
+                                    return other.kind == Event::kUploadArrival &&
+                                           other.device == ev.device;
+                                  }),
+                   heap.end());
+        std::make_heap(heap.begin(), heap.end(), later);
+        counters.uploads_lost += dropped;
+        rs.lost_uploads += dropped;
+      }
+      ++counters.departures;
+      ++rs.departures;
+      continue;
+    }
+    // Upload arrival: the table travels as CRC-guarded snapshot bytes, in
+    // the form the server holds it - a delta against its warm base (still
+    // kept, since this upload names it), or the full table. A seeded
+    // per-attempt failure damages the bytes in flight, the decode throws,
+    // and the device retries with exponential backoff + jitter.
+    HeldTable& held = t.arena[ev.table];
+    const auto* ring = std::get_if<RingDelta>(&held);
+    const rl::QTable* base = nullptr;
+    std::vector<std::uint8_t> blob;
+    if (ring != nullptr) {
+      base = &base_of(state, *ring);
+      blob = encode_delta_upload(ring->delta);
+      state.sync.upload_bytes_delta += blob.size();
+      ++state.sync.uploads_delta;
+      ++rs.delta_uploads;
+    } else {
+      blob = encode_upload(std::get<rl::QTable>(held), nullptr);
+      state.sync.upload_bytes_full += blob.size();
+      ++state.sync.uploads_full;
+    }
+    rs.upload_bytes += blob.size();
+    if (o.churn.upload_fail_rate > 0.0) {
+      SplitMix64 fate = attempt_stream(o.churn.seed, ev.trained_round, ev.device, ev.attempt);
+      if (bernoulli(fate, o.churn.upload_fail_rate)) damage_blob(blob, fate);
+    }
+    // Bytes that decode intact carry exactly the held table, so the server
+    // keeps the form it holds; the decode only tells damage apart.
+    bool intact = true;
+    try {
+      (void)decode_upload_payload(std::move(blob), base,
+                                  "upload from device " + std::to_string(ev.device));
+    } catch (const SerializeError&) {
+      intact = false;  // damaged in flight: the upload retries
+    }
+    if (!intact) {
+      const std::uint32_t next_attempt = ev.attempt + 1;
+      if (next_attempt >= o.max_upload_attempts) {
+        ++counters.uploads_lost;
+        ++rs.lost_uploads;
+        continue;
+      }
+      SplitMix64 jitter =
+          attempt_stream(o.churn.seed ^ 0x1u, ev.trained_round, ev.device, ev.attempt);
+      const std::int64_t delay = retry_delay_us(o.retry_backoff, ev.attempt, jitter.next());
+      heap.push_back(Event{ev.t_us + delay, Event::kUploadArrival, ev.device, ev.trained_round,
+                           next_attempt, ev.table});
+      std::push_heap(heap.begin(), heap.end(), later);
+      ++counters.uploads_retried;
+      ++rs.retries;
+      continue;
+    }
+    // Accepted. Only a strictly fresher table replaces a device's standing
+    // upload (a very late round-k arrival after round-(k+1) already landed
+    // is redundant, not a regression).
+    std::optional<FleetUpload>& standing = state.uploads[ev.device];
+    if (!standing.has_value() || standing->round < ev.trained_round) {
+      standing = FleetUpload{std::move(held), ev.trained_round};
+      ++counters.uploads_accepted;
+      ++accepted;
+      if (ev.trained_round < r) {
+        ++counters.late_uploads_merged;
+        ++rs.late_merged;
+      } else {
+        ++rs.quorum;
+      }
+    }
+  }
+  return accepted;
+}
+
+/// Stage 5, the straggler deadline: whatever is still in flight carries
+/// into the next round as persisted PendingUploads - merged late rather
+/// than dropped, and never allowed to stall this round's close. They are
+/// carried in arrival order; the events are sorted, not the uploads that
+/// own their tables.
+void carry_in_flight(FleetSnapshot& state, RoundTraffic t, FleetServerRoundStats& rs) {
+  std::sort(t.heap.begin(), t.heap.end(),
+            [](const Event& a, const Event& b) { return later(b, a); });
+  for (const Event& ev : t.heap) {
+    NEXTGOV_ASSERT(ev.kind == Event::kUploadArrival);  // expiries resolve in-round
+    state.pending_uploads.push_back(PendingUpload{ev.device, ev.trained_round, ev.t_us,
+                                                  ev.attempt, std::move(t.arena[ev.table])});
+  }
+  rs.carried_late = state.pending_uploads.size();
+}
+
+/// Stage 6, the graceful-degradation merge: the staleness-weighted
+/// aggregate of every device's last accepted upload, aged by how many
+/// rounds ago it trained. Departed and straggling devices lean on their
+/// older uploads, exactly as the merge math intends. A delta-held upload is
+/// read over its warm base, never rebuilt.
+void merge_uploads(FleetSnapshot& state, const FleetServerOptions& o, std::size_t r) {
+  std::vector<rl::MergeInput> inputs;
+  std::vector<double> staleness;
+  for (const auto& upload : state.uploads) {
+    if (!upload.has_value()) continue;
+    if (const auto* ring = std::get_if<RingDelta>(&upload->held)) {
+      inputs.push_back(rl::MergeInput{&base_of(state, *ring), &ring->delta});
+    } else {
+      inputs.push_back(rl::MergeInput{&std::get<rl::QTable>(upload->held)});
+    }
+    staleness.push_back(static_cast<double>(r - upload->round));
+  }
+  state.last_aggregate = rl::merge_q_tables(inputs, staleness, o.merge_policy);
+}
+
 }  // namespace
 
 std::int64_t retry_delay_us(SimTime retry_backoff, std::uint32_t attempt,
@@ -273,20 +574,21 @@ void FleetServer::write_ring_snapshot() {
 void FleetServer::drain() { write_ring_snapshot(); }
 
 void FleetServer::restore_from_ring() {
-  std::optional<FleetSnapshot> best;
-  for (std::size_t slot = 0; slot < options_.snapshot_ring; ++slot) {
-    const std::string path = ring_path(slot);
+  // Opens one slot's container: CRC-checked (damage is quarantined and
+  // counted) and held to the options identity. nullopt when the slot is
+  // unusable.
+  const auto open_slot = [&](const std::string& path) -> std::optional<SnapshotReader> {
     std::optional<SnapshotReader> reader;
     try {
       reader.emplace(read_snapshot_quarantining(path));
     } catch (const SerializeError& e) {
       // Damaged entry: already renamed to <path>.corrupt and logged; fall
-      // back to the next (older) ring entry. A version-window refusal is
-      // not quarantined but equally unusable by this build - skip it too.
+      // back to another ring entry. A version-window refusal is not
+      // quarantined but equally unusable by this build - skip it too.
       if (e.kind() == SerializeError::Kind::kCorrupt) ++snapshots_quarantined_;
-      continue;
+      return std::nullopt;
     } catch (const IoError&) {
-      continue;  // slot never written (fresh ring or short run)
+      return std::nullopt;  // slot never written (fresh ring or short run)
     }
     // Config identity gate, *outside* the recovery path: a mismatch means
     // the operator restarted the server under different options, which must
@@ -311,23 +613,53 @@ void FleetServer::restore_from_ring() {
                            "options (devices/timing/seeds/NextConfig/churn must all "
                            "match to resume bit-identically); refusing to resume");
     }
-    std::optional<FleetSnapshot> snap;
+    return reader;
+  };
+  // A slot whose container passed its CRCs but whose state does not decode,
+  // or does not fit this server, is as unusable as a CRC failure and is
+  // quarantined the same way.
+  const auto quarantine = [&](const std::string& path, const SerializeError& e) {
+    (void)quarantine_snapshot(path, e.what());
+    ++snapshots_quarantined_;
+  };
+
+  // Pass 1: every slot's container is read and checked, and only its round
+  // cursor is kept; the bytes are dropped.
+  struct Boundary {
+    std::size_t round;
+    std::size_t slot;
+  };
+  std::vector<Boundary> boundaries;
+  for (std::size_t slot = 0; slot < options_.snapshot_ring; ++slot) {
+    const std::string path = ring_path(slot);
+    const std::optional<SnapshotReader> reader = open_slot(path);
+    if (!reader.has_value()) continue;
     try {
-      snap = read_fleet_state_sections(*reader);
-      check_resumable(*snap, options_);
+      boundaries.push_back(Boundary{read_fleet_round_cursor(*reader), slot});
     } catch (const SerializeError& e) {
-      // The container passed its CRCs but its state does not decode, or
-      // does not fit this server: as unusable as a CRC failure, and
-      // quarantined the same way.
-      (void)quarantine_snapshot(path, e.what());
-      ++snapshots_quarantined_;
-      continue;
+      quarantine(path, e);
     }
-    if (!best.has_value() || snap->next_round > best->next_round) best = std::move(snap);
   }
-  if (!best.has_value()) return;  // cold start at round 0
-  state_ = std::move(*best);
-  restored_ = true;
+
+  // Pass 2: decode newest-first (the lower slot first among equal rounds)
+  // until one restores. Older slots are never decoded.
+  std::stable_sort(boundaries.begin(), boundaries.end(),
+                   [](const Boundary& a, const Boundary& b) { return a.round > b.round; });
+  for (const Boundary& b : boundaries) {
+    const std::string path = ring_path(b.slot);
+    const std::optional<SnapshotReader> reader = open_slot(path);
+    if (!reader.has_value()) continue;
+    try {
+      FleetSnapshot snap = read_fleet_state_sections(*reader);
+      check_resumable(snap, options_);
+      state_ = std::move(snap);
+      restored_ = true;
+      return;
+    } catch (const SerializeError& e) {
+      quarantine(path, e);
+    }
+  }
+  // No slot restored: cold start at round 0.
 }
 
 void FleetServer::run_round(const FleetServerProgressFn& progress) {
@@ -340,257 +672,29 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
 
   FleetServerRoundStats rs;
   rs.round = r;
-  FleetSnapshot::ServerCounters& counters = state_.server_counters;
-
-  // 1. Re-registration: departed devices whose absence has run its course
-  //    take a fresh lease before the round starts.
-  for (std::size_t d = 0; d < options_.devices; ++d) {
-    if (!state_.leases[d].active && state_.leases[d].rejoin_round <= r) {
-      state_.leases[d] = DeviceLease{};
-      ++rs.rejoined;
-      ++rejoins_;
-    }
-  }
-
-  // 2. Churn draws + event seeding. A departing device stops heartbeating
-  //    at a seeded instant inside its training window; the server notices
-  //    at the last heartbeat + lease_timeout. It never contributes a
-  //    partial table - its training cell is simply not scheduled (the
-  //    result could never be uploaded, and a pure-function fleet has no
-  //    half-trained state to leak).
-  std::vector<Event> heap;
-  std::vector<HeldTable> arena;
-  std::vector<std::size_t> trainees;
-  std::vector<std::int64_t> first_attempt_us(options_.devices, 0);
-  for (std::size_t d = 0; d < options_.devices; ++d) {
-    if (!state_.leases[d].active) continue;
-    SplitMix64 depart = churn_stream(options_.churn.seed, kDepartSalt, r, d);
-    if (bernoulli(depart, options_.churn.depart_rate)) {
-      const std::int64_t depart_us =
-          round_start +
-          static_cast<std::int64_t>(depart.next() %
-                                    static_cast<std::uint64_t>(options_.round_duration.us()));
-      const std::int64_t last_heartbeat =
-          round_start + ((depart_us - round_start) / options_.heartbeat_period.us()) *
-                            options_.heartbeat_period.us();
-      heap.push_back(Event{last_heartbeat + options_.lease_timeout.us(),
-                           Event::kLeaseExpiry, d, r, 0, 0});
-      state_.leases[d].active = false;
-      state_.leases[d].rejoin_round = r + options_.churn.rejoin_after_rounds;
-      continue;
-    }
-    std::int64_t start = round_start + options_.round_duration.us();
-    SplitMix64 straggle = churn_stream(options_.churn.seed, kStraggleSalt, r, d);
-    if (bernoulli(straggle, options_.churn.straggle_rate)) {
-      // At least half a round late: usually past the deadline, so the
-      // table carries into the next round and merges with staleness 1.
-      start += options_.round_deadline.us() / 2 +
-               static_cast<std::int64_t>(
-                   straggle.next() % static_cast<std::uint64_t>(options_.round_deadline.us()));
-    }
-    first_attempt_us[d] = start + options_.upload_latency.us();
-    trainees.push_back(d);
-  }
-  rs.training_devices = trainees.size();
-
-  // 3. Train every leased, non-departing device for round_duration of
-  //    simulated time - one homogeneous plan through execute(), warm-started
-  //    from the global aggregate (visit mass stripped so historical
-  //    experience is counted once, via the aggregate, not once per device).
-  //    The warm table joins the state's bases as this round's; it stays
-  //    there while some upload held as a delta against it is.
-  const rl::QTable* warm = nullptr;
-  if (state_.last_aggregate.has_value()) {
-    state_.warm_bases.push_back(WarmBase{r, strip_visit_mass(*state_.last_aggregate)});
-    warm = &state_.warm_bases.back().table;
-  }
-  TrainingPlan plan;
-  for (const std::size_t d : trainees) {
-    TrainingOptions cell;
-    cell.max_duration = options_.round_duration;
-    cell.episode_length = options_.episode_length;
-    cell.seed = derive_seed(derive_seed(options_.base_seed, d), r);
-    cell.ambient = options_.ambient;
-    cell.initial_table = warm;
-    plan.add(app_factory_, "device_" + std::to_string(d), options_.next_config, cell);
-  }
-  // exec_ may fan the plan out across worker threads - bit-identical
-  // either way, so snapshots and goldens are oblivious to the choice.
-  std::vector<TrainingResult> results = execute(plan, exec_);
-  double reward_sum = 0.0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    reward_sum += results[i].final_mean_reward;
-    state_.total_decisions += results[i].decisions;
-    // The table is held from here on as its delta against the warm table
-    // it trained from, made once: its wire upload sends it, every
-    // ring entry stores it and the merge reads it over the base. The full
-    // table is dropped with `table`. Without a base, or when
-    // try_make_delta refuses, the full table is held instead.
-    rl::QTable table = std::move(results[i].table);
-    std::optional<rl::QTableDelta> delta;
-    if (warm != nullptr) delta = rl::try_make_delta(*warm, table);
-    if (delta.has_value()) {
-      arena.emplace_back(RingDelta{r, std::move(*delta)});
-    } else {
-      arena.emplace_back(std::move(table));
-    }
-    heap.push_back(Event{first_attempt_us[trainees[i]], Event::kUploadArrival,
-                         trainees[i], r, 0, arena.size() - 1});
-  }
-  rs.mean_reward =
-      results.empty() ? 0.0 : reward_sum / static_cast<double>(results.size());
-
-  // Pending uploads from earlier rounds re-enter the loop with their
-  // persisted arrival times and attempt counters, so a restarted server
-  // replays exactly the same arrivals.
-  for (PendingUpload& p : state_.pending_uploads) {
-    arena.push_back(std::move(p.held));
-    heap.push_back(Event{p.arrival_us, Event::kUploadArrival, p.device, p.trained_round,
-                         p.attempts_used, arena.size() - 1});
-  }
-  state_.pending_uploads.clear();
-
-  // 4. The event loop: process lease expiries and upload arrivals in
-  //    simulated-time order until the straggler deadline.
-  std::make_heap(heap.begin(), heap.end(), later);
-  std::size_t accepted_this_round = 0;
-  while (!heap.empty() && heap.front().t_us < round_close) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    Event ev = heap.back();
-    heap.pop_back();
-    state_.server_clock_us = ev.t_us;
-    if (ev.kind == Event::kLeaseExpiry) {
-      // The departed device's in-flight uploads die with its lease.
-      std::size_t dropped = 0;
-      for (const Event& other : heap) {
-        if (other.kind == Event::kUploadArrival && other.device == ev.device) ++dropped;
-      }
-      if (dropped > 0) {
-        heap.erase(std::remove_if(heap.begin(), heap.end(),
-                                  [&](const Event& other) {
-                                    return other.kind == Event::kUploadArrival &&
-                                           other.device == ev.device;
-                                  }),
-                   heap.end());
-        std::make_heap(heap.begin(), heap.end(), later);
-        counters.uploads_lost += dropped;
-        rs.lost_uploads += dropped;
-      }
-      ++counters.departures;
-      ++rs.departures;
-      continue;
-    }
-    // Upload arrival: the table travels as CRC-guarded snapshot bytes, in
-    // the form the server holds it - a delta against its warm base (still
-    // kept, since this upload names it), or the full table. A seeded
-    // per-attempt failure damages the bytes in flight, the decode throws,
-    // and the device retries with exponential backoff + jitter.
-    HeldTable& held = arena[ev.table];
-    const auto* ring = std::get_if<RingDelta>(&held);
-    const rl::QTable* base = nullptr;
-    std::vector<std::uint8_t> blob;
-    if (ring != nullptr) {
-      base = &base_of(state_, *ring);
-      blob = encode_delta_upload(ring->delta);
-      state_.sync.upload_bytes_delta += blob.size();
-      ++state_.sync.uploads_delta;
-      ++rs.delta_uploads;
-    } else {
-      blob = encode_upload(std::get<rl::QTable>(held), nullptr);
-      state_.sync.upload_bytes_full += blob.size();
-      ++state_.sync.uploads_full;
-    }
-    rs.upload_bytes += blob.size();
-    if (options_.churn.upload_fail_rate > 0.0) {
-      SplitMix64 fate =
-          attempt_stream(options_.churn.seed, ev.trained_round, ev.device, ev.attempt);
-      if (bernoulli(fate, options_.churn.upload_fail_rate)) damage_blob(blob, fate);
-    }
-    // Bytes that decode intact carry exactly the held table, so the server
-    // keeps the form it holds; the decode only tells damage apart.
-    bool intact = true;
-    try {
-      (void)decode_upload_payload(std::move(blob), base,
-                                  "upload from device " + std::to_string(ev.device));
-    } catch (const SerializeError&) {
-      intact = false;  // damaged in flight: the upload retries
-    }
-    if (!intact) {
-      const std::uint32_t next_attempt = ev.attempt + 1;
-      if (next_attempt >= options_.max_upload_attempts) {
-        ++counters.uploads_lost;
-        ++rs.lost_uploads;
-        continue;
-      }
-      SplitMix64 jitter =
-          attempt_stream(options_.churn.seed ^ 0x1u, ev.trained_round, ev.device, ev.attempt);
-      const std::int64_t delay =
-          retry_delay_us(options_.retry_backoff, ev.attempt, jitter.next());
-      heap.push_back(Event{ev.t_us + delay, Event::kUploadArrival, ev.device,
-                           ev.trained_round, next_attempt, ev.table});
-      std::push_heap(heap.begin(), heap.end(), later);
-      ++counters.uploads_retried;
-      ++rs.retries;
-      continue;
-    }
-    // Accepted. Only a strictly fresher table replaces a device's standing
-    // upload (a very late round-k arrival after round-(k+1) already landed
-    // is redundant, not a regression).
-    std::optional<FleetUpload>& standing = state_.uploads[ev.device];
-    if (!standing.has_value() || standing->round < ev.trained_round) {
-      standing = FleetUpload{std::move(held), ev.trained_round};
-      ++counters.uploads_accepted;
-      ++accepted_this_round;
-      if (ev.trained_round < r) {
-        ++counters.late_uploads_merged;
-        ++rs.late_merged;
-      } else {
-        ++rs.quorum;
-      }
-    }
-  }
-
-  // 5. Straggler deadline: whatever is still in flight carries into the
-  //    next round as persisted PendingUploads - merged late rather than
-  //    dropped, and never allowed to stall this round's close. They are
-  //    carried in arrival order; the events are sorted, not the uploads
-  //    that own their tables.
-  std::sort(heap.begin(), heap.end(), [](const Event& a, const Event& b) { return later(b, a); });
-  for (const Event& ev : heap) {
-    NEXTGOV_ASSERT(ev.kind == Event::kUploadArrival);  // expiries resolve in-round
-    state_.pending_uploads.push_back(PendingUpload{ev.device, ev.trained_round, ev.t_us,
-                                                   ev.attempt, std::move(arena[ev.table])});
-  }
-  rs.carried_late = state_.pending_uploads.size();
-
-  // 6. Graceful degradation merge: the staleness-weighted aggregate of
-  //    every device's last accepted upload, aged by how many rounds ago it
-  //    trained. Departed and straggling devices lean on their older
-  //    uploads, exactly as the merge math intends; with no fresh arrivals
-  //    at all the previous aggregate simply carries. A delta-held upload
-  //    is read over its warm base, never rebuilt.
-  if (accepted_this_round > 0) {
-    std::vector<rl::MergeInput> inputs;
-    std::vector<double> staleness;
-    for (const auto& upload : state_.uploads) {
-      if (!upload.has_value()) continue;
-      if (const auto* ring = std::get_if<RingDelta>(&upload->held)) {
-        inputs.push_back(rl::MergeInput{&base_of(state_, *ring), &ring->delta});
-      } else {
-        inputs.push_back(rl::MergeInput{&std::get<rl::QTable>(upload->held)});
-      }
-      staleness.push_back(static_cast<double>(r - upload->round));
-    }
-    state_.last_aggregate = rl::merge_q_tables(inputs, staleness, options_.merge_policy);
-  }
+  rejoin_devices(state_, r, rs);
+  rejoins_ += rs.rejoined;
+  RoundDraws draws = draw_churn(state_, options_, r, round_start);
+  rs.training_devices = draws.trainees.size();
+  TrainedRound trained = train_round(state_, options_, app_factory_, exec_, r, draws.trainees);
+  state_.total_decisions += trained.decisions;
+  rs.mean_reward = draws.trainees.empty()
+                       ? 0.0
+                       : trained.reward_sum / static_cast<double>(draws.trainees.size());
+  RoundTraffic traffic = seed_traffic(state_, std::move(draws), std::move(trained.held), r);
+  const std::size_t accepted = deliver_uploads(state_, options_, r, round_close, traffic, rs);
+  carry_in_flight(state_, std::move(traffic), rs);
+  // With no fresh arrivals at all the previous aggregate simply carries.
+  if (accepted > 0) merge_uploads(state_, options_, r);
   rs.global_states = state_.last_aggregate.has_value() ? state_.last_aggregate->state_count() : 0;
   state_.last_round_mean_reward = rs.mean_reward;
   drop_unreferenced_bases(state_);
 
-  // 7. Round boundary: advance the clock, rotate the snapshot ring, report.
+  // Stage 7, the round boundary: advance the clock, rotate the snapshot
+  // ring, report.
   state_.server_clock_us = round_close;
   state_.next_round = r + 1;
-  ++counters.rounds_served;
+  ++state_.server_counters.rounds_served;
   // A boundary that fails to land (a full disk, an I/O error) is skipped,
   // not fatal: the server keeps serving and the ring keeps its older
   // boundaries, which a restart resumes from.

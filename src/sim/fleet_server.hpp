@@ -29,7 +29,10 @@
 //   * training - every leased, non-departing device trains for
 //     round_duration of simulated device time (one plan through execute(),
 //     warm-started from the current global aggregate with visit mass
-//     stripped - see strip_visit_mass);
+//     stripped - see strip_visit_mass). Memory rule: each trainee's table
+//     becomes its held form (below) as soon as its cell ends, so a round
+//     holds at most one full table per worker thread, whatever the fleet
+//     size;
 //   * uploads - each trained table travels as CRC-guarded snapshot bytes
 //     (sim/fleet.hpp's wire codec) in the one form the server holds it: a
 //     delta against the warm table it trained from, or the full table when
@@ -52,25 +55,27 @@
 //     `<snapshot_prefix>.<round mod snapshot_ring>`, keeping the last K
 //     boundaries. The server keeps that state as one FleetSnapshot member
 //     and serializes it in place. Each upload is held in one form, made
-//     once when training returns the table: a delta against the warm table
-//     it trained from (the one its wire upload carries), which the state
-//     keeps as a warm base for as long as some standing or pending upload
-//     names it, or the full table when there is no base. The merge reads a
-//     delta over its base, and nothing rebuilds the table. So the server's
-//     memory, like an entry, holds the global,
-//     a few warm bases and one small delta per upload, not a full table
-//     per device, and a restore decodes no more than that. A boundary
-//     whose write fails (IoError) is logged,
-//     counted in snapshots_failed and skipped; the ring keeps its older
-//     boundaries and the server keeps serving.
-//     Startup scans the ring, quarantines entries that fail CRC or do not
-//     decode into a state this server can resume (renamed to
-//     `<path>.corrupt` via quarantine_snapshot) and restores from the
-//     newest valid one, so a kill -9 at any point loses
-//     at most the round in progress - and replaying that round from the
-//     boundary is bit-identical to never having died. Crash/resume is
-//     therefore nothing more than destroying the server and constructing
-//     it again on the same ring. Pinned by
+//     once as soon as its training cell ends: a delta against the warm
+//     table it trained from (the one its wire upload carries), which the
+//     state keeps as a warm base for as long as some standing or pending
+//     upload names it, or the full table when there is no base. The merge
+//     reads a delta over its base, and nothing rebuilds the table. So the
+//     server's memory, like an entry, holds the global, a few warm bases
+//     and one small delta per upload, not a full table per device. A
+//     boundary whose write fails (IoError) is logged, counted in
+//     snapshots_failed and skipped; the ring keeps its older boundaries
+//     and the server keeps serving.
+//     Startup reads every ring slot's container - one that fails its CRCs
+//     is quarantined (renamed to `<path>.corrupt` via quarantine_snapshot),
+//     one taken under other options throws - and keeps only its round
+//     cursor. It then decodes slots newest-first until one restores; each
+//     newer slot whose state does not decode into one this server can
+//     resume is quarantined on the way, and older slots are never decoded.
+//     So a restore holds one decoded state beside its file's bytes, and a
+//     kill -9 at any point loses at most the round in progress - and
+//     replaying that round from the boundary is bit-identical to never
+//     having died. Crash/resume is therefore nothing more than destroying
+//     the server and constructing it again on the same ring. Pinned by
 //     tests/sim/fleet_server_golden_test.cpp and the fleet_serverd CI
 //     crash-recovery smoke.
 //
@@ -232,7 +237,10 @@ struct FleetServerStats {
   /// failed rename). run_round logs and skips the slot and keeps serving.
   std::size_t snapshots_failed{0};
   /// Corrupt ring entries skipped at restore (renamed to `<path>.corrupt`
-  /// unless the rename itself failed, which is logged).
+  /// unless the rename itself failed, which is logged): every slot whose
+  /// container fails its CRCs or has no readable round cursor, and every
+  /// slot newer than the restored one whose state does not decode or fit
+  /// the server. Older slots are never decoded, so they are not counted.
   std::size_t snapshots_quarantined{0};
 };
 

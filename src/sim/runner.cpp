@@ -257,14 +257,21 @@ std::vector<SessionResult> execute(const RunPlan& plan, const ExecOptions& optio
   return results;
 }
 
+void execute(const TrainingPlan& plan, const ExecOptions& options,
+             const TrainingConsumer& consume) {
+  require(static_cast<bool>(consume), "execute needs a training consumer");
+  run_indexed_tasks(plan.size(), resolve_workers(options.workers, plan.size()),
+                    [&](std::size_t i) {
+                      consume(i, run_training_cell(plan.cells()[i], options.phase_timings));
+                    });
+}
+
 std::vector<TrainingResult> execute(const TrainingPlan& plan, const ExecOptions& options) {
   // TrainingResult carries a QTable (no default state), so cells land in
   // optional slots and are moved out once the pool has drained.
   std::vector<std::optional<TrainingResult>> slots(plan.size());
-  run_indexed_tasks(plan.size(), resolve_workers(options.workers, plan.size()),
-                    [&](std::size_t i) {
-                      slots[i] = run_training_cell(plan.cells()[i], options.phase_timings);
-                    });
+  execute(plan, options,
+          [&](std::size_t i, TrainingResult&& result) { slots[i].emplace(std::move(result)); });
   std::vector<TrainingResult> results;
   results.reserve(plan.size());
   for (auto& slot : slots) results.push_back(std::move(*slot));

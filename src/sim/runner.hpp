@@ -145,11 +145,26 @@ struct ExecOptions {
 [[nodiscard]] std::vector<SessionResult> execute(const RunPlan& plan,
                                                  const ExecOptions& options = {});
 
-/// Training counterpart: TrainingResults in plan order, bit-identical to
-/// serial per-cell training (wall_seconds excepted). This holds the repo's
-/// one training loop - chunked episodes, app re-opens and convergence
-/// checks - one engine per cell; train_next() and train_next_on() run
-/// one-cell plans through it.
+/// Receives cell `index`'s TrainingResult as soon as that cell finishes.
+using TrainingConsumer = std::function<void(std::size_t index, TrainingResult&& result)>;
+
+/// Training counterpart: runs every cell of `plan` and hands each result to
+/// `consume`, bit-identical to serial per-cell training (wall_seconds
+/// excepted). This holds the repo's one training loop - chunked episodes,
+/// app re-opens and convergence checks - one engine per cell.
+///
+/// `consume(i, result)` runs on the worker thread that trained cell i, right
+/// after it finishes, so at most `workers` results are alive at once.
+/// With one worker the calls come in plan order on the calling thread; with
+/// more they come in completion order, possibly concurrently, so the
+/// consumer must only touch what belongs to index i. A consumer that throws
+/// fails its cell like a training error: execute() rethrows the first
+/// failure in plan order once every worker has drained.
+void execute(const TrainingPlan& plan, const ExecOptions& options,
+             const TrainingConsumer& consume);
+
+/// The results of execute(plan, options, consume), collected in plan
+/// order. train_next() and train_next_on() run one-cell plans through it.
 [[nodiscard]] std::vector<TrainingResult> execute(const TrainingPlan& plan,
                                                   const ExecOptions& options = {});
 

@@ -16,11 +16,13 @@ namespace nextgov::sim {
 namespace {
 
 /// The most a restore may allocate at once, as a multiple of the newest
-/// ring entry's file size. Restoring reads every slot and holds the best
-/// state decoded so far beside the slot being read and decoded, each about
-/// the entry's size plus the tables' indexes: 4.3x the entry here. A decode
-/// that rebuilds every delta-stored upload into a full table peaks at 11.3x.
-constexpr std::uint64_t kRestoreFactor = 6;
+/// ring entry's file size. Restoring reads every slot's container but keeps
+/// only its round cursor, then decodes the newest slot alone: its file
+/// bytes plus the one state decoded from them, 2.6x the entry here. Holding
+/// the best decoded state beside the next slot's decode peaked at 4.3x; a
+/// decode that rebuilds every delta-stored upload into a full table, at
+/// 11.3x.
+constexpr std::uint64_t kRestoreFactor = 3;
 
 TEST(FleetRestoreAllocations, RestorePeakFollowsTheRingEntry) {
   FleetServerOptions options;

@@ -1,9 +1,9 @@
 // Tests for the long-running fleet server (sim/fleet_server.hpp): options
 // validation, determinism across worker counts under churn, straggler
 // carry-over, retry/loss accounting, lease departure bookkeeping, and the
-// snapshot ring (rotation, corrupt-entry quarantine + fallback, options
-// identity, cold start, the write-failure policy, the warm bases a version-4
-// entry holds). The kill -9 bit-identity contract itself lives in
+// snapshot ring (rotation, corrupt-entry quarantine + fallback, the
+// newest-first decode, options identity, cold start, the write-failure
+// policy, the warm bases a version-4 entry holds). The kill -9 bit-identity contract itself lives in
 // tests/sim/fleet_server_golden_test.cpp.
 #include <gtest/gtest.h>
 
@@ -337,6 +337,71 @@ TEST(FleetServerRing, UndecodableSlotIsQuarantinedAndOlderOneRestores) {
   resumed.run_rounds(2);
   ASSERT_NE(resumed.global(), nullptr);
   EXPECT_EQ(canonical_bytes(*resumed.global()), canonical_bytes(*straight.global()));
+}
+
+/// Writes a ring entry with a valid container and options identity whose
+/// "fleet_state" section holds only a round cursor of `cursor_bytes` bytes
+/// (8 is a whole u64, fewer a truncated one), so its state never decodes.
+void write_cursor_only_entry(const std::string& path, const FleetServerOptions& options,
+                             std::uint64_t cursor, std::size_t cursor_bytes) {
+  SnapshotWriter out;
+  encode_fleet_server_options(options, out.section("fleet_server_options"));
+  ByteWriter& state = out.section("fleet_state");
+  for (std::size_t i = 0; i < cursor_bytes; ++i) {
+    state.u8(static_cast<std::uint8_t>(cursor >> (8 * i)));
+  }
+  out.write_file(path);
+}
+
+TEST(FleetServerRing, NewerUndecodableSlotIsQuarantinedAndCounted) {
+  // The restore decodes newest-first: a slot whose round cursor claims a
+  // newer boundary but whose state does not decode is tried first,
+  // quarantined and counted, and the older good slot restores.
+  const std::string prefix = ring_prefix("newer_undecodable");
+  FleetServerOptions options = small_server();
+  options.snapshot_ring = 3;
+  options.snapshot_prefix = prefix;
+  {
+    FleetServer server{workload::AppId::kFacebook, options, {.workers = 1}};
+    server.run_rounds(1);
+  }  // the round-1 boundary sits in slot 1
+  write_cursor_only_entry(prefix + ".2", options, 2, 8);
+
+  FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 1}};
+  EXPECT_TRUE(resumed.restored());
+  EXPECT_EQ(resumed.round(), 1u);
+  EXPECT_EQ(resumed.stats().snapshots_quarantined, 1u);
+  EXPECT_FALSE(std::filesystem::exists(prefix + ".2"));
+  EXPECT_TRUE(std::filesystem::exists(prefix + ".2.corrupt"));
+  EXPECT_TRUE(std::filesystem::exists(prefix + ".1"));
+}
+
+TEST(FleetServerRing, OlderUndecodableSlotIsLeftInPlace) {
+  // Once the newest slot restores, older slots are never decoded: one whose
+  // state would not decode stays in place, uncounted. Every slot's
+  // container and round cursor are still read, so a cursor shorter than 8
+  // bytes is quarantined and counted whatever its age.
+  const std::string prefix = ring_prefix("older_undecodable");
+  FleetServerOptions options = small_server();
+  options.snapshot_ring = 4;
+  options.snapshot_prefix = prefix;
+  {
+    FleetServer server{workload::AppId::kFacebook, options, {.workers = 1}};
+    server.run_rounds(2);
+  }  // boundaries 1 and 2 sit in slots 1 and 2
+  const std::string undecodable = prefix + ".3";
+  write_cursor_only_entry(undecodable, options, 1, 8);
+  const std::string short_cursor = prefix + ".0";
+  write_cursor_only_entry(short_cursor, options, 0, 7);
+
+  FleetServer resumed{workload::AppId::kFacebook, options, {.workers = 1}};
+  EXPECT_TRUE(resumed.restored());
+  EXPECT_EQ(resumed.round(), 2u);
+  EXPECT_EQ(resumed.stats().snapshots_quarantined, 1u);
+  EXPECT_TRUE(std::filesystem::exists(undecodable));
+  EXPECT_FALSE(std::filesystem::exists(undecodable + ".corrupt"));
+  EXPECT_FALSE(std::filesystem::exists(short_cursor));
+  EXPECT_TRUE(std::filesystem::exists(short_cursor + ".corrupt"));
 }
 
 TEST(FleetServerRing, RoundCursorPastTheClockIsQuarantined) {
